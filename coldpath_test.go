@@ -10,9 +10,10 @@ import (
 )
 
 // The cold-path differential suite: on a >64-pair universe (Ω = 9·8 = 72,
-// the former fast-path cliff) every strategy must ask a bit-identical
-// question sequence at every parallelism — the arena general path, the
-// incremental engine, and the semijoin solver are pure optimizations.
+// two-word predicates) every strategy must ask a bit-identical question
+// sequence at every parallelism — the lookahead's arena engine, the
+// incremental inference engine, and the semijoin solver are pure
+// optimizations.
 
 // coldPathInstance returns the 72-pair instance shared by the suite.
 func coldPathInstance(tb testing.TB) *Instance {

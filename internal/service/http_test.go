@@ -153,6 +153,38 @@ func TestHTTPEndToEnd(t *testing.T) {
 	doJSON(t, client, http.MethodGet, srv.URL+"/sessions/"+info.ID, nil, http.StatusNotFound, nil)
 }
 
+// TestHTTPEmptyPredicateRoundtrip: a session that infers the empty
+// conjunction reports it as "TRUE" over HTTP, and the text parses back to
+// the empty predicate.
+func TestHTTPEmptyPredicateRoundtrip(t *testing.T) {
+	m, err := NewManager(testRegistry(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	client := srv.Client()
+	inst := paperdata.FlightHotel()
+
+	var info Info
+	doJSON(t, client, http.MethodPost, srv.URL+"/sessions",
+		Params{Instance: "flights", Strategy: joininference.StrategyL2S}, http.StatusCreated, &info)
+	driveHTTP(t, client, srv.URL, info.ID, inst, predicate.Empty(), 2)
+
+	var p PredicateInfo
+	doJSON(t, client, http.MethodGet, srv.URL+"/sessions/"+info.ID+"/predicate", nil, http.StatusOK, &p)
+	if !p.Done || p.Predicate != "TRUE" {
+		t.Fatalf("predicate info %+v; want done with \"TRUE\"", p)
+	}
+	got, err := joininference.ParsePredicate(joininference.NewSession(inst).Universe(), p.Predicate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(predicate.Empty()) {
+		t.Errorf("%q parsed to %v; want the empty predicate", p.Predicate, got)
+	}
+}
+
 // TestHTTPSnapshotResumeRoundtrip hands a snapshot fetched over HTTP back
 // to POST /sessions and checks the resumed session picks up where the
 // original left off.

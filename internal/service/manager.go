@@ -1067,8 +1067,14 @@ func (m *Manager) Predicate(id string) (PredicateInfo, error) {
 	defer m.release(ms)
 	u := ms.sess.Universe()
 	p := ms.sess.Inferred()
+	// Format renders ∅ for people ("⊤ (empty predicate)"); the wire form
+	// must parse back, so the empty conjunction is "TRUE".
+	text := "TRUE"
+	if !p.IsEmpty() {
+		text = p.Format(u)
+	}
 	return PredicateInfo{
-		Predicate: p.Format(u),
+		Predicate: text,
 		SQL:       joininference.SQL(u, p, ms.params.Semijoin, false),
 		Asked:     ms.sess.Questions(),
 		Done:      ms.isDone(),

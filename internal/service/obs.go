@@ -143,12 +143,14 @@ func (o *Obs) bind(m *Manager) {
 		r.GaugeFunc("policy_cache_bytes", "Bytes resident in the policy cache.", func() float64 { return float64(pc.Stats().Bytes) })
 		r.GaugeFunc("policy_cache_nodes", "Nodes resident in the policy cache.", func() float64 { return float64(pc.Stats().Nodes) })
 		r.GaugeFunc("policy_cache_hit_ratio", "Policy-cache hit ratio (LRU + tier-2 hits over lookups) since boot.", func() float64 {
+			// Lookup counts every lookup exactly once: as a hit, a tier-2
+			// hit or a miss.
 			st := pc.Stats()
-			total := st.Hits + st.Misses
-			if total == 0 {
+			served := st.Hits + st.Tier2Hits
+			if served+st.Misses == 0 {
 				return 0
 			}
-			return float64(st.Hits+st.Tier2Hits) / float64(total)
+			return float64(served) / float64(served+st.Misses)
 		})
 	}
 	if kv := m.opts.Store; kv != nil {

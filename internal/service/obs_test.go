@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -210,6 +211,53 @@ func TestObsPolicyCacheMetrics(t *testing.T) {
 	}
 	if st := pc.Stats(); st.Hits == 0 {
 		t.Errorf("expected policy cache hits, got %+v", st)
+	}
+}
+
+// TestObsPolicyCacheHitRatioWithPageIns: with an LRU bound far too small
+// for the decision tree, warm sessions are served by store-tier page-ins;
+// the exported hit ratio must still be exactly served lookups over all
+// lookups, and never exceed 1.
+func TestObsPolicyCacheHitRatioWithPageIns(t *testing.T) {
+	bundle := NewObs()
+	pc := joininference.NewPolicyCache(360) // ~2 nodes: the walk keeps evicting
+	pc.AttachStore(store.NewMem(), 0)
+	m, err := NewManager(testRegistry(t), Options{PolicyCache: pc, Obs: bundle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goal := flightGoal(t)
+	for i := 0; i < 3; i++ {
+		info, err := m.Create(Params{Instance: "flights", Strategy: joininference.StrategyL2S})
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveToDone(t, m, info.ID, goal, 1)
+	}
+	st := pc.Stats()
+	if st.PageIns == 0 || st.Tier2Hits == 0 {
+		t.Fatalf("no page-ins; the test no longer exercises the store tier: %+v", st)
+	}
+	var buf strings.Builder
+	if err := bundle.Metrics.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var got float64
+	found := false
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "policy_cache_hit_ratio "); ok {
+			if got, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatal(err)
+			}
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("missing hit-ratio gauge:\n%s", buf.String())
+	}
+	served := st.Hits + st.Tier2Hits
+	if want := float64(served) / float64(served+st.Misses); got != want || got > 1 {
+		t.Errorf("policy_cache_hit_ratio = %v, want %v (≤ 1) from %+v", got, want, st)
 	}
 }
 

@@ -60,11 +60,11 @@ func BenchmarkNextHalving(b *testing.B) {
 	}
 }
 
-// BenchmarkColdPath measures uncached (first-user) serving on a >64-pair
-// universe — the general path a policy cache cannot help. Each op is one
-// full inference run; "arena" is the production allocation-free flat-arena
-// path, "legacy" the pre-arena slice-based implementation it replaced
-// (still the k > maxFastDepth fallback). questions/s is the custom
+// BenchmarkColdPath measures uncached (first-user) serving on a 72-pair
+// universe (two-word predicates) — the work a policy cache cannot help.
+// Each op is one full inference run; "arena" is the production engine,
+// "legacy" the slice-based reference implementation the differential
+// tests compare it with (legacy_test.go). questions/s is the custom
 // throughput metric; allocs/op shows the arena discipline. Recorded in
 // BENCH_coldpath.json.
 func BenchmarkColdPath(b *testing.B) {

@@ -3,9 +3,6 @@ package strategy
 import (
 	"math"
 	"sort"
-
-	"repro/internal/inference"
-	"repro/internal/predicate"
 )
 
 // Inf is the entropy value meaning "labeling this tuple ends the
@@ -86,163 +83,4 @@ func selectBestPosition(baseInf, positions []int, ents []Entropy) int {
 		}
 	}
 	return bestIdx
-}
-
-// look carries the per-decision context shared by the lookahead
-// computations: the engine, the classes informative w.r.t. the *base*
-// sample (all Uninf differences in Algorithm 5 are taken against the base
-// sample S), and the counting unit.
-type look struct {
-	e *inference.Engine
-	// baseInf: informative class indexes w.r.t. the engine's sample.
-	baseInf []int
-	// countClasses switches the counting unit from tuples (the paper's, via
-	// class cardinalities) to distinct classes; see DESIGN.md ablations.
-	countClasses bool
-
-	// Word-level fast path (entropy_fast.go), used when Ω fits in 64 bits.
-	fast    bool
-	tposW   uint64
-	negsW   []uint64
-	thetasW []uint64 // per baseInf position
-	countsW []int64  // per baseInf position, shared with the arena path
-
-	// Flat-arena general path (entropy_general.go), used for any Ω when the
-	// fast path does not apply: predicates are W-word spans in []uint64
-	// arenas and all set operations run in place.
-	gen     bool
-	gW      int      // words per predicate
-	gtpos   []uint64 // base T(S+), W words
-	gthetas []uint64 // per baseInf position, W words each
-	gnegs   []uint64 // base negatives, W words each
-	gnegN   int
-}
-
-// state is a hypothetical extension of the base sample: the updated T(S+),
-// the extended negative list, and which classes the extension labeled.
-type state struct {
-	tpos  predicate.Pred
-	negs  []predicate.Pred
-	newly []int
-}
-
-func (s state) withPositive(theta predicate.Pred, ci int) state {
-	return state{
-		tpos:  s.tpos.Intersect(theta),
-		negs:  s.negs,
-		newly: append(append([]int(nil), s.newly...), ci),
-	}
-}
-
-func (s state) withNegative(theta predicate.Pred, ci int) state {
-	negs := make([]predicate.Pred, len(s.negs), len(s.negs)+1)
-	copy(negs, s.negs)
-	return state{
-		tpos:  s.tpos,
-		negs:  append(negs, theta),
-		newly: append(append([]int(nil), s.newly...), ci),
-	}
-}
-
-func (s state) labeled(ci int) bool {
-	for _, x := range s.newly {
-		if x == ci {
-			return true
-		}
-	}
-	return false
-}
-
-// base returns the lookahead context for the engine's current sample.
-func newLook(e *inference.Engine, countClasses bool) *look {
-	return &look{e: e, baseInf: e.InformativeClasses(), countClasses: countClasses}
-}
-
-func (l *look) baseState() state {
-	return state{tpos: l.e.TPos(), negs: l.e.Negatives()}
-}
-
-// delta computes u = |Uninf(S_ext) \ Uninf(S_base)| for the hypothetical
-// state: the number of tuples, informative under the base sample, that the
-// extension makes uninformative. Newly labeled tuples themselves are not
-// counted (the paper's Figure 5 counts 11, not 12, for the ∅ tuple), but
-// their class twins are.
-func (l *look) delta(s state) int64 {
-	var sum int64
-	for _, ci := range l.baseInf {
-		c := l.e.Classes()[ci]
-		w := c.Count
-		if l.countClasses {
-			w = 1
-		}
-		if s.labeled(ci) {
-			if !l.countClasses {
-				sum += w - 1
-			}
-			continue
-		}
-		if inference.CertainUnder(s.tpos, s.negs, c.Theta) {
-			sum += w
-		}
-	}
-	return sum
-}
-
-// informativeUnder returns the base-informative classes still informative
-// under the hypothetical state.
-func (l *look) informativeUnder(s state) []int {
-	var out []int
-	for _, ci := range l.baseInf {
-		if s.labeled(ci) {
-			continue
-		}
-		if !inference.CertainUnder(s.tpos, s.negs, l.e.Classes()[ci].Theta) {
-			out = append(out, ci)
-		}
-	}
-	return out
-}
-
-// entropy1 is the entropy of Section 4.4 for class ci, computed in the
-// hypothetical state s (s is the base state for plain L1S; for deeper
-// lookahead the u counts remain differences against the base sample).
-func (l *look) entropy1(ci int, s state) Entropy {
-	theta := l.e.Classes()[ci].Theta
-	up := l.delta(s.withPositive(theta, ci))
-	un := l.delta(s.withNegative(theta, ci))
-	if up > un {
-		up, un = un, up
-	}
-	return Entropy{Min: up, Max: un}
-}
-
-// entropyK generalizes Algorithm 5 to depth k: the guaranteed information
-// from labeling class ci and then k−1 further tuples, pessimistic over the
-// user's answers and optimistic over our own future choices. entropyK with
-// k = 2 is exactly the paper's entropy² (Algorithm 5); k = 1 is entropy.
-func (l *look) entropyK(ci int, s state, k int) Entropy {
-	if k <= 1 {
-		return l.entropy1(ci, s)
-	}
-	theta := l.e.Classes()[ci].Theta
-	branch := func(ext state) Entropy {
-		rest := l.informativeUnder(ext)
-		if len(rest) == 0 {
-			// No informative tuple left: interaction ends (lines 3–5).
-			return Entropy{Min: Inf, Max: Inf}
-		}
-		E := make([]Entropy, 0, len(rest))
-		for _, cj := range rest {
-			E = append(E, l.entropyK(cj, ext, k-1))
-		}
-		return selectEntropy(E)
-	}
-	ep := branch(s.withPositive(theta, ci))
-	en := branch(s.withNegative(theta, ci))
-	// Lines 13–14: keep the pessimistic branch (smaller Min); on a tie the
-	// smaller Max, staying conservative and deterministic.
-	if en.Min < ep.Min || (en.Min == ep.Min && en.Max < ep.Max) {
-		return en
-	}
-	return ep
 }

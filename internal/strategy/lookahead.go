@@ -26,8 +26,8 @@ type Lookahead struct {
 	// the best one-step entropy (a beam). The paper evaluates every
 	// informative tuple — set 0 (the default) for the exact algorithm; the
 	// beam is an engineering knob for instances with thousands of classes,
-	// where exact L2S is Θ(K³) per question. The beam applies on both the
-	// word-level fast path and the general bitset path.
+	// where exact L2S is Θ(K³) per question. The beam applies at every
+	// universe size and every predicate width.
 	MaxCandidates int
 	// Workers fans the per-candidate entropy^K evaluations across that many
 	// goroutines: 0 and 1 evaluate serially, negative uses one worker per
@@ -43,14 +43,11 @@ type Lookahead struct {
 	evalCount *atomic.Int64
 }
 
+// depth is K clamped to at least 1.
+func (l Lookahead) depth() int { return max(1, l.K) }
+
 // Name implements Strategy.
-func (l Lookahead) Name() string {
-	k := l.K
-	if k < 1 {
-		k = 1
-	}
-	return fmt.Sprintf("L%dS", k)
-}
+func (l Lookahead) Name() string { return fmt.Sprintf("L%dS", l.depth()) }
 
 // Next implements Strategy.
 func (l Lookahead) Next(e *inference.Engine) int {
@@ -65,65 +62,28 @@ func (l Lookahead) Next(e *inference.Engine) int {
 // Workers > 1 the candidates are evaluated concurrently; cancellation is
 // still observed per candidate.
 func (l Lookahead) NextCtx(ctx context.Context, e *inference.Engine) (int, error) {
-	k := l.K
-	if k < 1 {
-		k = 1
-	}
+	k := l.depth()
 	lk := newLook(e, l.CountClasses)
 	if len(lk.baseInf) == 0 {
 		return -1, nil
 	}
-	workers := l.Workers
-	var positions []int
-	var ents []Entropy
-	if k <= maxFastDepth {
-		// Allocation-free paths: word-level when Ω fits 64 bits, flat-arena
-		// otherwise. root evaluates one candidate at depth kk on a scratch.
-		var root func(pos, kk int, sc *lookScratch) Entropy
-		if lk.fastReady() {
-			base := lk.fbase()
-			root = func(pos, kk int, sc *lookScratch) Entropy {
-				return lk.fentropyKRoot(pos, base, kk, sc)
-			}
-		} else {
-			lk.generalReady()
-			root = func(pos, kk int, sc *lookScratch) Entropy {
-				return lk.gentropyKRoot(pos, kk, sc)
-			}
+	var scPool sync.Pool
+	getScratch := func() *lookScratch {
+		if v := scPool.Get(); v != nil {
+			return v.(*lookScratch)
 		}
-		var scPool sync.Pool
-		getScratch := func() *lookScratch {
-			if v := scPool.Get(); v != nil {
-				return v.(*lookScratch)
-			}
-			return lk.newScratch(k)
-		}
-		sc0 := getScratch()
-		positions = lk.beamPositions(k, l.MaxCandidates, func(pos int) Entropy {
-			return root(pos, 1, sc0)
-		})
-		scPool.Put(sc0)
-		ents = make([]Entropy, len(positions))
-		if err := forEachCandidate(ctx, workers, len(positions), func(i int) {
-			sc := getScratch()
-			ents[i] = root(positions[i], k, sc)
-			scPool.Put(sc)
-		}); err != nil {
-			return -1, err
-		}
-	} else {
-		// Legacy slice-based path for depths beyond the inline chains (the
-		// cost is exponential in K anyway, so these runs are tiny).
-		base := lk.baseState()
-		positions = lk.beamPositions(k, l.MaxCandidates, func(pos int) Entropy {
-			return lk.entropy1(lk.baseInf[pos], base)
-		})
-		ents = make([]Entropy, len(positions))
-		if err := forEachCandidate(ctx, workers, len(positions), func(i int) {
-			ents[i] = lk.entropyK(lk.baseInf[positions[i]], base, k)
-		}); err != nil {
-			return -1, err
-		}
+		return lk.newScratch(k)
+	}
+	sc0 := getScratch()
+	positions := lk.beamPositions(k, l.MaxCandidates, sc0)
+	scPool.Put(sc0)
+	ents := make([]Entropy, len(positions))
+	if err := forEachCandidate(ctx, l.Workers, len(positions), func(i int) {
+		sc := getScratch()
+		ents[i] = lk.entropyAt(positions[i], k, sc)
+		scPool.Put(sc)
+	}); err != nil {
+		return -1, err
 	}
 	if l.evalCount != nil {
 		l.evalCount.Add(int64(len(positions)))
@@ -134,9 +94,8 @@ func (l Lookahead) NextCtx(ctx context.Context, e *inference.Engine) (int, error
 // beamPositions returns the baseInf positions to evaluate: all of them, or
 // — when a beam is configured and the lookahead is deep — the
 // MaxCandidates best by one-step entropy (stable order, so runs stay
-// deterministic). score computes the one-step entropy of a baseInf
-// position, letting the fast and general paths share the beam.
-func (lk *look) beamPositions(k, maxCandidates int, score func(pos int) Entropy) []int {
+// deterministic), scored on sc.
+func (lk *look) beamPositions(k, maxCandidates int, sc *lookScratch) []int {
 	positions := make([]int, len(lk.baseInf))
 	for i := range positions {
 		positions[i] = i
@@ -150,7 +109,7 @@ func (lk *look) beamPositions(k, maxCandidates int, score func(pos int) Entropy)
 	}
 	ss := make([]scored, len(positions))
 	for i, idx := range positions {
-		ss[i] = scored{idx: idx, ent: score(idx)}
+		ss[i] = scored{idx: idx, ent: lk.entropyAt(idx, 1, sc)}
 	}
 	sort.SliceStable(ss, func(a, b int) bool {
 		if ss[a].ent.Min != ss[b].ent.Min {
@@ -170,47 +129,12 @@ func (lk *look) beamPositions(k, maxCandidates int, score func(pos int) Entropy)
 // diagnostics and tests (e.g. reproducing Figure 5). The map is keyed by
 // class index.
 func (l Lookahead) Entropies(e *inference.Engine) map[int]Entropy {
-	k := l.K
-	if k < 1 {
-		k = 1
-	}
+	k := l.depth()
 	lk := newLook(e, l.CountClasses)
+	sc := lk.newScratch(k)
 	out := make(map[int]Entropy, len(lk.baseInf))
-	if k <= maxFastDepth {
-		if lk.fastReady() {
-			base := lk.fbase()
-			sc := lk.newScratch(k)
-			for idx, ci := range lk.baseInf {
-				out[ci] = lk.fentropyKRoot(idx, base, k, sc)
-			}
-			return out
-		}
-		lk.generalReady()
-		sc := lk.newScratch(k)
-		for idx, ci := range lk.baseInf {
-			out[ci] = lk.gentropyKRoot(idx, k, sc)
-		}
-		return out
-	}
-	base := lk.baseState()
-	for _, ci := range lk.baseInf {
-		out[ci] = lk.entropyK(ci, base, k)
-	}
-	return out
-}
-
-// entropiesGeneral computes entropies with the general bitset path even
-// when the fast path is available; used by tests to cross-check the two.
-func (l Lookahead) entropiesGeneral(e *inference.Engine) map[int]Entropy {
-	k := l.K
-	if k < 1 {
-		k = 1
-	}
-	lk := newLook(e, l.CountClasses)
-	base := lk.baseState()
-	out := make(map[int]Entropy, len(lk.baseInf))
-	for _, ci := range lk.baseInf {
-		out[ci] = lk.entropyK(ci, base, k)
+	for pos, ci := range lk.baseInf {
+		out[ci] = lk.entropyAt(pos, k, sc)
 	}
 	return out
 }

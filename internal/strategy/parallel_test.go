@@ -3,6 +3,7 @@ package strategy
 import (
 	"context"
 	"math/rand"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -10,29 +11,10 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/paperdata"
 	"repro/internal/relation"
-	"repro/internal/sample"
 	"repro/internal/synth"
 )
 
-// generalPathInstance returns an instance whose pair universe exceeds 64
-// bits (Ω = 9·8 = 72), forcing the lookahead onto the general bitset path;
-// every product tuple lands in its own T-class, so rows² informative
-// classes exist at the start.
-func generalPathInstance(t *testing.T, rows int) *inference.Engine {
-	t.Helper()
-	inst := synth.MustGenerate(synth.Config{AttrsR: 9, AttrsP: 8, Rows: rows, Values: 3}, 1)
-	e := inference.New(inst)
-	if e.U.Size() <= 64 {
-		t.Fatalf("universe %d fits a word; want > 64", e.U.Size())
-	}
-	lk := newLook(e, false)
-	if lk.fastReady() {
-		t.Fatal("fast path unexpectedly available on a >64-pair universe")
-	}
-	return e
-}
-
-// TestWorkersDeterministicFastPath: on random word-size instances, NextCtx
+// TestWorkersDeterministicFastPath: on random one-word instances, NextCtx
 // picks the same class at every Workers value, and whole runs ask the same
 // number of questions — parallel evaluation must be bit-identical to
 // serial.
@@ -80,10 +62,10 @@ func TestWorkersDeterministicFastPath(t *testing.T) {
 }
 
 // TestWorkersDeterministicGeneralPath: the same determinism guarantee on
-// the general bitset path (Ω > 64).
+// a multi-word universe (Ω > 64).
 func TestWorkersDeterministicGeneralPath(t *testing.T) {
 	ctx := context.Background()
-	e := generalPathInstance(t, 5)
+	e := bigInstance(t, 5, 1)
 	serial := (Lookahead{K: 2}).Next(e)
 	for _, w := range []int{1, 4, 16} {
 		got, err := Lookahead{K: 2, Workers: w}.NextCtx(ctx, e)
@@ -96,14 +78,11 @@ func TestWorkersDeterministicGeneralPath(t *testing.T) {
 	}
 }
 
-// TestGeneralPathBeamLimitsEvaluations is the regression test for the
-// silently-ignored beam: on a >64-pair universe (general path) with 64
-// informative classes, MaxCandidates must cap the number of entropy^K
-// evaluations. Before the fix the beam was applied only on the word-level
-// fast path, so exactly this instance shape ran exact L2S regardless of
-// the knob.
+// TestGeneralPathBeamLimitsEvaluations is the regression test for a
+// silently-ignored beam: on a >64-pair universe with 64 informative
+// classes, MaxCandidates must cap the number of entropy^K evaluations.
 func TestGeneralPathBeamLimitsEvaluations(t *testing.T) {
-	e := generalPathInstance(t, 8)
+	e := bigInstance(t, 8, 1)
 	inf := len(e.InformativeClasses())
 	if inf <= 8 {
 		t.Fatalf("want > 8 informative classes, got %d", inf)
@@ -122,11 +101,11 @@ func TestGeneralPathBeamLimitsEvaluations(t *testing.T) {
 	}
 }
 
-// TestGeneralPathNoBeamEvaluatesAll: without a beam the general path still
+// TestGeneralPathNoBeamEvaluatesAll: without a beam the engine still
 // evaluates every informative candidate (the counter counts what the beam
 // would have cut).
 func TestGeneralPathNoBeamEvaluatesAll(t *testing.T) {
-	e := generalPathInstance(t, 5)
+	e := bigInstance(t, 5, 1)
 	inf := len(e.InformativeClasses())
 	var evals atomic.Int64
 	exact := Lookahead{K: 2, evalCount: &evals}
@@ -138,30 +117,18 @@ func TestGeneralPathNoBeamEvaluatesAll(t *testing.T) {
 	}
 }
 
-// TestBeamAgreesAcrossPaths: the beam's candidate selection (one-step
-// entropy scoring plus stable ordering) must be identical whether scored
-// by the fast or the general path, so beamed runs do not depend on which
-// path an instance happens to take.
+// TestBeamAgreesAcrossPaths: beamed runs ask the same questions as the
+// legacy reference, whose beam is re-implemented from its definition
+// (one-step entropy scoring, stable order, class-order tie-breaking), on
+// the paper's running example and on the 72-pair universe.
 func TestBeamAgreesAcrossPaths(t *testing.T) {
-	inst := paperdata.Example21()
-	e := inference.New(inst)
-	lk := newLook(e, false)
-	if !lk.fastReady() {
-		t.Fatal("Example 2.1 should take the fast path")
-	}
-	fb := lk.fbase()
-	gb := lk.baseState()
+	example := func() *inference.Engine { return inference.New(paperdata.Example21()) }
+	big := func() *inference.Engine { return bigInstance(t, 5, 1) }
 	for _, beam := range []int{1, 2, 4, 8} {
-		fast := lk.beamPositions(2, beam, func(pos int) Entropy { return lk.fentropy1(pos, fb) })
-		general := lk.beamPositions(2, beam, func(pos int) Entropy { return lk.entropy1(lk.baseInf[pos], gb) })
-		if len(fast) != len(general) {
-			t.Fatalf("beam %d: %d vs %d positions", beam, len(fast), len(general))
-		}
-		for i := range fast {
-			if fast[i] != general[i] {
-				t.Fatalf("beam %d: position %d differs (%d vs %d)", beam, i, fast[i], general[i])
-			}
-		}
+		sequencesMatch(t, example, Lookahead{K: 2, MaxCandidates: beam},
+			legacyLookahead{K: 2, MaxCandidates: beam})
+		sequencesMatch(t, big, Lookahead{K: 2, MaxCandidates: beam, Workers: 4},
+			legacyLookahead{K: 2, MaxCandidates: beam})
 	}
 }
 
@@ -183,26 +150,42 @@ func TestParallelNextCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestDeepLookaheadFallsBackToGeneral: depths beyond the fast path's inline
-// chain (maxFastDepth) must still work — they route to the general path,
-// which handles arbitrary K. A three-class instance keeps the exponential
-// recursion trivially small.
-func TestDeepLookaheadFallsBackToGeneral(t *testing.T) {
+// TestDeepLookaheadOnArena: K = 9 runs on the one engine — its per-level
+// scratch slots are sized from K, so no depth needs a fallback — and
+// matches the legacy reference's entropies and question. The instance has
+// one class per pair (R.A = P.Bi) plus the ∅ class, so all-negative chains
+// run eight labels deep while the recursion stays small.
+func TestDeepLookaheadOnArena(t *testing.T) {
+	const n = 8
+	attrs := make([]string, n)
+	for i := range attrs {
+		attrs[i] = "B" + strconv.Itoa(i+1)
+	}
 	R := relation.NewRelation(relation.MustSchema("R", "A"))
-	P := relation.NewRelation(relation.MustSchema("P", "B"))
-	R.Tuples = append(R.Tuples, relation.Tuple{"1"}, relation.Tuple{"2"})
-	P.Tuples = append(P.Tuples, relation.Tuple{"1"}, relation.Tuple{"3"})
-	inst := relation.MustInstance(R, P)
-	e := inference.New(inst)
-	deep := Lookahead{K: maxFastDepth + 1, Workers: 4}
-	ci, err := deep.NextCtx(context.Background(), e)
+	P := relation.NewRelation(relation.MustSchema("P", attrs...))
+	R.Tuples = append(R.Tuples, relation.Tuple{"0"})
+	for i := 0; i <= n; i++ {
+		tp := make(relation.Tuple, n)
+		for j := range tp {
+			tp[j] = "1"
+		}
+		if i < n {
+			tp[i] = "0"
+		}
+		P.Tuples = append(P.Tuples, tp)
+	}
+	e := inference.New(relation.MustInstance(R, P))
+	const k = 9
+	for _, cc := range []bool{false, true} {
+		if d := entropiesDiff(e, k, cc); d != "" {
+			t.Fatal(d)
+		}
+	}
+	ci, err := Lookahead{K: k, Workers: 4}.NextCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ci < 0 || !e.Informative(ci) {
-		t.Fatalf("deep lookahead picked %d; want an informative class", ci)
-	}
-	if err := e.Label(ci, sample.Negative); err != nil {
-		t.Fatal(err)
+	if want := (legacyLookahead{K: k}).Next(e); ci != want {
+		t.Fatalf("K=%d picked %d; legacy picked %d", k, ci, want)
 	}
 }
