@@ -227,6 +227,80 @@ func TestQuickArenaDeltaMatchesLegacy(t *testing.T) {
 	}
 }
 
+// sweepsAgree follows a random hypothetical chain of up to three labels
+// and reports whether, after every step, the width-specialised certainty
+// test (certain1 on one word, certain2 on two) decides every position as
+// the generic-width certainN does.
+func sweepsAgree(r *rand.Rand, e *inference.Engine, countClasses bool) bool {
+	lk := newLook(e, countClasses)
+	sc := lk.newScratch(3)
+	hs := hyp{tpos: lk.tpos, negs: sc.negs}
+	chain := r.Perm(len(lk.baseInf))
+	if len(chain) > 3 {
+		chain = chain[:3]
+	}
+	for _, pos := range chain {
+		if r.Intn(2) == 0 {
+			hs = lk.withPositive(hs, pos, sc)
+		} else {
+			hs = lk.withNegative(hs, pos)
+		}
+		for p := range lk.baseInf {
+			th := lk.theta(p)
+			var fast bool
+			switch lk.W {
+			case 1:
+				fast = certain1(hs.tpos[0], th[0], hs.negs)
+			case 2:
+				fast = certain2(hs.tpos[0], hs.tpos[1], th[0], th[1], hs.negs)
+			default:
+				return false
+			}
+			if fast != certainN(hs.tpos, th, hs.negs, sc.inter) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestQuickFastPathMatchesGeneral: the one-word certainty sweep (the fast
+// path of every schema in the paper) agrees with the generic-width sweep
+// on random one-word instances with random honest partial samples, along
+// random hypothetical chains, in both counting modes; so does the
+// two-word sweep on the 72-pair universe.
+func TestQuickFastPathMatchesGeneral(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		inst := randInstance(r)
+		for _, cc := range []bool{false, true} {
+			e := inference.New(inst)
+			if labelHonestly(r, e, randPred(r, e.U), r.Intn(5)) < 0 {
+				return false
+			}
+			if !sweepsAgree(r, e, cc) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		e := bigInstance(t, 5, seed)
+		if labelHonestly(r, e, randPred(r, e.U), r.Intn(4)) < 0 {
+			t.Fatal("labeling failed")
+		}
+		for trial := 0; trial < 10; trial++ {
+			if !sweepsAgree(r, e, trial%2 == 0) {
+				t.Fatalf("seed %d: two-word sweep diverged from the generic one", seed)
+			}
+		}
+	}
+}
+
 // TestArenaMatchesLegacyBigUniverse: on the 72-pair universe the engine
 // computes exactly the legacy entropies, for k = 1, 2 (and 3 on a smaller
 // instance), both counting modes, with and without labelled classes.
