@@ -6,8 +6,7 @@
 // Usage:
 //
 //	joinserve [-addr :8080] [-ttl 30m] [-sweep-interval 1m]
-//	          [-store-dir ./store | -store mem] [-migrate-persist-dir DIR]
-//	          [-persist-dir ./sessions] [-policy-cache-bytes N] [-pprof]
+//	          [-store-dir ./store | -store mem] [-policy-cache-bytes N] [-pprof]
 //	          [-log-format text|json] [-log-level info] [-trace-log FILE]
 //	          [-trace-buffer N]
 //	          [-request-timeout 30s] [-shutdown-timeout 15s]
@@ -29,18 +28,15 @@
 //
 // With -store-dir, everything durable lives in one crash-safe KV store
 // (see internal/store and README "Persistence"): sessions persist as
-// compact binary snapshots on eviction and shutdown and restore on boot
-// with bit-identical question sequences; the policy cache writes its
+// compact binary snapshots on every answer, on eviction and on shutdown,
+// and restore on boot with bit-identical question sequences; the policy
+// cache writes its
 // decision trees through, so warm trees survive restarts and page back
 // into the LRU by prefix scan; and the registry caches loaded instances
 // plus their precomputed T-classes, so boot stops re-parsing CSV and
 // re-generating TPC-H. -store selects the backend ("log", the default, or
 // "mem" for store semantics without disk — then -store-dir is optional).
-// -migrate-persist-dir converts an existing JSON -persist-dir into the
-// store on boot.
-//
-// With -persist-dir (the legacy scheme), sessions are instead snapshotted
-// to one JSON file each; it is ignored when a store is configured.
+// Without a store, sessions live in RAM only and end with the process.
 //
 // Sessions created with "soft_threshold" or "error_budget" params run
 // error-tolerant soft inference: answers carry optional worker ids and
@@ -57,8 +53,8 @@
 // pays for the expensive L1S/L2S lookahead. -warm precomputes a tree
 // breadth-first at boot (e.g. -warm tpch-join1=L2S:4). Operational
 // counters — sessions live/created/evicted, questions served, cache
-// hits/misses/evictions — are served at /debug/metrics (and, with the
-// whole expvar namespace, at /debug/vars). See README.md ("Serving",
+// hits/misses/evictions — are served at /debug/metrics; /debug/vars
+// serves the Go runtime's memstats. See README.md ("Serving",
 // "Policy cache") for a curl walkthrough.
 //
 // Resilience (README "Resilience"): -request-timeout caps every request
@@ -116,10 +112,8 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.DurationVar(&cfg.ttl, "ttl", 30*time.Minute, "evict sessions idle longer than this (0 disables)")
 	flag.DurationVar(&cfg.sweepInterval, "sweep-interval", 0, "how often the janitor sweeps for expired sessions (0 = ttl/4, capped at 1m)")
-	flag.StringVar(&cfg.persistDir, "persist-dir", "", "snapshot sessions here as JSON on eviction/shutdown and restore them on boot (legacy; superseded by -store-dir)")
 	flag.StringVar(&cfg.storeDir, "store-dir", "", "root of the persistent KV store (sessions, policy trees, instance cache); empty disables")
 	flag.StringVar(&cfg.storeBackend, "store", "", "store backend: log (crash-safe append-only file, default) or mem (no disk; -store-dir optional)")
-	flag.StringVar(&cfg.migrateDir, "migrate-persist-dir", "", "convert this JSON -persist-dir into the store on boot (requires a store)")
 	flag.Int64Var(&cfg.policyCacheBytes, "policy-cache-bytes", 64<<20, "byte bound of the shared policy-tree cache (0 disables, negative = unbounded)")
 	flag.Var(&cfg.warms, "warm", "precompute a policy tree at boot as instance=strategy:depth (repeatable)")
 	flag.Var(&cfg.csvs, "csv", "register a CSV instance as name=R.csv,P.csv (repeatable)")
@@ -149,10 +143,8 @@ type config struct {
 	addr             string
 	ttl              time.Duration
 	sweepInterval    time.Duration
-	persistDir       string
 	storeDir         string
 	storeBackend     string
-	migrateDir       string
 	policyCacheBytes int64
 	warms            warmFlags
 	csvs             csvFlags
@@ -234,9 +226,6 @@ func run(cfg config) error {
 			kv = store.NewRetry(kv, store.RetryOptions{Attempts: cfg.storeRetries})
 		}
 	}
-	if kv == nil && cfg.migrateDir != "" {
-		return fmt.Errorf("-migrate-persist-dir requires a store (-store-dir or -store mem)")
-	}
 	// One breaker guards every store consumer — session persistence and the
 	// policy cache's tier 2 — so a sick disk trips them together and one
 	// successful probe recovers both.
@@ -272,13 +261,6 @@ func run(cfg config) error {
 	if kv != nil {
 		opts.Store = kv
 		opts.StoreBreaker = breaker
-		opts.MigratePersistDir = cfg.migrateDir
-		if cfg.persistDir != "" {
-			logger.Warn("store configured; ignoring -persist-dir (use -migrate-persist-dir to convert it)",
-				"persist_dir", cfg.persistDir)
-		}
-	} else {
-		opts.PersistDir = cfg.persistDir
 	}
 	if cfg.policyCacheBytes != 0 {
 		opts.PolicyCache = joininference.NewPolicyCache(cfg.policyCacheBytes)
@@ -307,7 +289,6 @@ func run(cfg config) error {
 			"instance", wf.instance, "strategy", wf.strategy, "depth", wf.depth,
 			"nodes", n, "duration", time.Since(start).Round(time.Millisecond))
 	}
-	publishMetrics(mgr)
 	if chaos != nil {
 		// Boot restore ran clean; start the drill.
 		chaos.SetEnabled(true)
@@ -362,20 +343,17 @@ func run(cfg config) error {
 	if err := mgr.Close(ctx); err != nil && !errors.Is(err, service.ErrClosed) {
 		return err
 	}
-	switch {
-	case kv != nil && cfg.storeDir != "":
+	if kv != nil && cfg.storeDir != "" {
 		logger.Info("sessions persisted to store", "store_dir", cfg.storeDir)
-	case kv == nil && cfg.persistDir != "":
-		logger.Info("sessions persisted", "persist_dir", cfg.persistDir)
 	}
 	return <-errc
 }
 
 // newServeMux mounts the service API plus the debug endpoints: the
-// expvar namespace at /debug/vars (standard expvar handler) — the service
-// handler already serves the manager's counters at /debug/metrics — and,
-// when enabled, net/http/pprof under /debug/pprof/ so live lookahead and
-// CONS⋉ hot paths can be profiled in production.
+// standard expvar handler at /debug/vars, which serves the Go runtime's
+// memstats and cmdline (the manager's counters are at /debug/metrics and
+// /metrics), and, when enabled, net/http/pprof under /debug/pprof/ so live
+// lookahead and CONS⋉ hot paths can be profiled in production.
 func newServeMux(mgr *service.Manager, withPprof bool) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", service.NewHandler(mgr))
@@ -391,16 +369,6 @@ func newServeMux(mgr *service.Manager, withPprof bool) http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
-}
-
-// publishMetrics exposes the manager's counters in the process-wide expvar
-// namespace (idempotent: expvar forbids re-publishing a name, and tests
-// may build several servers per process).
-func publishMetrics(mgr *service.Manager) {
-	if expvar.Get("joinserve") != nil {
-		return
-	}
-	expvar.Publish("joinserve", expvar.Func(func() any { return mgr.Metrics() }))
 }
 
 // csvFlag is one -csv name=R.csv,P.csv registration.

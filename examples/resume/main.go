@@ -2,7 +2,7 @@
 // in a fresh session — asking bit-identical remaining questions and
 // arriving at the same predicate an uninterrupted session would have.
 // This is the in-process core of what cmd/joinserve does across process
-// lifetimes with -persist-dir.
+// lifetimes with a store (-store-dir).
 //
 // Run with:
 //

@@ -213,6 +213,23 @@ func (i *Instance) validateDelta(d Delta) error {
 	return check(i.P.Schema.Name, d.DeleteP, i.P.Len(), i.PAlive)
 }
 
+// ValidateDelta reports whether ApplyDelta would accept d on this version
+// — the receiver is the chain tip and d passes the arity, index-range,
+// liveness and duplicate checks — without applying it. Callers that must
+// record a delta durably before the chain advances validate first.
+func (i *Instance) ValidateDelta(d Delta) error {
+	if err := i.validateDelta(d); err != nil {
+		return err
+	}
+	lg := i.logOrInit()
+	lg.mu.Lock()
+	defer lg.mu.Unlock()
+	if i.version != lg.tipVersion() {
+		return fmt.Errorf("%w: version %d, tip is %d", ErrStaleVersion, i.version, lg.tipVersion())
+	}
+	return nil
+}
+
 // ApplyDelta applies one batch of changes and returns the instance at the
 // next version. The receiver is unchanged and stays fully usable; the two
 // versions share tuple storage. ApplyDelta is only valid on the chain tip

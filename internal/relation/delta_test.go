@@ -72,13 +72,26 @@ func TestApplyDeltaValidation(t *testing.T) {
 		{DeleteR: []int{0, 0}},              // duplicate
 	}
 	for i, d := range cases {
+		if err := v0.ValidateDelta(d); err == nil {
+			t.Errorf("case %d: delta %+v validated, want error", i, d)
+		}
 		if _, err := v0.ApplyDelta(d); err == nil {
 			t.Errorf("case %d: delta %+v accepted, want error", i, d)
 		}
 	}
+	// Validating a good delta never advances the chain: v0 stays the tip.
+	if err := v0.ValidateDelta(Delta{DeleteR: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
 	v1, err := v0.DeleteRows([]int{0}, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := v0.ValidateDelta(Delta{}); !errors.Is(err, ErrStaleVersion) {
+		t.Errorf("stale receiver validated: %v", err)
+	}
+	if err := v1.ValidateDelta(Delta{DeleteR: []int{0}}); err == nil {
+		t.Error("deleting a dead row validated, want error")
 	}
 	if _, err := v1.DeleteRows([]int{0}, nil); err == nil {
 		t.Error("deleting a dead row accepted, want error")

@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -322,6 +325,98 @@ func TestHTTPIngest(t *testing.T) {
 	if met.DeltasIngested != 1 || met.Registry.Ingests != 1 {
 		t.Fatalf("metrics after ingest: %+v", met)
 	}
+}
+
+// TestIngestStoreFaultRefusedThenDurable: an ingest whose delta cannot
+// reach the delta log is refused with 503 + Retry-After and changes
+// nothing — no version advance, no session migration — so no acknowledged
+// version can vanish at the next boot. Once the store recovers, the same
+// delta lands at version 1 and survives a restart.
+func TestIngestStoreFaultRefusedThenDurable(t *testing.T) {
+	kv := store.NewMem()
+	fault := store.NewFault(kv, store.FaultConfig{Seed: 1, ErrorRate: 1})
+	fault.SetEnabled(false)
+	boot := func(kv store.KV) (*Registry, *Manager) {
+		reg := testRegistry(t)
+		reg.AttachStore(kv, nil)
+		m, err := NewManager(reg, Options{Store: kv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg, m
+	}
+	reg, m := boot(fault)
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	goal := flightGoal(t)
+	info, err := m.Create(Params{Instance: "flights", Strategy: joininference.StrategyBU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answerSteps(t, m, info.ID, goal, 1)
+	delta := map[string]any{"insert_r": [][]string{{"NYC", "Lille", "BA"}}, "insert_p": [][]string{{"Lille", "BA"}}}
+
+	// Outage: every store operation fails.
+	fault.SetEnabled(true)
+	body, err := json.Marshal(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Client().Post(srv.URL+"/instances/flights/rows", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("ingest during outage: status %d, Retry-After %q; want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if _, err := m.Ingest("flights", joininference.Delta{InsertR: []joininference.Tuple{{"NYC", "Lille", "BA"}}}); !errors.Is(err, ErrStoreUnavailable) {
+		t.Fatalf("Manager.Ingest during outage: %v, want ErrStoreUnavailable", err)
+	}
+	entry, err := reg.Get("flights")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := entry.Inst.Version(); v != 0 {
+		t.Fatalf("refused ingest advanced the instance to version %d", v)
+	}
+	if _, err := m.Questions(context.Background(), info.ID, 1); err != nil {
+		t.Fatal(err)
+	}
+	if met := m.Metrics(); met.DeltasIngested != 0 || met.SessionsMigrated != 0 {
+		t.Fatalf("refused ingest counted or migrated: ingested %d, migrated %d", met.DeltasIngested, met.SessionsMigrated)
+	}
+
+	// Recovery: the same delta lands at version 1 and live sessions follow.
+	fault.SetEnabled(false)
+	var res IngestResult
+	doJSON(t, srv.Client(), http.MethodPost, srv.URL+"/instances/flights/rows", delta, http.StatusOK, &res)
+	if res.Version != 1 {
+		t.Fatalf("ingest after recovery: version %d, want 1", res.Version)
+	}
+	answerSteps(t, m, info.ID, goal, 1)
+	if met := m.Metrics(); met.DeltasIngested != 1 || met.SessionsMigrated != 1 {
+		t.Fatalf("after recovery: ingested %d, migrated %d; want 1, 1", met.DeltasIngested, met.SessionsMigrated)
+	}
+	srv.Close()
+	if err := m.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restart on the same store: the acknowledged version is still there.
+	reg2, m2 := boot(kv)
+	entry2, err := reg2.Get("flights")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := entry2.Inst.Version(); v != 1 {
+		t.Fatalf("restart serves version %d, want 1", v)
+	}
+	if _, err := m2.Get(info.ID); err != nil {
+		t.Fatalf("session lost across the restart: %v", err)
+	}
+	driveToDone(t, m2, info.ID, goal, 1)
 }
 
 // TestConcurrentIngestAndAnswering runs sessions and ingests concurrently;

@@ -354,7 +354,7 @@ func statusFor(err error) int {
 		// The client went away; the status is moot but a 4xx keeps logs
 		// honest.
 		return http.StatusRequestTimeout
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, ErrClosed), errors.Is(err, ErrStoreUnavailable):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError

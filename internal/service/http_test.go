@@ -12,6 +12,7 @@ import (
 	joininference "repro"
 	"repro/internal/paperdata"
 	"repro/internal/predicate"
+	"repro/internal/store"
 )
 
 // wireQuestion is the client-side decoding of a question's wire form.
@@ -226,8 +227,8 @@ func TestHTTPSnapshotResumeRoundtrip(t *testing.T) {
 
 // TestHTTPPersistRestoreDeterminism is the acceptance differential through
 // the HTTP server's persist/restore path: answer halfway against server A,
-// shut it down (persisting), boot server B on the same directory, finish
-// there — the combined question sequence and final predicate must be
+// shut it down (persisting, then closing its on-disk log store), boot
+// server B on the reopened store, finish there — the combined question sequence and final predicate must be
 // bit-identical to an uninterrupted run.
 func TestHTTPPersistRestoreDeterminism(t *testing.T) {
 	inst := paperdata.FlightHotel()
@@ -253,7 +254,11 @@ func TestHTTPPersistRestoreDeterminism(t *testing.T) {
 
 	// Server A: answer half, then shut down with persistence.
 	dir := t.TempDir()
-	mA, err := NewManager(testRegistry(t), Options{PersistDir: dir})
+	kvA, err := store.OpenLog(dir, store.LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mA, err := NewManager(testRegistry(t), Options{Store: kvA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,9 +281,17 @@ func TestHTTPPersistRestoreDeterminism(t *testing.T) {
 	if err := mA.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	if err := kvA.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Server B: restore from disk, finish the run.
-	mB, err := NewManager(testRegistry(t), Options{PersistDir: dir})
+	kvB, err := store.OpenLog(dir, store.LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kvB.Close()
+	mB, err := NewManager(testRegistry(t), Options{Store: kvB})
 	if err != nil {
 		t.Fatal(err)
 	}

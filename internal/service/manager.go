@@ -4,15 +4,12 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	joininference "repro"
@@ -104,7 +101,8 @@ type PredicateInfo struct {
 
 // SessionSnapshot is the service-level durable form of a session: the root
 // package's Snapshot plus the instance name needed to rebuild it. This is
-// what GET /sessions/{id}/snapshot returns and what --persist-dir writes.
+// what GET /sessions/{id}/snapshot returns; the store keeps the same
+// content in binary form (encodeServiceSnapshot).
 type SessionSnapshot struct {
 	ID       string                  `json:"id"`
 	Instance string                  `json:"instance"`
@@ -120,19 +118,12 @@ type Options struct {
 	// JanitorInterval) sweeps for expired sessions; 0 derives it from the
 	// TTL (a quarter of it, capped at one minute).
 	SweepInterval time.Duration
-	// PersistDir, when non-empty, persists sessions to disk on eviction and
-	// Close, and restores them in NewManager.
-	PersistDir string
 	// Store, when non-nil, persists sessions as compact binary records in
-	// the KV store instead of one JSON file per session, and restores them
-	// in NewManager. It takes precedence over PersistDir (use
-	// MigratePersistDir to convert an existing JSON dir). The manager does
-	// not own the store — the caller closes it after Close.
+	// the KV store — written through on every state change, on eviction and
+	// on Close — and restores them in NewManager. Nil keeps sessions in RAM
+	// only. The manager does not own the store — the caller closes it after
+	// Close.
 	Store store.KV
-	// MigratePersistDir, when non-empty alongside Store, converts the
-	// legacy JSON persist dir into the store before restoring (see the
-	// MigratePersistDir function).
-	MigratePersistDir string
 	// PolicyCache, when non-nil, is shared by every session the manager
 	// creates or resumes: sessions over the same instance memoize their
 	// strategy's decision tree in it, so the first user of a popular
@@ -190,7 +181,7 @@ func (o Options) JanitorInterval() time.Duration {
 // Manager owns live sessions: create/answer/snapshot/evict with per-session
 // locking — concurrent requests to different sessions proceed in parallel,
 // even while one session computes an expensive L2S lookahead — plus TTL
-// eviction and disk persistence. All methods are safe for concurrent use.
+// eviction and store persistence. All methods are safe for concurrent use.
 type Manager struct {
 	reg  *Registry
 	opts Options
@@ -211,7 +202,7 @@ type Manager struct {
 	// gates are the per-route admission gates (empty map without admission
 	// control); restoreFails counts boot-restore records that were skipped.
 	gates        map[string]*resilience.Gate
-	restoreFails expvar.Int
+	restoreFails atomic.Int64
 
 	// crowdMu guards the service-wide worker-reliability counters, fed by
 	// the soft-inference commit/retraction events sessions emit.
@@ -325,18 +316,17 @@ func (m *Manager) crowdMetrics() *CrowdMetrics {
 	return out
 }
 
-// managerMetrics are the manager's monotonic counters, expvar-typed
-// (atomic, individually publishable) so command frontends can expose them
-// without extra locking.
+// managerMetrics are the manager's monotonic counters, atomic so the
+// request paths, Metrics and the /metrics exposition read and bump them
+// without extra locking. Ingests are counted once, by the registry.
 type managerMetrics struct {
-	created, resumed, evicted, deleted expvar.Int
-	questions, answers                 expvar.Int
-	ingests, migrated, retired         expvar.Int
+	created, resumed, evicted, deleted atomic.Int64
+	questions, answers                 atomic.Int64
+	migrated, retired                  atomic.Int64
 }
 
 // Metrics is a point-in-time snapshot of the manager's operational
-// counters, served by joinserve's /debug/metrics endpoint and publishable
-// as an expvar.Func.
+// counters, served by the handler's /debug/metrics endpoint.
 type Metrics struct {
 	// SessionsLive counts sessions currently resident in memory.
 	SessionsLive int `json:"sessions_live"`
@@ -381,18 +371,19 @@ func (m *Manager) Metrics() Metrics {
 	m.mu.Lock()
 	live := len(m.sessions)
 	m.mu.Unlock()
+	reg := m.reg.Stats()
 	out := Metrics{
 		SessionsLive:     live,
-		SessionsCreated:  m.met.created.Value(),
-		SessionsResumed:  m.met.resumed.Value(),
-		SessionsEvicted:  m.met.evicted.Value(),
-		SessionsDeleted:  m.met.deleted.Value(),
-		QuestionsServed:  m.met.questions.Value(),
-		AnswersApplied:   m.met.answers.Value(),
-		DeltasIngested:   m.met.ingests.Value(),
-		SessionsMigrated: m.met.migrated.Value(),
-		SessionsRetired:  m.met.retired.Value(),
-		Registry:         m.reg.Stats(),
+		SessionsCreated:  m.met.created.Load(),
+		SessionsResumed:  m.met.resumed.Load(),
+		SessionsEvicted:  m.met.evicted.Load(),
+		SessionsDeleted:  m.met.deleted.Load(),
+		QuestionsServed:  m.met.questions.Load(),
+		AnswersApplied:   m.met.answers.Load(),
+		DeltasIngested:   reg.Ingests,
+		SessionsMigrated: m.met.migrated.Load(),
+		SessionsRetired:  m.met.retired.Load(),
+		Registry:         reg,
 	}
 	if m.opts.PolicyCache != nil {
 		st := m.opts.PolicyCache.Stats()
@@ -428,10 +419,10 @@ type managed struct {
 	lastInfo Info
 }
 
-// NewManager builds a manager over the registry. With a PersistDir it
-// restores every persisted session before returning; files that no longer
-// decode or resume are skipped (and logged), never fatal — a corrupt
-// snapshot must not take the service down.
+// NewManager builds a manager over the registry. With a Store it restores
+// every persisted session before returning; records that no longer decode
+// or resume are skipped (logged, and counted in Health's restore report),
+// never fatal — a corrupt snapshot must not take the service down.
 func NewManager(reg *Registry, opts Options) (*Manager, error) {
 	m := &Manager{
 		reg:      reg,
@@ -470,30 +461,10 @@ func NewManager(reg *Registry, opts Options) (*Manager, error) {
 			opts.PolicyCache.SetTelemetry(opts.Obs)
 		}
 	}
-	switch {
-	case opts.Store != nil:
-		if opts.MigratePersistDir != "" {
-			n, err := MigratePersistDir(opts.Store, opts.MigratePersistDir, m.log)
-			if err != nil {
-				return nil, err
-			}
-			if n > 0 {
-				m.log.Info("migrated legacy persist dir into the store",
-					"sessions", n, "dir", opts.MigratePersistDir)
-			}
-		}
+	if opts.Store != nil {
 		if err := m.restoreStore(); err != nil {
 			return nil, err
 		}
-	case opts.PersistDir != "":
-		if err := os.MkdirAll(opts.PersistDir, 0o755); err != nil {
-			return nil, fmt.Errorf("service: persist dir: %w", err)
-		}
-		if err := m.restoreAll(); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Store != nil {
 		m.stopPersist = m.startPersistWorker()
 	}
 	return m, nil
@@ -578,7 +549,7 @@ func (m *Manager) Resume(snap *SessionSnapshot) (Info, error) {
 	}
 	// Reject unknown strategy ids now: ResumeSession materializes the
 	// strategy lazily, and a zombie session that 400s on every /questions
-	// call (and re-restores from disk on every boot) helps nobody.
+	// call (and re-restores from the store on every boot) helps nobody.
 	if err := validStrategy(snap.Snapshot.Strategy); err != nil {
 		return Info{}, err
 	}
@@ -669,7 +640,7 @@ func (m *Manager) add(id string, p Params, sess *joininference.Session) (Info, e
 	// Write the record through immediately: a session created (or resumed)
 	// just before a crash must exist after the restart. Exclusive access —
 	// nothing else can reach ms until m.mu drops.
-	m.storePersist(ms)
+	m.persistLocked(ms)
 	return ms.info(), nil
 }
 
@@ -682,9 +653,9 @@ func newID() string {
 }
 
 // validID reports whether id has the exact shape newID produces. Ids
-// arrive from clients (resume bodies, URL paths) and are used as path
-// components under PersistDir, so anything else — "../../tmp/evil",
-// absolute paths, empty strings — must never reach filepath.Join.
+// arrive from clients (resume bodies, URL paths) and become store keys
+// (store.SessionKey), so anything else — "../../tmp/evil", empty strings,
+// arbitrary bytes — is replaced by a fresh id before it can name a record.
 func validID(id string) bool {
 	if len(id) != 16 {
 		return false
@@ -833,7 +804,6 @@ func (m *Manager) Ingest(name string, d joininference.Delta) (IngestResult, erro
 	if err != nil {
 		return IngestResult{}, err
 	}
-	m.met.ingests.Add(1)
 	res := IngestResult{
 		Instance:       name,
 		Version:        upd.Version(),
@@ -881,7 +851,7 @@ func (m *Manager) migrateLocked(ms *managed) error {
 	m.log.Info("session migrated",
 		"session", ms.id, "instance", ms.params.Instance,
 		"version", ms.sess.InstanceVersion(), "updates", len(upds))
-	m.storePersist(ms)
+	m.persistLocked(ms)
 	return nil
 }
 
@@ -896,10 +866,6 @@ func (m *Manager) retireLocked(ms *managed) {
 	m.met.retired.Add(1)
 	if m.opts.Store != nil {
 		if err := m.opts.Store.Delete(store.SessionKey(ms.id)); err != nil {
-			m.log.Warn("removing persisted session failed", "session", ms.id, "err", err)
-		}
-	} else if m.opts.PersistDir != "" {
-		if err := os.Remove(m.persistPath(ms.id)); err != nil && !os.IsNotExist(err) {
 			m.log.Warn("removing persisted session failed", "session", ms.id, "err", err)
 		}
 	}
@@ -971,7 +937,7 @@ func (m *Manager) Answer(ctx context.Context, id string, answers []Answer) (Answ
 	// prefix of the batch. This is the per-question "store" latency segment.
 	defer func() {
 		if res.Applied > 0 {
-			m.storePersistTimed(ms)
+			m.persistLockedTimed(ms)
 		}
 	}()
 	// Resolve every ref before applying anything, so a malformed ref
@@ -1103,21 +1069,14 @@ func (ms *managed) snapshotLocked() (*SessionSnapshot, error) {
 // Delete removes a session the client is done with, discarding any
 // persisted copy (deletion is explicit abandonment — unlike TTL eviction,
 // which persists first). A session that only exists as a TTL-evicted
-// snapshot on disk is deletable too: its file is removed so it does not
-// resurrect on the next boot.
+// record in the store is deletable too: its record is removed so it does
+// not resurrect on the next boot.
 func (m *Manager) Delete(id string) error {
 	ms, err := m.acquire(id)
 	if err != nil {
-		if errors.Is(err, ErrSessionNotFound) && validID(id) {
-			if m.opts.Store != nil {
-				if _, ok, _ := m.opts.Store.Get(store.SessionKey(id)); ok {
-					if rmErr := m.opts.Store.Delete(store.SessionKey(id)); rmErr == nil {
-						m.met.deleted.Add(1)
-						return nil
-					}
-				}
-			} else if m.opts.PersistDir != "" {
-				if rmErr := os.Remove(m.persistPath(id)); rmErr == nil {
+		if errors.Is(err, ErrSessionNotFound) && validID(id) && m.opts.Store != nil {
+			if _, ok, _ := m.opts.Store.Get(store.SessionKey(id)); ok {
+				if rmErr := m.opts.Store.Delete(store.SessionKey(id)); rmErr == nil {
 					m.met.deleted.Add(1)
 					return nil
 				}
@@ -1135,16 +1094,12 @@ func (m *Manager) Delete(id string) error {
 		if err := m.opts.Store.Delete(store.SessionKey(id)); err != nil {
 			m.log.Warn("removing persisted session failed", "session", id, "err", err)
 		}
-	} else if m.opts.PersistDir != "" {
-		if err := os.Remove(m.persistPath(id)); err != nil && !os.IsNotExist(err) {
-			m.log.Warn("removing persisted session failed", "session", id, "err", err)
-		}
 	}
 	return nil
 }
 
 // SweepExpired evicts sessions idle past the TTL, persisting each first
-// when a PersistDir is configured, and returns how many were evicted.
+// when a Store is configured, and returns how many were evicted.
 func (m *Manager) SweepExpired() int {
 	if m.opts.TTL <= 0 {
 		return 0
@@ -1167,7 +1122,7 @@ func (m *Manager) SweepExpired() int {
 			ms.mu.Unlock()
 			continue
 		}
-		if !m.persistLocked(ms) && m.opts.Store != nil {
+		if !m.persistLocked(ms) {
 			// The store refused the snapshot (breaker open or a live
 			// failure): the RAM copy is the only good copy, so the session
 			// stays resident — degraded mode trades memory for never losing
@@ -1214,7 +1169,7 @@ func (m *Manager) StartJanitor(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// Close persists every live session (when persistence is configured) and
+// Close persists every live session (when a store is configured) and
 // shuts the manager; subsequent calls fail with ErrClosed. The context
 // bounds how long persistence may take. Unlike List/SweepExpired, Close
 // deliberately waits for each session's in-flight operation to finish —
@@ -1260,8 +1215,6 @@ func (m *Manager) Close(ctx context.Context) error {
 				default:
 					failed = append(failed, ms)
 				}
-			} else {
-				m.persistLocked(ms)
 			}
 			ms.gone = true
 		}
@@ -1304,63 +1257,22 @@ func (m *Manager) Close(ctx context.Context) error {
 	return nil
 }
 
-// persistPath is the snapshot file for a session id.
-func (m *Manager) persistPath(id string) string {
-	return filepath.Join(m.opts.PersistDir, id+".json")
+// persistLocked writes the session's record through to the store (binary,
+// via the breaker — failures queue for write-behind retry); callers hold
+// ms.mu (or have exclusive access). Reports whether the record is durably
+// written now (always true without a store — there is nothing to lose).
+func (m *Manager) persistLocked(ms *managed) bool {
+	return m.opts.Store == nil || m.persistStoreLocked(ms)
 }
 
-// storePersist write-throughs the session record after a state change;
-// callers hold ms.mu (or have exclusive access). A no-op without a store:
-// the legacy persist dir keeps its cheaper persist-on-evict behavior.
-func (m *Manager) storePersist(ms *managed) {
-	if m.opts.Store == nil {
-		return
-	}
-	m.persistLocked(ms)
-}
-
-// storePersistTimed is storePersist plus the per-question "store" latency
+// persistLockedTimed is persistLocked plus the per-question "store" latency
 // segment (question_segment_seconds{segment="store"}) — used on the answer
 // path, where the persist is part of what the client waits for.
-func (m *Manager) storePersistTimed(ms *managed) {
+func (m *Manager) persistLockedTimed(ms *managed) {
 	if o := m.opts.Obs; o != nil && m.opts.Store != nil {
 		defer o.observeStoreSegment(time.Now())
 	}
-	m.storePersist(ms)
-}
-
-// persistLocked writes the session's snapshot to the store (binary, via
-// the breaker — failures queue for write-behind retry) or the persist dir
-// (JSON; failures are logged, not fatal); callers hold ms.mu. Reports
-// whether the snapshot is durably written now (always true when nothing is
-// configured — there is nothing to lose).
-func (m *Manager) persistLocked(ms *managed) bool {
-	if m.opts.Store != nil {
-		return m.persistStoreLocked(ms)
-	}
-	if m.opts.PersistDir == "" {
-		return true
-	}
-	snap, err := ms.snapshotLocked()
-	if err != nil {
-		m.log.Warn("snapshotting session failed", "session", ms.id, "err", err)
-		return false
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		m.log.Warn("encoding session failed", "session", ms.id, "err", err)
-		return false
-	}
-	tmp := m.persistPath(ms.id) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		m.log.Warn("persisting session failed", "session", ms.id, "err", err)
-		return false
-	}
-	if err := os.Rename(tmp, m.persistPath(ms.id)); err != nil {
-		m.log.Warn("persisting session failed", "session", ms.id, "err", err)
-		return false
-	}
-	return true
+	m.persistLocked(ms)
 }
 
 // restoreStore resumes every session record in the store. Records that
@@ -1401,39 +1313,6 @@ func (m *Manager) restoreStore() error {
 		}
 		if _, err := m.Resume(snap); err != nil {
 			m.log.Warn("restoring session failed", "session", r.id, "err", err)
-			m.restoreFails.Add(1)
-			continue
-		}
-	}
-	return nil
-}
-
-// restoreAll resumes every *.json snapshot in the persist dir. Files that
-// fail to decode or resume are skipped with a log line.
-func (m *Manager) restoreAll() error {
-	entries, err := os.ReadDir(m.opts.PersistDir)
-	if err != nil {
-		return fmt.Errorf("service: reading persist dir: %w", err)
-	}
-	for _, de := range entries {
-		if de.IsDir() || filepath.Ext(de.Name()) != ".json" {
-			continue
-		}
-		path := filepath.Join(m.opts.PersistDir, de.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			m.log.Warn("reading session file failed", "path", path, "err", err)
-			m.restoreFails.Add(1)
-			continue
-		}
-		var snap SessionSnapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			m.log.Warn("decoding session file failed", "path", path, "err", err)
-			m.restoreFails.Add(1)
-			continue
-		}
-		if _, err := m.Resume(&snap); err != nil {
-			m.log.Warn("restoring session failed", "path", path, "err", err)
 			m.restoreFails.Add(1)
 			continue
 		}

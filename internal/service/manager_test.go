@@ -3,14 +3,13 @@ package service
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	joininference "repro"
 	"repro/internal/paperdata"
+	"repro/internal/store"
 )
 
 // testRegistry returns a registry with the paper's running examples: the
@@ -162,12 +161,12 @@ func TestManagerRejectsBadCreates(t *testing.T) {
 	}
 }
 
-// TestResumeSanitizesHostileID: a client-supplied id is a filesystem path
-// component under -persist-dir, so anything but the 16-hex newID shape is
-// replaced with a fresh id instead of reaching filepath.Join.
+// TestResumeSanitizesHostileID: a client-supplied id becomes a store key,
+// so anything but the 16-hex newID shape is replaced with a fresh id before
+// it can name a record.
 func TestResumeSanitizesHostileID(t *testing.T) {
-	dir := t.TempDir()
-	m, err := NewManager(testRegistry(t), Options{PersistDir: dir})
+	kv := store.NewMem()
+	m, err := NewManager(testRegistry(t), Options{Store: kv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,49 +184,21 @@ func TestResumeSanitizesHostileID(t *testing.T) {
 	if err := m.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, info.ID+".json")); err != nil {
-		t.Errorf("session not persisted under the sanitized id: %v", err)
+	data, ok, err := kv.Get(store.SessionKey(info.ID))
+	if err != nil || !ok {
+		t.Fatalf("session not persisted under the sanitized id: ok=%v err=%v", ok, err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "..", "..", "tmp", "evil.json")); err == nil {
-		t.Error("snapshot escaped the persist dir")
+	if snap, err := decodeServiceSnapshot(data); err != nil || snap.ID != info.ID {
+		t.Errorf("record under the sanitized id: %+v, %v", snap, err)
 	}
-}
-
-// TestDeleteEvictedSessionRemovesSnapshot: DELETE on a session that only
-// exists as a TTL-evicted file on disk removes the file so it cannot
-// resurrect on the next boot.
-func TestDeleteEvictedSessionRemovesSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	var mu sync.Mutex
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-
-	m, err := NewManager(testRegistry(t), Options{TTL: time.Minute, PersistDir: dir, Now: clock})
+	err = kv.Scan(store.SessionPrefix(), func(key, _ []byte) bool {
+		if id, err := store.SessionID(key); err != nil || id == "../../tmp/evil" {
+			t.Errorf("store key %q names id %q (err %v)", key, id, err)
+		}
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	info, err := m.Create(Params{Instance: "flights"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	now = now.Add(2 * time.Minute)
-	mu.Unlock()
-	if n := m.SweepExpired(); n != 1 {
-		t.Fatalf("swept %d, want 1", n)
-	}
-	if err := m.Delete(info.ID); err != nil {
-		t.Fatalf("deleting an evicted-to-disk session: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, info.ID+".json")); !os.IsNotExist(err) {
-		t.Errorf("snapshot file survived delete: %v", err)
-	}
-	m2, err := NewManager(testRegistry(t), Options{PersistDir: dir, Now: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m2.Get(info.ID); !errors.Is(err, ErrSessionNotFound) {
-		t.Errorf("deleted session resurrected: %v", err)
 	}
 }
 
@@ -356,7 +327,7 @@ func TestManagerConcurrentAccess(t *testing.T) {
 }
 
 func TestTTLEvictionPersistsAndRestores(t *testing.T) {
-	dir := t.TempDir()
+	kv := store.NewMem()
 	var mu sync.Mutex
 	now := time.Unix(1000, 0)
 	clock := func() time.Time {
@@ -370,7 +341,7 @@ func TestTTLEvictionPersistsAndRestores(t *testing.T) {
 		mu.Unlock()
 	}
 
-	m, err := NewManager(testRegistry(t), Options{TTL: time.Minute, PersistDir: dir, Now: clock})
+	m, err := NewManager(testRegistry(t), Options{TTL: time.Minute, Store: kv, Now: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,13 +371,21 @@ func TestTTLEvictionPersistsAndRestores(t *testing.T) {
 	if _, err := m.Get(info.ID); !errors.Is(err, ErrSessionNotFound) {
 		t.Fatalf("evicted session still present: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, info.ID+".json")); err != nil {
-		t.Fatalf("no persisted snapshot: %v", err)
+	data, ok, err := kv.Get(store.SessionKey(info.ID))
+	if err != nil || !ok {
+		t.Fatalf("no persisted record: ok=%v err=%v", ok, err)
+	}
+	snap, err := decodeServiceSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.ID != info.ID || len(snap.Snapshot.Transcript) != 1 {
+		t.Fatalf("persisted record: id %q, %d answers; want %q, 1", snap.ID, len(snap.Snapshot.Transcript), info.ID)
 	}
 
-	// A fresh manager over the same dir restores the session, answers
+	// A fresh manager over the same store restores the session, answers
 	// intact.
-	m2, err := NewManager(testRegistry(t), Options{PersistDir: dir, Now: clock})
+	m2, err := NewManager(testRegistry(t), Options{Store: kv, Now: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,8 +399,9 @@ func TestTTLEvictionPersistsAndRestores(t *testing.T) {
 }
 
 // TestPersistRestoreDeterminism is the acceptance differential through the
-// service layer: a session driven halfway, persisted via Close, restored by
-// a new manager and driven on asks bit-identical remaining questions and
+// service layer: a session driven halfway over an on-disk log store,
+// persisted via Close, restored by a new manager over the reopened store
+// and driven on asks bit-identical remaining questions and
 // infers the same predicate as an uninterrupted manager-driven session.
 func TestPersistRestoreDeterminism(t *testing.T) {
 	goal := flightGoal(t)
@@ -450,7 +430,11 @@ func TestPersistRestoreDeterminism(t *testing.T) {
 			dir := t.TempDir()
 			ctx := context.Background()
 			oracle := joininference.HonestOracle(goal)
-			mA, err := NewManager(testRegistry(t), Options{PersistDir: dir})
+			kvA, err := store.OpenLog(dir, store.LogOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mA, err := NewManager(testRegistry(t), Options{Store: kvA})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -474,8 +458,16 @@ func TestPersistRestoreDeterminism(t *testing.T) {
 			if err := mA.Close(ctx); err != nil {
 				t.Fatal(err)
 			}
+			if err := kvA.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-			mB, err := NewManager(testRegistry(t), Options{PersistDir: dir})
+			kvB, err := store.OpenLog(dir, store.LogOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer kvB.Close()
+			mB, err := NewManager(testRegistry(t), Options{Store: kvB})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,6 @@
 // Package service is the transport-agnostic serving layer over the root
 // joininference package: a registry of named instances, a goroutine-safe
-// SessionManager with TTL eviction and disk persistence, and an HTTP/JSON
+// SessionManager with TTL eviction and store persistence, and an HTTP/JSON
 // handler (NewHandler) that cmd/joinserve mounts. Nothing here is specific
 // to HTTP — the manager is equally usable behind gRPC, a message queue, or
 // in-process.
@@ -8,12 +8,12 @@ package service
 
 import (
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	joininference "repro"
 	"repro/internal/obs"
@@ -87,7 +87,7 @@ type Registry struct {
 // delta-log records rolled forward at load, ingests counts live deltas
 // applied.
 type registryMetrics struct {
-	cacheHits, reparses, deltasReplayed, ingests expvar.Int
+	cacheHits, reparses, deltasReplayed, ingests atomic.Int64
 }
 
 // RegistryStats is a point-in-time snapshot of a registry's counters,
@@ -132,10 +132,10 @@ func (r *Registry) Failed() []string {
 // Stats returns the registry's counters.
 func (r *Registry) Stats() RegistryStats {
 	return RegistryStats{
-		CacheHits:      r.met.cacheHits.Value(),
-		Reparses:       r.met.reparses.Value(),
-		DeltasReplayed: r.met.deltasReplayed.Value(),
-		Ingests:        r.met.ingests.Value(),
+		CacheHits:      r.met.cacheHits.Load(),
+		Reparses:       r.met.reparses.Load(),
+		DeltasReplayed: r.met.deltasReplayed.Load(),
+		Ingests:        r.met.ingests.Load(),
 	}
 }
 
@@ -201,6 +201,11 @@ var ErrUnknownInstance = fmt.Errorf("service: unknown instance")
 // ErrBadDelta wraps delta validation failures (arity mismatch, out-of-range
 // or double deletes) reported by Ingest.
 var ErrBadDelta = errors.New("service: bad delta")
+
+// ErrStoreUnavailable wraps store failures that refuse a request rather
+// than degrade it: Ingest cannot acknowledge a delta it could not append
+// to the delta log. Retry once the store recovers (HTTP 503).
+var ErrStoreUnavailable = errors.New("service: store unavailable")
 
 // AttachStore caches loaded entries in the KV store. Attach before first
 // use (wiring happens at boot); log receives cache diagnostics as
@@ -309,7 +314,8 @@ func (r *Registry) loadLocked(slot *regSlot, name string, kv store.KV, log *slog
 // record is advanced. The returned update carries everything downstream
 // layers need to follow — Session.ApplyUpdate for live sessions,
 // PolicyCache.ApplyUpdate for memoized decision trees. Validation failures
-// wrap ErrBadDelta; nothing changes on error.
+// wrap ErrBadDelta, a failed delta-log append ErrStoreUnavailable; nothing
+// changes on error.
 func (r *Registry) Ingest(name string, d joininference.Delta) (*joininference.InstanceUpdate, error) {
 	slot, kv, log, err := r.slot(name)
 	if err != nil {
@@ -321,21 +327,36 @@ func (r *Registry) Ingest(name string, d joininference.Delta) (*joininference.In
 	if slot.err != nil {
 		return nil, slot.err
 	}
-	upd, err := joininference.ApplyDelta(slot.e.Inst, slot.e.Classes, d)
-	if err != nil {
+	badDelta := func(err error) error {
 		if errors.Is(err, joininference.ErrStaleVersion) {
-			return nil, err
+			return err
 		}
-		return nil, fmt.Errorf("%w: %v", ErrBadDelta, err)
+		return fmt.Errorf("%w: %v", ErrBadDelta, err)
+	}
+	inst := slot.e.Inst
+	if err := inst.ValidateDelta(d); err != nil {
+		return nil, badDelta(err)
 	}
 	if kv != nil {
-		// Store failures are logged, not fatal: the in-memory chain has
-		// already advanced (the version history is linear and cannot be
-		// rewound), and wedging the slot over a persistence error would take
-		// live serving down with it.
-		if err := store.AppendDelta(kv, name, upd.Version(), upd.Delta); err != nil {
+		// The delta log is the only durable record of ingested rows, so the
+		// delta is appended before the in-memory chain advances (which
+		// cannot be rewound): a failed append refuses the ingest with
+		// nothing changed, instead of acknowledging a version the next boot
+		// cannot replay. The caller retries the same delta once the store
+		// recovers.
+		if err := store.AppendDelta(kv, name, inst.Version()+1, d); err != nil {
 			log.Warn("persisting delta failed", "instance", name, "err", err)
+			return nil, fmt.Errorf("%w: persisting delta for %q: %v", ErrStoreUnavailable, name, err)
 		}
+	}
+	// Validated under slot.mu on the chain tip, so this cannot fail.
+	upd, err := joininference.ApplyDelta(inst, slot.e.Classes, d)
+	if err != nil {
+		return nil, badDelta(err)
+	}
+	if kv != nil {
+		// The instance cache is best-effort: a stale record is rolled
+		// forward from the delta log at the next boot.
 		if err := kv.Put(store.RegistryKey(name), joininference.EncodeInstanceCache(upd.To, upd.Classes)); err != nil {
 			log.Warn("caching instance failed", "instance", name, "err", err)
 		}

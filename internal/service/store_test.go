@@ -213,139 +213,70 @@ func TestManagerStoreKill9(t *testing.T) {
 	}
 }
 
-// TestMigratePersistDir: a legacy JSON persist dir converts into the store
-// on boot, the restored session continues bit-identically, the consumed
-// files are renamed so the next boot is idempotent, and legacy JSON
-// snapshots keep restoring through the store path.
-func TestMigratePersistDir(t *testing.T) {
-	goal := flightGoal(t)
-	params := Params{Instance: "flights", Strategy: joininference.StrategyL2S, Seed: 3}
-
-	// Reference, uninterrupted.
-	ref0, err := NewManager(testRegistry(t), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := ref0.Create(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := driveToDone(t, ref0, info.ID, goal, 1)
-
-	// Legacy deployment: JSON persist dir, interrupted mid-session.
-	dir := t.TempDir()
-	m1, err := NewManager(testRegistry(t), Options{PersistDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err = m1.Create(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := driveN(t, m1, info.ID, goal, 1, 2)
-	if err := m1.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, info.ID+".json")); err != nil {
-		t.Fatalf("legacy JSON snapshot missing: %v", err)
-	}
-
-	// New deployment: store plus -migrate-persist-dir.
-	kv := store.NewMem()
-	m2, err := NewManager(testRegistry(t), Options{Store: kv, MigratePersistDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, driveToDone(t, m2, info.ID, goal, 1)...)
-	if len(got) != len(ref) {
-		t.Fatalf("%d questions across migration, want %d", len(got), len(ref))
-	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("question %d = %+v, want %+v", i, got[i], ref[i])
-		}
-	}
-	// The consumed file was renamed, so a second migrating boot finds
-	// nothing to do and the store's (newer) state wins.
-	if _, err := os.Stat(filepath.Join(dir, info.ID+".json")); !os.IsNotExist(err) {
-		t.Errorf("JSON file still present after migration: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, info.ID+".json.migrated")); err != nil {
-		t.Errorf("migrated marker missing: %v", err)
-	}
-	n, err := MigratePersistDir(kv, dir, nil)
-	if err != nil || n != 0 {
-		t.Errorf("second migration moved %d sessions (err %v), want 0", n, err)
-	}
-}
-
-// TestStoreRestoresLegacyJSONRecord: a store record holding the legacy JSON
-// body (not the binary form) still restores — the compatibility path for
-// records written by hand or by older tooling.
-func TestStoreRestoresLegacyJSONRecord(t *testing.T) {
+// TestStoreCorruptSessionRecordSkipped: one corrupt session record must not
+// take boot down or poison other sessions — it is skipped and reported as
+// an incomplete restore. Records are binary only: a JSON snapshot body
+// stored under a session key (the wire form of GET /sessions/{id}/snapshot)
+// is a corrupt record like any other.
+func TestStoreCorruptSessionRecordSkipped(t *testing.T) {
 	goal := flightGoal(t)
 	m0, err := NewManager(testRegistry(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := m0.Create(Params{Instance: "flights", Strategy: joininference.StrategyBU})
+	donor, err := m0.Create(Params{Instance: "flights", Strategy: joininference.StrategyBU})
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveN(t, m0, info.ID, goal, 1, 2)
-	snap, err := m0.Snapshot(info.ID)
+	driveN(t, m0, donor.ID, goal, 1, 2)
+	snap, err := m0.Snapshot(donor.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(snap)
+	jsonBody, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kv := store.NewMem()
-	if err := kv.Put(store.SessionKey(snap.ID), data); err != nil {
-		t.Fatal(err)
-	}
-	m1, err := NewManager(testRegistry(t), Options{Store: kv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := m1.Get(snap.ID)
-	if err != nil {
-		t.Fatalf("JSON store record not restored: %v", err)
-	}
-	if restored.Asked != 2 {
-		t.Errorf("restored at %d answers, want 2", restored.Asked)
-	}
-}
 
-// TestStoreCorruptSessionRecordSkipped: one corrupt session record must not
-// take boot down or poison other sessions.
-func TestStoreCorruptSessionRecordSkipped(t *testing.T) {
-	kv := store.NewMem()
-	m0, err := NewManager(testRegistry(t), Options{Store: kv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := m0.Create(Params{Instance: "flights"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveN(t, m0, info.ID, flightGoal(t), 1, 1)
-	if err := m0.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := kv.Put(store.SessionKey("deadbeefdeadbeef"), []byte("JSRV garbage")); err != nil {
-		t.Fatal(err)
-	}
-	m1, err := NewManager(testRegistry(t), Options{Store: kv})
-	if err != nil {
-		t.Fatalf("boot failed on a corrupt record: %v", err)
-	}
-	if _, err := m1.Get(info.ID); err != nil {
-		t.Errorf("healthy session lost: %v", err)
-	}
-	if _, err := m1.Get("deadbeefdeadbeef"); !errors.Is(err, ErrSessionNotFound) {
-		t.Errorf("corrupt session served: %v", err)
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"garbage-binary", []byte("JSRV garbage")},
+		{"json-body", jsonBody},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			kv := store.NewMem()
+			m1, err := NewManager(testRegistry(t), Options{Store: kv})
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := m1.Create(Params{Instance: "flights"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveN(t, m1, info.ID, goal, 1, 1)
+			if err := m1.Close(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			const corrupt = "deadbeefdeadbeef"
+			if err := kv.Put(store.SessionKey(corrupt), tc.body); err != nil {
+				t.Fatal(err)
+			}
+			m2, err := NewManager(testRegistry(t), Options{Store: kv})
+			if err != nil {
+				t.Fatalf("boot failed on a corrupt record: %v", err)
+			}
+			if _, err := m2.Get(info.ID); err != nil {
+				t.Errorf("healthy session lost: %v", err)
+			}
+			if _, err := m2.Get(corrupt); !errors.Is(err, ErrSessionNotFound) {
+				t.Errorf("corrupt session served: %v", err)
+			}
+			if h := m2.Health(); h.Restore == nil || h.Restore.Status != "incomplete" {
+				t.Errorf("restore health = %+v, want incomplete", h.Restore)
+			}
+		})
 	}
 }
 

@@ -1,17 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"log/slog"
-	"os"
-	"path/filepath"
-	"strings"
 
 	joininference "repro"
-	"repro/internal/obs"
-	"repro/internal/store"
 )
 
 // Service snapshot binary form, the record the store keeps per session:
@@ -39,22 +33,12 @@ func encodeServiceSnapshot(snap *SessionSnapshot) []byte {
 	return snap.Snapshot.AppendBinary(buf)
 }
 
-// decodeServiceSnapshot parses either wire form of a service snapshot:
-// the binary store record (by magic) or the legacy JSON file body. Errors
-// wrap joininference.ErrBadSnapshot.
+// decodeServiceSnapshot parses a binary store record. Anything else — a
+// record without the magic, a torn or corrupt body — is an error wrapping
+// joininference.ErrBadSnapshot.
 func decodeServiceSnapshot(data []byte) (*SessionSnapshot, error) {
-	if !strings.HasPrefix(string(data), string(serviceSnapMagic)) {
-		var snap SessionSnapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return nil, fmt.Errorf("%w: %v", joininference.ErrBadSnapshot, err)
-		}
-		if snap.Snapshot == nil {
-			return nil, fmt.Errorf("%w: service snapshot without session state", joininference.ErrBadSnapshot)
-		}
-		if err := snap.Snapshot.Validate(); err != nil {
-			return nil, err
-		}
-		return &snap, nil
+	if !bytes.HasPrefix(data, serviceSnapMagic) {
+		return nil, fmt.Errorf("%w: not a service snapshot record", joininference.ErrBadSnapshot)
 	}
 	b := data[len(serviceSnapMagic):]
 	if len(b) == 0 || b[0] != serviceSnapVersion {
@@ -82,52 +66,4 @@ func readLenString(b []byte) (string, []byte, error) {
 		return "", nil, fmt.Errorf("%w: bad string in service snapshot", joininference.ErrBadSnapshot)
 	}
 	return string(b[w : w+int(n)]), b[w+int(n):], nil
-}
-
-// MigratePersistDir converts a legacy JSON persist dir into the store:
-// every *.json session file is decoded, re-encoded binary, written to the
-// store, and renamed to *.json.migrated so the next boot does not redo it
-// (renaming also keeps a stale JSON copy from shadowing newer store state).
-// Files that do not decode are left in place and logged, never fatal. It
-// returns how many sessions were migrated.
-func MigratePersistDir(kv store.KV, dir string, log *slog.Logger) (int, error) {
-	log = obs.OrDiscard(log)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, fmt.Errorf("service: reading persist dir: %w", err)
-	}
-	migrated := 0
-	for _, de := range entries {
-		if de.IsDir() || filepath.Ext(de.Name()) != ".json" {
-			continue
-		}
-		path := filepath.Join(dir, de.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			log.Warn("migrating session file failed", "path", path, "err", err)
-			continue
-		}
-		snap, err := decodeServiceSnapshot(data)
-		if err != nil {
-			log.Warn("migrating session file failed", "path", path, "err", err)
-			continue
-		}
-		if !validID(snap.ID) {
-			log.Warn("migrating session file failed: malformed id", "path", path, "id", snap.ID)
-			continue
-		}
-		if err := kv.Put(store.SessionKey(snap.ID), encodeServiceSnapshot(snap)); err != nil {
-			return migrated, fmt.Errorf("service: migrating %s: %w", path, err)
-		}
-		if err := os.Rename(path, path+".migrated"); err != nil {
-			log.Warn("marking session file migrated failed", "path", path, "err", err)
-		}
-		migrated++
-	}
-	if migrated > 0 {
-		if err := kv.Sync(); err != nil {
-			return migrated, fmt.Errorf("service: syncing store after migration: %w", err)
-		}
-	}
-	return migrated, nil
 }

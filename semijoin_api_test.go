@@ -1,6 +1,7 @@
 package joininference
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/paperdata"
@@ -34,13 +35,14 @@ func TestInferSemijoinPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	theta, asked, err := InferSemijoinGoal(inst, goal, 0)
+	res, err := Run(context.Background(), NewSemijoinSession(inst), HonestOracle(goal))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if asked < 1 || asked > inst.R.Len() {
-		t.Errorf("asked = %d", asked)
+	if res.Questions < 1 || res.Questions > inst.R.Len() {
+		t.Errorf("asked = %d", res.Questions)
 	}
+	theta := res.Inferred
 	want := SemijoinEval(inst, goal)
 	got := SemijoinEval(inst, theta)
 	if len(want) != len(got) {
@@ -57,15 +59,17 @@ func TestInferSemijoinCustomOracle(t *testing.T) {
 	inst := paperdata.Example21()
 	// User keeps rows whose A2 value is "2" (t2 and t3).
 	keep := map[int]bool{1: true, 2: true}
-	theta, asked, err := InferSemijoin(inst, func(ri int) bool { return keep[ri] }, 0)
+	res, err := Run(context.Background(), NewSemijoinSession(inst), FuncOracle(func(q Question) Label {
+		return Label(keep[q.RIndex])
+	}))
 	if err != nil {
 		// The user's mental filter may be inexpressible as a semijoin on
 		// this instance — the error path is legitimate API behaviour.
-		t.Logf("inconsistent user filter detected after %d questions: %v", asked, err)
+		t.Logf("inconsistent user filter detected after %d questions: %v", res.Questions, err)
 		return
 	}
 	sel := map[int]bool{}
-	for _, ri := range SemijoinEval(inst, theta) {
+	for _, ri := range SemijoinEval(inst, res.Inferred) {
 		sel[ri] = true
 	}
 	for ri, want := range keep {

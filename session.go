@@ -191,8 +191,7 @@ type Session struct {
 	engine   *inference.Engine
 	strat    inference.Strategy
 	stratErr error
-	strats   map[StrategyID]inference.Strategy // cache for the deprecated per-call form
-	classIdx map[string]int                    // T-class predicate key → class index
+	classIdx map[string]int // T-class predicate key → class index
 
 	// Semijoin mode.
 	sj *semijoinState
@@ -232,7 +231,6 @@ func NewSession(inst *Instance, opts ...Option) *Session {
 		inst:   inst,
 		cfg:    cfg,
 		engine: inference.New(inst, engOpts...),
-		strats: make(map[StrategyID]inference.Strategy),
 		soft:   newSoftState(cfg),
 	}
 }

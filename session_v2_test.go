@@ -408,37 +408,3 @@ func TestPrecomputedClassesShared(t *testing.T) {
 		t.Errorf("precomputed classes changed the run: %+v vs %+v", direct, shared)
 	}
 }
-
-// TestDeprecatedShims keeps the v1 surface compiling and behaving.
-func TestDeprecatedShims(t *testing.T) {
-	inst := paperdata.FlightHotel()
-	s := NewSession(inst)
-	u := s.Universe()
-	goal, err := PredFromNames(u, [2]string{"To", "City"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, asked, err := InferGoal(inst, StrategyTD, goal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if asked < 1 || len(Join(inst, got)) != len(Join(inst, goal)) {
-		t.Errorf("InferGoal: %d questions, %v", asked, got.Format(u))
-	}
-	for !s.Done() {
-		q, ok := s.NextQuestion(StrategyTD)
-		if !ok {
-			break
-		}
-		l, _ := HonestOracle(goal).Label(context.Background(), q)
-		if err := s.Answer(q, l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !s.Inferred().Equal(got) {
-		t.Errorf("NextQuestion loop inferred %v, InferGoal %v", s.Inferred(), got)
-	}
-	if _, ok := s.NextQuestion(StrategyTD); ok {
-		t.Error("NextQuestion after done returned a question")
-	}
-}

@@ -63,9 +63,7 @@ const (
 //
 // Sessions using WithCustomStrategy cannot be snapshotted
 // (ErrNotSnapshottable): a caller-implemented Strategy may hold arbitrary
-// state the package cannot capture. The deprecated per-call
-// Session.NextQuestion(id) strategies are likewise outside the guarantee —
-// snapshot/resume covers the strategy configured at construction.
+// state the package cannot capture.
 type Snapshot struct {
 	// Version is the wire-format version (see SnapshotVersion).
 	Version int `json:"version"`

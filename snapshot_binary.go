@@ -186,8 +186,8 @@ func DecodeBinarySnapshot(data []byte) (*Snapshot, error) {
 }
 
 // DecodeSnapshotBytes parses either wire form: binary (by magic) or JSON.
-// The store holds binary records; legacy persist-dir files are JSON — one
-// decoder serves both, with identical validation.
+// The store holds binary records, while Snapshot.Encode and the HTTP API
+// emit JSON — one decoder serves both, with identical validation.
 func DecodeSnapshotBytes(data []byte) (*Snapshot, error) {
 	if bytes.HasPrefix(data, snapshotMagic) {
 		return DecodeBinarySnapshot(data)

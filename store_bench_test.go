@@ -42,7 +42,7 @@ func benchSnapshot(b *testing.B) *Snapshot {
 }
 
 // BenchmarkSnapshotEncode compares the store's binary snapshot codec with
-// the legacy JSON form (the BENCH_store.json numbers).
+// the JSON form (the BENCH_store.json numbers).
 func BenchmarkSnapshotEncode(b *testing.B) {
 	sn := benchSnapshot(b)
 	b.Run("json", func(b *testing.B) {
