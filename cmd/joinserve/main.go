@@ -5,10 +5,9 @@
 //
 // Usage:
 //
-//	joinserve [-addr :8080] [-ttl 30m] [-sweep-interval 1m]
+//	joinserve [-addr :8080] [-ttl 30m]
 //	          [-store-dir ./store | -store mem] [-policy-cache-bytes N] [-pprof]
 //	          [-log-format text|json] [-log-level info] [-trace-log FILE]
-//	          [-trace-buffer N]
 //	          [-request-timeout 30s] [-shutdown-timeout 15s]
 //	          [-max-concurrent N] [-admission-queue N]
 //	          [-store-retries 3] [-breaker-threshold 5] [-breaker-cooloff 5s]
@@ -24,7 +23,7 @@
 // boundary with bit-identical question sequences, the shared policy cache
 // migrates or retires exactly the affected decision subtrees, and with a
 // store the delta is appended to a per-instance log replayed on the next
-// boot. Ingest and invalidation counters appear in /debug/metrics.
+// boot. Ingest and invalidation counters appear in /metrics.
 //
 // With -store-dir, everything durable lives in one crash-safe KV store
 // (see internal/store and README "Persistence"): sessions persist as
@@ -44,8 +43,8 @@
 // threshold, and contradictions within the error budget retract the
 // offending answers instead of failing with a conflict.
 // GET /sessions/{id}/explain reports per-answer Banzhaf attribution
-// scores, and /debug/metrics gains a "crowd" section with per-worker
-// reliability counters (votes, agreements, retractions).
+// scores, and /metrics counts each worker's votes, agreements and
+// retractions (crowd_worker_*_total{worker=...}).
 //
 // All sessions share one policy cache (-policy-cache-bytes, 0 disables):
 // the strategy decision tree of every (instance, strategy, seed) is
@@ -53,8 +52,8 @@
 // pays for the expensive L1S/L2S lookahead. -warm precomputes a tree
 // breadth-first at boot (e.g. -warm tpch-join1=L2S:4). Operational
 // counters — sessions live/created/evicted, questions served, cache
-// hits/misses/evictions — are served at /debug/metrics; /debug/vars
-// serves the Go runtime's memstats. See README.md ("Serving",
+// hits/misses/evictions — are served at /metrics; /debug/vars serves the
+// Go runtime's memstats. See README.md ("Serving",
 // "Policy cache") for a curl walkthrough.
 //
 // Resilience (README "Resilience"): -request-timeout caps every request
@@ -80,9 +79,11 @@
 // counters and latency histograms — per-question strategy/cache/store
 // segments, policy-cache page-ins, store append/fsync/compact, per-route
 // HTTP latency — in Prometheus text exposition; GET /debug/trace serves
-// the most recent finished spans (filterable by ?session=), and -trace-log
-// streams them to a file as JSON lines. -trace-buffer sizes the in-RAM
-// span ring (default 256; 0 disables tracing).
+// the most recent finished spans (filterable by ?session=) from a 256-span
+// ring, and -trace-log streams them to a file as JSON lines. /metrics is
+// the one metrics surface: it also carries the policy-cache, store,
+// breaker, persist-queue and admission counters; GET /readyz reports the
+// store's last error.
 package main
 
 import (
@@ -111,7 +112,6 @@ func main() {
 	cfg := config{}
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.DurationVar(&cfg.ttl, "ttl", 30*time.Minute, "evict sessions idle longer than this (0 disables)")
-	flag.DurationVar(&cfg.sweepInterval, "sweep-interval", 0, "how often the janitor sweeps for expired sessions (0 = ttl/4, capped at 1m)")
 	flag.StringVar(&cfg.storeDir, "store-dir", "", "root of the persistent KV store (sessions, policy trees, instance cache); empty disables")
 	flag.StringVar(&cfg.storeBackend, "store", "", "store backend: log (crash-safe append-only file, default) or mem (no disk; -store-dir optional)")
 	flag.Int64Var(&cfg.policyCacheBytes, "policy-cache-bytes", 64<<20, "byte bound of the shared policy-tree cache (0 disables, negative = unbounded)")
@@ -121,7 +121,6 @@ func main() {
 	flag.StringVar(&cfg.logFormat, "log-format", "text", "log output format: text (logfmt-style) or json")
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
 	flag.StringVar(&cfg.traceLog, "trace-log", "", "append finished trace spans to this file as JSON lines")
-	flag.IntVar(&cfg.traceBuffer, "trace-buffer", 256, "spans retained in RAM for GET /debug/trace (0 disables tracing)")
 	flag.DurationVar(&cfg.requestTimeout, "request-timeout", 30*time.Second, "per-request deadline; expired requests answer 503 + Retry-After (0 disables)")
 	flag.DurationVar(&cfg.shutdownTimeout, "shutdown-timeout", 15*time.Second, "bound on graceful shutdown: drain in-flight requests, then persist every live session")
 	flag.IntVar(&cfg.maxConcurrent, "max-concurrent", 0, "in-flight bound per compute-heavy route (create, questions, answers, ingest); 0 disables admission control")
@@ -142,7 +141,6 @@ func main() {
 type config struct {
 	addr             string
 	ttl              time.Duration
-	sweepInterval    time.Duration
 	storeDir         string
 	storeBackend     string
 	policyCacheBytes int64
@@ -152,7 +150,6 @@ type config struct {
 	logFormat        string
 	logLevel         string
 	traceLog         string
-	traceBuffer      int
 	requestTimeout   time.Duration
 	shutdownTimeout  time.Duration
 	maxConcurrent    int
@@ -193,9 +190,6 @@ func run(cfg config) error {
 	}
 	logger := obs.NewLogger(os.Stderr, cfg.logFormat, level)
 	bundle := service.NewObs()
-	if cfg.traceBuffer > 0 {
-		bundle.Tracer = obs.NewTracer(cfg.traceBuffer)
-	}
 	if cfg.traceLog != "" {
 		f, err := os.OpenFile(cfg.traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -251,7 +245,6 @@ func run(cfg config) error {
 	}
 	opts := service.Options{
 		TTL:            cfg.ttl,
-		SweepInterval:  cfg.sweepInterval,
 		Logger:         logger,
 		Obs:            bundle,
 		RequestTimeout: cfg.requestTimeout,
@@ -351,9 +344,9 @@ func run(cfg config) error {
 
 // newServeMux mounts the service API plus the debug endpoints: the
 // standard expvar handler at /debug/vars, which serves the Go runtime's
-// memstats and cmdline (the manager's counters are at /debug/metrics and
-// /metrics), and, when enabled, net/http/pprof under /debug/pprof/ so live
-// lookahead and CONS⋉ hot paths can be profiled in production.
+// memstats and cmdline (the manager's counters are at /metrics), and,
+// when enabled, net/http/pprof under /debug/pprof/ so live lookahead and
+// CONS⋉ hot paths can be profiled in production.
 func newServeMux(mgr *service.Manager, withPprof bool) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", service.NewHandler(mgr))

@@ -2,8 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	joininference "repro"
@@ -31,9 +34,8 @@ func TestWarmFlagParsing(t *testing.T) {
 }
 
 // TestDebugEndpoints boots the server mux (service API + expvar) and
-// checks the /debug/metrics and /debug/vars documents it serves: the
-// manager's counters at /debug/metrics, the runtime's memstats at
-// /debug/vars.
+// checks what it serves: the manager's counters at /metrics (and no
+// longer at /debug/metrics), the runtime's memstats at /debug/vars.
 func TestDebugEndpoints(t *testing.T) {
 	reg := service.NewRegistry()
 	if err := reg.RegisterInstance("flights", paperdata.FlightHotel()); err != nil {
@@ -51,23 +53,35 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(srv.URL + "/debug/metrics")
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/metrics status = %d", resp.StatusCode)
-	}
-	var met service.Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&met); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if met.SessionsCreated != 1 || met.SessionsLive != 1 {
-		t.Errorf("metrics = %+v, want 1 created/live", met)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics status = %d", resp.StatusCode)
 	}
-	if met.PolicyCache == nil || met.PolicyCache.MaxBytes != 1<<20 {
-		t.Errorf("policy cache stats = %+v", met.PolicyCache)
+	got := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			got[name], _ = strconv.ParseFloat(v, 64)
+		}
+	}
+	if got["sessions_created_total"] != 1 || got["sessions_live"] != 1 || got["policy_cache_max_bytes"] != 1<<20 {
+		t.Errorf("/metrics: created %v, live %v, policy cache bound %v; want 1, 1, %d",
+			got["sessions_created_total"], got["sessions_live"], got["policy_cache_max_bytes"], 1<<20)
+	}
+	old, err := http.Get(srv.URL + "/debug/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Body.Close()
+	if old.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/metrics status = %d, want 404", old.StatusCode)
 	}
 
 	vars, err := http.Get(srv.URL + "/debug/vars")

@@ -169,12 +169,15 @@ func TestChaosSoak(t *testing.T) {
 
 	// Phase 3: outage over — the write-behind worker's retries are the
 	// half-open probes; the breaker closes, the queue drains, /readyz
-	// recovers, and the trip/recovery are visible in metrics.
+	// recovers, and the trip/recovery are visible in /readyz and /metrics.
 	fault.SetEnabled(false)
 	waitReady(t, client, srv.URL, http.StatusOK, 10*time.Second)
-	res := m.Metrics().Resilience
-	if res == nil || res.BreakerTrips < 1 || res.BreakerRecoveries < 1 {
-		t.Fatalf("breaker trip/recovery not visible in metrics: %+v", res)
+	if h := m.Health(); h.Store == nil || h.Store.Trips < 1 || h.Store.Recoveries < 1 {
+		t.Fatalf("breaker trip/recovery not visible in health: %+v", h.Store)
+	}
+	if got := samples(t, exposition(t, bundle.Metrics)); got["store_breaker_trips_total"] < 1 || got["store_breaker_recoveries_total"] < 1 {
+		t.Fatalf("breaker trip/recovery not visible in metrics: trips %v, recoveries %v",
+			got["store_breaker_trips_total"], got["store_breaker_recoveries_total"])
 	}
 
 	// Phase 4: original fault profile back on; drive every session to

@@ -98,8 +98,8 @@ func TestManagerIngestMigratesLiveSessions(t *testing.T) {
 	}
 
 	met := m.Metrics()
-	if met.DeltasIngested != 1 || met.Registry.Ingests != 1 {
-		t.Fatalf("ingest counters: %+v", met)
+	if met.DeltasIngested != 1 || m.reg.Stats().Ingests != 1 {
+		t.Fatalf("ingest counters: %+v, registry %+v", met, m.reg.Stats())
 	}
 	if met.SessionsMigrated == 0 {
 		t.Fatal("no session counted as migrated")
@@ -320,10 +320,8 @@ func TestHTTPIngest(t *testing.T) {
 	doJSON(t, client, "POST", srv.URL+"/instances/flights/rows",
 		map[string]any{"delete_p": []int{99}}, 400, nil)
 
-	var met Metrics
-	doJSON(t, client, "GET", srv.URL+"/debug/metrics", nil, 200, &met)
-	if met.DeltasIngested != 1 || met.Registry.Ingests != 1 {
-		t.Fatalf("metrics after ingest: %+v", met)
+	if got := samples(t, getMetrics(t, client, srv.URL)); got["deltas_ingested_total"] != 1 || m.reg.Stats().Ingests != 1 {
+		t.Fatalf("deltas_ingested_total = %v, registry %+v after one ingest", got["deltas_ingested_total"], m.reg.Stats())
 	}
 }
 
@@ -500,9 +498,8 @@ func TestConcurrentIngestAndAnswering(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	met := m.Metrics()
-	if met.DeltasIngested != ingests || met.Registry.Ingests != ingests {
-		t.Fatalf("ingest counters: %+v", met)
+	if met, st := m.Metrics(), reg.Stats(); met.DeltasIngested != ingests || st.Ingests != ingests {
+		t.Fatalf("ingest counters: %+v, registry %+v", met, st)
 	}
 	entry, err := reg.Get("flights")
 	if err != nil {

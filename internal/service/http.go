@@ -40,20 +40,16 @@ import (
 //	GET    /readyz                    readiness: store breaker position,
 //	                                  write-behind queue depth, registry and
 //	                                  restore health; 503 while degraded
-//	GET    /debug/metrics             operational counters (sessions
-//	                                  live/created/evicted, questions
-//	                                  served, deltas ingested, sessions
-//	                                  migrated/retired, policy-cache
-//	                                  hits/misses, registry cache hits vs
-//	                                  re-parses, per-worker crowd
-//	                                  reliability counters)
-//	GET    /metrics                   the same plus latency histograms, in
-//	                                  Prometheus text exposition (only with
-//	                                  Options.Obs)
+//	GET    /metrics                   every counter, gauge and latency
+//	                                  histogram in Prometheus text
+//	                                  exposition: sessions, questions and
+//	                                  answers, ingests and migrations,
+//	                                  registry, policy cache, store,
+//	                                  breaker, persist queue, admission
+//	                                  gates, per-worker crowd votes
 //	GET    /debug/trace?session=&limit=  recently finished trace spans,
 //	                                  oldest first, plus per-operation
-//	                                  latency percentiles (only with
-//	                                  Options.Obs)
+//	                                  latency percentiles
 //
 // The whole mux is wrapped in the telemetry middleware: every request gets
 // a request id (X-Request-ID accepted in, always set on the response), an
@@ -214,35 +210,29 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		writeJSON(w, code, h)
 	})
-	mux.HandleFunc("GET /debug/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.Metrics())
+	o := m.opts.Obs
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", obs.PromContentType)
+		_ = o.Metrics.WritePrometheus(w)
 	})
-	cfg := obs.MiddlewareConfig{Logger: m.opts.Logger}
-	if o := m.opts.Obs; o != nil {
-		cfg.Metrics = o.HTTP
-		cfg.Tracer = o.Tracer
-		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", obs.PromContentType)
-			_ = o.Metrics.WritePrometheus(w)
-		})
-		mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
-			limit := 0
-			if s := r.URL.Query().Get("limit"); s != "" {
-				n, err := strconv.Atoi(s)
-				if err != nil || n < 1 {
-					httpError(w, http.StatusBadRequest, fmt.Errorf("limit must be a positive integer, got %q", s))
-					return
-				}
-				limit = n
+	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
+		limit := 0
+		if s := r.URL.Query().Get("limit"); s != "" {
+			n, err := strconv.Atoi(s)
+			if err != nil || n < 1 {
+				httpError(w, http.StatusBadRequest, fmt.Errorf("limit must be a positive integer, got %q", s))
+				return
 			}
-			session := r.URL.Query().Get("session")
-			writeJSON(w, http.StatusOK, traceResponse{
-				Spans:   o.Tracer.Recent(session, limit),
-				Total:   o.Tracer.Total(),
-				Summary: o.Tracer.Summarize(),
-			})
+			limit = n
+		}
+		session := r.URL.Query().Get("session")
+		writeJSON(w, http.StatusOK, traceResponse{
+			Spans:   o.Tracer.Recent(session, limit),
+			Total:   o.Tracer.Total(),
+			Summary: o.Tracer.Summarize(),
 		})
-	}
+	})
+	cfg := obs.MiddlewareConfig{Logger: m.opts.Logger, Metrics: o.HTTP, Tracer: o.Tracer}
 	return obs.Middleware(withRequestTimeout(mux, m.opts.RequestTimeout), cfg)
 }
 

@@ -114,10 +114,6 @@ type Options struct {
 	// TTL evicts sessions idle longer than this on SweepExpired; 0 disables
 	// eviction.
 	TTL time.Duration
-	// SweepInterval is how often the janitor (StartJanitor with
-	// JanitorInterval) sweeps for expired sessions; 0 derives it from the
-	// TTL (a quarter of it, capped at one minute).
-	SweepInterval time.Duration
 	// Store, when non-nil, persists sessions as compact binary records in
 	// the KV store — written through on every state change, on eviction and
 	// on Close — and restores them in NewManager. Nil keeps sessions in RAM
@@ -134,10 +130,11 @@ type Options struct {
 	// Logger receives restore/persist diagnostics and migration/retraction
 	// events as structured records; nil discards them.
 	Logger *slog.Logger
-	// Obs, when non-nil, wires the manager into the telemetry bundle:
-	// sessions report per-question strategy/cache/store latency segments,
-	// the policy cache its page-in timings, the manager's counters become
-	// /metrics families, and Questions/Answer run under trace spans.
+	// Obs is the telemetry bundle the manager counts into: its counters
+	// and per-question strategy/cache/store latency segments, the policy
+	// cache's page-in timings, and the trace spans of Questions/Answer. Nil
+	// builds a private NewObs(); either way NewHandler serves it at
+	// GET /metrics and GET /debug/trace.
 	Obs *Obs
 	// RequestTimeout bounds each HTTP request served by NewHandler with a
 	// per-request context deadline (reaching the L2S lookahead, which
@@ -153,29 +150,15 @@ type Options struct {
 	// StoreBreaker, when non-nil alongside Store, is the circuit breaker
 	// guarding the persist path (share it with the policy tier via
 	// WithTierBreaker so one store-health verdict governs both). Nil with a
-	// Store builds a private breaker from BreakerThreshold/BreakerCooloff.
+	// Store builds a private breaker with the default threshold (5
+	// consecutive failures) and cool-off (5s).
 	StoreBreaker *resilience.Breaker
-	// BreakerThreshold and BreakerCooloff configure the private breaker
-	// (defaults 5 consecutive failures, 5s cool-off); ignored when
-	// StoreBreaker is set.
-	BreakerThreshold int
-	BreakerCooloff   time.Duration
-	// PersistQueueLimit bounds the write-behind retry queue (default 1024
-	// session ids).
-	PersistQueueLimit int
 }
 
-// JanitorInterval resolves the sweep cadence: the configured SweepInterval,
-// or TTL/4 capped at one minute when unset.
+// JanitorInterval resolves the sweep cadence from the TTL: a quarter of
+// it, capped at one minute.
 func (o Options) JanitorInterval() time.Duration {
-	if o.SweepInterval > 0 {
-		return o.SweepInterval
-	}
-	interval := o.TTL / 4
-	if interval > time.Minute {
-		interval = time.Minute
-	}
-	return interval
+	return min(o.TTL/4, time.Minute)
 }
 
 // Manager owns live sessions: create/answer/snapshot/evict with per-session
@@ -187,7 +170,6 @@ type Manager struct {
 	opts Options
 	now  func() time.Time
 	log  *slog.Logger
-	met  *managerMetrics
 
 	mu       sync.Mutex
 	sessions map[string]*managed
@@ -204,78 +186,48 @@ type Manager struct {
 	gates        map[string]*resilience.Gate
 	restoreFails atomic.Int64
 
-	// crowdMu guards the service-wide worker-reliability counters, fed by
-	// the soft-inference commit/retraction events sessions emit.
-	crowdMu sync.Mutex
-	crowd   crowdCounters
+	// The manager's counters, resolved once in the Obs registry by bind:
+	// session lifecycle, questions and answers, migrations, and the
+	// soft-inference crowd totals plus their per-worker breakdown.
+	created, resumed, evicted, deleted         *obs.Counter
+	questions, answers, migrated, retired      *obs.Counter
+	votes, commits, retractions                *obs.Counter
+	workerVotes, workerAgreed, workerRetracted *obs.CounterVec
 }
 
-// crowdCounters aggregates soft-inference vote outcomes across every
-// session the manager serves.
-type crowdCounters struct {
-	votes       int64
-	commits     int64
-	retractions int64
-	workers     map[string]*workerTally
-}
-
-type workerTally struct {
-	votes, agreed, retracted int64
-}
-
-// WorkerCounters is one worker's service-wide vote record: votes behind
-// committed answers, how many of those agreed with the committed label,
-// and how many were later retracted. The ratio agreed/votes is an
-// empirical reliability estimate.
-type WorkerCounters struct {
-	Worker    string `json:"worker"`
-	Votes     int64  `json:"votes"`
-	Agreed    int64  `json:"agreed"`
-	Retracted int64  `json:"retracted"`
-}
-
-// CrowdMetrics is the "crowd" section of /debug/metrics: soft-inference
-// totals plus the per-worker breakdown.
+// CrowdMetrics is the crowd section of Metrics: soft-inference totals
+// across every session the manager serves (per-worker counts are the
+// crowd_worker_*_total families of GET /metrics).
 type CrowdMetrics struct {
 	// Votes counts worker votes behind committed answers; Commits and
 	// Retractions count soft commit and retraction events.
-	Votes       int64            `json:"votes"`
-	Commits     int64            `json:"commits"`
-	Retractions int64            `json:"retractions"`
-	Workers     []WorkerCounters `json:"workers,omitempty"`
+	Votes       int64
+	Commits     int64
+	Retractions int64
 }
 
 // absorbSoftEvents drains a session's soft commit/retraction events into
-// the service-wide crowd counters; callers hold ms.mu.
+// the crowd counters, per worker too (anonymous votes count under the
+// empty worker id); callers hold ms.mu.
 func (m *Manager) absorbSoftEvents(ms *managed) {
 	if !ms.sess.Soft() {
 		return
 	}
-	events := ms.sess.SoftEvents()
-	if len(events) == 0 {
-		return
-	}
-	m.crowdMu.Lock()
-	defer m.crowdMu.Unlock()
-	if m.crowd.workers == nil {
-		m.crowd.workers = make(map[string]*workerTally)
-	}
-	for _, ev := range events {
+	for _, ev := range ms.sess.SoftEvents() {
 		switch ev.Kind {
 		case joininference.SoftCommit:
-			m.crowd.commits++
-			m.crowd.votes += int64(len(ev.Votes))
+			m.commits.Inc()
+			m.votes.Add(int64(len(ev.Votes)))
 			for _, v := range ev.Votes {
-				w := m.tallyLocked(v.Worker)
-				w.votes++
+				m.workerVotes.With(v.Worker).Inc()
 				if v.Positive == ev.Positive {
-					w.agreed++
+					m.workerAgreed.With(v.Worker).Inc()
 				}
 			}
 		case joininference.SoftRetract:
-			m.crowd.retractions++
+			m.retractions.Inc()
 			for _, v := range ev.Votes {
-				m.tallyLocked(v.Worker).retracted++
+				m.workerRetracted.With(v.Worker).Inc()
 			}
 			m.log.Warn("soft answer retracted",
 				"session", ms.id, "instance", ms.params.Instance, "votes", len(ev.Votes))
@@ -283,87 +235,32 @@ func (m *Manager) absorbSoftEvents(ms *managed) {
 	}
 }
 
-// tallyLocked returns the tally for a worker id (anonymous votes pool
-// under ""); callers hold crowdMu.
-func (m *Manager) tallyLocked(worker string) *workerTally {
-	w := m.crowd.workers[worker]
-	if w == nil {
-		w = &workerTally{}
-		m.crowd.workers[worker] = w
-	}
-	return w
-}
-
-// crowdMetrics snapshots the crowd counters, workers sorted by id; nil
-// when no soft events were ever absorbed.
-func (m *Manager) crowdMetrics() *CrowdMetrics {
-	m.crowdMu.Lock()
-	defer m.crowdMu.Unlock()
-	if m.crowd.commits == 0 && m.crowd.retractions == 0 {
-		return nil
-	}
-	out := &CrowdMetrics{
-		Votes:       m.crowd.votes,
-		Commits:     m.crowd.commits,
-		Retractions: m.crowd.retractions,
-	}
-	for id, w := range m.crowd.workers {
-		out.Workers = append(out.Workers, WorkerCounters{
-			Worker: id, Votes: w.votes, Agreed: w.agreed, Retracted: w.retracted,
-		})
-	}
-	sort.Slice(out.Workers, func(i, j int) bool { return out.Workers[i].Worker < out.Workers[j].Worker })
-	return out
-}
-
-// managerMetrics are the manager's monotonic counters, atomic so the
-// request paths, Metrics and the /metrics exposition read and bump them
-// without extra locking. Ingests are counted once, by the registry.
-type managerMetrics struct {
-	created, resumed, evicted, deleted atomic.Int64
-	questions, answers                 atomic.Int64
-	migrated, retired                  atomic.Int64
-}
-
-// Metrics is a point-in-time snapshot of the manager's operational
-// counters, served by the handler's /debug/metrics endpoint.
+// Metrics is an in-process snapshot of the manager's counters, read from
+// the same registry GET /metrics renders.
 type Metrics struct {
 	// SessionsLive counts sessions currently resident in memory.
-	SessionsLive int `json:"sessions_live"`
+	SessionsLive int
 	// SessionsCreated / SessionsResumed count Create and Resume successes
 	// (boot-time restores count as resumes); SessionsEvicted counts TTL
 	// sweeps, SessionsDeleted explicit deletions.
-	SessionsCreated int64 `json:"sessions_created"`
-	SessionsResumed int64 `json:"sessions_resumed"`
-	SessionsEvicted int64 `json:"sessions_evicted"`
-	SessionsDeleted int64 `json:"sessions_deleted"`
+	SessionsCreated int64
+	SessionsResumed int64
+	SessionsEvicted int64
+	SessionsDeleted int64
 	// QuestionsServed counts questions handed out; AnswersApplied counts
 	// answers recorded (skipped answers excluded).
-	QuestionsServed int64 `json:"questions_served"`
-	AnswersApplied  int64 `json:"answers_applied"`
+	QuestionsServed int64
+	AnswersApplied  int64
 	// DeltasIngested counts deltas applied through Ingest;
 	// SessionsMigrated counts live sessions carried onto a new instance
 	// version at a question boundary; SessionsRetired counts sessions
 	// dropped because their answers turned inconsistent under the new data.
-	DeltasIngested   int64 `json:"deltas_ingested"`
-	SessionsMigrated int64 `json:"sessions_migrated"`
-	SessionsRetired  int64 `json:"sessions_retired"`
-	// Registry reports how instances reached serving state (cache hits vs
-	// re-parses, delta-log replays).
-	Registry RegistryStats `json:"registry"`
-	// PolicyCache reports the shared policy cache's counters when one is
-	// configured.
-	PolicyCache *joininference.PolicyCacheStats `json:"policy_cache,omitempty"`
-	// Store reports the persistent store's counters (gets/puts/scans,
-	// live/dead bytes, compactions) when one is configured.
-	Store *store.Stats `json:"store,omitempty"`
-	// Crowd reports soft-inference vote outcomes per worker (present once
-	// any soft session has committed or retracted an answer).
-	Crowd *CrowdMetrics `json:"crowd,omitempty"`
-	// Resilience reports the breaker, write-behind persist queue, and
-	// per-route admission gates (present when a store or admission control
-	// is configured).
-	Resilience *ResilienceMetrics `json:"resilience,omitempty"`
+	DeltasIngested   int64
+	SessionsMigrated int64
+	SessionsRetired  int64
+	// Crowd reports soft-inference vote outcomes (nil until any soft
+	// session has committed or retracted an answer).
+	Crowd *CrowdMetrics
 }
 
 // Metrics returns the manager's current counters.
@@ -371,30 +268,21 @@ func (m *Manager) Metrics() Metrics {
 	m.mu.Lock()
 	live := len(m.sessions)
 	m.mu.Unlock()
-	reg := m.reg.Stats()
 	out := Metrics{
 		SessionsLive:     live,
-		SessionsCreated:  m.met.created.Load(),
-		SessionsResumed:  m.met.resumed.Load(),
-		SessionsEvicted:  m.met.evicted.Load(),
-		SessionsDeleted:  m.met.deleted.Load(),
-		QuestionsServed:  m.met.questions.Load(),
-		AnswersApplied:   m.met.answers.Load(),
-		DeltasIngested:   reg.Ingests,
-		SessionsMigrated: m.met.migrated.Load(),
-		SessionsRetired:  m.met.retired.Load(),
-		Registry:         reg,
+		SessionsCreated:  m.created.Value(),
+		SessionsResumed:  m.resumed.Value(),
+		SessionsEvicted:  m.evicted.Value(),
+		SessionsDeleted:  m.deleted.Value(),
+		QuestionsServed:  m.questions.Value(),
+		AnswersApplied:   m.answers.Value(),
+		DeltasIngested:   m.reg.Stats().Ingests,
+		SessionsMigrated: m.migrated.Value(),
+		SessionsRetired:  m.retired.Value(),
 	}
-	if m.opts.PolicyCache != nil {
-		st := m.opts.PolicyCache.Stats()
-		out.PolicyCache = &st
+	if commits, retractions := m.commits.Value(), m.retractions.Value(); commits != 0 || retractions != 0 {
+		out.Crowd = &CrowdMetrics{Votes: m.votes.Value(), Commits: commits, Retractions: retractions}
 	}
-	if m.opts.Store != nil {
-		st := m.opts.Store.Stats()
-		out.Store = &st
-	}
-	out.Crowd = m.crowdMetrics()
-	out.Resilience = m.resilienceMetrics()
 	return out
 }
 
@@ -424,12 +312,14 @@ type managed struct {
 // or resume are skipped (logged, and counted in Health's restore report),
 // never fatal — a corrupt snapshot must not take the service down.
 func NewManager(reg *Registry, opts Options) (*Manager, error) {
+	if opts.Obs == nil {
+		opts.Obs = NewObs()
+	}
 	m := &Manager{
 		reg:      reg,
 		opts:     opts,
 		now:      opts.Now,
 		log:      obs.OrDiscard(opts.Logger),
-		met:      &managerMetrics{},
 		sessions: make(map[string]*managed),
 	}
 	if m.now == nil {
@@ -446,20 +336,16 @@ func NewManager(reg *Registry, opts Options) (*Manager, error) {
 		if m.breaker == nil {
 			log := m.log
 			m.breaker = resilience.NewBreaker(resilience.BreakerOptions{
-				Threshold: opts.BreakerThreshold,
-				Cooloff:   opts.BreakerCooloff,
 				OnChange: func(from, to resilience.BreakerState) {
 					log.Warn("store breaker state change", "from", from.String(), "to", to.String())
 				},
 			})
 		}
-		m.pq = newPersistQueue(opts.PersistQueueLimit)
+		m.pq = newPersistQueue()
 	}
-	if opts.Obs != nil {
-		opts.Obs.bind(m)
-		if opts.PolicyCache != nil {
-			opts.PolicyCache.SetTelemetry(opts.Obs)
-		}
+	opts.Obs.bind(m)
+	if opts.PolicyCache != nil {
+		opts.PolicyCache.SetTelemetry(opts.Obs)
 	}
 	if opts.Store != nil {
 		if err := m.restoreStore(); err != nil {
@@ -489,7 +375,7 @@ func (m *Manager) Create(p Params) (Info, error) {
 	}
 	info, err := m.add("", p, sess)
 	if err == nil {
-		m.met.created.Add(1)
+		m.created.Inc()
 	}
 	return info, err
 }
@@ -520,10 +406,7 @@ func (m *Manager) sessionOptions(p Params) []joininference.Option {
 	if m.opts.PolicyCache != nil {
 		opts = append(opts, joininference.WithPolicyCache(m.opts.PolicyCache, p.Instance))
 	}
-	if m.opts.Obs != nil {
-		opts = append(opts, joininference.WithTelemetry(m.opts.Obs))
-	}
-	return opts
+	return append(opts, joininference.WithTelemetry(m.opts.Obs))
 }
 
 // validStrategy rejects unknown strategy ids at session creation instead of
@@ -565,9 +448,7 @@ func (m *Manager) Resume(snap *SessionSnapshot) (Info, error) {
 	if m.opts.PolicyCache != nil {
 		opts = append(opts, joininference.WithPolicyCache(m.opts.PolicyCache, snap.Instance))
 	}
-	if m.opts.Obs != nil {
-		opts = append(opts, joininference.WithTelemetry(m.opts.Obs))
-	}
+	opts = append(opts, joininference.WithTelemetry(m.opts.Obs))
 	sess, err := joininference.ResumeSession(entry.Inst, snap.Snapshot, opts...)
 	if err != nil {
 		return Info{}, err
@@ -588,7 +469,7 @@ func (m *Manager) Resume(snap *SessionSnapshot) (Info, error) {
 	}
 	info, err := m.add(snap.ID, p, sess)
 	if err == nil {
-		m.met.resumed.Add(1)
+		m.resumed.Inc()
 	}
 	return info, err
 }
@@ -847,7 +728,7 @@ func (m *Manager) migrateLocked(ms *managed) error {
 	}
 	ms.done = nil
 	ms.info()
-	m.met.migrated.Add(1)
+	m.migrated.Inc()
 	m.log.Info("session migrated",
 		"session", ms.id, "instance", ms.params.Instance,
 		"version", ms.sess.InstanceVersion(), "updates", len(upds))
@@ -863,7 +744,7 @@ func (m *Manager) retireLocked(ms *managed) {
 	m.mu.Lock()
 	delete(m.sessions, ms.id)
 	m.mu.Unlock()
-	m.met.retired.Add(1)
+	m.retired.Inc()
 	if m.opts.Store != nil {
 		if err := m.opts.Store.Delete(store.SessionKey(ms.id)); err != nil {
 			m.log.Warn("removing persisted session failed", "session", ms.id, "err", err)
@@ -875,7 +756,7 @@ func (m *Manager) retireLocked(ms *managed) {
 // dispatch. The context cancels mid-computation (including inside an L2S
 // lookahead). An empty slice means the session is done.
 func (m *Manager) Questions(ctx context.Context, id string, k int) ([]joininference.Question, error) {
-	sp := m.tracer().StartLeaf(ctx, "session.questions")
+	sp := m.opts.Obs.Tracer.StartLeaf(ctx, "session.questions")
 	sp.SetSession(id)
 	defer sp.End()
 	ms, err := m.acquire(id)
@@ -902,7 +783,7 @@ func (m *Manager) Questions(ctx context.Context, id string, k int) ([]joininfere
 		d := len(qs) == 0
 		ms.done = &d
 		ms.info()
-		m.met.questions.Add(int64(len(qs)))
+		m.questions.Add(int64(len(qs)))
 	}
 	return qs, err
 }
@@ -912,7 +793,7 @@ func (m *Manager) Questions(ctx context.Context, id string, k int) ([]joininfere
 // Session.AnswerBatch; a ref that does not address the instance at all is
 // an error.
 func (m *Manager) Answer(ctx context.Context, id string, answers []Answer) (AnswerResult, error) {
-	sp := m.tracer().StartLeaf(ctx, "session.answers")
+	sp := m.opts.Obs.Tracer.StartLeaf(ctx, "session.answers")
 	sp.SetSession(id)
 	defer sp.End()
 	ms, err := m.acquire(id)
@@ -990,7 +871,7 @@ func (m *Manager) Answer(ctx context.Context, id string, answers []Answer) (Answ
 		// early return — cancellation, a later bad answer — must not leave a
 		// stale Done or an answers_applied count below what the session
 		// actually recorded.
-		m.met.answers.Add(1)
+		m.answers.Inc()
 		ms.done = nil
 	}
 	res.Asked = ms.sess.Questions()
@@ -1077,7 +958,7 @@ func (m *Manager) Delete(id string) error {
 		if errors.Is(err, ErrSessionNotFound) && validID(id) && m.opts.Store != nil {
 			if _, ok, _ := m.opts.Store.Get(store.SessionKey(id)); ok {
 				if rmErr := m.opts.Store.Delete(store.SessionKey(id)); rmErr == nil {
-					m.met.deleted.Add(1)
+					m.deleted.Inc()
 					return nil
 				}
 			}
@@ -1089,7 +970,7 @@ func (m *Manager) Delete(id string) error {
 	m.mu.Lock()
 	delete(m.sessions, id)
 	m.mu.Unlock()
-	m.met.deleted.Add(1)
+	m.deleted.Inc()
 	if m.opts.Store != nil {
 		if err := m.opts.Store.Delete(store.SessionKey(id)); err != nil {
 			m.log.Warn("removing persisted session failed", "session", id, "err", err)
@@ -1136,7 +1017,7 @@ func (m *Manager) SweepExpired() int {
 		m.mu.Lock()
 		delete(m.sessions, ms.id)
 		m.mu.Unlock()
-		m.met.evicted.Add(1)
+		m.evicted.Inc()
 		evicted++
 	}
 	if evicted > 0 && m.opts.Store != nil {
@@ -1269,8 +1150,8 @@ func (m *Manager) persistLocked(ms *managed) bool {
 // segment (question_segment_seconds{segment="store"}) — used on the answer
 // path, where the persist is part of what the client waits for.
 func (m *Manager) persistLockedTimed(ms *managed) {
-	if o := m.opts.Obs; o != nil && m.opts.Store != nil {
-		defer o.observeStoreSegment(time.Now())
+	if m.opts.Store != nil {
+		defer m.opts.Obs.segStore.ObserveSince(time.Now())
 	}
 	m.persistLocked(ms)
 }

@@ -10,10 +10,11 @@ import (
 // Obs bundles the telemetry backends the service layer reports into: a
 // metric registry (served at GET /metrics in Prometheus text form), a span
 // tracer (GET /debug/trace, optional JSONL sink), and the HTTP middleware
-// instruments. Construct one with NewObs, hand it to every manager via
-// Options.Obs, and mount it once — managers over a shared Obs re-register
-// idempotently. All of it is optional: a nil *Obs disables telemetry
-// without any call-site branching.
+// instruments. Every manager has one: NewManager builds a private bundle
+// when Options.Obs is nil. The manager's own counters live in the
+// registry, so managers over a shared bundle — a restart in one process —
+// keep counting where the previous one stopped: counters stay monotonic
+// across the restart.
 type Obs struct {
 	// Metrics is the registry behind GET /metrics; Tracer records spans for
 	// GET /debug/trace (replaceable before wiring, e.g. for a larger ring).
@@ -61,9 +62,6 @@ func NewObs() *Obs {
 // event and duration are value types and the histograms pre-resolved, so
 // the call allocates nothing.
 func (o *Obs) Observe(ev joininference.TelemetryEvent, d time.Duration) {
-	if o == nil {
-		return
-	}
 	switch ev {
 	case joininference.TelemetryStrategy:
 		o.segStrategy.Observe(d.Seconds())
@@ -75,12 +73,8 @@ func (o *Obs) Observe(ev joininference.TelemetryEvent, d time.Duration) {
 }
 
 // StoreObserver adapts the bundle to store.LogOptions.Observe, feeding the
-// store's append/fsync/compact timings into store_op_seconds. Returns nil
-// on a nil receiver, which the store treats as "no telemetry".
+// store's append/fsync/compact timings into store_op_seconds.
 func (o *Obs) StoreObserver() func(op string, d time.Duration) {
-	if o == nil {
-		return nil
-	}
 	return func(op string, d time.Duration) {
 		switch op {
 		case "append":
@@ -95,52 +89,52 @@ func (o *Obs) StoreObserver() func(op string, d time.Duration) {
 	}
 }
 
-// observeStoreSegment reports one post-answer persist duration into
-// question_segment_seconds{segment="store"}.
-func (o *Obs) observeStoreSegment(start time.Time) {
-	if o == nil {
-		return
-	}
-	o.segStore.ObserveSince(start)
-}
-
-// bind exposes the manager's existing counters — atomic session counters,
-// registry load and ingest stats, policy-cache residency, store residency,
-// crowd totals — as function-backed metrics read at exposition time, so
-// nothing is counted twice. Re-binding (a fresh manager over a shared Obs, the
-// restart path) replaces the previous manager's closures.
+// bind resolves the manager's counters in the registry and exposes the
+// state that lives elsewhere — live sessions, registry load and ingest
+// stats, policy-cache and store residency, the breaker, the persist queue,
+// the admission gates — as function-backed metrics read at exposition
+// time, so nothing is counted twice. Re-binding (a fresh manager over a
+// shared Obs, the restart path) hands it the same counters and replaces
+// the previous manager's functions.
 func (o *Obs) bind(m *Manager) {
-	if o == nil {
-		return
-	}
 	r := o.Metrics
+	m.created = r.Counter("sessions_created_total", "Sessions created.")
+	m.resumed = r.Counter("sessions_resumed_total", "Sessions resumed (boot-time restores included).")
+	m.evicted = r.Counter("sessions_evicted_total", "Sessions evicted by TTL sweeps.")
+	m.deleted = r.Counter("sessions_deleted_total", "Sessions explicitly deleted.")
+	m.questions = r.Counter("questions_served_total", "Questions handed out.")
+	m.answers = r.Counter("answers_applied_total", "Answers recorded (skipped answers excluded).")
+	m.migrated = r.Counter("sessions_migrated_total", "Live sessions carried onto a new instance version.")
+	m.retired = r.Counter("sessions_retired_total", "Sessions retired as inconsistent under new data.")
+	m.votes = r.Counter("crowd_votes_total", "Worker votes behind committed soft answers.")
+	m.commits = r.Counter("soft_commits_total", "Soft-inference commit events.")
+	m.retractions = r.Counter("soft_retractions_total", "Soft-inference retraction events.")
+	m.workerVotes = r.CounterVec("crowd_worker_votes_total", "Votes behind committed soft answers, by worker.", "worker")
+	m.workerAgreed = r.CounterVec("crowd_worker_agreed_total", "Votes that agreed with the committed label, by worker.", "worker")
+	m.workerRetracted = r.CounterVec("crowd_worker_retracted_total", "Votes behind retracted soft answers, by worker.", "worker")
+
 	r.GaugeFunc("sessions_live", "Sessions currently resident in memory.", func() float64 {
 		m.mu.Lock()
 		n := len(m.sessions)
 		m.mu.Unlock()
 		return float64(n)
 	})
-	r.CounterFunc("sessions_created_total", "Sessions created.", func() float64 { return float64(m.met.created.Load()) })
-	r.CounterFunc("sessions_resumed_total", "Sessions resumed (boot-time restores included).", func() float64 { return float64(m.met.resumed.Load()) })
-	r.CounterFunc("sessions_evicted_total", "Sessions evicted by TTL sweeps.", func() float64 { return float64(m.met.evicted.Load()) })
-	r.CounterFunc("sessions_deleted_total", "Sessions explicitly deleted.", func() float64 { return float64(m.met.deleted.Load()) })
-	r.CounterFunc("questions_served_total", "Questions handed out.", func() float64 { return float64(m.met.questions.Load()) })
-	r.CounterFunc("answers_applied_total", "Answers recorded (skipped answers excluded).", func() float64 { return float64(m.met.answers.Load()) })
 	r.CounterFunc("deltas_ingested_total", "Deltas applied through Ingest.", func() float64 { return float64(m.reg.Stats().Ingests) })
-	r.CounterFunc("sessions_migrated_total", "Live sessions carried onto a new instance version.", func() float64 { return float64(m.met.migrated.Load()) })
-	r.CounterFunc("sessions_retired_total", "Sessions retired as inconsistent under new data.", func() float64 { return float64(m.met.retired.Load()) })
 	r.CounterFunc("registry_cache_hits_total", "Instances served from the store's instance cache.", func() float64 { return float64(m.reg.Stats().CacheHits) })
 	r.CounterFunc("registry_reparses_total", "Instances rebuilt from their source.", func() float64 { return float64(m.reg.Stats().Reparses) })
 	r.CounterFunc("registry_deltas_replayed_total", "Delta-log records rolled forward at load time.", func() float64 { return float64(m.reg.Stats().DeltasReplayed) })
-	r.CounterFunc("crowd_votes_total", "Worker votes behind committed soft answers.", func() float64 { return float64(m.crowdVotes()) })
-	r.CounterFunc("soft_commits_total", "Soft-inference commit events.", func() float64 { return float64(m.crowdCommits()) })
-	r.CounterFunc("soft_retractions_total", "Soft-inference retraction events.", func() float64 { return float64(m.crowdRetractions()) })
+	r.CounterFunc("restore_failures_total", "Persisted session records skipped at boot restore.", func() float64 { return float64(m.restoreFails.Load()) })
 	if pc := m.opts.PolicyCache; pc != nil {
 		r.CounterFunc("policy_cache_hits_total", "Policy-cache LRU hits.", func() float64 { return float64(pc.Stats().Hits) })
 		r.CounterFunc("policy_cache_misses_total", "Policy-cache misses (LRU and tier 2).", func() float64 { return float64(pc.Stats().Misses) })
 		r.CounterFunc("policy_cache_tier2_hits_total", "Policy-cache lookups served by the store tier.", func() float64 { return float64(pc.Stats().Tier2Hits) })
 		r.CounterFunc("policy_cache_pageins_total", "Policy nodes paged in from the store tier.", func() float64 { return float64(pc.Stats().PageIns) })
+		r.CounterFunc("policy_cache_publishes_total", "Policy nodes written.", func() float64 { return float64(pc.Stats().Publishes) })
+		r.CounterFunc("policy_cache_evictions_total", "Policy nodes dropped to honor the byte bound.", func() float64 { return float64(pc.Stats().Evictions) })
+		r.CounterFunc("policy_cache_migrated_total", "Policy nodes carried across instance updates.", func() float64 { return float64(pc.Stats().Migrated) })
+		r.CounterFunc("policy_cache_invalidated_total", "Policy nodes retired by instance updates.", func() float64 { return float64(pc.Stats().Invalidated) })
 		r.GaugeFunc("policy_cache_bytes", "Bytes resident in the policy cache.", func() float64 { return float64(pc.Stats().Bytes) })
+		r.GaugeFunc("policy_cache_max_bytes", "Byte bound of the policy cache (0 = unbounded).", func() float64 { return float64(pc.Stats().MaxBytes) })
 		r.GaugeFunc("policy_cache_nodes", "Nodes resident in the policy cache.", func() float64 { return float64(pc.Stats().Nodes) })
 		r.GaugeFunc("policy_cache_hit_ratio", "Policy-cache hit ratio (LRU + tier-2 hits over lookups) since boot.", func() float64 {
 			// Lookup counts every lookup exactly once: as a hit, a tier-2
@@ -155,12 +149,21 @@ func (o *Obs) bind(m *Manager) {
 	}
 	if kv := m.opts.Store; kv != nil {
 		r.CounterFunc("store_gets_total", "Store point reads.", func() float64 { return float64(kv.Stats().Gets) })
+		r.CounterFunc("store_get_misses_total", "Store point reads that found nothing.", func() float64 { return float64(kv.Stats().GetMisses) })
 		r.CounterFunc("store_puts_total", "Store writes.", func() float64 { return float64(kv.Stats().Puts) })
+		r.CounterFunc("store_deletes_total", "Store deletes.", func() float64 { return float64(kv.Stats().Deletes) })
+		r.CounterFunc("store_scans_total", "Store prefix scans.", func() float64 { return float64(kv.Stats().Scans) })
+		r.CounterFunc("store_scanned_total", "Records visited by store scans.", func() float64 { return float64(kv.Stats().Scanned) })
 		r.CounterFunc("store_compactions_total", "Store log compactions.", func() float64 { return float64(kv.Stats().Compactions) })
+		r.CounterFunc("store_compacted_bytes_total", "Log garbage bytes reclaimed by compactions.", func() float64 { return float64(kv.Stats().CompactedBytes) })
+		r.GaugeFunc("store_keys", "Live keys in the store.", func() float64 { return float64(kv.Stats().Keys) })
 		r.GaugeFunc("store_live_bytes", "Live record bytes in the store.", func() float64 { return float64(kv.Stats().LiveBytes) })
 		r.GaugeFunc("store_dead_bytes", "Log garbage bytes awaiting compaction.", func() float64 { return float64(kv.Stats().DeadBytes) })
 		r.GaugeFunc("store_breaker_state", "Store circuit position: 0 closed, 1 half-open, 2 open.", func() float64 {
 			return float64(m.breaker.State())
+		})
+		r.GaugeFunc("store_breaker_consecutive_failures", "Current store failure streak feeding the breaker.", func() float64 {
+			return float64(m.breaker.ConsecutiveFailures())
 		})
 		r.CounterFunc("store_breaker_trips_total", "Store breaker open transitions.", func() float64 {
 			t, _ := m.breaker.Counters()
@@ -190,6 +193,7 @@ func (o *Obs) bind(m *Manager) {
 		inflight := r.GaugeVec("admission_inflight", "Requests holding an admission slot, by route.", "route")
 		queued := r.GaugeVec("admission_queue_depth", "Requests waiting for an admission slot, by route.", "route")
 		shed := r.CounterVec("admission_shed_total", "Requests shed with 429, by route.", "route")
+		admitted := r.CounterVec("admission_admitted_total", "Requests granted an admission slot, by route.", "route")
 		for _, route := range admissionRoutes {
 			g := m.gates[route]
 			if g == nil {
@@ -198,35 +202,7 @@ func (o *Obs) bind(m *Manager) {
 			inflight.SetFunc(route, func() float64 { return float64(g.InFlight()) })
 			queued.SetFunc(route, func() float64 { return float64(g.QueueDepth()) })
 			shed.SetFunc(route, func() float64 { return float64(g.Shed()) })
+			admitted.SetFunc(route, func() float64 { return float64(g.Admitted()) })
 		}
 	}
-}
-
-// crowdVotes/crowdCommits/crowdRetractions read one crowd counter each
-// under crowdMu, for the function-backed metrics.
-func (m *Manager) crowdVotes() int64 {
-	m.crowdMu.Lock()
-	defer m.crowdMu.Unlock()
-	return m.crowd.votes
-}
-
-func (m *Manager) crowdCommits() int64 {
-	m.crowdMu.Lock()
-	defer m.crowdMu.Unlock()
-	return m.crowd.commits
-}
-
-func (m *Manager) crowdRetractions() int64 {
-	m.crowdMu.Lock()
-	defer m.crowdMu.Unlock()
-	return m.crowd.retractions
-}
-
-// tracer returns the bundle's tracer (nil without one — every Tracer
-// method is nil-safe).
-func (m *Manager) tracer() *obs.Tracer {
-	if m.opts.Obs == nil {
-		return nil
-	}
-	return m.opts.Obs.Tracer
 }

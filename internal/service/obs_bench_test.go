@@ -10,20 +10,15 @@ import (
 	"testing"
 
 	joininference "repro"
-	"repro/internal/obs"
 	"repro/internal/paperdata"
 )
 
-// BenchmarkObs measures the telemetry tax on warm L2S serving. The http
-// pair is the headline number: each iteration drives one session to
-// convergence through the real handler stack (mux, middleware, JSON
-// codec), once with no telemetry ("off") and once fully instrumented —
-// metrics, per-segment histograms, HTTP middleware metrics and an active
-// tracer ("on"). The manager pair strips the HTTP layer and measures the
-// bare per-call floor of the span + histogram instrumentation, which is
-// proportionally larger only because a warm in-process drive is a few
-// microseconds of work. BENCH_obs.json records both; the ≤5% serving
-// budget applies to the http pair.
+// BenchmarkObs measures warm L2S serving with the always-on telemetry:
+// each iteration drives one session to convergence, once through the real
+// handler stack (mux, middleware, JSON codec) and once against the bare
+// manager. Every manager counts into its Obs registry and traces its
+// Questions/Answer calls, so there is no telemetry-off variant; the
+// root package's WithTelemetry stays optional for library users.
 func BenchmarkObs(b *testing.B) {
 	inst := paperdata.FlightHotel()
 	u := joininference.NewSession(inst).Universe()
@@ -111,13 +106,7 @@ func BenchmarkObs(b *testing.B) {
 		return do(h, http.MethodDelete, "/sessions/"+info.ID, nil, nil)
 	}
 
-	fullBundle := func() *Obs {
-		bundle := NewObs()
-		bundle.Tracer = obs.NewTracer(0)
-		return bundle
-	}
-
-	b.Run("http/off", func(b *testing.B) {
+	b.Run("http", func(b *testing.B) {
 		m, err := NewManager(reg, Options{})
 		if err != nil {
 			b.Fatal(err)
@@ -131,35 +120,8 @@ func BenchmarkObs(b *testing.B) {
 			}
 		}
 	})
-	b.Run("http/on", func(b *testing.B) {
-		m, err := NewManager(reg, Options{Obs: fullBundle()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		h := NewHandler(m)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := driveHandler(h); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("manager/off", func(b *testing.B) {
+	b.Run("manager", func(b *testing.B) {
 		m, err := NewManager(reg, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := driveManager(m); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("manager/on", func(b *testing.B) {
-		m, err := NewManager(reg, Options{Obs: fullBundle()})
 		if err != nil {
 			b.Fatal(err)
 		}

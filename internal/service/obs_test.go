@@ -37,11 +37,58 @@ func obsServer(t *testing.T) (*httptest.Server, *Obs, *bytes.Buffer) {
 	return srv, bundle, logBuf
 }
 
+// exposition renders a registry as Prometheus text.
+func exposition(t *testing.T, r *obs.Registry) string {
+	t.Helper()
+	var buf strings.Builder
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// getMetrics fetches GET /metrics and returns its body.
+func getMetrics(t *testing.T, client *http.Client, base string) string {
+	t.Helper()
+	resp, err := client.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", resp.StatusCode)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// samples parses a Prometheus text exposition into a map from series (the
+// family name plus its label set, as printed) to value.
+func samples(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	out := make(map[string]float64)
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("sample line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
 // TestObsEndToEnd drives a session over HTTP with telemetry attached and
 // checks the whole pipeline: request ids correlate the response header,
 // the access log and the trace spans; /metrics parses as Prometheus text
-// exposition with the serving histograms populated; /debug/metrics stays
-// backward-compatible JSON.
+// exposition with the serving histograms populated; /debug/metrics is
+// gone.
 func TestObsEndToEnd(t *testing.T) {
 	srv, bundle, logBuf := obsServer(t)
 	client := srv.Client()
@@ -169,11 +216,185 @@ func TestObsEndToEnd(t *testing.T) {
 		t.Error("store segment histogram never observed")
 	}
 
-	// /debug/metrics stays backward-compatible JSON.
-	var met Metrics
-	doJSON(t, client, http.MethodGet, srv.URL+"/debug/metrics", nil, http.StatusOK, &met)
-	if met.SessionsCreated != 1 || met.QuestionsServed == 0 {
-		t.Errorf("debug metrics: %+v", met)
+	if got := samples(t, out)["questions_served_total"]; got == 0 {
+		t.Error("questions_served_total = 0 after a converged session")
+	}
+
+	// /metrics is the only metrics surface.
+	doJSON(t, client, http.MethodGet, srv.URL+"/debug/metrics", nil, http.StatusNotFound, nil)
+}
+
+// TestObsDefaultManager: a manager built with Options{} still counts into
+// a registry and serves it — GET /metrics and GET /debug/trace are always
+// mounted.
+func TestObsDefaultManager(t *testing.T) {
+	m, err := NewManager(testRegistry(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	client := srv.Client()
+	var info Info
+	doJSON(t, client, http.MethodPost, srv.URL+"/sessions", Params{Instance: "flights"}, http.StatusCreated, &info)
+	driveHTTP(t, client, srv.URL, info.ID, paperdata.FlightHotel(), flightGoal(t), 1)
+
+	got := samples(t, getMetrics(t, client, srv.URL))
+	if got["sessions_created_total"] != 1 || got["sessions_live"] != 1 {
+		t.Errorf("sessions_created_total = %v, sessions_live = %v, want 1 and 1",
+			got["sessions_created_total"], got["sessions_live"])
+	}
+	met := m.Metrics()
+	if got["questions_served_total"] != float64(met.QuestionsServed) || met.QuestionsServed == 0 ||
+		got["answers_applied_total"] != float64(met.AnswersApplied) {
+		t.Errorf("/metrics %v and Metrics() %+v disagree", got, met)
+	}
+	if met.Crowd != nil {
+		t.Errorf("hard session produced crowd metrics %+v", met.Crowd)
+	}
+	var tr traceResponse
+	doJSON(t, client, http.MethodGet, srv.URL+"/debug/trace?session="+info.ID, nil, http.StatusOK, &tr)
+	if len(tr.Spans) == 0 {
+		t.Error("/debug/trace served no spans for the session")
+	}
+	doJSON(t, client, http.MethodGet, srv.URL+"/debug/metrics", nil, http.StatusNotFound, nil)
+}
+
+// TestObsPrometheusCoversEveryCounter: every numeric field the JSON
+// /debug/metrics document used to carry is a /metrics family (or, for the
+// store's last error, a /readyz field). A fully configured manager —
+// store, policy cache with a store tier, admission gates — serves the
+// families, and the store and policy-cache families read the components'
+// own Stats.
+func TestObsPrometheusCoversEveryCounter(t *testing.T) {
+	kv := store.NewMem()
+	pc := joininference.NewPolicyCache(1 << 20)
+	pc.AttachStore(kv, 0)
+	m, err := NewManager(testRegistry(t), Options{
+		Store: kv, PolicyCache: pc, MaxConcurrent: 2, MaxQueue: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	client := srv.Client()
+	inst, goal := paperdata.FlightHotel(), flightGoal(t)
+	// Two hard sessions (the second hits the policy cache) and a soft one.
+	hard := Params{Instance: "flights", Strategy: joininference.StrategyTD}
+	for _, p := range []Params{hard, hard, {Instance: "flights", SoftThreshold: 2, ErrorBudget: 1}} {
+		var info Info
+		doJSON(t, client, http.MethodPost, srv.URL+"/sessions", p, http.StatusCreated, &info)
+		if p.SoftThreshold > 0 {
+			driveSoft(t, m, info.ID, goal)
+		} else {
+			driveHTTP(t, client, srv.URL, info.ID, inst, goal, 1)
+		}
+	}
+
+	// Parent JSON field (section.field) → the family that now carries it.
+	families := map[string]string{
+		"sessions_live":     "sessions_live",
+		"sessions_created":  "sessions_created_total",
+		"sessions_resumed":  "sessions_resumed_total",
+		"sessions_evicted":  "sessions_evicted_total",
+		"sessions_deleted":  "sessions_deleted_total",
+		"questions_served":  "questions_served_total",
+		"answers_applied":   "answers_applied_total",
+		"deltas_ingested":   "deltas_ingested_total",
+		"sessions_migrated": "sessions_migrated_total",
+		"sessions_retired":  "sessions_retired_total",
+
+		"registry.cache_hits":      "registry_cache_hits_total",
+		"registry.reparses":        "registry_reparses_total",
+		"registry.deltas_replayed": "registry_deltas_replayed_total",
+		"registry.ingests":         "deltas_ingested_total",
+
+		"policy_cache.hits":        "policy_cache_hits_total",
+		"policy_cache.misses":      "policy_cache_misses_total",
+		"policy_cache.publishes":   "policy_cache_publishes_total",
+		"policy_cache.evictions":   "policy_cache_evictions_total",
+		"policy_cache.tier2_hits":  "policy_cache_tier2_hits_total",
+		"policy_cache.page_ins":    "policy_cache_pageins_total",
+		"policy_cache.migrated":    "policy_cache_migrated_total",
+		"policy_cache.invalidated": "policy_cache_invalidated_total",
+		"policy_cache.nodes":       "policy_cache_nodes",
+		"policy_cache.bytes":       "policy_cache_bytes",
+		"policy_cache.max_bytes":   "policy_cache_max_bytes",
+
+		"store.gets":            "store_gets_total",
+		"store.get_misses":      "store_get_misses_total",
+		"store.puts":            "store_puts_total",
+		"store.deletes":         "store_deletes_total",
+		"store.scans":           "store_scans_total",
+		"store.scanned":         "store_scanned_total",
+		"store.keys":            "store_keys",
+		"store.live_bytes":      "store_live_bytes",
+		"store.dead_bytes":      "store_dead_bytes",
+		"store.compactions":     "store_compactions_total",
+		"store.compacted_bytes": "store_compacted_bytes_total",
+
+		"crowd.votes":             "crowd_votes_total",
+		"crowd.commits":           "soft_commits_total",
+		"crowd.retractions":       "soft_retractions_total",
+		"crowd.workers.votes":     "crowd_worker_votes_total",
+		"crowd.workers.agreed":    "crowd_worker_agreed_total",
+		"crowd.workers.retracted": "crowd_worker_retracted_total",
+
+		"resilience.breaker_state":        "store_breaker_state",
+		"resilience.breaker_trips":        "store_breaker_trips_total",
+		"resilience.breaker_recoveries":   "store_breaker_recoveries_total",
+		"resilience.persist_queue_depth":  "persist_queue_depth",
+		"resilience.persist_retries":      "persist_retries_total",
+		"resilience.persist_dropped":      "persist_dropped_total",
+		"resilience.restore_failures":     "restore_failures_total",
+		"resilience.degraded":             "degraded",
+		"resilience.consecutive_failures": "store_breaker_consecutive_failures",
+		"resilience.admission.in_flight":  "admission_inflight",
+		"resilience.admission.queued":     "admission_queue_depth",
+		"resilience.admission.shed":       "admission_shed_total",
+		"resilience.admission.admitted":   "admission_admitted_total",
+	}
+	text := getMetrics(t, client, srv.URL)
+	for field, fam := range families {
+		if !strings.Contains(text, "\n# TYPE "+fam+" ") {
+			t.Errorf("%s: /metrics has no %s family", field, fam)
+		}
+	}
+	// resilience.store_last_error is the store's last_error in /readyz.
+	var h Health
+	doJSON(t, client, http.MethodGet, srv.URL+"/readyz", nil, http.StatusOK, &h)
+	if h.Store == nil {
+		t.Fatal("/readyz has no store section")
+	}
+
+	got := samples(t, text)
+	st, ps := kv.Stats(), pc.Stats()
+	for fam, want := range map[string]int64{
+		"store_gets_total":             st.Gets,
+		"store_get_misses_total":       st.GetMisses,
+		"store_puts_total":             st.Puts,
+		"store_deletes_total":          st.Deletes,
+		"store_scans_total":            st.Scans,
+		"store_scanned_total":          st.Scanned,
+		"store_keys":                   st.Keys,
+		"store_live_bytes":             st.LiveBytes,
+		"store_compacted_bytes_total":  st.CompactedBytes,
+		"policy_cache_hits_total":      int64(ps.Hits),
+		"policy_cache_publishes_total": int64(ps.Publishes),
+		"policy_cache_evictions_total": int64(ps.Evictions),
+		"policy_cache_bytes":           ps.Bytes,
+		"policy_cache_max_bytes":       ps.MaxBytes,
+	} {
+		if got[fam] != float64(want) {
+			t.Errorf("%s = %v, want %d", fam, got[fam], want)
+		}
+	}
+	if got["store_puts_total"] == 0 || got["policy_cache_publishes_total"] == 0 || got["policy_cache_hits_total"] == 0 {
+		t.Errorf("the traffic left store puts, publishes or hits at 0: %v", got)
+	}
+	if got[`admission_admitted_total{route="answers"}`] == 0 || got[`crowd_worker_votes_total{worker="alice"}`] == 0 {
+		t.Errorf("admission or per-worker counters at 0: %v", got)
 	}
 }
 

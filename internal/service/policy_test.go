@@ -2,9 +2,9 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -143,8 +143,8 @@ func TestManagerPolicyCacheWarm(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint drives the HTTP handler and checks the counters the
-// /debug/metrics endpoint reports.
+// TestMetricsEndpoint drives the HTTP handler and checks the counters
+// GET /metrics reports.
 func TestMetricsEndpoint(t *testing.T) {
 	goal := flightGoal(t)
 	cache := joininference.NewPolicyCache(0)
@@ -162,56 +162,69 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 		driveToDone(t, m, info.ID, goal, 1)
 	}
-	resp, err := http.Get(srv.URL + "/debug/metrics")
-	if err != nil {
-		t.Fatal(err)
+	got := samples(t, getMetrics(t, srv.Client(), srv.URL))
+	if got["sessions_live"] != 2 || got["sessions_created_total"] != 2 {
+		t.Errorf("sessions live=%v created=%v, want 2/2", got["sessions_live"], got["sessions_created_total"])
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
+	if got["questions_served_total"] == 0 || got["answers_applied_total"] == 0 {
+		t.Errorf("questions=%v answers=%v, want > 0", got["questions_served_total"], got["answers_applied_total"])
 	}
-	var met Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&met); err != nil {
-		t.Fatal(err)
-	}
-	if met.SessionsLive != 2 || met.SessionsCreated != 2 {
-		t.Errorf("sessions live=%d created=%d, want 2/2", met.SessionsLive, met.SessionsCreated)
-	}
-	if met.QuestionsServed == 0 || met.AnswersApplied == 0 {
-		t.Errorf("questions=%d answers=%d, want > 0", met.QuestionsServed, met.AnswersApplied)
-	}
-	if met.PolicyCache == nil {
-		t.Fatal("no policy cache stats reported")
-	}
-	if met.PolicyCache.Publishes == 0 {
+	if got["policy_cache_publishes_total"] == 0 {
 		t.Error("policy cache saw no publishes")
 	}
-	if met.PolicyCache.Hits == 0 {
+	if got["policy_cache_hits_total"] == 0 {
 		t.Error("second TD session should have hit the shared cache")
 	}
 }
 
-// TestMetricsOmitsCacheWhenDisabled: without a configured cache the
-// metrics document must not claim one.
+// TestMetricsOmitsCacheWhenDisabled: without a configured cache /metrics
+// must not claim one.
 func TestMetricsOmitsCacheWhenDisabled(t *testing.T) {
 	m, err := NewManager(testRegistry(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if met := m.Metrics(); met.PolicyCache != nil {
-		t.Errorf("policy cache stats reported without a cache: %+v", met.PolicyCache)
+	if text := exposition(t, m.opts.Obs.Metrics); strings.Contains(text, "policy_cache_") {
+		t.Errorf("policy cache families served without a cache:\n%s", text)
 	}
 }
 
-// TestJanitorIntervalResolution covers the configurable sweep interval.
+// TestPolicyCacheHTTPHugeK: a questions fetch with a k far beyond the
+// instance's class count, served from a shared policy-cache node, answers
+// 200 with the same question a k=1 fetch gets.
+func TestPolicyCacheHTTPHugeK(t *testing.T) {
+	m, err := NewManager(testRegistry(t), Options{PolicyCache: joininference.NewPolicyCache(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	client := srv.Client()
+	fetch := func(k string) wireQuestions {
+		var info Info
+		doJSON(t, client, http.MethodPost, srv.URL+"/sessions",
+			Params{Instance: "flights", Strategy: joininference.StrategyTD}, http.StatusCreated, &info)
+		var qr wireQuestions
+		doJSON(t, client, http.MethodGet, srv.URL+"/sessions/"+info.ID+"/questions?k="+k, nil, http.StatusOK, &qr)
+		return qr
+	}
+	first := fetch("1")
+	huge := fetch("4611686018427387904")
+	if len(first.Questions) != 1 || len(huge.Questions) == 0 ||
+		huge.Questions[0].R != first.Questions[0].R || huge.Questions[0].P != first.Questions[0].P {
+		t.Fatalf("k=1 fetch %+v, k=2^62 fetch %+v", first, huge)
+	}
+}
+
+// TestJanitorIntervalResolution: the sweep interval is a quarter of the
+// TTL, capped at one minute.
 func TestJanitorIntervalResolution(t *testing.T) {
 	cases := []struct {
 		opts Options
 		want string
 	}{
-		{Options{TTL: 40 * minute}, "1m0s"},                            // capped
-		{Options{TTL: 2 * minute}, "30s"},                              // ttl/4
-		{Options{TTL: 40 * minute, SweepInterval: 5 * minute}, "5m0s"}, // explicit
+		{Options{TTL: 40 * minute}, "1m0s"}, // capped
+		{Options{TTL: 2 * minute}, "30s"},   // ttl/4
 	}
 	for _, tc := range cases {
 		if got := tc.opts.JanitorInterval().String(); got != tc.want {

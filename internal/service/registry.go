@@ -91,17 +91,18 @@ type registryMetrics struct {
 }
 
 // RegistryStats is a point-in-time snapshot of a registry's counters,
-// served under /debug/metrics.
+// served as the registry_* and deltas_ingested_total families of
+// GET /metrics.
 type RegistryStats struct {
 	// CacheHits counts entries served from the store's instance cache;
 	// Reparses counts entries built from their source (first ever load, or
 	// a corrupt/version-skewed cache record).
-	CacheHits int64 `json:"cache_hits"`
-	Reparses  int64 `json:"reparses"`
+	CacheHits int64
+	Reparses  int64
 	// DeltasReplayed counts delta-log records rolled forward at load time;
 	// Ingests counts deltas applied live.
-	DeltasReplayed int64 `json:"deltas_replayed"`
-	Ingests        int64 `json:"ingests"`
+	DeltasReplayed int64
+	Ingests        int64
 }
 
 // Failed returns the names of entries whose one-shot load failed (the

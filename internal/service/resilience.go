@@ -40,7 +40,6 @@ type persistQueue struct {
 	mu      sync.Mutex
 	pending []string
 	member  map[string]bool
-	limit   int
 
 	drops   atomic.Int64
 	retries atomic.Int64
@@ -50,13 +49,12 @@ type persistQueue struct {
 	wake chan struct{}
 }
 
-func newPersistQueue(limit int) *persistQueue {
-	if limit <= 0 {
-		limit = 1024
-	}
+// persistQueueLimit bounds the write-behind queue, in session ids.
+const persistQueueLimit = 1024
+
+func newPersistQueue() *persistQueue {
 	return &persistQueue{
 		member: make(map[string]bool),
-		limit:  limit,
 		wake:   make(chan struct{}, 1),
 	}
 }
@@ -69,7 +67,7 @@ func (q *persistQueue) add(id string) bool {
 		q.mu.Unlock()
 		return true // already pending; the retry will pick up the newest state
 	}
-	if len(q.pending) >= q.limit {
+	if len(q.pending) >= persistQueueLimit {
 		q.mu.Unlock()
 		q.drops.Add(1)
 		return false
@@ -346,60 +344,3 @@ func (m *Manager) Health() Health {
 // Degraded reports whether the node is currently degraded (the `degraded`
 // gauge reads this).
 func (m *Manager) Degraded() bool { return m.Health().Status != "ok" }
-
-// ResilienceMetrics is the "resilience" section of /debug/metrics: breaker
-// position and transition counts, the write-behind queue, and per-route
-// admission gates.
-type ResilienceMetrics struct {
-	BreakerState       string             `json:"breaker_state"`
-	BreakerTrips       int64              `json:"breaker_trips"`
-	BreakerRecoveries  int64              `json:"breaker_recoveries"`
-	PersistQueueDepth  int                `json:"persist_queue_depth"`
-	PersistRetries     int64              `json:"persist_retries"`
-	PersistDropped     int64              `json:"persist_dropped"`
-	RestoreFailures    int64              `json:"restore_failures,omitempty"`
-	Admission          []AdmissionMetrics `json:"admission,omitempty"`
-	Degraded           bool               `json:"degraded"`
-	StoreLastError     string             `json:"store_last_error,omitempty"`
-	ConsecutiveFailure int                `json:"consecutive_failures,omitempty"`
-}
-
-// AdmissionMetrics is one route's gate counters.
-type AdmissionMetrics struct {
-	Route    string `json:"route"`
-	InFlight int64  `json:"in_flight"`
-	Queued   int64  `json:"queued"`
-	Shed     int64  `json:"shed"`
-	Admitted int64  `json:"admitted"`
-}
-
-// resilienceMetrics snapshots the resilience state for Metrics(); nil when
-// neither a store nor admission control is configured.
-func (m *Manager) resilienceMetrics() *ResilienceMetrics {
-	if m.opts.Store == nil && len(m.gates) == 0 {
-		return nil
-	}
-	out := &ResilienceMetrics{BreakerState: m.breaker.State().String()}
-	if m.opts.Store != nil {
-		out.BreakerTrips, out.BreakerRecoveries = m.breaker.Counters()
-		out.PersistQueueDepth = m.pq.depth()
-		out.PersistRetries = m.pq.retries.Load()
-		out.PersistDropped = m.pq.drops.Load()
-		out.StoreLastError = m.breaker.LastError()
-		out.ConsecutiveFailure = m.breaker.ConsecutiveFailures()
-	}
-	out.RestoreFailures = m.restoreFails.Load()
-	out.Degraded = m.Degraded()
-	for _, route := range admissionRoutes {
-		if g := m.gates[route]; g != nil {
-			out.Admission = append(out.Admission, AdmissionMetrics{
-				Route:    route,
-				InFlight: g.InFlight(),
-				Queued:   g.QueueDepth(),
-				Shed:     g.Shed(),
-				Admitted: g.Admitted(),
-			})
-		}
-	}
-	return out
-}

@@ -110,15 +110,13 @@ func TestManagerSoftSession(t *testing.T) {
 	if met.Crowd.Votes != int64(4*final.Asked) {
 		t.Errorf("crowd votes = %d, want %d", met.Crowd.Votes, 4*final.Asked)
 	}
-	byWorker := make(map[string]WorkerCounters, len(met.Crowd.Workers))
-	for _, w := range met.Crowd.Workers {
-		byWorker[w.Worker] = w
+	got := samples(t, exposition(t, m.opts.Obs.Metrics))
+	asked := float64(final.Asked)
+	if v, a := got[`crowd_worker_votes_total{worker="mallory"}`], got[`crowd_worker_agreed_total{worker="mallory"}`]; v != asked || a != 0 {
+		t.Errorf("mallory: %v votes, %v agreed, want %v votes and 0 agreed", v, a, asked)
 	}
-	if w := byWorker["mallory"]; w.Votes != int64(final.Asked) || w.Agreed != 0 {
-		t.Errorf("mallory counters = %+v, want %d votes and 0 agreed", w, final.Asked)
-	}
-	if w := byWorker["alice"]; w.Votes != int64(final.Asked) || w.Agreed != int64(final.Asked) {
-		t.Errorf("alice counters = %+v, want %d votes all agreed", w, final.Asked)
+	if v, a := got[`crowd_worker_votes_total{worker="alice"}`], got[`crowd_worker_agreed_total{worker="alice"}`]; v != asked || a != asked {
+		t.Errorf("alice: %v votes, %v agreed, want %v votes all agreed", v, a, asked)
 	}
 
 	// A snapshot carries the soft layer: resuming restores the threshold,
@@ -148,8 +146,8 @@ func TestManagerSoftSession(t *testing.T) {
 }
 
 // TestHTTPExplainAndCrowdMetrics exercises the wire form: the explain
-// endpoint serves attributions plus soft counters, and /debug/metrics
-// exposes the per-worker crowd section.
+// endpoint serves attributions plus soft counters, and /metrics exposes
+// the crowd totals and the per-worker vote counts.
 func TestHTTPExplainAndCrowdMetrics(t *testing.T) {
 	m, err := NewManager(testRegistry(t), Options{})
 	if err != nil {
@@ -174,10 +172,15 @@ func TestHTTPExplainAndCrowdMetrics(t *testing.T) {
 		t.Fatalf("explain response: id=%q attributions=%d soft=%+v", ex.ID, len(ex.Attributions), ex.Soft)
 	}
 
-	var met Metrics
-	doJSON(t, client, http.MethodGet, srv.URL+"/debug/metrics", nil, http.StatusOK, &met)
-	if met.Crowd == nil || met.Crowd.Commits == 0 || len(met.Crowd.Workers) != 4 {
-		t.Fatalf("crowd metrics over HTTP: %+v", met.Crowd)
+	got := samples(t, getMetrics(t, client, srv.URL))
+	if got["soft_commits_total"] == 0 || got["crowd_votes_total"] != 4*got["soft_commits_total"] {
+		t.Fatalf("crowd totals over HTTP: %v commits, %v votes", got["soft_commits_total"], got["crowd_votes_total"])
+	}
+	for _, w := range []string{"alice", "bob", "carol", "mallory"} {
+		if got[`crowd_worker_votes_total{worker="`+w+`"}`] != got["soft_commits_total"] {
+			t.Errorf("%s: %v votes over HTTP, want one per commit (%v)",
+				w, got[`crowd_worker_votes_total{worker="`+w+`"}`], got["soft_commits_total"])
+		}
 	}
 
 	// A hard session has no explain-breaking state: the endpoint still

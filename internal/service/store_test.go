@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -316,8 +317,8 @@ func TestStoreDeleteEvictedSession(t *testing.T) {
 	}
 }
 
-// TestManagerMetricsIncludeStore: /debug/metrics payloads carry the store's
-// counters once a store is configured.
+// TestManagerMetricsIncludeStore: /metrics carries the store's counters
+// once a store is configured.
 func TestManagerMetricsIncludeStore(t *testing.T) {
 	kv := store.NewMem()
 	m, err := NewManager(testRegistry(t), Options{Store: kv})
@@ -332,30 +333,18 @@ func TestManagerMetricsIncludeStore(t *testing.T) {
 	if err := m.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	met := m.Metrics()
-	if met.Store == nil {
-		t.Fatal("metrics omit the store section")
+	got := samples(t, exposition(t, m.opts.Obs.Metrics))
+	if st := kv.Stats(); got["store_puts_total"] != float64(st.Puts) || got["store_keys"] != float64(st.Keys) ||
+		st.Puts == 0 || st.Keys == 0 {
+		t.Errorf("store_puts_total = %v, store_keys = %v; store stats %+v",
+			got["store_puts_total"], got["store_keys"], st)
 	}
-	if met.Store.Puts == 0 || met.Store.Keys == 0 {
-		t.Errorf("store counters empty: %+v", met.Store)
-	}
-	data, err := json.Marshal(met)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal(data, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := decoded["store"]; !ok {
-		t.Errorf("metrics JSON missing store key: %s", data)
-	}
-	// Without a store the section is omitted entirely.
+	// Without a store the store families are omitted entirely.
 	m2, err := NewManager(testRegistry(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.Metrics().Store != nil {
+	if text := exposition(t, m2.opts.Obs.Metrics); strings.Contains(text, "store_puts_total") {
 		t.Error("storeless manager reports store metrics")
 	}
 }

@@ -153,6 +153,44 @@ func TestPolicyCacheBatchExtension(t *testing.T) {
 	}
 }
 
+// TestPolicyCacheHugeK fetches k = 2^62 from a node published at k=1:
+// the batch extends from the cached pick without sizing anything by k,
+// and join and semijoin sessions ask the same questions as an uncached
+// session at that k.
+func TestPolicyCacheHugeK(t *testing.T) {
+	const huge = 1 << 62
+	cases := []struct {
+		name  string
+		inst  *Instance
+		attrs [2]string
+		newS  func(*Instance, ...Option) *Session
+	}{
+		{"join", paperdata.FlightHotel(), [2]string{"To", "City"}, NewSession},
+		{"semijoin", paperdata.Example21(), [2]string{"A1", "B2"}, NewSemijoinSession},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			goal, err := PredFromNames(tc.newS(tc.inst).Universe(), tc.attrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := questionSeq(t, tc.newS(tc.inst), goal, huge)
+
+			cache := NewPolicyCache(0)
+			opt := WithPolicyCache(cache, tc.name)
+			if _, err := tc.newS(tc.inst, opt).NextQuestions(context.Background(), 1); err != nil {
+				t.Fatal(err)
+			}
+			before := cache.Stats()
+			got := questionSeq(t, tc.newS(tc.inst, opt), goal, huge)
+			sameSeq(t, "k=2^62 from a k=1 node", ref, got)
+			if cache.Stats().Hits == before.Hits {
+				t.Error("the k=2^62 session never hit the cache")
+			}
+		})
+	}
+}
+
 // TestPolicyCacheEvictionMidWalk bounds the cache so tightly that nodes
 // are evicted while sessions are mid-walk; every fetch then falls back to
 // live computation and sequences stay bit-identical.

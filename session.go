@@ -391,9 +391,14 @@ func newStrategy(id StrategyID, seed int64, workers int, rngPos uint64) (inferen
 // after a live computation; served questions are bit-identical to what
 // the strategy would have picked.
 func (s *Session) NextQuestions(ctx context.Context, k int) ([]Question, error) {
-	if k < 1 {
-		k = 1
+	// A batch holds at most one question per T-class (per row of R for
+	// semijoin sessions), so larger k serves the same questions; clamping
+	// keeps batch buffers sized to the instance, not to the caller's k.
+	limit := s.Classes()
+	if s.sj != nil {
+		limit = s.inst.R.Len()
 	}
+	k = max(min(k, limit), 1)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("joininference: %w", err)
 	}
