@@ -13,12 +13,10 @@ package joininference
 import (
 	"fmt"
 
-	"repro/internal/inference"
 	"repro/internal/policy"
 	"repro/internal/predicate"
 	"repro/internal/product"
 	"repro/internal/relation"
-	"repro/internal/semijoin"
 )
 
 // Delta is one batch of row changes against an instance version: rows to
@@ -104,7 +102,7 @@ func (upd *InstanceUpdate) ClassesRetired() int { return upd.res.Retired }
 // must be applied in version order. For semijoin sessions, deleting P rows
 // can orphan a positive answer (its last witness disappears) — that
 // surfaces as ErrInconsistent and the session is left unchanged on the old
-// version, for the caller to retire.
+// version, for the caller to retire. Deleted rows are never asked again.
 //
 // Sessions with WithCustomStrategy see the maintained engine through their
 // StrategyView on the next question; a custom strategy that memoized view
@@ -117,73 +115,12 @@ func (s *Session) ApplyUpdate(upd *InstanceUpdate) error {
 		return fmt.Errorf("joininference: session is on version %d, update starts at %d: %w",
 			s.inst.Version(), upd.From.Version(), ErrStaleVersion)
 	}
-	if s.sj != nil {
-		return s.semijoinApplyUpdate(upd)
-	}
-	if _, err := s.engine.ApplyDelta(upd.To, upd.res); err != nil {
-		if err == inference.ErrInconsistent {
-			return ErrInconsistent
-		}
-		return fmt.Errorf("joininference: %w", err)
+	if err := s.kern.applyUpdate(upd, s.soft); err != nil {
+		return err
 	}
 	s.inst = upd.To
 	s.cfg.classes = upd.Classes
-	s.asked = len(s.engine.Sample().Examples())
-	// The strategy is instance-bound (TD memoizes the ⊆-maximal set per
-	// engine, and the engine was mutated in place); drop it so the next
-	// question re-derives against the new classes. RND re-seeds
-	// and fast-forwards to rngMark, exactly as a snapshot resume would.
-	s.strat, s.stratErr = nil, nil
-	s.classIdx = nil
-	// Beliefs are keyed by class index; surviving classes carry their
-	// evidence across the remap, retired classes lose it (their tuples are
-	// gone, so the votes describe nothing).
-	if s.soft != nil {
-		s.soft.Remap(upd.res.Remap)
-	}
-	return nil
-}
-
-// semijoinApplyUpdate rebuilds the semijoin state against the new version:
-// answers for deleted R rows are dropped, the witness-caching solver is
-// rebuilt (its caches are instance-bound), and the surviving sample is
-// re-checked for consistency — deletes in P can orphan a positive row.
-// The session is mutated only on success.
-func (s *Session) semijoinApplyUpdate(upd *InstanceUpdate) error {
-	st := &semijoinState{
-		u:       s.sj.u,
-		solver:  semijoin.NewSolver(upd.To),
-		labeled: make([]bool, upd.To.R.Len()),
-	}
-	for _, e := range s.sj.entries {
-		if !upd.To.RAlive(e.RIndex) {
-			continue
-		}
-		if e.Positive {
-			st.sample.Pos = append(st.sample.Pos, e.RIndex)
-		} else {
-			st.sample.Neg = append(st.sample.Neg, e.RIndex)
-		}
-		st.labeled[e.RIndex] = true
-		st.entries = append(st.entries, e)
-	}
-	theta, ok, err := st.solver.Consistent(st.sample)
-	if err != nil {
-		return fmt.Errorf("joininference: %w", err)
-	}
-	if !ok {
-		return ErrInconsistent
-	}
-	st.current = theta
-	st.valid = true
-	s.sj = st
-	s.inst = upd.To
-	s.asked = len(st.entries)
-	// Row indexes are stable across versions; only dead rows lose their
-	// accumulated evidence.
-	if s.soft != nil {
-		s.soft.Drop(func(ri int) bool { return ri < upd.To.R.Len() && upd.To.RAlive(ri) })
-	}
+	s.asked = len(s.kern.transcript())
 	return nil
 }
 

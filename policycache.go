@@ -11,7 +11,6 @@ import (
 	"repro/internal/pool"
 	"repro/internal/resilience"
 	"repro/internal/store"
-	"repro/internal/strategy"
 )
 
 // PolicyCache memoizes the strategy decision tree across sessions: for a
@@ -192,35 +191,29 @@ func (s *Session) policyActive() *policy.Cache {
 // deterministic-strategy sessions share one tree regardless of the
 // configured seed.
 func (s *Session) policyTreeKey() policy.Key {
-	if s.sj != nil {
-		return policy.Key{Instance: s.cfg.policyInstance, Version: s.inst.Version(), Strategy: policySemijoinStrategy}
-	}
 	k := policy.Key{Instance: s.cfg.policyInstance, Version: s.inst.Version(), Strategy: string(s.cfg.stratID)}
-	if s.cfg.stratID == StrategyRND {
+	switch {
+	case s.kern.kind() == SnapshotKindSemijoin:
+		k.Strategy = policySemijoinStrategy
+	case s.cfg.stratID == StrategyRND:
 		k.Seed = s.cfg.seed
 	}
 	return k
 }
 
 // policyPrefix encodes the session's answer prefix — the ordered
-// (class, label) pairs recorded so far — as a node key. It is derived from
+// (key, label) pairs recorded so far — as a node key. It is derived from
 // the transcript on every fetch (O(answers), trivial next to a strategy
 // invocation) so Undo and the inconsistent-answer rollback can never leave
 // a stale key behind.
 func (s *Session) policyPrefix() ([]byte, bool) {
 	var buf []byte
-	if s.sj != nil {
-		for _, e := range s.sj.entries {
-			buf = policy.AppendEdge(buf, e.RIndex, e.Positive)
-		}
-		return buf, true
-	}
-	for _, ex := range s.engine.Sample().Examples() {
-		ci := s.classIndexFor(ex.RI, ex.PI)
-		if ci < 0 {
+	for _, e := range s.kern.transcript() {
+		key := s.entryKey(e)
+		if key < 0 {
 			return nil, false
 		}
-		buf = policy.AppendEdge(buf, ci, bool(ex.Label))
+		buf = policy.AppendEdge(buf, key, e.Positive)
 	}
 	return buf, true
 }
@@ -230,7 +223,7 @@ func (s *Session) policyPrefix() ([]byte, bool) {
 // diverged from the canonical fetch-once walk (extra unanswered fetches,
 // Undo) on separate node variants instead of poisoning each other's.
 func (s *Session) policyRNGPos() uint64 {
-	if r, ok := s.strat.(*strategy.Random); ok {
+	if r, _ := s.kern.random(); r != nil {
 		return r.Pos()
 	}
 	return 0
@@ -239,7 +232,7 @@ func (s *Session) policyRNGPos() uint64 {
 // policySkipRNG fast-forwards the RND stream past the draw a cached pick
 // replaced, so a later cache miss draws exactly where a live walk would.
 func (s *Session) policySkipRNG(pos uint64) {
-	if r, ok := s.strat.(*strategy.Random); ok {
+	if r, _ := s.kern.random(); r != nil {
 		r.SkipTo(pos)
 	}
 }

@@ -489,16 +489,16 @@ func TestPolicyCacheInconsistentRollback(t *testing.T) {
 		}
 		contradicted := false
 		for ci := 0; ci < s.Classes(); ci++ {
-			if s.engine.IsLabeled(ci) || s.engine.Informative(ci) {
+			if s.join().engine.IsLabeled(ci) || s.join().engine.Informative(ci) {
 				continue
 			}
-			c := s.engine.Classes()[ci]
+			c := s.join().engine.Classes()[ci]
 			q, err := s.QuestionByRef(QuestionRef{RIndex: c.RI, PIndex: c.PI})
 			if err != nil {
 				continue
 			}
 			wrong := Negative
-			if s.engine.CertainNegative(ci) {
+			if s.join().engine.CertainNegative(ci) {
 				wrong = Positive
 			}
 			if err := s.Answer(q, wrong); !errors.Is(err, ErrInconsistent) {

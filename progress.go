@@ -29,10 +29,11 @@ type Progress struct {
 // sessions (whose version space has no tractable description) only
 // Answered is populated.
 func (s *Session) Progress() Progress {
-	if s.sj != nil {
+	k := s.join()
+	if k == nil {
 		return Progress{Answered: s.asked}
 	}
-	p := versionspace.Describe(s.engine)
+	p := versionspace.Describe(k.engine)
 	return Progress{
 		Candidates:         p.Candidates,
 		RemainingQuestions: p.InformativeClasses,
@@ -46,10 +47,10 @@ func (s *Session) Progress() Progress {
 // 2^|T(S+)|); it returns nil when the space is too large — check
 // Progress().Candidates first.
 func (s *Session) Candidates(maxBits int) []Pred {
-	if s.sj != nil {
-		return nil
+	if k := s.join(); k != nil {
+		return versionspace.Enumerate(k.engine, maxBits)
 	}
-	return versionspace.Enumerate(s.engine, maxBits)
+	return nil
 }
 
 // Explanation tells the user why a question is worth asking.
@@ -66,19 +67,21 @@ type Explanation struct {
 // question, without recording anything. (Session.Explain attributes the
 // inferred predicate to the answers already committed.)
 func (s *Session) ExplainQuestion(q Question) Explanation {
-	if s.sj != nil || q.classIndex < 0 || q.classIndex >= len(s.engine.Classes()) {
+	k := s.join()
+	ci, err := s.keyOf(q)
+	if k == nil || err != nil {
 		return Explanation{}
 	}
-	theta := s.engine.Classes()[q.classIndex].Theta
-	tpos := s.engine.TPos()
-	negs := s.engine.Negatives()
+	theta := k.theta(ci)
+	tpos := k.engine.TPos()
+	negs := k.engine.Negatives()
 
 	return Explanation{
 		CandidatesIfYes: strategy.CountConsistent(tpos.Intersect(theta), negs),
 		CandidatesIfNo: strategy.CountConsistent(tpos,
 			append(append([]Pred(nil), negs...), theta)),
-		DecidedIfYes: countDecided(s.engine, q.classIndex, Positive),
-		DecidedIfNo:  countDecided(s.engine, q.classIndex, Negative),
+		DecidedIfYes: countDecided(k.engine, ci, Positive),
+		DecidedIfNo:  countDecided(k.engine, ci, Negative),
 	}
 }
 
@@ -114,56 +117,10 @@ func (s *Session) Undo() error {
 	if len(tr) == 0 {
 		return fmt.Errorf("joininference: nothing to undo")
 	}
-	tr = tr[:len(tr)-1]
-	if s.sj != nil {
-		return s.undoSemijoin(tr)
-	}
-	if err := s.rebuildJoin(tr); err != nil {
+	if err := s.rebuild(tr[:len(tr)-1]); err != nil {
 		return err
 	}
 	// RND restarts its stream from the seed, matching the fresh strategy.
 	s.rngMark = 0
-	return nil
-}
-
-// rebuildJoin replaces the engine with a fresh one replaying the given
-// transcript (O(answers)); strategy caches are dropped so nothing retains
-// the replaced engine. rngMark is the caller's to adjust: Undo rewinds it,
-// the inconsistent-answer rollback keeps it.
-func (s *Session) rebuildJoin(tr []TranscriptEntry) error {
-	fresh := inference.New(s.engine.Inst, inference.WithClasses(s.engine.Classes()))
-	replayed := 0
-	for _, e := range tr {
-		ci := s.classIndexFor(e.RIndex, e.PIndex)
-		if ci < 0 {
-			return fmt.Errorf("joininference: internal error: transcript tuple (%d,%d) has no class", e.RIndex, e.PIndex)
-		}
-		if err := fresh.Label(ci, Label(e.Positive)); err != nil {
-			return fmt.Errorf("joininference: internal error replaying transcript: %w", err)
-		}
-		replayed++
-	}
-	s.engine = fresh
-	s.asked = replayed
-	s.strat, s.stratErr = nil, nil
-	return nil
-}
-
-// undoSemijoin rebuilds the semijoin sample from the truncated transcript.
-func (s *Session) undoSemijoin(tr []TranscriptEntry) error {
-	// The solver carries over: its witness cache depends only on the
-	// instance, never on the sample being rebuilt.
-	st := &semijoinState{u: s.sj.u, solver: s.sj.solver, labeled: make([]bool, s.inst.R.Len())}
-	for _, e := range tr {
-		if e.Positive {
-			st.sample.Pos = append(st.sample.Pos, e.RIndex)
-		} else {
-			st.sample.Neg = append(st.sample.Neg, e.RIndex)
-		}
-		st.labeled[e.RIndex] = true
-		st.entries = append(st.entries, e)
-	}
-	s.sj = st
-	s.asked = len(tr)
 	return nil
 }

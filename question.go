@@ -1,9 +1,6 @@
 package joininference
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "encoding/json"
 
 // QuestionRef is the stable wire form of a Question: the row indexes that
 // identify it within its instance, independent of the unexported session
@@ -65,30 +62,16 @@ func (q Question) MarshalJSON() ([]byte, error) {
 // fails with an error wrapping ErrBadQuestionRef. The returned Question is
 // answerable with Answer exactly like one from NextQuestions.
 func (s *Session) QuestionByRef(ref QuestionRef) (Question, error) {
-	if s.sj != nil {
-		if !ref.Semijoin() {
-			return Question{}, fmt.Errorf("%w: (%d,%d) is a join question but this is a semijoin session", ErrBadQuestionRef, ref.RIndex, ref.PIndex)
-		}
-		if ref.RIndex < 0 || ref.RIndex >= s.inst.R.Len() {
-			return Question{}, fmt.Errorf("%w: row %d out of range [0,%d)", ErrBadQuestionRef, ref.RIndex, s.inst.R.Len())
-		}
-		return s.semijoinQuestion(ref.RIndex), nil
+	key, err := s.kern.keyOf(ref)
+	if err != nil {
+		return Question{}, err
 	}
-	if ref.Semijoin() {
-		return Question{}, fmt.Errorf("%w: row %d is a semijoin question but this is a join session", ErrBadQuestionRef, ref.RIndex)
+	q := s.kern.question(key)
+	if !ref.Semijoin() {
+		// Preserve the exact rows the ref named: the class representative
+		// may be a different, interchangeable product tuple.
+		q.RTuple, q.PTuple = s.inst.R.Tuples[ref.RIndex], s.inst.P.Tuples[ref.PIndex]
+		q.RIndex, q.PIndex = ref.RIndex, ref.PIndex
 	}
-	if ref.RIndex < 0 || ref.RIndex >= s.inst.R.Len() || ref.PIndex < 0 || ref.PIndex >= s.inst.P.Len() {
-		return Question{}, fmt.Errorf("%w: (%d,%d) out of range (%d×%d product)",
-			ErrBadQuestionRef, ref.RIndex, ref.PIndex, s.inst.R.Len(), s.inst.P.Len())
-	}
-	ci := s.classIndexFor(ref.RIndex, ref.PIndex)
-	if ci < 0 {
-		return Question{}, fmt.Errorf("%w: (%d,%d) has no T-class in this instance", ErrBadQuestionRef, ref.RIndex, ref.PIndex)
-	}
-	q := s.question(ci)
-	// Preserve the exact rows the ref named: the class representative may be
-	// a different, interchangeable product tuple.
-	q.RTuple, q.PTuple = s.inst.R.Tuples[ref.RIndex], s.inst.P.Tuples[ref.PIndex]
-	q.RIndex, q.PIndex = ref.RIndex, ref.PIndex
 	return q, nil
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/predicate"
 	"repro/internal/product"
-	"repro/internal/semijoin"
 	"repro/internal/strategy"
 )
 
@@ -27,9 +26,11 @@ type Question struct {
 	// directly (the size of the tuple's T-class; 1 for semijoin questions).
 	EquivalentTuples int64
 
-	classIndex int
-	u          *Universe
-	inst       *Instance
+	// key is the T-class index (join) or the row of R (semijoin) the
+	// answer decides.
+	key  int
+	u    *Universe
+	inst *Instance
 }
 
 // Semijoin reports whether the question belongs to a semijoin session
@@ -181,20 +182,15 @@ func (c customStrategy) Next(e *inference.Engine) int { return c.st.Next(engineV
 // Session is an interactive inference session over one instance: the
 // question loop of Algorithm 1 driven from outside, so the caller owns the
 // user (or crowd) interaction. Join sessions come from NewSession, semijoin
-// sessions from NewSemijoinSession; both feed the same Run/Oracle/
-// NextQuestions machinery.
+// sessions from NewSemijoinSession. One driver serves both: it owns the
+// budget, batching, disputed questions, the policy cache, the soft layer,
+// undo, instance updates and snapshots, over a kernel that decides keys —
+// T-classes through the version-space engine (PTIME) for join, rows of R
+// through the CONS⋉ solver (NP-complete) for semijoin.
 type Session struct {
 	inst *Instance
 	cfg  sessionConfig
-
-	// Join mode.
-	engine   *inference.Engine
-	strat    inference.Strategy
-	stratErr error
-	classIdx map[string]int // T-class predicate key → class index
-
-	// Semijoin mode.
-	sj *semijoinState
+	kern kernel
 
 	asked int
 
@@ -202,12 +198,6 @@ type Session struct {
 	// softEvents queues its commit/retraction events until drained.
 	soft       *belief.State
 	softEvents []SoftEvent
-
-	// batchTPos/batchNegs/batchInter are the scratch of the batch pairwise
-	// scan (mutuallyInformative).
-	batchTPos  Pred
-	batchInter Pred
-	batchNegs  []Pred
 
 	// rngMark is the RND source position as of the last recorded answer
 	// (resume replays up to here, so an outstanding unanswered question is
@@ -219,47 +209,13 @@ type Session struct {
 // product once (or adopts WithPrecomputedClasses) and groups it into
 // T-classes. Options select the strategy, seed, and budget.
 func NewSession(inst *Instance, opts ...Option) *Session {
-	cfg := sessionConfig{stratID: StrategyTD, seed: 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
+	s := newSession(inst, opts)
 	var engOpts []inference.Option
-	if cfg.classes != nil {
-		engOpts = append(engOpts, inference.WithClasses(cfg.classes.classes))
+	if s.cfg.classes != nil {
+		engOpts = append(engOpts, inference.WithClasses(s.cfg.classes.classes))
 	}
-	return &Session{
-		inst:   inst,
-		cfg:    cfg,
-		engine: inference.New(inst, engOpts...),
-		soft:   newSoftState(cfg),
-	}
-}
-
-// newSoftState builds the belief layer when the config asks for it.
-func newSoftState(cfg sessionConfig) *belief.State {
-	if !cfg.soft {
-		return nil
-	}
-	return belief.New(cfg.softThreshold, cfg.errorBudget)
-}
-
-// semijoinState is the semijoin-mode counterpart of the engine: the labeled
-// row sample, the current consistent witness predicate, and the CONS⋉
-// solver whose per-row witness cache and scratch buffers amortize the
-// NP-complete informativeness scans across the whole session.
-type semijoinState struct {
-	u       *Universe
-	solver  *semijoin.Solver
-	sample  semijoin.Sample
-	labeled []bool
-	entries []TranscriptEntry
-	current Pred
-	valid   bool
-
-	// pairPos/pairNeg back the hypothetical samples of the pairwise batch
-	// scan, so each of its O(k²) informativeness probes reuses one buffer
-	// instead of copying the sample.
-	pairPos, pairNeg []int
+	s.kern = &joinKernel{engine: inference.New(inst, engOpts...), newStrat: s.newStrategy}
+	return s
 }
 
 // NewSemijoinSession prepares an interactive semijoin-inference session
@@ -268,29 +224,54 @@ type semijoinState struct {
 // exponential worst cases by design. Strategy options are ignored — rows
 // are asked in scan order — but WithBudget applies.
 func NewSemijoinSession(inst *Instance, opts ...Option) *Session {
+	s := newSession(inst, opts)
+	s.kern = newSemijoinKernel(inst)
+	return s
+}
+
+func newSession(inst *Instance, opts []Option) *Session {
 	cfg := sessionConfig{stratID: StrategyTD, seed: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return &Session{
-		inst: inst,
-		cfg:  cfg,
-		sj: &semijoinState{
-			u:       predicate.NewUniverse(inst),
-			solver:  semijoin.NewSolver(inst),
-			labeled: make([]bool, inst.R.Len()),
-		},
-		soft: newSoftState(cfg),
+	s := &Session{inst: inst, cfg: cfg}
+	if cfg.soft {
+		s.soft = belief.New(cfg.softThreshold, cfg.errorBudget)
+	}
+	return s
+}
+
+// newStrategy builds the configured strategy; RND fast-forwards to the
+// marked stream position (0 for a fresh session).
+func (s *Session) newStrategy() (inference.Strategy, error) {
+	if s.cfg.custom != nil {
+		return customStrategy{s.cfg.custom}, nil
+	}
+	switch s.cfg.stratID {
+	case StrategyBU:
+		return strategy.BottomUp{}, nil
+	case StrategyTD:
+		return strategy.NewTopDown(), nil
+	case StrategyL1S:
+		return strategy.Lookahead{K: 1, Workers: s.cfg.parallelism}, nil
+	case StrategyL2S:
+		return strategy.Lookahead{K: 2, Workers: s.cfg.parallelism}, nil
+	case StrategyRND:
+		return strategy.NewRandomAt(s.cfg.seed, s.rngMark), nil
+	default:
+		return nil, fmt.Errorf("%w: %q", ErrUnknownStrategy, s.cfg.stratID)
 	}
 }
 
-// Universe returns Ω for formatting predicates.
-func (s *Session) Universe() *Universe {
-	if s.sj != nil {
-		return s.sj.u
-	}
-	return s.engine.U
+// join returns the join kernel, nil for semijoin sessions; the join-only
+// diagnostics (Classes, Progress, Candidates, ExplainQuestion) read it.
+func (s *Session) join() *joinKernel {
+	k, _ := s.kern.(*joinKernel)
+	return k
 }
+
+// Universe returns Ω for formatting predicates.
+func (s *Session) Universe() *Universe { return s.kern.universe() }
 
 // Budget returns the session's question budget (0 = unlimited).
 func (s *Session) Budget() int { return s.cfg.budget }
@@ -302,10 +283,10 @@ func (s *Session) Questions() int { return s.asked }
 // number of questions); 0 for semijoin sessions, which have no tractable
 // class structure.
 func (s *Session) Classes() int {
-	if s.sj != nil {
-		return 0
+	if k := s.join(); k != nil {
+		return k.keys()
 	}
-	return len(s.engine.Classes())
+	return 0
 }
 
 // Done reports whether no informative question remains (halt condition Γ):
@@ -313,64 +294,8 @@ func (s *Session) Classes() int {
 // answers. For semijoin sessions this test itself is NP-hard and scans all
 // unlabeled rows.
 func (s *Session) Done() bool {
-	if s.sj != nil {
-		done, _ := s.semijoinDone(context.Background())
-		return done
-	}
-	return s.engine.Done()
-}
-
-func (s *Session) semijoinDone(ctx context.Context) (bool, error) {
-	for ri := range s.sj.labeled {
-		if s.sj.labeled[ri] {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return false, fmt.Errorf("joininference: %w", err)
-		}
-		ok, err := s.sj.solver.Informative(s.sj.sample, ri)
-		if err != nil {
-			return false, fmt.Errorf("joininference: %w", err)
-		}
-		if ok {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// strategy resolves the session's configured strategy once.
-func (s *Session) strategy() (inference.Strategy, error) {
-	if s.strat != nil || s.stratErr != nil {
-		return s.strat, s.stratErr
-	}
-	if s.cfg.custom != nil {
-		s.strat = customStrategy{s.cfg.custom}
-		return s.strat, nil
-	}
-	s.strat, s.stratErr = newStrategy(s.cfg.stratID, s.cfg.seed, s.cfg.parallelism, s.rngMark)
-	return s.strat, s.stratErr
-}
-
-// newStrategy constructs a built-in strategy; workers is the
-// WithParallelism knob, honored by the lookahead strategies, and rngPos
-// fast-forwards RND's source to a snapshotted position (0 for a fresh
-// session).
-func newStrategy(id StrategyID, seed int64, workers int, rngPos uint64) (inference.Strategy, error) {
-	switch id {
-	case StrategyBU:
-		return strategy.BottomUp{}, nil
-	case StrategyTD:
-		return strategy.NewTopDown(), nil
-	case StrategyL1S:
-		return strategy.Lookahead{K: 1, Workers: workers}, nil
-	case StrategyL2S:
-		return strategy.Lookahead{K: 2, Workers: workers}, nil
-	case StrategyRND:
-		return strategy.NewRandomAt(seed, rngPos), nil
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownStrategy, id)
-	}
+	done, _ := s.kern.done(context.Background())
+	return done
 }
 
 // NextQuestions returns up to k pairwise-informative questions: the
@@ -391,49 +316,37 @@ func newStrategy(id StrategyID, seed int64, workers int, rngPos uint64) (inferen
 // after a live computation; served questions are bit-identical to what
 // the strategy would have picked.
 func (s *Session) NextQuestions(ctx context.Context, k int) ([]Question, error) {
-	// A batch holds at most one question per T-class (per row of R for
-	// semijoin sessions), so larger k serves the same questions; clamping
-	// keeps batch buffers sized to the instance, not to the caller's k.
-	limit := s.Classes()
-	if s.sj != nil {
-		limit = s.inst.R.Len()
-	}
-	k = max(min(k, limit), 1)
+	// A batch holds at most one question per key, so larger k serves the
+	// same questions; clamping keeps batch buffers sized to the instance,
+	// not to the caller's k.
+	k = max(min(k, s.kern.keys()), 1)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("joininference: %w", err)
 	}
 	if s.cfg.budget > 0 {
 		remaining := s.cfg.budget - s.interactions()
 		if remaining <= 0 {
-			if s.sj != nil {
-				done, err := s.semijoinDone(ctx)
-				if err != nil {
-					return nil, err
-				}
-				if done {
-					return nil, nil
-				}
-			} else if s.engine.Done() {
+			done, err := s.kern.done(ctx)
+			if err != nil {
+				return nil, err
+			}
+			if done {
 				return nil, nil
 			}
 			return nil, ErrBudgetExhausted
 		}
-		if k > remaining {
-			k = remaining
-		}
+		k = min(k, remaining)
 	}
 	// Disputed questions — evidence set aside by a retraction repair — are
-	// re-served before anything else: their classes are already decided by
+	// re-served before anything else: their keys are already decided by
 	// the committed sample, so no strategy would ever pick them again, yet
 	// resolving them is what corrects a repair that guessed wrong.
 	if qs := s.disputedQuestions(k); len(qs) > 0 {
 		return qs, nil
 	}
-	if s.sj != nil {
-		return s.semijoinNextQuestions(ctx, k)
-	}
-	strat, err := s.strategy()
-	if err != nil {
+	// Resolve the strategy before the cache lookup: an unknown id fails
+	// here, and RND's stream position is part of the node key.
+	if _, err := s.kern.random(); err != nil {
 		return nil, err
 	}
 	tStart := s.telemetryStart()
@@ -450,7 +363,7 @@ func (s *Session) NextQuestions(ctx context.Context, k int) ([]Question, error) 
 		} else {
 			rngBefore = s.policyRNGPos()
 			if node, hit := pol.Lookup(s.policyTreeKey(), prefix, rngBefore); hit {
-				qs, served, err := s.servePolicyJoin(ctx, node, prefix, rngBefore, k)
+				qs, served, err := s.servePolicy(ctx, node, prefix, rngBefore, k)
 				if served || err != nil {
 					s.observe(TelemetryCache, tStart)
 					return qs, err
@@ -458,7 +371,7 @@ func (s *Session) NextQuestions(ctx context.Context, k int) ([]Question, error) 
 			}
 		}
 	}
-	first, err := nextClass(ctx, strat, s.engine)
+	first, err := s.kern.next(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -470,7 +383,7 @@ func (s *Session) NextQuestions(ctx context.Context, k int) ([]Question, error) 
 		s.observe(TelemetryStrategy, tStart)
 		return nil, nil
 	}
-	picked, complete, err := s.extendBatch(ctx, []int{first}, k)
+	picked, complete, err := s.extend(ctx, []int{first}, k)
 	if err != nil {
 		return nil, err
 	}
@@ -486,19 +399,19 @@ func (s *Session) NextQuestions(ctx context.Context, k int) ([]Question, error) 
 	return s.questions(picked), nil
 }
 
-// servePolicyJoin serves a fetch from a cached decision node: fully from
-// cache when the node covers k picks, else reusing the cached strategy
-// pick (the expensive part) and extending the cheap batch scan live.
-// served=false with a nil error falls the caller back to a fully live
-// computation — defensive, for nodes that no longer match the engine state
-// they claim to describe.
-func (s *Session) servePolicyJoin(ctx context.Context, node policy.Node, prefix []byte, rngBefore uint64, k int) ([]Question, bool, error) {
-	n := len(s.engine.Classes())
-	if node.Chosen >= 0 && (node.Chosen >= n || !s.engine.Informative(node.Chosen)) {
+// servePolicy serves a fetch from a cached decision node: fully from cache
+// when the node covers k picks, else reusing the cached pick (the
+// expensive part) and extending the batch walk live. Cached picks are
+// validated with the kernel's O(1) askable test only. served=false with a
+// nil error falls the caller back to a fully live computation — defensive,
+// for nodes that no longer match the state they claim to describe.
+func (s *Session) servePolicy(ctx context.Context, node policy.Node, prefix []byte, rngBefore uint64, k int) ([]Question, bool, error) {
+	n := s.kern.keys()
+	if node.Chosen >= 0 && (node.Chosen >= n || !s.kern.askable(node.Chosen)) {
 		return nil, false, nil
 	}
-	for _, ci := range node.Pivots {
-		if ci < 0 || ci >= n || !s.engine.Informative(ci) {
+	for _, key := range node.Pivots {
+		if key < 0 || key >= n || !s.kern.askable(key) {
 			return nil, false, nil
 		}
 	}
@@ -512,7 +425,7 @@ func (s *Session) servePolicyJoin(ctx context.Context, node policy.Node, prefix 
 	picked := make([]int, 0, k)
 	picked = append(picked, node.Chosen)
 	picked = append(picked, node.Pivots...)
-	picked, complete, err := s.extendBatch(ctx, picked, k)
+	picked, complete, err := s.extend(ctx, picked, k)
 	if err != nil {
 		return nil, false, err
 	}
@@ -526,282 +439,51 @@ func (s *Session) servePolicyJoin(ctx context.Context, node policy.Node, prefix 
 	return s.questions(picked), true, nil
 }
 
-// extendBatch grows picked (the strategy's pick plus any pivots already
-// selected) to up to k pairwise-informative classes. The greedy scan is
-// prefix-stable and rejection is monotone in the picked set, so it resumes
-// after the last pivot instead of re-visiting earlier candidates. complete
-// reports that the scan exhausted the informative classes — the result
-// then serves any batch size.
-func (s *Session) extendBatch(ctx context.Context, picked []int, k int) ([]int, bool, error) {
+// extend grows picked to up to k pairwise-informative keys (see
+// kernel.extend); with nothing to extend (k=1, the default serving loop)
+// it skips the walk entirely.
+func (s *Session) extend(ctx context.Context, picked []int, k int) ([]int, bool, error) {
 	if len(picked) >= k {
-		// Nothing to extend (k=1, the default serving loop): skip the
-		// informative-classes scan entirely.
 		return picked, false, nil
 	}
-	after := 0
-	if len(picked) > 1 {
-		after = picked[len(picked)-1] + 1
-	}
-	for _, ci := range s.engine.InformativeClasses() {
-		if len(picked) >= k {
-			return picked, false, nil
-		}
-		if ci < after || ci == picked[0] {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, false, fmt.Errorf("joininference: %w", err)
-		}
-		if s.pairwiseInformative(ci, picked) {
-			picked = append(picked, ci)
-		}
-	}
-	return picked, true, nil
+	return s.kern.extend(ctx, picked, k)
 }
 
-// questions materializes the public Questions for the picked classes.
+// questions materializes the public Questions for the picked keys.
 func (s *Session) questions(picked []int) []Question {
 	qs := make([]Question, len(picked))
-	for i, ci := range picked {
-		qs[i] = s.question(ci)
+	for i, key := range picked {
+		qs[i] = s.kern.question(key)
 	}
 	return qs
 }
 
-// nextClass asks the strategy for its pick, routing through the
-// context-aware path when the strategy supports cancellation (the lookahead
-// strategies do).
-func nextClass(ctx context.Context, strat inference.Strategy, e *inference.Engine) (int, error) {
-	if cs, ok := strat.(inference.ContextStrategy); ok {
-		ci, err := cs.NextCtx(ctx, e)
-		if err != nil {
-			return -1, fmt.Errorf("joininference: %w", err)
-		}
-		return ci, nil
+// keyOf returns the key of a question produced by a session of this kind
+// (on this instance).
+func (s *Session) keyOf(q Question) (int, error) {
+	if q.Semijoin() != (s.kern.kind() == SnapshotKindSemijoin) || q.key < 0 || q.key >= s.kern.keys() {
+		return 0, fmt.Errorf("joininference: question was not produced by this %s session", s.kern.kind())
 	}
-	if err := ctx.Err(); err != nil {
-		return -1, fmt.Errorf("joininference: %w", err)
-	}
-	return strat.Next(e), nil
+	return q.key, nil
 }
 
-// pairwiseInformative reports whether class c stays informative under
-// either label of every picked class, and vice versa — the guarantee that
-// makes a batch safe to dispatch in parallel.
-func (s *Session) pairwiseInformative(c int, picked []int) bool {
-	e := s.engine
-	tpos := e.TPos()
-	negs := e.Negatives()
-	cs := e.Classes()
-	for _, p := range picked {
-		if !s.mutuallyInformative(tpos, negs, cs[p].Theta, cs[c].Theta) {
-			return false
-		}
+// answerKey is keyOf for a question about to be answered: rows an instance
+// update deleted can no longer be answered.
+func (s *Session) answerKey(q Question) (int, error) {
+	key, err := s.keyOf(q)
+	if err == nil && !s.kern.live(key) {
+		err = fmt.Errorf("%w: row %d was deleted", ErrBadQuestionRef, q.RIndex)
 	}
-	return true
-}
-
-// mutuallyInformative reports whether classes with most specific
-// predicates a and b each stay informative under either label of the other
-// (informativeness is not symmetric, so all four hypotheticals are
-// checked). The hypothetical T(S+), negative list, and Lemma 3.4
-// intersection all live in session scratch, so the O(k²) probes of a batch
-// scan allocate nothing.
-func (s *Session) mutuallyInformative(tpos Pred, negs []Pred, a, b Pred) bool {
-	for _, pair := range [2][2]Pred{{a, b}, {b, a}} {
-		x, y := pair[0], pair[1]
-		predicate.IntersectInto(&s.batchTPos, tpos, x)
-		if inference.CertainUnderWith(&s.batchInter, s.batchTPos, negs, y) {
-			return false
-		}
-		s.batchNegs = append(append(s.batchNegs[:0], negs...), x)
-		if inference.CertainUnderWith(&s.batchInter, tpos, s.batchNegs, y) {
-			return false
-		}
-	}
-	return true
-}
-
-// question materializes the public Question for class ci.
-func (s *Session) question(ci int) Question {
-	c := s.engine.Classes()[ci]
-	return Question{
-		RTuple:           s.inst.R.Tuples[c.RI],
-		PTuple:           s.inst.P.Tuples[c.PI],
-		RIndex:           c.RI,
-		PIndex:           c.PI,
-		EquivalentTuples: c.Count,
-		classIndex:       ci,
-		u:                s.engine.U,
-		inst:             s.inst,
-	}
-}
-
-// semijoinNextQuestions scans R for informative rows (each test is two
-// CONS⋉ decisions) and greedily keeps rows that remain informative under
-// either answer to the rows already picked. With a policy cache attached,
-// a prefix another session already reached skips the NP-complete scans
-// entirely: the picked rows are a pure function of the answer prefix.
-func (s *Session) semijoinNextQuestions(ctx context.Context, k int) ([]Question, error) {
-	tStart := s.telemetryStart()
-	pol := s.policyActive()
-	var prefix []byte
-	if pol != nil {
-		prefix, _ = s.policyPrefix()
-		if node, hit := pol.Lookup(s.policyTreeKey(), prefix, 0); hit {
-			if qs, served, err := s.servePolicySemijoin(ctx, node, prefix, k); served || err != nil {
-				s.observe(TelemetryCache, tStart)
-				return qs, err
-			}
-		}
-	}
-	picked, complete, err := s.semijoinScan(ctx, nil, k)
-	if err != nil {
-		return nil, err
-	}
-	if pol != nil {
-		pol.Publish(s.policyTreeKey(), prefix, 0, semijoinNode(picked, complete))
-	}
-	s.observe(TelemetryStrategy, tStart)
-	return s.semijoinQuestions(picked), nil
-}
-
-// servePolicySemijoin serves a semijoin fetch from a cached node; when the
-// node's picks do not cover k, the cached rows seed the scan, which
-// resumes after the last of them. served=false falls back to a live scan.
-func (s *Session) servePolicySemijoin(ctx context.Context, node policy.Node, prefix []byte, k int) ([]Question, bool, error) {
-	if node.Chosen >= 0 && (node.Chosen >= len(s.sj.labeled) || s.sj.labeled[node.Chosen]) {
-		return nil, false, nil
-	}
-	for _, ri := range node.Pivots {
-		if ri < 0 || ri >= len(s.sj.labeled) || s.sj.labeled[ri] {
-			return nil, false, nil
-		}
-	}
-	if picks, ok := policyPicks(node, k); ok {
-		return s.semijoinQuestions(picks), true, nil
-	}
-	picked := make([]int, 0, k)
-	picked = append(picked, node.Chosen)
-	picked = append(picked, node.Pivots...)
-	picked, complete, err := s.semijoinScan(ctx, picked, k)
-	if err != nil {
-		return nil, false, err
-	}
-	s.policyActive().Publish(s.policyTreeKey(), prefix, 0, semijoinNode(picked, complete))
-	return s.semijoinQuestions(picked), true, nil
-}
-
-// semijoinNode packs a semijoin scan result into a cache node (Chosen -1
-// records "no informative row remains at this prefix").
-func semijoinNode(picked []int, complete bool) policy.Node {
-	n := policy.Node{Chosen: -1, Complete: complete}
-	if len(picked) > 0 {
-		n.Chosen = picked[0]
-		n.Pivots = append([]int(nil), picked[1:]...)
-	}
-	return n
-}
-
-// semijoinScan grows picked to up to k mutually informative unlabeled
-// rows. Picks happen in scan order and rejection is monotone in the picked
-// set, so the scan resumes after the last already-picked row. complete
-// reports that the scan covered all remaining rows.
-func (s *Session) semijoinScan(ctx context.Context, picked []int, k int) ([]int, bool, error) {
-	start := 0
-	if len(picked) > 0 {
-		start = picked[len(picked)-1] + 1
-	}
-	for ri := start; ri < s.inst.R.Len(); ri++ {
-		if len(picked) >= k {
-			return picked, false, nil
-		}
-		if s.sj.labeled[ri] {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, false, fmt.Errorf("joininference: %w", err)
-		}
-		ok, err := s.sj.solver.Informative(s.sj.sample, ri)
-		if err != nil {
-			return nil, false, fmt.Errorf("joininference: %w", err)
-		}
-		if !ok {
-			continue
-		}
-		if len(picked) > 0 {
-			ok, err = s.semijoinPairwise(ri, picked)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		picked = append(picked, ri)
-	}
-	return picked, true, nil
-}
-
-// semijoinQuestions materializes the public Questions for the picked rows.
-func (s *Session) semijoinQuestions(picked []int) []Question {
-	qs := make([]Question, len(picked))
-	for i, ri := range picked {
-		qs[i] = s.semijoinQuestion(ri)
-	}
-	return qs
-}
-
-// semijoinPairwise checks mutual informativeness of row ri against every
-// picked row under both labels of either. The hypothetical samples live in
-// the session's pair buffers (the solver keeps its own extension scratch,
-// so the nesting is safe).
-func (s *Session) semijoinPairwise(ri int, picked []int) (bool, error) {
-	for _, p := range picked {
-		for _, pair := range [2][2]int{{p, ri}, {ri, p}} {
-			a, b := pair[0], pair[1]
-			base := s.sj.sample
-			s.sj.pairPos = append(append(s.sj.pairPos[:0], base.Pos...), a)
-			asPos := semijoin.Sample{Pos: s.sj.pairPos, Neg: base.Neg}
-			ok, err := s.sj.solver.Informative(asPos, b)
-			if err != nil {
-				return false, fmt.Errorf("joininference: %w", err)
-			}
-			if !ok {
-				return false, nil
-			}
-			s.sj.pairNeg = append(append(s.sj.pairNeg[:0], base.Neg...), a)
-			asNeg := semijoin.Sample{Pos: base.Pos, Neg: s.sj.pairNeg}
-			ok, err = s.sj.solver.Informative(asNeg, b)
-			if err != nil {
-				return false, fmt.Errorf("joininference: %w", err)
-			}
-			if !ok {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}
-
-func (s *Session) semijoinQuestion(ri int) Question {
-	return Question{
-		RTuple:           s.inst.R.Tuples[ri],
-		RIndex:           ri,
-		PIndex:           -1,
-		EquivalentTuples: 1,
-		classIndex:       -1,
-		u:                s.sj.u,
-		inst:             s.inst,
-	}
+	return key, err
 }
 
 // Answer records the oracle's label for a question returned by
-// NextQuestions (or the deprecated NextQuestion). It returns
-// ErrBudgetExhausted when the budget is already spent and ErrInconsistent
-// (wrapped) if the labels contradict every candidate predicate. On a soft
-// session (WithSoftInference) the answer is one unit-weight vote — see
-// AnswerVote for the weighted form.
+// NextQuestions (or QuestionByRef). It returns ErrBudgetExhausted when the
+// budget is already spent and ErrInconsistent (wrapped) if the labels
+// contradict every candidate predicate; a question about a deleted row
+// fails with an error wrapping ErrBadQuestionRef. On a soft session
+// (WithSoftInference) the answer is one unit-weight vote — see AnswerVote
+// for the weighted form.
 func (s *Session) Answer(q Question, l Label) error {
 	if s.soft != nil {
 		return s.AnswerVote(q, l, Vote{})
@@ -809,27 +491,19 @@ func (s *Session) Answer(q Question, l Label) error {
 	if s.cfg.budget > 0 && s.asked >= s.cfg.budget {
 		return ErrBudgetExhausted
 	}
-	if s.sj != nil {
-		return s.semijoinAnswer(q, l)
+	key, err := s.answerKey(q)
+	if err != nil {
+		return err
 	}
-	if q.classIndex < 0 {
-		return fmt.Errorf("joininference: question was not produced by this join session")
+	if _, labeled := s.kern.labelOf(key); labeled {
+		return fmt.Errorf("joininference: question (%d,%d) already answered", q.RIndex, q.PIndex)
 	}
-	if err := s.engine.Label(q.classIndex, l); err != nil {
-		if err == inference.ErrInconsistent {
-			// Label records the example before detecting inconsistency;
-			// roll the engine back so the rejected answer leaves no trace —
-			// Transcript and Snapshot must reflect only accepted answers.
-			// rngMark stays: the stream position of the last accepted
-			// answer is unchanged, so a re-fetched question re-derives
-			// identically (same as after ResumeSession).
-			tr := s.Transcript()
-			if rbErr := s.rebuildJoin(tr[:len(tr)-1]); rbErr != nil {
-				return fmt.Errorf("joininference: rolling back inconsistent answer: %w", rbErr)
-			}
-			return ErrInconsistent
-		}
-		return fmt.Errorf("joininference: %w", err)
+	// A rejected answer leaves no trace — Transcript and Snapshot reflect
+	// only accepted answers. rngMark stays: the stream position of the
+	// last accepted answer is unchanged, so a re-fetched question
+	// re-derives identically (same as after ResumeSession).
+	if err := s.kern.commit(key, l); err != nil {
+		return err
 	}
 	s.asked++
 	s.markRNG()
@@ -838,40 +512,20 @@ func (s *Session) Answer(q Question, l Label) error {
 
 // markRNG records the RND source position after a recorded answer, so a
 // snapshot resumes the stream exactly there (re-drawing any outstanding
-// question identically). Non-RND strategies have no stream to mark.
+// question identically). Other strategies have no stream to mark.
 func (s *Session) markRNG() {
-	if r, ok := s.strat.(*strategy.Random); ok {
+	if r, _ := s.kern.random(); r != nil {
 		s.rngMark = r.Pos()
 	}
 }
 
-func (s *Session) semijoinAnswer(q Question, l Label) error {
-	ri := q.RIndex
-	if !q.Semijoin() || ri < 0 || ri >= len(s.sj.labeled) {
-		return fmt.Errorf("joininference: question was not produced by this semijoin session")
+// rebuild replaces the committed state with a replay of tr (Undo and the
+// retraction repair). rngMark is the caller's to adjust.
+func (s *Session) rebuild(tr []TranscriptEntry) error {
+	if err := s.kern.rebuild(tr); err != nil {
+		return err
 	}
-	if s.sj.labeled[ri] {
-		return fmt.Errorf("joininference: row %d already labeled", ri)
-	}
-	next := semijoin.Sample{Pos: s.sj.sample.Pos, Neg: s.sj.sample.Neg}
-	if l == Positive {
-		next.Pos = append(append([]int(nil), next.Pos...), ri)
-	} else {
-		next.Neg = append(append([]int(nil), next.Neg...), ri)
-	}
-	theta, ok, err := s.sj.solver.Consistent(next)
-	if err != nil {
-		return fmt.Errorf("joininference: %w", err)
-	}
-	if !ok {
-		return ErrInconsistent
-	}
-	s.sj.sample = next
-	s.sj.labeled[ri] = true
-	s.sj.entries = append(s.sj.entries, TranscriptEntry{RIndex: ri, PIndex: -1, Positive: bool(l)})
-	s.sj.current = theta
-	s.sj.valid = true
-	s.asked++
+	s.asked = len(tr)
 	return nil
 }
 
@@ -898,36 +552,19 @@ func (s *Session) AnswerBatch(qs []Question, labels []Label) (int, error) {
 }
 
 // IsInformative reports whether answering q would still shrink the set of
-// consistent predicates — false once earlier answers decided it. For
-// semijoin sessions the test pays two CONS⋉ decisions.
+// consistent predicates — false once earlier answers decided it, and
+// always false for a row an instance update deleted. For semijoin sessions
+// the test pays two CONS⋉ decisions.
 func (s *Session) IsInformative(q Question) bool {
-	if s.sj != nil {
-		if !q.Semijoin() || q.RIndex < 0 || q.RIndex >= len(s.sj.labeled) || s.sj.labeled[q.RIndex] {
-			return false
-		}
-		ok, err := s.sj.solver.Informative(s.sj.sample, q.RIndex)
-		return err == nil && ok
-	}
-	if q.classIndex < 0 || q.classIndex >= len(s.engine.Classes()) {
+	key, err := s.keyOf(q)
+	if err != nil {
 		return false
 	}
-	return s.engine.Informative(q.classIndex)
+	ok, err := s.kern.informative(key)
+	return err == nil && ok
 }
 
 // Inferred returns the current most specific consistent predicate; once
 // Done() holds it is instance-equivalent to the oracle's goal. For semijoin
 // sessions it is a consistent witness predicate for the answers so far.
-func (s *Session) Inferred() Pred {
-	if s.sj != nil {
-		if !s.sj.valid {
-			theta, ok, err := s.sj.solver.Consistent(s.sj.sample)
-			if err != nil || !ok {
-				return Pred{}
-			}
-			s.sj.current = theta
-			s.sj.valid = true
-		}
-		return s.sj.current
-	}
-	return s.engine.Result()
-}
+func (s *Session) Inferred() Pred { return s.kern.inferred() }

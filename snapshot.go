@@ -129,15 +129,11 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 	if s.cfg.custom != nil {
 		return nil, fmt.Errorf("%w: custom strategy %q is not serializable", ErrNotSnapshottable, s.cfg.custom.Name())
 	}
-	kind := SnapshotKindJoin
-	if s.sj != nil {
-		kind = SnapshotKindSemijoin
-	}
 	sn := &Snapshot{
 		// Hard sessions keep writing version 1 so older builds can still
 		// read them; only the Soft section needs version 2.
 		Version:     1,
-		Kind:        kind,
+		Kind:        s.kern.kind(),
 		Strategy:    s.cfg.stratID,
 		Seed:        s.cfg.seed,
 		Budget:      s.cfg.budget,
@@ -162,11 +158,8 @@ func (s *Session) softSnapshot() *SoftSnapshot {
 		Votes:       s.soft.Votes,
 	}
 	for _, k := range s.soft.Keys() {
-		e := BeliefEntry{RIndex: k, PIndex: -1}
-		if s.sj == nil {
-			c := s.engine.Classes()[k]
-			e.RIndex, e.PIndex = c.RI, c.PI
-		}
+		q := s.kern.question(k)
+		e := BeliefEntry{RIndex: q.RIndex, PIndex: q.PIndex}
 		b := s.soft.Get(k)
 		e.Pos, e.Neg = b.Pos, b.Neg
 		e.Votes = s.workerVotes(k)
@@ -319,13 +312,15 @@ func ResumeSession(inst *Instance, snap *Snapshot, opts ...Option) (*Session, er
 	}
 	all := append(base, opts...)
 	var s *Session
-	var err error
 	if snap.Kind == SnapshotKindSemijoin {
-		s, err = resumeSemijoin(inst, snap, all)
+		s = NewSemijoinSession(inst, all...)
 	} else {
-		s, err = resumeJoin(inst, snap, all)
+		s = NewSession(inst, all...)
+		s.rngMark = snap.RNGPos
 	}
-	if err != nil {
+	// Replay re-runs the kernel's consistency check per entry, so a
+	// snapshot from different data surfaces as ErrInconsistent here.
+	if err := s.replayEntries(snap.Transcript, false); err != nil {
 		return nil, err
 	}
 	if err := s.restoreSoft(snap.Soft); err != nil {
@@ -344,13 +339,9 @@ func (s *Session) restoreSoft(soft *SoftSnapshot) error {
 	s.soft.Spent = soft.Retractions
 	s.soft.Votes = soft.Votes
 	for i, b := range soft.Beliefs {
-		key := b.RIndex
-		if s.sj == nil {
-			if key = s.classIndexFor(b.RIndex, b.PIndex); key < 0 {
-				return fmt.Errorf("%w: belief %d: tuple (%d,%d) has no class in this instance", ErrBadTranscript, i+1, b.RIndex, b.PIndex)
-			}
-		} else if b.RIndex >= len(s.sj.labeled) {
-			return fmt.Errorf("%w: belief %d: row %d outside instance", ErrBadTranscript, i+1, b.RIndex)
+		key, err := s.kern.keyOf(QuestionRef{RIndex: b.RIndex, PIndex: b.PIndex})
+		if err != nil {
+			return fmt.Errorf("%w: belief %d: %v", ErrBadTranscript, i+1, err)
 		}
 		recs := make([]belief.VoteRecord, len(b.Votes))
 		for j, v := range b.Votes {
@@ -359,31 +350,4 @@ func (s *Session) restoreSoft(soft *SoftSnapshot) error {
 		s.soft.Restore(key, belief.Belief{Pos: b.Pos, Neg: b.Neg}, recs)
 	}
 	return nil
-}
-
-func resumeJoin(inst *Instance, snap *Snapshot, opts []Option) (*Session, error) {
-	s := NewSession(inst, opts...)
-	if err := s.replayEntries(snap.Transcript, false); err != nil {
-		return nil, err
-	}
-	s.rngMark = snap.RNGPos
-	return s, nil
-}
-
-func resumeSemijoin(inst *Instance, snap *Snapshot, opts []Option) (*Session, error) {
-	s := NewSemijoinSession(inst, opts...)
-	// Kind/entry agreement was already enforced by snap.validate(), so
-	// every entry here is a semijoin entry (PIndex -1).
-	for i, e := range snap.Transcript {
-		q, err := s.QuestionByRef(QuestionRef{RIndex: e.RIndex, PIndex: e.PIndex})
-		if err != nil {
-			return nil, fmt.Errorf("%w: entry %d: %v", ErrBadTranscript, i+1, err)
-		}
-		// semijoinAnswer re-runs the CONS⋉ consistency check per entry, so a
-		// snapshot from different data surfaces as ErrInconsistent here.
-		if err := s.semijoinAnswer(q, Label(e.Positive)); err != nil {
-			return nil, fmt.Errorf("%w: entry %d: %w", ErrBadTranscript, i+1, err)
-		}
-	}
-	return s, nil
 }

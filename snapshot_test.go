@@ -387,7 +387,7 @@ func TestInconsistentAnswerLeavesSessionSnapshottable(t *testing.T) {
 	// positive forces θ ⊆ T(A) ⊆ T(B), so labeling B negative is
 	// inconsistent with every predicate.
 	aCI, bCI := -1, -1
-	cs := s.engine.Classes()
+	cs := s.join().engine.Classes()
 	for i, a := range cs {
 		if a.Theta.Size() == 0 {
 			continue
@@ -405,10 +405,10 @@ func TestInconsistentAnswerLeavesSessionSnapshottable(t *testing.T) {
 	if aCI < 0 {
 		t.Fatal("fixture lacks a subset pair of classes")
 	}
-	if err := s.Answer(s.question(aCI), Positive); err != nil {
+	if err := s.Answer(s.kern.question(aCI), Positive); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Answer(s.question(bCI), Negative); !errors.Is(err, ErrInconsistent) {
+	if err := s.Answer(s.kern.question(bCI), Negative); !errors.Is(err, ErrInconsistent) {
 		t.Fatalf("want ErrInconsistent, got %v", err)
 	}
 	ctx := context.Background()
@@ -445,7 +445,7 @@ func TestResumeInconsistentSnapshotSignalsPublicSentinel(t *testing.T) {
 	// predicate (Lemma 3.3).
 	s := NewSession(inst)
 	emptyCI, otherCI := -1, -1
-	for ci, c := range s.engine.Classes() {
+	for ci, c := range s.join().engine.Classes() {
 		if c.Theta.Size() == 0 {
 			emptyCI = ci
 		} else if otherCI < 0 {
@@ -455,7 +455,7 @@ func TestResumeInconsistentSnapshotSignalsPublicSentinel(t *testing.T) {
 	if emptyCI < 0 || otherCI < 0 {
 		t.Fatalf("fixture lacks the needed classes (empty %d, other %d)", emptyCI, otherCI)
 	}
-	cs := s.engine.Classes()
+	cs := s.join().engine.Classes()
 	snap := &Snapshot{
 		Version: SnapshotVersion,
 		Kind:    SnapshotKindJoin,

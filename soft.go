@@ -5,9 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/belief"
-	"repro/internal/inference"
-	"repro/internal/predicate"
-	"repro/internal/semijoin"
 )
 
 // WithSoftInference turns on the error-tolerant soft layer: answers become
@@ -134,10 +131,11 @@ func (s *Session) SoftStats() SoftStats {
 // softKeyCommitted reports whether key's class (or row) carries a
 // committed label.
 func (s *Session) softKeyCommitted(key int) bool {
-	if s.sj != nil {
-		return key >= 0 && key < len(s.sj.labeled) && s.sj.labeled[key]
+	if key < 0 || key >= s.kern.keys() {
+		return false
 	}
-	return key >= 0 && key < len(s.engine.Classes()) && s.engine.IsLabeled(key)
+	_, labeled := s.kern.labelOf(key)
+	return labeled
 }
 
 // SoftEvents drains the queued commit/retraction events (oldest first).
@@ -164,22 +162,6 @@ func (s *Session) interactions() int {
 	return s.asked
 }
 
-// softKey maps a question to its belief key (class index for join, row
-// index for semijoin) or an error when the question does not belong to
-// this session.
-func (s *Session) softKey(q Question) (int, error) {
-	if s.sj != nil {
-		if !q.Semijoin() || q.RIndex < 0 || q.RIndex >= len(s.sj.labeled) {
-			return 0, fmt.Errorf("joininference: question was not produced by this semijoin session")
-		}
-		return q.RIndex, nil
-	}
-	if q.classIndex < 0 || q.classIndex >= len(s.engine.Classes()) {
-		return 0, fmt.Errorf("joininference: question was not produced by this join session")
-	}
-	return q.classIndex, nil
-}
-
 // AnswerVote records one weighted vote for a question of a soft session
 // (WithSoftInference). The vote accumulates into the class's belief; when
 // the net belief magnitude reaches the threshold, the majority label
@@ -196,7 +178,7 @@ func (s *Session) AnswerVote(q Question, l Label, v Vote) error {
 	if s.cfg.budget > 0 && s.soft.Votes >= s.cfg.budget {
 		return ErrBudgetExhausted
 	}
-	key, err := s.softKey(q)
+	key, err := s.answerKey(q)
 	if err != nil {
 		return err
 	}
@@ -205,10 +187,7 @@ func (s *Session) AnswerVote(q Question, l Label, v Vote) error {
 	if !decided {
 		return nil
 	}
-	if s.sj != nil {
-		return s.softCommitSemijoin(q, Label(positive))
-	}
-	return s.softCommitJoin(q, Label(positive))
+	return s.softCommit(q, key, Label(positive))
 }
 
 // workerVotes copies the recorded votes behind key into the public form.
@@ -236,28 +215,14 @@ func (s *Session) disputedQuestions(k int) []Question {
 		return nil
 	}
 	var qs []Question
-	if s.sj != nil {
-		for _, ri := range s.soft.Keys() {
-			if ri < 0 || ri >= len(s.sj.labeled) || s.sj.labeled[ri] || s.soft.Get(ri).Net() == 0 {
-				continue
-			}
-			q := s.semijoinQuestion(ri)
-			if s.IsInformative(q) {
-				continue // the normal flow re-asks it
-			}
-			qs = append(qs, q)
-			if len(qs) == k {
-				break
-			}
-		}
-		return qs
-	}
-	for _, ci := range s.soft.Keys() {
-		if ci < 0 || ci >= len(s.engine.Classes()) || s.engine.IsLabeled(ci) ||
-			s.soft.Get(ci).Net() == 0 || s.engine.Informative(ci) {
+	for _, key := range s.soft.Keys() {
+		if key < 0 || key >= s.kern.keys() || !s.kern.live(key) || s.softKeyCommitted(key) || s.soft.Get(key).Net() == 0 {
 			continue
 		}
-		qs = append(qs, s.question(ci))
+		if ok, err := s.kern.informative(key); err != nil || ok {
+			continue // the normal flow re-asks it
+		}
+		qs = append(qs, s.kern.question(key))
 		if len(qs) == k {
 			break
 		}
@@ -265,59 +230,60 @@ func (s *Session) disputedQuestions(k int) []Question {
 	return qs
 }
 
-// softCommitJoin pushes a threshold-clearing label into the hard engine,
-// recovering via retraction when it contradicts the committed sample.
-func (s *Session) softCommitJoin(q Question, l Label) error {
-	ci := q.classIndex
-	if s.engine.IsLabeled(ci) && s.engine.CertainPositive(ci) == bool(l) {
-		return nil // already committed with this label; the extra evidence is absorbed
-	}
-	if err := s.engine.Label(ci, l); err != nil {
-		if err == inference.ErrInconsistent {
-			// Label records the example before detecting inconsistency; roll
-			// back first so the committed transcript is clean, then search
-			// for a retraction within the error budget.
-			tr := s.Transcript()
-			if rbErr := s.rebuildJoin(tr[:len(tr)-1]); rbErr != nil {
-				return fmt.Errorf("joininference: rolling back inconsistent answer: %w", rbErr)
-			}
-			newEntry := TranscriptEntry{RIndex: q.RIndex, PIndex: q.PIndex, Positive: bool(l)}
-			return s.softRecoverJoin(tr[:len(tr)-1], newEntry, ci)
+// softCommit pushes a threshold-clearing label into the kernel, recovering
+// via retraction when it contradicts the committed sample. A commit
+// flipping the key's own earlier label goes straight to the retraction
+// search: the key cannot sit on both sides of the sample.
+func (s *Session) softCommit(q Question, key int, l Label) error {
+	newEntry := TranscriptEntry{RIndex: q.RIndex, PIndex: q.PIndex, Positive: bool(l)}
+	if positive, labeled := s.kern.labelOf(key); labeled {
+		if positive == bool(l) {
+			return nil // already committed with this label; the extra evidence is absorbed
 		}
-		return fmt.Errorf("joininference: %w", err)
+		return s.softRecover(newEntry, key, true)
+	}
+	if err := s.kern.commit(key, l); err != nil {
+		if err == ErrInconsistent {
+			return s.softRecover(newEntry, key, false)
+		}
+		return err
 	}
 	s.asked++
 	s.markRNG()
-	s.pushEvent(SoftEvent{Kind: SoftCommit, Ref: QuestionRef{RIndex: q.RIndex, PIndex: q.PIndex}, Positive: bool(l), Votes: s.workerVotes(ci)})
+	s.pushEvent(SoftEvent{Kind: SoftCommit, Ref: q.Ref(), Positive: bool(l), Votes: s.workerVotes(key)})
 	return nil
 }
 
-// softRecoverJoin searches for the cheapest repair that restores
-// consistency, bounded by the remaining error budget: discard the new
-// answer, or retract committed ones. Candidates — the new answer included —
-// rank by suspicion (see joinRetractionCandidates); phase 1 tries single
-// repairs in that order, phase 2 grows a prefix of the committed
-// candidates. A discarded or retracted answer keeps its accumulated votes:
-// its question is disputed, NextQuestions re-serves it, and the fresh
-// evidence either re-commits it or singles out the actual lie at the next
-// contradiction. When nothing within budget helps, the new answer is
-// rejected exactly like the hard path.
-func (s *Session) softRecoverJoin(committed []TranscriptEntry, newEntry TranscriptEntry, newKey int) error {
+// softRecover searches for the cheapest repair that restores consistency,
+// bounded by the remaining error budget: discard the new answer, or
+// retract committed ones. Candidates — the new answer included, unless it
+// flips its key's own committed label (the evidence as a whole now favors
+// it, so discarding it is never the repair) — rank by suspicion (see
+// retractionOrder); phase 1 tries single repairs in that order, phase 2
+// grows a prefix of the committed candidates. Phase 1 always ends at the
+// discard candidate when it is present, so only a flip reaches phase 2. A
+// discarded or retracted answer keeps its accumulated votes: its question
+// is disputed, NextQuestions re-serves it, and the fresh evidence either
+// re-commits it or singles out the actual lie at the next contradiction.
+// When nothing within budget helps, the new answer is rejected exactly
+// like the hard path.
+func (s *Session) softRecover(newEntry TranscriptEntry, newKey int, flip bool) error {
+	committed := s.kern.transcript()
 	if remaining := s.soft.Remaining(); remaining > 0 {
-		cands := s.joinRetractionCandidates(committed, newEntry)
+		cands := s.retractionOrder(committed, newEntry, newKey, flip)
 		dropped := cands[:0:0]
 		for _, i := range cands {
 			if i == len(committed) {
 				return s.performDiscard(newEntry, newKey)
 			}
 			dropped = append(dropped, i)
-			if trial, ok := s.joinTrial(committed, []int{i}, newEntry); ok {
-				return s.performJoinRetraction(committed, []int{i}, trial, newKey, newEntry)
+			if ok, err := s.retract(committed, []int{i}, newEntry, newKey); ok || err != nil {
+				return err
 			}
 		}
 		for k := 2; k <= remaining && k <= len(dropped); k++ {
-			if trial, ok := s.joinTrial(committed, dropped[:k], newEntry); ok {
-				return s.performJoinRetraction(committed, dropped[:k], trial, newKey, newEntry)
+			if ok, err := s.retract(committed, dropped[:k], newEntry, newKey); ok || err != nil {
+				return err
 			}
 		}
 	}
@@ -327,8 +293,7 @@ func (s *Session) softRecoverJoin(committed []TranscriptEntry, newEntry Transcri
 
 // performDiscard spends budget on the incoming answer itself: the committed
 // sample stands, the new answer is set aside as disputed (its votes stay —
-// re-asks accumulate on top of them) and nothing commits. Shared by join
-// and semijoin recovery; the engine was already rolled back by the caller.
+// re-asks accumulate on top of them) and nothing commits.
 func (s *Session) performDiscard(newEntry TranscriptEntry, newKey int) error {
 	s.soft.Spent++
 	s.pushEvent(SoftEvent{Kind: SoftRetract, Ref: QuestionRef{RIndex: newEntry.RIndex, PIndex: newEntry.PIndex},
@@ -336,27 +301,18 @@ func (s *Session) performDiscard(newEntry TranscriptEntry, newKey int) error {
 	return nil
 }
 
-// joinRetractionCandidates orders the answers in conflict — the committed
-// entries plus the incoming one (index len(committed), meaning "discard the
-// new answer") — by suspicion: ascending belief magnitude first (the answer
-// with the least evidence behind it is the most likely lie), then negatives
-// the trial T(S+) violates (the version-space math says an inconsistency is
-// always "tpos ⊆ some negative's θ", so one of those negatives is lying
-// whenever the positives are honest), then most recent answer first — an
-// old commit has survived every consistency check since it was made, while
-// the newest one has survived none. With one vote everywhere the first
-// repair is a guess; if it was wrong, the disputed question's re-asks grow
-// its belief and the next contradiction ranks the actual lie first.
-func (s *Session) joinRetractionCandidates(committed []TranscriptEntry, newEntry TranscriptEntry) []int {
-	tpos := predicate.Omega(s.engine.U)
-	for _, e := range committed {
-		if e.Positive {
-			tpos = tpos.Intersect(s.entryTheta(e))
-		}
-	}
-	if newEntry.Positive {
-		tpos = tpos.Intersect(s.entryTheta(newEntry))
-	}
+// retractionOrder orders the answers in conflict — the committed entries
+// plus, unless flip, the incoming one (index len(committed), meaning
+// "discard the new answer") — by suspicion: ascending belief magnitude
+// first (the answer with the least evidence behind it is the most likely
+// lie), then the negatives the kernel finds violated (join only), then
+// most recent answer first — an old commit has survived every consistency
+// check since it was made, while the newest one has survived none. With
+// one vote everywhere the first repair is a guess; if it was wrong, the
+// disputed question's re-asks grow its belief and the next contradiction
+// ranks the actual lie first.
+func (s *Session) retractionOrder(committed []TranscriptEntry, newEntry TranscriptEntry, newKey int, flip bool) []int {
+	violated := s.kern.violated(committed, newEntry)
 	type cand struct {
 		idx      int
 		violated bool
@@ -364,17 +320,14 @@ func (s *Session) joinRetractionCandidates(committed []TranscriptEntry, newEntry
 	}
 	cands := make([]cand, 0, len(committed)+1)
 	for i, e := range committed {
-		c := cand{idx: i, belief: s.soft.Get(s.classIndexFor(e.RIndex, e.PIndex)).Abs()}
-		if !e.Positive && tpos.MoreGeneralThan(s.entryTheta(e)) {
-			c.violated = true
-		}
-		cands = append(cands, c)
+		cands = append(cands, cand{idx: i, belief: s.soft.Get(s.entryKey(e)).Abs()})
 	}
-	nc := cand{idx: len(committed), belief: s.soft.Get(s.classIndexFor(newEntry.RIndex, newEntry.PIndex)).Abs()}
-	if !newEntry.Positive && tpos.MoreGeneralThan(s.entryTheta(newEntry)) {
-		nc.violated = true
+	if !flip {
+		cands = append(cands, cand{idx: len(committed), belief: s.soft.Get(newKey).Abs()})
 	}
-	cands = append(cands, nc)
+	for i := range cands {
+		cands[i].violated = violated != nil && violated[cands[i].idx]
+	}
 	sort.SliceStable(cands, func(i, j int) bool {
 		if cands[i].belief != cands[j].belief {
 			return cands[i].belief < cands[j].belief
@@ -391,26 +344,14 @@ func (s *Session) joinRetractionCandidates(committed []TranscriptEntry, newEntry
 	return out
 }
 
-// entryTheta returns the most specific predicate of the entry's T-class.
-func (s *Session) entryTheta(e TranscriptEntry) Pred {
-	return s.engine.Classes()[s.classIndexFor(e.RIndex, e.PIndex)].Theta
-}
-
-// joinTrial builds committed minus the dropped indexes plus newEntry and
-// reports whether the result replays consistently on a fresh engine.
-func (s *Session) joinTrial(committed []TranscriptEntry, drop []int, newEntry TranscriptEntry) ([]TranscriptEntry, bool) {
-	trial := append(dropEntries(committed, drop), newEntry)
-	fresh := inference.New(s.engine.Inst, inference.WithClasses(s.engine.Classes()))
-	for _, e := range trial {
-		ci := s.classIndexFor(e.RIndex, e.PIndex)
-		if ci < 0 {
-			return nil, false
-		}
-		if err := fresh.Label(ci, Label(e.Positive)); err != nil {
-			return nil, false
-		}
+// entryKey returns the key a committed transcript entry decided (-1 when
+// it no longer fits the instance).
+func (s *Session) entryKey(e TranscriptEntry) int {
+	key, err := s.kern.keyOf(QuestionRef{RIndex: e.RIndex, PIndex: e.PIndex})
+	if err != nil {
+		return -1
 	}
-	return trial, true
+	return key
 }
 
 // dropEntries copies entries, skipping the listed indexes.
@@ -428,176 +369,29 @@ func dropEntries(entries []TranscriptEntry, drop []int) []TranscriptEntry {
 	return out
 }
 
-// performJoinRetraction spends budget on the dropped entries, rebuilds the
-// engine on the trial transcript, and emits the retract/commit events. The
-// dropped entries keep their beliefs: their questions re-open as disputed,
-// and the retained votes make a wrongly retracted answer win the next
-// contradiction once re-asks corroborate it. rngMark is kept, like the hard
-// path's rollback: the committed answer count changed but the RND stream
-// position of the last draw did not.
-func (s *Session) performJoinRetraction(committed []TranscriptEntry, drop []int, trial []TranscriptEntry, newKey int, newEntry TranscriptEntry) error {
+// retract checks committed minus drop plus newEntry for consistency and,
+// only if it holds (ok), spends budget on the
+// dropped entries, rebuilds the state on that transcript, and emits the
+// retract/commit events. The dropped entries keep their beliefs: their
+// questions re-open as disputed, and the retained votes make a wrongly
+// retracted answer win the next contradiction once re-asks corroborate
+// it. rngMark is kept, like the hard path's rollback: the committed answer
+// count changed but the RND stream position of the last draw did not.
+func (s *Session) retract(committed []TranscriptEntry, drop []int, newEntry TranscriptEntry, newKey int) (ok bool, err error) {
+	trial := append(dropEntries(committed, drop), newEntry)
+	if ok, err := s.kern.consistent(trial); !ok || err != nil {
+		return false, err
+	}
 	for _, i := range drop {
 		e := committed[i]
-		k := s.classIndexFor(e.RIndex, e.PIndex)
-		s.pushEvent(SoftEvent{Kind: SoftRetract, Ref: QuestionRef{RIndex: e.RIndex, PIndex: e.PIndex}, Positive: e.Positive, Votes: s.workerVotes(k)})
+		s.pushEvent(SoftEvent{Kind: SoftRetract, Ref: QuestionRef{RIndex: e.RIndex, PIndex: e.PIndex}, Positive: e.Positive, Votes: s.workerVotes(s.entryKey(e))})
 		s.soft.Spent++
 	}
-	if err := s.rebuildJoin(trial); err != nil {
-		return fmt.Errorf("joininference: rebuilding after retraction: %w", err)
+	if err := s.rebuild(trial); err != nil {
+		return true, fmt.Errorf("joininference: rebuilding after retraction: %w", err)
 	}
 	s.pushEvent(SoftEvent{Kind: SoftCommit, Ref: QuestionRef{RIndex: newEntry.RIndex, PIndex: newEntry.PIndex}, Positive: newEntry.Positive, Votes: s.workerVotes(newKey)})
-	return nil
-}
-
-// softCommitSemijoin is the semijoin counterpart of softCommitJoin. A
-// commit flipping the row's own earlier label goes straight to the
-// retraction search (the row cannot sit on both sides of the sample).
-func (s *Session) softCommitSemijoin(q Question, l Label) error {
-	ri := q.RIndex
-	newEntry := TranscriptEntry{RIndex: ri, PIndex: -1, Positive: bool(l)}
-	if s.sj.labeled[ri] {
-		if prev, ok := s.semijoinLabelOf(ri); ok && prev == bool(l) {
-			return nil // already committed with this label
-		}
-		return s.softRecoverSemijoin(newEntry, ri)
-	}
-	next := semijoin.Sample{Pos: s.sj.sample.Pos, Neg: s.sj.sample.Neg}
-	if l == Positive {
-		next.Pos = append(append([]int(nil), next.Pos...), ri)
-	} else {
-		next.Neg = append(append([]int(nil), next.Neg...), ri)
-	}
-	theta, ok, err := s.sj.solver.Consistent(next)
-	if err != nil {
-		return fmt.Errorf("joininference: %w", err)
-	}
-	if !ok {
-		return s.softRecoverSemijoin(newEntry, ri)
-	}
-	s.sj.sample = next
-	s.sj.labeled[ri] = true
-	s.sj.entries = append(s.sj.entries, newEntry)
-	s.sj.current = theta
-	s.sj.valid = true
-	s.asked++
-	s.pushEvent(SoftEvent{Kind: SoftCommit, Ref: QuestionRef{RIndex: ri, PIndex: -1}, Positive: bool(l), Votes: s.workerVotes(ri)})
-	return nil
-}
-
-// semijoinLabelOf returns the committed label of row ri.
-func (s *Session) semijoinLabelOf(ri int) (positive, ok bool) {
-	for _, e := range s.sj.entries {
-		if e.RIndex == ri {
-			return e.Positive, true
-		}
-	}
-	return false, false
-}
-
-// softRecoverSemijoin mirrors softRecoverJoin for row samples. Semijoin has
-// no cheap "violated negative" identification (consistency itself is the
-// NP-complete CONS⋉), so candidates — the incoming answer included, as
-// index len(committed) — order purely by ascending belief magnitude, most
-// recent answer first (see joinRetractionCandidates).
-func (s *Session) softRecoverSemijoin(newEntry TranscriptEntry, newKey int) error {
-	committed := s.sj.entries
-	if remaining := s.soft.Remaining(); remaining > 0 {
-		type cand struct {
-			idx    int
-			belief float64
-		}
-		cands := make([]cand, 0, len(committed)+1)
-		for i, e := range committed {
-			cands = append(cands, cand{idx: i, belief: s.soft.Get(e.RIndex).Abs()})
-		}
-		// A flip of an already-labeled row shares its belief key with the
-		// committed entry — the evidence as a whole now favors the new
-		// label, so discarding the new answer is never the right repair.
-		if !s.sj.labeled[newEntry.RIndex] {
-			cands = append(cands, cand{idx: len(committed), belief: s.soft.Get(newKey).Abs()})
-		}
-		sort.SliceStable(cands, func(i, j int) bool {
-			if cands[i].belief != cands[j].belief {
-				return cands[i].belief < cands[j].belief
-			}
-			return cands[i].idx > cands[j].idx
-		})
-		order := make([]int, 0, len(cands))
-		for _, c := range cands {
-			if c.idx == len(committed) {
-				continue
-			}
-			order = append(order, c.idx)
-		}
-		for _, c := range cands {
-			if c.idx == len(committed) {
-				return s.performDiscard(newEntry, newKey)
-			}
-			if trial, ok, err := s.semijoinTrial(committed, []int{c.idx}, newEntry); err != nil {
-				return err
-			} else if ok {
-				return s.performSemijoinRetraction(committed, []int{c.idx}, trial, newKey, newEntry)
-			}
-		}
-		for k := 2; k <= remaining && k <= len(order); k++ {
-			if trial, ok, err := s.semijoinTrial(committed, order[:k], newEntry); err != nil {
-				return err
-			} else if ok {
-				return s.performSemijoinRetraction(committed, order[:k], trial, newKey, newEntry)
-			}
-		}
-	}
-	s.soft.Reset(newKey)
-	return ErrInconsistent
-}
-
-// semijoinTrial checks whether committed minus drop plus newEntry admits a
-// consistent witness predicate.
-func (s *Session) semijoinTrial(committed []TranscriptEntry, drop []int, newEntry TranscriptEntry) ([]TranscriptEntry, bool, error) {
-	trial := append(dropEntries(committed, drop), newEntry)
-	var sm semijoin.Sample
-	seen := make(map[int]bool, len(trial))
-	for _, e := range trial {
-		if seen[e.RIndex] {
-			return nil, false, nil // row on both sides: never consistent
-		}
-		seen[e.RIndex] = true
-		if e.Positive {
-			sm.Pos = append(sm.Pos, e.RIndex)
-		} else {
-			sm.Neg = append(sm.Neg, e.RIndex)
-		}
-	}
-	_, ok, err := s.sj.solver.Consistent(sm)
-	if err != nil {
-		return nil, false, fmt.Errorf("joininference: %w", err)
-	}
-	return trial, ok, nil
-}
-
-// performSemijoinRetraction rebuilds the semijoin state on the trial
-// transcript (the solver carries over: its witness cache is instance-bound)
-// and emits the events.
-func (s *Session) performSemijoinRetraction(committed []TranscriptEntry, drop []int, trial []TranscriptEntry, newKey int, newEntry TranscriptEntry) error {
-	for _, i := range drop {
-		e := committed[i]
-		s.pushEvent(SoftEvent{Kind: SoftRetract, Ref: QuestionRef{RIndex: e.RIndex, PIndex: -1}, Positive: e.Positive, Votes: s.workerVotes(e.RIndex)})
-		s.soft.Spent++
-	}
-	st := &semijoinState{u: s.sj.u, solver: s.sj.solver, labeled: make([]bool, s.inst.R.Len())}
-	for _, e := range trial {
-		if e.Positive {
-			st.sample.Pos = append(st.sample.Pos, e.RIndex)
-		} else {
-			st.sample.Neg = append(st.sample.Neg, e.RIndex)
-		}
-		st.labeled[e.RIndex] = true
-		st.entries = append(st.entries, e)
-	}
-	s.sj = st
-	s.asked = len(trial)
-	s.pushEvent(SoftEvent{Kind: SoftCommit, Ref: QuestionRef{RIndex: newEntry.RIndex, PIndex: -1}, Positive: newEntry.Positive, Votes: s.workerVotes(newKey)})
-	return nil
+	return true, nil
 }
 
 // AnswerAttribution scores one committed answer's contribution to the
@@ -629,68 +423,14 @@ func (s *Session) Explain() []AnswerAttribution {
 	if len(tr) == 0 {
 		return nil
 	}
+	scores, critical := s.kern.attribute(tr, s.cfg.seed)
 	out := make([]AnswerAttribution, len(tr))
 	for i, e := range tr {
-		out[i] = AnswerAttribution{Ref: QuestionRef{RIndex: e.RIndex, PIndex: e.PIndex}, Positive: e.Positive}
+		out[i] = AnswerAttribution{Ref: QuestionRef{RIndex: e.RIndex, PIndex: e.PIndex}, Positive: e.Positive,
+			Score: scores[i], Critical: critical[i]}
 		if s.soft != nil {
-			key := e.RIndex
-			if s.sj == nil {
-				key = s.classIndexFor(e.RIndex, e.PIndex)
-			}
-			out[i].Workers = s.workerVotes(key)
+			out[i].Workers = s.workerVotes(s.entryKey(e))
 		}
-	}
-	if s.sj != nil {
-		for i := range out {
-			if changed, err := s.semijoinDropOneChanges(tr, i); err == nil && changed {
-				out[i].Critical = true
-				out[i].Score = 1
-			}
-		}
-		return out
-	}
-	answers := make([]belief.LabeledPred, len(tr))
-	for i, e := range tr {
-		answers[i] = belief.LabeledPred{Theta: s.entryTheta(e), Positive: e.Positive}
-	}
-	classes := s.engine.Classes()
-	thetas := make([]predicate.Pred, len(classes))
-	for i, c := range classes {
-		thetas[i] = c.Theta
-	}
-	scores := belief.Attribution(s.engine.U, thetas, answers, s.cfg.seed)
-	crit := belief.DropOneCritical(s.engine.U, thetas, answers)
-	for i := range out {
-		out[i].Score = scores[i]
-		out[i].Critical = crit[i]
 	}
 	return out
-}
-
-// semijoinDropOneChanges reports whether removing answer i changes the
-// consistent witness predicate the solver finds for the remaining sample.
-func (s *Session) semijoinDropOneChanges(tr []TranscriptEntry, i int) (bool, error) {
-	full, fullOK, err := s.sj.solver.Consistent(s.sj.sample)
-	if err != nil {
-		return false, err
-	}
-	var sm semijoin.Sample
-	for j, e := range tr {
-		if j == i {
-			continue
-		}
-		if e.Positive {
-			sm.Pos = append(sm.Pos, e.RIndex)
-		} else {
-			sm.Neg = append(sm.Neg, e.RIndex)
-		}
-	}
-	sub, subOK, err := s.sj.solver.Consistent(sm)
-	if err != nil {
-		return false, err
-	}
-	if fullOK != subOK {
-		return true, nil
-	}
-	return fullOK && !full.Equal(sub), nil
 }

@@ -447,9 +447,9 @@ func TestExplainAttribution(t *testing.T) {
 // with the label that contradicts the certainty; ok is false when no such
 // moment exists yet.
 func certainUnlabeledQuestion(s *Session) (Question, Label, bool) {
-	if s.sj != nil {
-		for ri := range s.sj.labeled {
-			if s.sj.labeled[ri] {
+	if sk, ok := s.kern.(*semijoinKernel); ok {
+		for ri := range sk.labeled {
+			if sk.labeled[ri] {
 				continue
 			}
 			q, err := s.QuestionByRef(QuestionRef{RIndex: ri, PIndex: -1})
@@ -462,7 +462,7 @@ func certainUnlabeledQuestion(s *Session) (Question, Label, bool) {
 			// keeping the inconsistent candidate is done by the caller via
 			// the solver: here we probe with a copy-free consistency check.
 			for _, l := range []Label{Positive, Negative} {
-				next := s.sj.sample
+				next := sk.sample
 				if l == Positive {
 					next.Pos = append(append([]int(nil), next.Pos...), ri)
 					next.Neg = append([]int(nil), next.Neg...)
@@ -470,7 +470,7 @@ func certainUnlabeledQuestion(s *Session) (Question, Label, bool) {
 					next.Pos = append([]int(nil), next.Pos...)
 					next.Neg = append(append([]int(nil), next.Neg...), ri)
 				}
-				if _, ok, err := s.sj.solver.Consistent(next); err == nil && !ok {
+				if _, ok, err := sk.solver.Consistent(next); err == nil && !ok {
 					return q, l, true
 				}
 			}
@@ -478,16 +478,16 @@ func certainUnlabeledQuestion(s *Session) (Question, Label, bool) {
 		return Question{}, Negative, false
 	}
 	for ci := 0; ci < s.Classes(); ci++ {
-		if s.engine.IsLabeled(ci) || s.engine.Informative(ci) {
+		if s.join().engine.IsLabeled(ci) || s.join().engine.Informative(ci) {
 			continue
 		}
-		c := s.engine.Classes()[ci]
+		c := s.join().engine.Classes()[ci]
 		q, err := s.QuestionByRef(QuestionRef{RIndex: c.RI, PIndex: c.PI})
 		if err != nil {
 			continue
 		}
 		wrong := Negative
-		if s.engine.CertainNegative(ci) {
+		if s.join().engine.CertainNegative(ci) {
 			wrong = Positive
 		}
 		return q, wrong, true

@@ -2,12 +2,9 @@ package joininference
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 
-	"repro/internal/inference"
-	"repro/internal/predicate"
 	"repro/internal/querytext"
 )
 
@@ -21,20 +18,7 @@ type TranscriptEntry struct {
 }
 
 // Transcript returns the answered questions in order.
-func (s *Session) Transcript() []TranscriptEntry {
-	if s.sj != nil {
-		return append([]TranscriptEntry(nil), s.sj.entries...)
-	}
-	var out []TranscriptEntry
-	for _, ex := range s.engine.Sample().Examples() {
-		out = append(out, TranscriptEntry{
-			RIndex:   ex.RI,
-			PIndex:   ex.PI,
-			Positive: bool(ex.Label),
-		})
-	}
-	return out
-}
+func (s *Session) Transcript() []TranscriptEntry { return s.kern.transcript() }
 
 // SaveTranscript writes the session's transcript as JSON lines.
 func (s *Session) SaveTranscript(w io.Writer) error {
@@ -102,63 +86,36 @@ func ReplayTranscript(inst *Instance, r io.Reader) (*Session, error) {
 	return s, nil
 }
 
-// replayEntries replays join-transcript entries into a fresh session,
+// replayEntries replays transcript entries into a fresh session,
 // validating bounds and consistency; every failure wraps ErrBadTranscript.
-// skipDecided selects the policy for entries whose class is already
+// skipDecided selects the policy for entries whose key is already
 // labeled: transcripts skip them (duplicates carry no information),
-// snapshots reject them (a live session never labels one class twice, so a
+// snapshots reject them (a live session never labels one key twice, so a
 // duplicate means corruption).
 func (s *Session) replayEntries(entries []TranscriptEntry, skipDecided bool) error {
 	for i, e := range entries {
 		if err := validateEntry(s.inst, e); err != nil {
 			return fmt.Errorf("%w: entry %d: %v", ErrBadTranscript, i+1, err)
 		}
-		if e.PIndex < 0 {
-			return fmt.Errorf("%w: entry %d: semijoin entry (row %d) in a join replay",
-				ErrBadTranscript, i+1, e.RIndex)
+		key, err := s.kern.keyOf(QuestionRef{RIndex: e.RIndex, PIndex: e.PIndex})
+		if err == nil && !s.kern.live(key) {
+			err = fmt.Errorf("row %d was deleted", e.RIndex)
 		}
-		ci := s.classIndexFor(e.RIndex, e.PIndex)
-		if ci < 0 {
-			return fmt.Errorf("%w: entry %d: no class for tuple (%d,%d)",
-				ErrBadTranscript, i+1, e.RIndex, e.PIndex)
+		if err != nil {
+			return fmt.Errorf("%w: entry %d: %v", ErrBadTranscript, i+1, err)
 		}
-		if s.engine.IsLabeled(ci) {
+		if _, labeled := s.kern.labelOf(key); labeled {
 			if skipDecided {
-				continue // duplicate of an earlier answer's class
+				continue // duplicate of an earlier answer's key
 			}
-			return fmt.Errorf("%w: entry %d: class of tuple (%d,%d) already labeled",
-				ErrBadTranscript, i+1, e.RIndex, e.PIndex)
+			return fmt.Errorf("%w: entry %d: (%d,%d) already labeled", ErrBadTranscript, i+1, e.RIndex, e.PIndex)
 		}
-		if err := s.engine.Label(ci, Label(e.Positive)); err != nil {
-			if errors.Is(err, inference.ErrInconsistent) {
-				// Surface the public sentinel, matching Session.Answer and
-				// the semijoin resume path.
-				err = ErrInconsistent
-			}
+		if err := s.kern.commit(key, Label(e.Positive)); err != nil {
 			return fmt.Errorf("%w: entry %d: %w", ErrBadTranscript, i+1, err)
 		}
 		s.asked++
 	}
 	return nil
-}
-
-// classIndexFor finds the T-class of a product tuple through a map from
-// T-class predicate key to index, built once per session — so replay and
-// undo stay linear in the number of answers.
-func (s *Session) classIndexFor(ri, pi int) int {
-	if s.classIdx == nil {
-		cs := s.engine.Classes()
-		s.classIdx = make(map[string]int, len(cs))
-		for ci, c := range cs {
-			s.classIdx[c.Theta.Key()] = ci
-		}
-	}
-	theta := predicate.T(s.engine.U, s.engine.Inst.R.Tuples[ri], s.engine.Inst.P.Tuples[pi])
-	ci, ok := s.classIdx[theta.Key()]
-	if !ok {
-		return -1
-	}
-	return ci
 }
 
 // ParsePredicate parses a textual predicate such as
