@@ -330,6 +330,78 @@ func TestSemijoinUpdateOrphanedPositive(t *testing.T) {
 	}
 }
 
+// TestSemijoinDeletedRowsNeverAsked: a row an update deleted is never
+// informative — neither a migrated session nor a fresh one on the new
+// version asks about it, at any batch size, through to the halt condition;
+// answering it anyway fails with ErrBadQuestionRef.
+func TestSemijoinDeletedRowsNeverAsked(t *testing.T) {
+	ctx := context.Background()
+	inst := paperdata.Example21()
+	goal, err := PredFromNames(NewSession(inst).Universe(), [2]string{"A1", "B2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd, err := ApplyDelta(inst, PrecomputeClasses(inst), Delta{DeleteR: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := map[string]func(opts ...Option) *Session{
+		"migrated": func(opts ...Option) *Session {
+			s := NewSemijoinSession(inst, opts...)
+			if err := s.ApplyUpdate(upd); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+		"fresh": func(opts ...Option) *Session { return NewSemijoinSession(upd.To, opts...) },
+	}
+	for name, mk := range sessions {
+		for _, k := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/k%d", name, k), func(t *testing.T) {
+				s := mk()
+				for round := 0; ; round++ {
+					qs, err := s.NextQuestions(ctx, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(qs) == 0 {
+						break
+					}
+					for _, q := range qs {
+						if q.RIndex == 0 {
+							t.Fatalf("round %d asked about deleted row 0", round)
+						}
+						l, _ := HonestOracle(goal).Label(ctx, q)
+						if _, err := s.AnswerBatch([]Question{q}, []Label{l}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if !s.Done() {
+					t.Fatal("not done after the fetch loop ended")
+				}
+				dead, err := s.QuestionByRef(QuestionRef{RIndex: 0, PIndex: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.IsInformative(dead) {
+					t.Error("deleted row reported informative")
+				}
+				if err := s.Answer(dead, Positive); !errors.Is(err, ErrBadQuestionRef) {
+					t.Errorf("answering the deleted row: %v, want ErrBadQuestionRef", err)
+				}
+				soft := mk(WithErrorBudget(1))
+				if err := soft.AnswerVote(dead, Positive, Vote{}); !errors.Is(err, ErrBadQuestionRef) {
+					t.Errorf("voting on the deleted row: %v, want ErrBadQuestionRef", err)
+				}
+				if st := soft.SoftStats(); st.Votes != 0 {
+					t.Errorf("vote on the deleted row recorded: %+v", st)
+				}
+			})
+		}
+	}
+}
+
 // TestPolicyCacheApplyUpdateKeepsEquivalence populates a shared policy
 // cache on v0, migrates it across a delta, and checks the cache's
 // soundness contract on the new version: a cached session must ask

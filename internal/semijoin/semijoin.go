@@ -9,6 +9,10 @@
 //   - Consistent: a complete decision procedure (with predicate witness)
 //     based on backtracking over witness assignments for the positive
 //     examples; worst-case exponential, as the theorem predicts.
+//   - Informative: whether both labels of a row admit a consistent
+//     predicate — the question the interactive scenario asks of every row.
+//   - Solver: Consistent and Informative amortized over one instance, as
+//     the root package's semijoin sessions use them.
 //   - BruteForce: the definition, enumerating all θ ⊆ Ω; test oracle.
 //   - The 3SAT → CONS⋉ reduction of Appendix A.1 (reduction.go) and a DPLL
 //     SAT solver (sat.go) to cross-validate it.
@@ -152,6 +156,20 @@ func Consistent(inst *relation.Instance, s Sample) (predicate.Pred, bool, error)
 
 	theta, ok := rec(0, predicate.Omega(u))
 	return theta, ok, nil
+}
+
+// Informative reports whether both labels for tuple ri admit a consistent
+// predicate extending the sample (two CONS⋉ calls) — i.e. whether asking
+// the user about ri would narrow the candidate space.
+func Informative(inst *relation.Instance, s Sample, ri int) (bool, error) {
+	asPos := Sample{Pos: append(append([]int(nil), s.Pos...), ri), Neg: s.Neg}
+	_, okPos, err := Consistent(inst, asPos)
+	if err != nil || !okPos {
+		return false, err
+	}
+	asNeg := Sample{Pos: s.Pos, Neg: append(append([]int(nil), s.Neg...), ri)}
+	_, okNeg, err := Consistent(inst, asNeg)
+	return okNeg, err
 }
 
 // BruteForce decides CONS⋉ by enumerating every θ ⊆ Ω; usable only for

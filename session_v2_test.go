@@ -3,6 +3,7 @@ package joininference
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/inference"
@@ -342,6 +343,24 @@ func TestSemijoinSessionRun(t *testing.T) {
 		if res2.Questions != 1 {
 			t.Errorf("budgeted semijoin asked %d", res2.Questions)
 		}
+	}
+	// Budget 1 on the goal {A1=B1}: exactly one question is asked, and the
+	// best predicate so far agrees with its answer.
+	goal1, err := PredFromNames(u, [2]string{"A1", "B1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3 := NewSemijoinSession(inst, WithBudget(1))
+	res3, err := Run(context.Background(), s3, HonestOracle(goal1))
+	if err != nil && !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatal(err)
+	}
+	tr := s3.Transcript()
+	if res3.Questions != 1 || len(tr) != 1 {
+		t.Fatalf("budget-1 semijoin asked %d, transcript %v", res3.Questions, tr)
+	}
+	if kept := slices.Contains(SemijoinEval(inst, res3.Inferred), tr[0].RIndex); kept != tr[0].Positive {
+		t.Errorf("inferred %s contradicts the answer %+v", res3.Inferred.Format(u), tr[0])
 	}
 }
 

@@ -3,6 +3,7 @@ package joininference
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/paperdata"
@@ -231,6 +232,55 @@ func TestSoftAbsorbsPlantedLieSemijoin(t *testing.T) {
 		}
 		if retracted == 0 {
 			t.Fatalf("%s: no semijoin lie position produced a retraction in %d runs", id, n)
+		}
+	}
+}
+
+// TestSoftAbsorbsFlippedCommit: votes that flip a question's own committed
+// label go to the retraction search without the discard candidate — within
+// the error budget the old commit is retracted and the new label commits,
+// beyond it the flip is rejected with ErrInconsistent. Join and semijoin
+// sessions behave alike.
+func TestSoftAbsorbsFlippedCommit(t *testing.T) {
+	ctx := context.Background()
+	newSession := map[string]func(opts ...Option) *Session{
+		"join":     func(opts ...Option) *Session { return NewSession(paperdata.FlightHotel(), opts...) },
+		"semijoin": func(opts ...Option) *Session { return NewSemijoinSession(paperdata.Example21(), opts...) },
+	}
+	for _, kind := range []string{"join", "semijoin"} {
+		for _, budget := range []int{2, 0} {
+			t.Run(fmt.Sprintf("%s/budget%d", kind, budget), func(t *testing.T) {
+				s := newSession[kind](WithSoftInference(1), WithErrorBudget(budget))
+				qs, err := s.NextQuestions(ctx, 1)
+				if err != nil || len(qs) != 1 {
+					t.Fatalf("fetch: %v, %v", qs, err)
+				}
+				q := qs[0]
+				if err := s.Answer(q, Positive); err != nil {
+					t.Fatal(err)
+				}
+				// The first negative vote cancels the positive one; the second
+				// decides the flip; the third agrees with the new commit.
+				for i := 0; i < 3; i++ {
+					err := s.AnswerVote(q, Negative, Vote{})
+					if budget == 0 && i == 1 {
+						if !errors.Is(err, ErrInconsistent) {
+							t.Fatalf("flip beyond the budget: %v, want ErrInconsistent", err)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatalf("vote %d: %v", i+1, err)
+					}
+				}
+				if st := s.SoftStats(); st.Retractions != 1 {
+					t.Errorf("retractions = %d, want 1", st.Retractions)
+				}
+				tr := s.Transcript()
+				if len(tr) != 1 || tr[0].Positive || s.Questions() != 1 {
+					t.Errorf("transcript after the flip: %+v (%d answers)", tr, s.Questions())
+				}
+			})
 		}
 	}
 }
