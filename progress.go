@@ -68,7 +68,7 @@ type Explanation struct {
 // inferred predicate to the answers already committed.)
 func (s *Session) ExplainQuestion(q Question) Explanation {
 	k := s.join()
-	ci, err := s.keyOf(q)
+	ci, err := s.questionKey(q)
 	if k == nil || err != nil {
 		return Explanation{}
 	}

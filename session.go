@@ -458,19 +458,19 @@ func (s *Session) questions(picked []int) []Question {
 	return qs
 }
 
-// keyOf returns the key of a question produced by a session of this kind
-// (on this instance).
-func (s *Session) keyOf(q Question) (int, error) {
+// questionKey returns the key of a question produced by a session of this
+// kind over this instance.
+func (s *Session) questionKey(q Question) (int, error) {
 	if q.Semijoin() != (s.kern.kind() == SnapshotKindSemijoin) || q.key < 0 || q.key >= s.kern.keys() {
 		return 0, fmt.Errorf("joininference: question was not produced by this %s session", s.kern.kind())
 	}
 	return q.key, nil
 }
 
-// answerKey is keyOf for a question about to be answered: rows an instance
-// update deleted can no longer be answered.
+// answerKey is questionKey for a question about to be answered: rows an
+// instance update deleted can no longer be answered.
 func (s *Session) answerKey(q Question) (int, error) {
-	key, err := s.keyOf(q)
+	key, err := s.questionKey(q)
 	if err == nil && !s.kern.live(key) {
 		err = fmt.Errorf("%w: row %d was deleted", ErrBadQuestionRef, q.RIndex)
 	}
@@ -556,7 +556,7 @@ func (s *Session) AnswerBatch(qs []Question, labels []Label) (int, error) {
 // always false for a row an instance update deleted. For semijoin sessions
 // the test pays two CONS⋉ decisions.
 func (s *Session) IsInformative(q Question) bool {
-	key, err := s.keyOf(q)
+	key, err := s.questionKey(q)
 	if err != nil {
 		return false
 	}

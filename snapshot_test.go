@@ -247,6 +247,8 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 				{RIndex: 0, PIndex: 2, Positive: true},
 				{RIndex: 0, PIndex: 2, Positive: true},
 			}}, ErrBadTranscript},
+		{"soft belief row out of range", &Snapshot{Version: 2, Kind: SnapshotKindJoin,
+			Soft: &SoftSnapshot{Threshold: 1, Beliefs: []BeliefEntry{{RIndex: 99, PIndex: 0, Pos: 1}}}}, ErrBadTranscript},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

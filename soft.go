@@ -1,6 +1,7 @@
 package joininference
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -243,7 +244,7 @@ func (s *Session) softCommit(q Question, key int, l Label) error {
 		return s.softRecover(newEntry, key, true)
 	}
 	if err := s.kern.commit(key, l); err != nil {
-		if err == ErrInconsistent {
+		if errors.Is(err, ErrInconsistent) {
 			return s.softRecover(newEntry, key, false)
 		}
 		return err
