@@ -291,7 +291,9 @@ func (k *semijoinKernel) applyUpdate(upd *InstanceUpdate, soft *belief.State) er
 			kept = append(kept, e)
 		}
 	}
-	next.rebuild(kept)
+	if err := next.rebuild(kept); err != nil {
+		return err
+	}
 	theta, ok, err := next.solver.Consistent(next.sample)
 	if err != nil {
 		return fmt.Errorf("joininference: %w", err)

@@ -459,9 +459,10 @@ func (s *Session) questions(picked []int) []Question {
 }
 
 // questionKey returns the key of a question produced by a session of this
-// kind over this instance.
+// kind over this instance (a hand-built Question carries no session state,
+// and its zero key would silently name the wrong class or row).
 func (s *Session) questionKey(q Question) (int, error) {
-	if q.Semijoin() != (s.kern.kind() == SnapshotKindSemijoin) || q.key < 0 || q.key >= s.kern.keys() {
+	if q.u == nil || q.Semijoin() != (s.kern.kind() == SnapshotKindSemijoin) || q.key < 0 || q.key >= s.kern.keys() {
 		return 0, fmt.Errorf("joininference: question was not produced by this %s session", s.kern.kind())
 	}
 	return q.key, nil

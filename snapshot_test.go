@@ -377,6 +377,19 @@ func TestQuestionRefRoundtrip(t *testing.T) {
 	if _, err := s.QuestionByRef(QuestionRef{RIndex: 0, PIndex: -1}); !errors.Is(err, ErrBadQuestionRef) {
 		t.Errorf("semijoin ref on a join session: want ErrBadQuestionRef, got %v", err)
 	}
+	// A hand-built Question carries no session state: answering it fails
+	// instead of labeling whatever class or row its zero key names.
+	for _, tc := range []struct {
+		s *Session
+		q Question
+	}{
+		{NewSession(inst), Question{RIndex: 1, PIndex: 1}},
+		{NewSemijoinSession(paperdata.Example21()), Question{RIndex: 2, PIndex: -1}},
+	} {
+		if err := tc.s.Answer(tc.q, Positive); err == nil || tc.s.Questions() != 0 {
+			t.Errorf("hand-built question %+v: answered %d, err %v", tc.q.Ref(), tc.s.Questions(), err)
+		}
+	}
 }
 
 // TestInconsistentAnswerLeavesSessionSnapshottable: an answer rejected as
