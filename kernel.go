@@ -99,8 +99,11 @@ func (k *joinKernel) askable(ci int) bool { return k.engine.Informative(ci) }
 func (k *joinKernel) inferred() Pred      { return k.engine.Result() }
 func (k *joinKernel) theta(ci int) Pred   { return k.engine.Classes()[ci].Theta }
 func (k *joinKernel) dropStrategy()       { k.strat, k.stratErr = nil, nil }
-func (k *joinKernel) entryKey(e TranscriptEntry) int {
-	return k.classIndexFor(e.RIndex, e.PIndex)
+
+// entryTheta returns the most specific predicate of a committed entry's
+// T-class.
+func (k *joinKernel) entryTheta(e TranscriptEntry) Pred {
+	return k.theta(k.classIndexFor(e.RIndex, e.PIndex))
 }
 
 func (k *joinKernel) keyOf(ref QuestionRef) (int, error) {
@@ -272,9 +275,13 @@ func (k *joinKernel) commit(ci int, l Label) error {
 }
 
 func (k *joinKernel) transcript() []TranscriptEntry {
-	var out []TranscriptEntry
-	for _, ex := range k.engine.Sample().Examples() {
-		out = append(out, TranscriptEntry{RIndex: ex.RI, PIndex: ex.PI, Positive: bool(ex.Label)})
+	exs := k.engine.Sample().Examples()
+	if len(exs) == 0 {
+		return nil // an empty snapshot transcript encodes as null
+	}
+	out := make([]TranscriptEntry, len(exs))
+	for i, ex := range exs {
+		out[i] = TranscriptEntry{RIndex: ex.RI, PIndex: ex.PI, Positive: bool(ex.Label)}
 	}
 	return out
 }
@@ -283,7 +290,7 @@ func (k *joinKernel) transcript() []TranscriptEntry {
 func (k *joinKernel) replay(tr []TranscriptEntry) (*inference.Engine, error) {
 	fresh := inference.New(k.engine.Inst, inference.WithClasses(k.engine.Classes()))
 	for _, e := range tr {
-		ci := k.entryKey(e)
+		ci := k.classIndexFor(e.RIndex, e.PIndex)
 		if ci < 0 {
 			return nil, fmt.Errorf("transcript tuple (%d,%d) has no class", e.RIndex, e.PIndex)
 		}
@@ -318,12 +325,12 @@ func (k *joinKernel) violated(committed []TranscriptEntry, newEntry TranscriptEn
 	tpos := predicate.Omega(k.engine.U)
 	for _, e := range all {
 		if e.Positive {
-			tpos = tpos.Intersect(k.theta(k.entryKey(e)))
+			tpos = tpos.Intersect(k.entryTheta(e))
 		}
 	}
 	out := make([]bool, len(all))
 	for i, e := range all {
-		out[i] = !e.Positive && tpos.MoreGeneralThan(k.theta(k.entryKey(e)))
+		out[i] = !e.Positive && tpos.MoreGeneralThan(k.entryTheta(e))
 	}
 	return out
 }
@@ -355,7 +362,7 @@ func (k *joinKernel) applyUpdate(upd *InstanceUpdate, soft *belief.State) error 
 func (k *joinKernel) attribute(tr []TranscriptEntry, seed int64) ([]float64, []bool) {
 	answers := make([]belief.LabeledPred, len(tr))
 	for i, e := range tr {
-		answers[i] = belief.LabeledPred{Theta: k.theta(k.entryKey(e)), Positive: e.Positive}
+		answers[i] = belief.LabeledPred{Theta: k.entryTheta(e), Positive: e.Positive}
 	}
 	classes := k.engine.Classes()
 	thetas := make([]predicate.Pred, len(classes))
