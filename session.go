@@ -203,6 +203,10 @@ type Session struct {
 	// (resume replays up to here, so an outstanding unanswered question is
 	// re-drawn identically after ResumeSession). Zero for other strategies.
 	rngMark uint64
+
+	// picked is the scratch of a fetch's picks; nothing retains it past
+	// the fetch (questions and published nodes copy it).
+	picked []int
 }
 
 // NewSession prepares a join-inference session: it scans the Cartesian
@@ -383,7 +387,7 @@ func (s *Session) NextQuestions(ctx context.Context, k int) ([]Question, error) 
 		s.observe(TelemetryStrategy, tStart)
 		return nil, nil
 	}
-	picked, complete, err := s.extend(ctx, []int{first}, k)
+	picked, complete, err := s.extend(ctx, append(s.picked[:0], first), k)
 	if err != nil {
 		return nil, err
 	}
@@ -422,10 +426,7 @@ func (s *Session) servePolicy(ctx context.Context, node policy.Node, prefix []by
 		}
 		return s.questions(picks), true, nil
 	}
-	picked := make([]int, 0, k)
-	picked = append(picked, node.Chosen)
-	picked = append(picked, node.Pivots...)
-	picked, complete, err := s.extend(ctx, picked, k)
+	picked, complete, err := s.extend(ctx, append(append(s.picked[:0], node.Chosen), node.Pivots...), k)
 	if err != nil {
 		return nil, false, err
 	}
@@ -441,12 +442,18 @@ func (s *Session) servePolicy(ctx context.Context, node policy.Node, prefix []by
 
 // extend grows picked to up to k pairwise-informative keys (see
 // kernel.extend); with nothing to extend (k=1, the default serving loop)
-// it skips the walk entirely.
+// it skips the walk entirely. picked lives in the session's scratch, which
+// the grown slice replaces.
 func (s *Session) extend(ctx context.Context, picked []int, k int) ([]int, bool, error) {
-	if len(picked) >= k {
-		return picked, false, nil
+	complete := false
+	if len(picked) < k {
+		var err error
+		if picked, complete, err = s.kern.extend(ctx, picked, k); err != nil {
+			return nil, false, err
+		}
 	}
-	return s.kern.extend(ctx, picked, k)
+	s.picked = picked
+	return picked, complete, nil
 }
 
 // questions materializes the public Questions for the picked keys.
