@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/inference"
 	"repro/internal/paperdata"
+	"repro/internal/synth"
 )
 
 // TestErrInconsistentWrapsInference pins the public error contract: the
@@ -244,7 +245,8 @@ func runDynamicDifferential(t *testing.T, tag string, semijoinKind bool, mkOpts 
 // built-in strategy at Workers 1 and 4, over a delta script that inserts
 // into both relations, deletes answered rows from both, and then mixes the
 // two — so examples are dropped, classes are minted and retired, and the
-// remap is non-trivial.
+// remap is non-trivial. A BU run at Figure 7 scale adds one row and drops
+// it again.
 func TestDynamicMaintainedMatchesResumeJoin(t *testing.T) {
 	deltas := []Delta{
 		{InsertR: []Tuple{{"NYC", "Lille", "BA"}, {"Lille", "Paris", "AF"}}, InsertP: []Tuple{{"Lille", "BA"}}},
@@ -271,6 +273,21 @@ func TestDynamicMaintainedMatchesResumeJoin(t *testing.T) {
 			})
 		}
 	}
+	t.Run("fig7/BU", func(t *testing.T) {
+		inst := synth.MustGenerate(synth.PaperConfigs()[0], 1)
+		goal, err := PredFromNames(NewSession(inst).Universe(), [2]string{"A1", "B1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fig7Deltas := []Delta{
+			{InsertR: []Tuple{{"100", "100", "100"}}},
+			{DeleteR: []int{inst.R.Len()}},
+		}
+		mkOpts := func(cs *ClassSet) []Option {
+			return []Option{WithStrategy(StrategyBU), WithPrecomputedClasses(cs)}
+		}
+		runDynamicDifferential(t, t.Name(), false, mkOpts, inst, goal, fig7Deltas)
+	})
 }
 
 // TestDynamicMaintainedMatchesResumeSemijoin is the semijoin leg: R and P

@@ -343,22 +343,6 @@ func (s Set) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// AsWord returns the set's contents as a single machine word when every
-// element is below 64; ok is false otherwise. Hot paths use this to switch
-// to branch-free word arithmetic (join-predicate universes of real schemas
-// almost always fit: Ω = n·m pairs ≤ 64 covers e.g. 8×8 attributes).
-func (s Set) AsWord() (w uint64, ok bool) {
-	if len(s.words) == 0 {
-		return 0, true
-	}
-	for _, hi := range s.words[1:] {
-		if hi != 0 {
-			return 0, false
-		}
-	}
-	return s.words[0], true
-}
-
 // Key returns a string that is equal for equal sets, usable as a map key.
 // Trailing zero words are excluded so capacity does not affect the key.
 func (s Set) Key() string {

@@ -259,6 +259,60 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
+// TestBreakerGateRetryHealthyPath: on a healthy store the resilience
+// machinery stays out of the way. A whole L2S session over HTTP — create,
+// questions to the halt, predicate, delete — succeeds with the store and a
+// store-backed policy cache alone, with admission gates and a shared
+// breaker added, and with the store retry wrapper and a request deadline
+// on top.
+func TestBreakerGateRetryHealthyPath(t *testing.T) {
+	inst := paperdata.FlightHotel()
+	goal := flightGoal(t)
+	want := goal.Format(joininference.NewSession(inst).Universe())
+	for _, tc := range []struct {
+		name         string
+		gates, retry bool
+	}{{"store", false, false}, {"gate+breaker", true, false}, {"full", true, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var kv store.KV = store.NewMem()
+			if tc.retry {
+				kv = store.NewRetry(kv, store.RetryOptions{Attempts: 3})
+			}
+			pc := joininference.NewPolicyCache(8 << 20)
+			opts := Options{Store: kv, PolicyCache: pc}
+			if tc.gates {
+				breaker := resilience.NewBreaker(resilience.BreakerOptions{})
+				pc.AttachStore(kv, 0, joininference.WithTierBreaker(breaker))
+				opts.StoreBreaker, opts.MaxConcurrent, opts.MaxQueue = breaker, 64, 64
+			} else {
+				pc.AttachStore(kv, 0)
+			}
+			if tc.retry {
+				opts.RequestTimeout = time.Minute
+			}
+			m, err := NewManager(testRegistry(t), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close(context.Background())
+			srv := httptest.NewServer(NewHandler(m))
+			defer srv.Close()
+			client := srv.Client()
+
+			var info Info
+			doJSON(t, client, http.MethodPost, srv.URL+"/sessions",
+				Params{Instance: "flights", Strategy: joininference.StrategyL2S}, http.StatusCreated, &info)
+			driveHTTP(t, client, srv.URL, info.ID, inst, goal, 2)
+			var p PredicateInfo
+			doJSON(t, client, http.MethodGet, srv.URL+"/sessions/"+info.ID+"/predicate", nil, http.StatusOK, &p)
+			if !p.Done || p.Predicate != want {
+				t.Errorf("done=%v, inferred %q, want %q", p.Done, p.Predicate, want)
+			}
+			doJSON(t, client, http.MethodDelete, srv.URL+"/sessions/"+info.ID, nil, http.StatusNoContent, nil)
+		})
+	}
+}
+
 // TestAdmissionControl429: a saturated route sheds with 429 + Retry-After
 // instead of queueing without bound.
 func TestAdmissionControl429(t *testing.T) {

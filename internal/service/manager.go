@@ -155,10 +155,14 @@ type Options struct {
 	StoreBreaker *resilience.Breaker
 }
 
+// minJanitorInterval floors the sweep cadence: a TTL under 4ns would
+// otherwise give a zero interval, which time.NewTicker rejects with a panic.
+const minJanitorInterval = time.Millisecond
+
 // JanitorInterval resolves the sweep cadence from the TTL: a quarter of
-// it, capped at one minute.
+// it, capped at one minute and floored at one millisecond.
 func (o Options) JanitorInterval() time.Duration {
-	return min(o.TTL/4, time.Minute)
+	return max(min(o.TTL/4, time.Minute), minJanitorInterval)
 }
 
 // Manager owns live sessions: create/answer/snapshot/evict with per-session

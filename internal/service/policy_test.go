@@ -10,6 +10,7 @@ import (
 	"time"
 
 	joininference "repro"
+	"repro/internal/paperdata"
 )
 
 const minute = time.Minute
@@ -71,32 +72,53 @@ func TestManagerSharedPolicyCache(t *testing.T) {
 	}
 }
 
-// TestManagerPolicyCacheConcurrent exercises the shared cache under
-// concurrent managed sessions (run with -race).
+// TestManagerPolicyCacheConcurrent drives managed sessions of every
+// built-in strategy in parallel, with and without a shared policy cache
+// (run with -race): every session converges to the goal and deletes
+// cleanly, and the cache sees publishes.
 func TestManagerPolicyCacheConcurrent(t *testing.T) {
 	goal := flightGoal(t)
-	cache := joininference.NewPolicyCache(0)
-	m, err := NewManager(testRegistry(t), Options{PolicyCache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			id := joininference.KnownStrategies()[w%len(joininference.KnownStrategies())]
-			info, err := m.Create(Params{Instance: "flights", Strategy: id, Seed: 3})
-			if err != nil {
-				t.Error(err)
-				return
+	want := goal.Format(joininference.NewSession(paperdata.FlightHotel()).Universe())
+	for _, cache := range []*joininference.PolicyCache{nil, joininference.NewPolicyCache(0)} {
+		m, err := NewManager(testRegistry(t), Options{PolicyCache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]string, 8)
+		var wg sync.WaitGroup
+		for w := range ids {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				id := joininference.KnownStrategies()[w%len(joininference.KnownStrategies())]
+				info, err := m.Create(Params{Instance: "flights", Strategy: id, Seed: 3})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ids[w] = info.ID
+				driveToDone(t, m, info.ID, goal, 2)
+			}(w)
+		}
+		wg.Wait()
+		for _, id := range ids {
+			if id == "" {
+				continue // Create failed and was reported
 			}
-			driveToDone(t, m, info.ID, goal, 2)
-		}(w)
-	}
-	wg.Wait()
-	if st := cache.Stats(); st.Publishes == 0 {
-		t.Error("no nodes published by concurrent sessions")
+			p, err := m.Predicate(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !p.Done || p.Predicate != want {
+				t.Errorf("session %s: done=%v, inferred %q, want %q", id, p.Done, p.Predicate, want)
+			}
+			if err := m.Delete(id); err != nil {
+				t.Error(err)
+			}
+		}
+		if cache != nil && cache.Stats().Publishes == 0 {
+			t.Error("no nodes published by concurrent sessions")
+		}
 	}
 }
 
@@ -217,7 +239,7 @@ func TestPolicyCacheHTTPHugeK(t *testing.T) {
 }
 
 // TestJanitorIntervalResolution: the sweep interval is a quarter of the
-// TTL, capped at one minute.
+// TTL, capped at one minute and floored at one millisecond.
 func TestJanitorIntervalResolution(t *testing.T) {
 	cases := []struct {
 		opts Options
@@ -225,6 +247,7 @@ func TestJanitorIntervalResolution(t *testing.T) {
 	}{
 		{Options{TTL: 40 * minute}, "1m0s"}, // capped
 		{Options{TTL: 2 * minute}, "30s"},   // ttl/4
+		{Options{TTL: 3}, "1ms"},            // floored: ttl/4 is 0
 	}
 	for _, tc := range cases {
 		if got := tc.opts.JanitorInterval().String(); got != tc.want {

@@ -27,7 +27,13 @@ func classFor(e *inference.Engine, ri, pi int) int {
 
 func runWith(t *testing.T, strat inference.Strategy, goal predicate.Pred) inference.Result {
 	t.Helper()
-	inst := paperdata.Example21()
+	return runOn(t, paperdata.Example21(), strat, goal)
+}
+
+// runOn drives strat on inst against an honest oracle for goal and checks
+// the result is instance-equivalent to the goal.
+func runOn(t *testing.T, inst *relation.Instance, strat inference.Strategy, goal predicate.Pred) inference.Result {
+	t.Helper()
 	e := inference.New(inst)
 	orc := oracle.NewHonest(inst, e.U, goal)
 	res, err := inference.Run(e, strat, orc, 2*len(e.Classes()))
@@ -303,59 +309,65 @@ func TestAllStrategiesInferAllGoals(t *testing.T) {
 	}
 }
 
-// TestOptimalIsLowerBound: on Example 2.1, the minimax-optimal worst case
-// is a lower bound for every strategy's worst case over all goals.
+// TestOptimalIsLowerBound: on Example 2.1 and on random instances within
+// OPT's class bound that ask at least one question, the minimax-optimal
+// worst case is a lower bound for every built-in strategy's worst case, and
+// OPT attains it. The goals are every predicate over Ω, so every consistent
+// answer path is some goal's honest run and the worst case over the goals
+// is the strategy's worst case.
 func TestOptimalIsLowerBound(t *testing.T) {
-	inst := paperdata.Example21()
-	e := inference.New(inst)
-	opt := NewOptimal()
-	optWorst := opt.Cost(e)
-	if optWorst <= 0 || optWorst > 12 {
-		t.Fatalf("optimal worst case = %d", optWorst)
+	insts := []*relation.Instance{paperdata.Example21()}
+	r := rand.New(rand.NewSource(1))
+	for len(insts) < 31 {
+		inst := randInstance(r)
+		if e := inference.New(inst); len(e.Classes()) <= DefaultMaxClasses && NewOptimal().Cost(e) > 0 {
+			insts = append(insts, inst)
+		}
 	}
-
-	u := predicate.NewUniverse(inst)
-	goals := []predicate.Pred{predicate.Omega(u)}
-	for _, c := range e.Classes() {
-		goals = append(goals, c.Theta)
-	}
-	for _, mk := range []func() inference.Strategy{
-		func() inference.Strategy { return BottomUp{} },
-		func() inference.Strategy { return NewTopDown() },
-		func() inference.Strategy { return Lookahead{K: 1} },
-		func() inference.Strategy { return Lookahead{K: 2} },
-	} {
-		worst := 0
-		name := ""
-		for _, goal := range goals {
-			strat := mk()
-			name = strat.Name()
-			res := runWith(t, strat, goal)
-			if res.Interactions > worst {
-				worst = res.Interactions
+	for n, inst := range insts {
+		e := inference.New(inst)
+		opt := NewOptimal()
+		optWorst := opt.Cost(e)
+		if optWorst <= 0 || optWorst > len(e.Classes()) {
+			t.Fatalf("instance %d: optimal worst case = %d over %d classes", n, optWorst, len(e.Classes()))
+		}
+		var goals []predicate.Pred
+		for mask := 0; mask < 1<<e.U.Size(); mask++ {
+			var goal predicate.Pred
+			for id := 0; id < e.U.Size(); id++ {
+				if mask>>id&1 == 1 {
+					goal.Set.Add(id)
+				}
+			}
+			goals = append(goals, goal)
+		}
+		for _, mk := range []func() inference.Strategy{
+			func() inference.Strategy { return BottomUp{} },
+			func() inference.Strategy { return NewTopDown() },
+			func() inference.Strategy { return NewRandom(7) },
+			func() inference.Strategy { return Lookahead{K: 1} },
+			func() inference.Strategy { return Lookahead{K: 2} },
+		} {
+			worst := 0
+			name := ""
+			for _, goal := range goals {
+				strat := mk()
+				name = strat.Name()
+				worst = max(worst, runOn(t, inst, strat, goal).Interactions)
+			}
+			if worst < optWorst {
+				t.Errorf("instance %d: %s worst case %d beats the optimal %d — minimax bug", n, name, worst, optWorst)
 			}
 		}
-		if worst < optWorst {
-			t.Errorf("%s worst case %d beats the optimal %d — minimax bug", name, worst, optWorst)
-		}
-	}
 
-	// The optimal strategy itself achieves its own bound.
-	worst := 0
-	for _, goal := range goals {
-		inst := paperdata.Example21()
-		e := inference.New(inst)
-		orc := oracle.NewHonest(inst, e.U, goal)
-		res, err := inference.Run(e, NewOptimal(), orc, 2*len(e.Classes()))
-		if err != nil {
-			t.Fatal(err)
+		// The optimal strategy itself achieves its own bound.
+		worst := 0
+		for _, goal := range goals {
+			worst = max(worst, runOn(t, inst, opt, goal).Interactions)
 		}
-		if res.Interactions > worst {
-			worst = res.Interactions
+		if worst != optWorst {
+			t.Errorf("instance %d: OPT achieved worst case %d, minimax value is %d", n, worst, optWorst)
 		}
-	}
-	if worst != optWorst {
-		t.Errorf("OPT achieved worst case %d, minimax value is %d", worst, optWorst)
 	}
 }
 

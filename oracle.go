@@ -125,19 +125,6 @@ func (c *Crowd) TotalCost() float64 {
 	return c.m.TotalCost()
 }
 
-// CrowdRoundStats is the per-worker-round cost/accuracy breakdown entry of
-// Crowd.CrowdStats.
-type CrowdRoundStats = crowd.RoundStats
-
-// CrowdStats returns the per-worker-round cost/accuracy breakdown: entry i
-// covers the i-th vote cast on each question, so entries at or past the
-// panel size are tie-break rounds the even panel had to pay for.
-func (c *Crowd) CrowdStats() []CrowdRoundStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m.Stats()
-}
-
 // CrowdErrorRate returns the probability that a majority of `workers`
 // independent workers, each wrong with probability errorRate, aggregates to
 // the wrong label (ties resolved by an extra worker).
@@ -304,24 +291,6 @@ func (c *ReliabilityCrowd) Absorb(events []SoftEvent) {
 				// with it get a corrective wrong grade, dissenters a credit.
 				c.rel.Observe(id, bool(raw) != ev.Positive)
 			}
-		}
-	}
-}
-
-// AbsorbAttribution feeds Explain's answer scores back into the
-// posteriors: workers behind a critical answer (one that pins the inferred
-// predicate) earn an extra confirmation for agreeing with it — the
-// Banzhaf score acting as a worker-quality signal.
-func (c *ReliabilityCrowd) AbsorbAttribution(attrs []AnswerAttribution) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, a := range attrs {
-		if !a.Critical {
-			continue
-		}
-		log := c.raw[a.Ref]
-		for id, raw := range log {
-			c.rel.Observe(id, bool(raw) == a.Positive)
 		}
 	}
 }

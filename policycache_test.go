@@ -61,40 +61,57 @@ func sameSeq(t *testing.T, name string, want, got []QuestionRef) {
 // TestPolicyCacheDifferentialJoin proves the correctness bar of the cache:
 // for every built-in strategy, an uncached session, the session that
 // populates a cold cache, and a session served from the warm cache ask
-// bit-identical question sequences — for single fetches and for batches.
+// bit-identical question sequences — for single fetches and for batches —
+// and each reaches the halt condition. The lookahead strategies, which the
+// cache exists for, also run one question per fetch on the paper's Figure 7
+// synthetic configuration (3, 3, 100, 100).
 func TestPolicyCacheDifferentialJoin(t *testing.T) {
-	inst := paperdata.FlightHotel()
-	classes := PrecomputeClasses(inst)
-	u := NewSession(inst).Universe()
-	goal, err := PredFromNames(u, [2]string{"To", "City"}, [2]string{"Airline", "Discount"})
-	if err != nil {
-		t.Fatal(err)
+	fh := paperdata.FlightHotel()
+	fig7 := synth.MustGenerate(synth.PaperConfigs()[0], 1)
+	cases := []struct {
+		name       string // the cache's instance key
+		sub        string // subtest name prefix
+		inst       *Instance
+		goal       [][2]string
+		strategies []StrategyID
+		ks         []int
+	}{
+		{"flight-hotel", "", fh, [][2]string{{"To", "City"}, {"Airline", "Discount"}}, KnownStrategies(), []int{1, 3}},
+		{"fig7", "fig7/", fig7, [][2]string{{"A1", "B1"}}, []StrategyID{StrategyL1S, StrategyL2S}, []int{1}},
 	}
-	for _, id := range KnownStrategies() {
-		for _, k := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/k=%d", id, k), func(t *testing.T) {
-				base := []Option{WithStrategy(id), WithSeed(7), WithPrecomputedClasses(classes)}
-				ref := questionSeq(t, NewSession(inst, base...), goal, k)
+	for _, tc := range cases {
+		inst := tc.inst
+		classes := PrecomputeClasses(inst)
+		goal, err := PredFromNames(NewSession(inst).Universe(), tc.goal...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range tc.strategies {
+			for _, k := range tc.ks {
+				t.Run(fmt.Sprintf("%s%s/k=%d", tc.sub, id, k), func(t *testing.T) {
+					base := []Option{WithStrategy(id), WithSeed(7), WithPrecomputedClasses(classes)}
+					ref := questionSeq(t, NewSession(inst, base...), goal, k)
 
-				cache := NewPolicyCache(0)
-				cached := append(append([]Option(nil), base...), WithPolicyCache(cache, "flight-hotel"))
-				cold := questionSeq(t, NewSession(inst, cached...), goal, k)
-				sameSeq(t, "cold cache", ref, cold)
-				if cache.Stats().Publishes == 0 {
-					t.Fatal("cold session published nothing")
-				}
+					cache := NewPolicyCache(0)
+					cached := append(append([]Option(nil), base...), WithPolicyCache(cache, tc.name))
+					cold := questionSeq(t, NewSession(inst, cached...), goal, k)
+					sameSeq(t, "cold cache", ref, cold)
+					if cache.Stats().Publishes == 0 {
+						t.Fatal("cold session published nothing")
+					}
 
-				before := cache.Stats()
-				warm := questionSeq(t, NewSession(inst, cached...), goal, k)
-				sameSeq(t, "warm cache", ref, warm)
-				after := cache.Stats()
-				if after.Hits == before.Hits {
-					t.Error("warm session never hit the cache")
-				}
-				if after.Misses != before.Misses {
-					t.Errorf("warm session missed %d times on an unbounded cache", after.Misses-before.Misses)
-				}
-			})
+					before := cache.Stats()
+					warm := questionSeq(t, NewSession(inst, cached...), goal, k)
+					sameSeq(t, "warm cache", ref, warm)
+					after := cache.Stats()
+					if after.Hits == before.Hits {
+						t.Error("warm session never hit the cache")
+					}
+					if after.Misses != before.Misses {
+						t.Errorf("warm session missed %d times on an unbounded cache", after.Misses-before.Misses)
+					}
+				})
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -114,14 +113,6 @@ func appendSoftBinary(buf []byte, soft *SoftSnapshot) []byte {
 		}
 	}
 	return buf
-}
-
-// EncodeBinary writes the snapshot's binary form.
-func (sn *Snapshot) EncodeBinary(w io.Writer) error {
-	if _, err := w.Write(sn.AppendBinary(nil)); err != nil {
-		return fmt.Errorf("joininference: encoding snapshot: %w", err)
-	}
-	return nil
 }
 
 // DecodeBinarySnapshot parses a binary snapshot and validates it exactly

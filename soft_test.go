@@ -19,10 +19,17 @@ import (
 // surfacing ErrInconsistent, and the session still converges to the goal.
 
 // TestSoftDifferentialJoin: threshold 1, budget 0 — soft join sessions are
-// question-for-question identical to hard ones.
+// question-for-question identical to hard ones, on the coldpath fixture and
+// on the paper's Figure 7 synthetic configuration (3, 3, 100, 100).
 func TestSoftDifferentialJoin(t *testing.T) {
-	inst := coldPathInstance(t)
-	goal := coldPathGoal(inst)
+	cold := coldPathInstance(t)
+	softDifferentialJoin(t, cold, coldPathGoal(cold))
+	fig7 := synth.MustGenerate(synth.PaperConfigs()[0], 1)
+	softDifferentialJoin(t, fig7, predicate.FromPairs(predicate.NewUniverse(fig7), [2]int{0, 0})) // A1 = B1
+}
+
+func softDifferentialJoin(t *testing.T, inst *Instance, goal Pred) {
+	t.Helper()
 	u := predicate.NewUniverse(inst)
 	cs := PrecomputeClasses(inst)
 	want := predicate.Join(inst, u, goal)
@@ -177,11 +184,11 @@ func sjLiarInstance(t *testing.T) (*Instance, Pred) {
 	return inst, predicate.FromPairs(u, [2]int{0, 0}, [2]int{1, 1})
 }
 
-// TestSoftAbsorbsPlantedLieJoin: with a nonzero error budget, planting one
-// wrong answer at every position of every strategy's batched run never
-// surfaces an error; whenever the lie produces a contradiction the
-// offending label is retracted and the session still converges to the goal
-// predicate.
+// TestSoftAbsorbsPlantedLieJoin: with a nonzero error budget, an honest
+// batched run never retracts, and planting one wrong answer at every
+// position of every strategy's batched run never surfaces an error;
+// whenever the lie produces a contradiction the offending label is
+// retracted and the session still converges to the goal predicate.
 func TestSoftAbsorbsPlantedLieJoin(t *testing.T) {
 	inst := coldPathInstance(t)
 	goal := coldPathGoal(inst)
@@ -189,6 +196,13 @@ func TestSoftAbsorbsPlantedLieJoin(t *testing.T) {
 	want := predicate.Join(inst, u, goal)
 	for _, id := range []StrategyID{StrategyBU, StrategyTD, StrategyL1S, StrategyRND} {
 		n := honestBatchLength(t, inst, goal, id, false, lieBatch)
+		honest := NewSession(inst, WithStrategy(id), WithSeed(7), WithErrorBudget(3))
+		if err := runBatched(context.Background(), honest, HonestOracle(goal), lieBatch); err != nil {
+			t.Fatalf("%s: honest run: %v", id, err)
+		}
+		if st := honest.SoftStats(); st.Retractions != 0 {
+			t.Fatalf("%s: honest run retracted %d times", id, st.Retractions)
+		}
 		retracted := 0
 		for pos := 0; pos < n; pos++ {
 			s := NewSession(inst, WithStrategy(id), WithSeed(7), WithErrorBudget(3))
@@ -198,6 +212,9 @@ func TestSoftAbsorbsPlantedLieJoin(t *testing.T) {
 				t.Fatalf("%s: lie at %d: %v", id, pos, err)
 			}
 			st := s.SoftStats()
+			if id == StrategyBU && pos == 1 && st.Retractions == 0 {
+				t.Fatalf("%s: the lie at 1 contradicts its batch but was not retracted", id)
+			}
 			if st.Retractions > 0 {
 				retracted++
 				if got := predicate.Join(inst, u, s.Inferred()); len(got) != len(want) {

@@ -16,7 +16,8 @@ import (
 // the binary and JSON snapshot forms and the policy-cache node key (tree key
 // plus answer prefix plus RND position) — as SHA-256 digests. Every other
 // suite checks that two code paths agree; this one fails when a refactor
-// changes what an older build wrote to the store or a peer cached.
+// changes what an older build wrote to the store or a peer cached. Each
+// snapshot also decodes from both forms back to the same bytes.
 func TestWireBytes(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -134,13 +135,27 @@ func TestWireBytes(t *testing.T) {
 			}
 			k := s.policyTreeKey()
 			node := store.PolicyNodeKey(k.Instance, k.Version, k.Strategy, k.Seed, prefix, s.policyRNGPos())
+			bin := sn.AppendBinary(nil)
 			for _, d := range []struct{ what, got, want string }{
-				{"binary snapshot", digest(sn.AppendBinary(nil)), tc.binary},
+				{"binary snapshot", digest(bin), tc.binary},
 				{"JSON snapshot", digest(js.Bytes()), tc.json},
 				{"policy node key", digest(node), tc.policy},
 			} {
 				if d.got != d.want {
 					t.Errorf("%s digest %s, want %s", d.what, d.got, d.want)
+				}
+			}
+			// Both forms decode back to a snapshot with the same binary bytes.
+			for _, w := range []struct {
+				form  string
+				bytes []byte
+			}{{"binary", bin}, {"JSON", js.Bytes()}} {
+				back, err := DecodeSnapshotBytes(w.bytes)
+				if err != nil {
+					t.Fatalf("decoding the %s snapshot: %v", w.form, err)
+				}
+				if got := digest(back.AppendBinary(nil)); got != tc.binary {
+					t.Errorf("%s snapshot decodes to binary digest %s, want %s", w.form, got, tc.binary)
 				}
 			}
 		})
