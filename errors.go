@@ -37,8 +37,10 @@ var (
 	ErrBadQuestionRef = errors.New("joininference: bad question ref")
 
 	// ErrBadSnapshot reports a snapshot that cannot be resumed: an
-	// unsupported version, an unknown kind, or internal inconsistencies
-	// (see Snapshot for the compatibility policy).
+	// unsupported version, an unknown kind, a field beyond the binary
+	// form's limits, or internal inconsistencies (see Snapshot for the
+	// compatibility policy). AnswerVote also returns it for a vote no
+	// snapshot could hold.
 	ErrBadSnapshot = errors.New("joininference: bad snapshot")
 
 	// ErrNotSnapshottable reports a session whose state cannot be captured —

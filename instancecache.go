@@ -9,6 +9,7 @@ import (
 	"repro/internal/predicate"
 	"repro/internal/product"
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 // Instance-cache wire form: a loaded instance together with its
@@ -43,10 +44,17 @@ var instanceCacheMagic = []byte("JICA")
 
 const instanceCacheVersion = 2
 
-// maxInstanceCacheStr bounds any single string (schema name, attribute,
-// value) in the cache; generous for real data, small enough that corrupt
-// lengths cannot drive huge allocations.
-const maxInstanceCacheStr = 1 << 20
+// Limits of the cache record. Any single string (schema name, attribute,
+// value) is bounded: generous for real data, small enough that a corrupt
+// length cannot drive a huge allocation. Ingested values meet the same
+// bound through the delta log's limit (store.CheckDelta); a source value
+// beyond it only makes the record fail decode, and boot falls back to the
+// source.
+const (
+	maxInstanceCacheStr   = 1 << 20
+	maxInstanceCacheArity = 1 << 16
+	maxInstanceCacheRows  = math.MaxUint32
+)
 
 // EncodeInstanceCache builds the binary cache record for an instance and
 // its precomputed classes.
@@ -68,23 +76,18 @@ func EncodeInstanceCache(inst *Instance, cs *ClassSet) []byte {
 }
 
 func appendRelation(buf []byte, r *Relation) []byte {
-	buf = appendString(buf, r.Schema.Name)
+	buf = wire.AppendString(buf, r.Schema.Name)
 	buf = binary.AppendUvarint(buf, uint64(r.Schema.Arity()))
 	for _, a := range r.Schema.Attributes {
-		buf = appendString(buf, a)
+		buf = wire.AppendString(buf, a)
 	}
 	buf = binary.AppendUvarint(buf, uint64(r.Len()))
 	for _, t := range r.Tuples {
 		for _, v := range t {
-			buf = appendString(buf, v)
+			buf = wire.AppendString(buf, v)
 		}
 	}
 	return buf
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
 }
 
 // appendTombstones writes a dead-row bitmap as a count plus the ascending
@@ -113,122 +116,85 @@ func DecodeInstanceCache(data []byte) (*Instance, *ClassSet, error) {
 	if !bytes.HasPrefix(data, instanceCacheMagic) {
 		return nil, nil, fmt.Errorf("%w: not an instance cache record", ErrBadSnapshot)
 	}
-	d := snapDecoder{b: data[len(instanceCacheMagic):]}
-	if v := d.byte(); v != instanceCacheVersion && d.err == nil {
-		return nil, nil, fmt.Errorf("%w: instance cache version %d not supported", ErrBadSnapshot, v)
+	d := wire.NewDec(data[len(instanceCacheMagic):], ErrBadSnapshot)
+	if v := d.Byte(); v != instanceCacheVersion {
+		d.Failf("instance cache version %d not supported", v)
 	}
-	r, err := decodeRelation(&d)
-	if err != nil {
-		return nil, nil, err
+	r, p := decodeRelation(&d), decodeRelation(&d)
+	if d.Err() != nil {
+		return nil, nil, d.Err()
 	}
-	p, err := decodeRelation(&d)
-	if err != nil {
-		return nil, nil, err
-	}
-	version := int64(d.uvarintMax(math.MaxInt64))
-	deadR, err := decodeTombstones(&d, r.Len())
-	if err != nil {
-		return nil, nil, err
-	}
-	deadP, err := decodeTombstones(&d, p.Len())
-	if err != nil {
-		return nil, nil, err
-	}
-	if d.err != nil {
-		return nil, nil, d.err
+	version := int64(d.Uvarint(math.MaxInt64))
+	deadR, deadP := decodeTombstones(&d, r.Len()), decodeTombstones(&d, p.Len())
+	if d.Err() != nil {
+		return nil, nil, d.Err()
 	}
 	inst, err := relation.RestoreInstance(r, p, version, deadR, deadP)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	count := d.uvarintMax(uint64(len(data))) // ≥ 3 bytes per class
-	if d.err != nil {
-		return nil, nil, d.err
-	}
 	u := predicate.NewUniverse(inst)
-	classes := make([]*product.Class, 0, count)
-	for i := uint64(0); i < count; i++ {
-		ri := int(d.uvarintMax(math.MaxInt32))
-		pi := int(d.uvarintMax(math.MaxInt32))
-		n := int64(d.uvarintMax(math.MaxInt64))
-		if d.err != nil {
-			return nil, nil, d.err
+	classes := make([]*product.Class, d.Count(3)) // a class takes ≥ 3 bytes
+	for i := range classes {
+		ri := int(d.Uvarint(math.MaxInt32))
+		pi := int(d.Uvarint(math.MaxInt32))
+		n := int64(d.Uvarint(math.MaxInt64))
+		if d.Err() != nil {
+			return nil, nil, d.Err()
 		}
 		if ri >= r.Len() || pi >= p.Len() || n <= 0 || !inst.RAlive(ri) || !inst.PAlive(pi) {
 			return nil, nil, fmt.Errorf("%w: class %d: representative (%d,%d) count %d out of range", ErrBadSnapshot, i, ri, pi, n)
 		}
-		classes = append(classes, &product.Class{
-			Theta: predicate.T(u, r.Tuples[ri], p.Tuples[pi]),
-			RI:    ri,
-			PI:    pi,
-			Count: n,
-		})
+		classes[i] = &product.Class{Theta: predicate.T(u, r.Tuples[ri], p.Tuples[pi]), RI: ri, PI: pi, Count: n}
 	}
-	if len(d.b) != 0 {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(d.b))
+	if err := d.Finish(); err != nil {
+		return nil, nil, err
 	}
 	return inst, &ClassSet{classes: classes}, nil
 }
 
-func decodeRelation(d *snapDecoder) (*Relation, error) {
-	name := d.str(maxInstanceCacheStr)
-	arity := d.uvarintMax(1 << 16)
-	if d.err != nil {
-		return nil, d.err
+// decodeRelation reads one relation; once d has failed its result is
+// meaningless (possibly nil).
+func decodeRelation(d *wire.Dec) *Relation {
+	name := d.Str(maxInstanceCacheStr)
+	attrs := make([]string, d.Uvarint(maxInstanceCacheArity))
+	for i := range attrs {
+		attrs[i] = d.Str(maxInstanceCacheStr)
 	}
-	attrs := make([]string, 0, arity)
-	for i := uint64(0); i < arity; i++ {
-		attrs = append(attrs, d.str(maxInstanceCacheStr))
-	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil
 	}
 	schema, err := relation.NewSchema(name, attrs...)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		d.Failf("%v", err)
+		return nil
 	}
 	rel := relation.NewRelation(schema)
-	rows := d.uvarintMax(math.MaxUint32)
-	if d.err != nil {
-		return nil, d.err
-	}
-	for i := uint64(0); i < rows; i++ {
-		t := make(relation.Tuple, arity)
+	for rows := d.Uvarint(maxInstanceCacheRows); rows > 0 && d.Err() == nil; rows-- {
+		t := make(relation.Tuple, len(attrs))
 		for j := range t {
-			t[j] = d.str(maxInstanceCacheStr)
+			t[j] = d.Str(maxInstanceCacheStr)
 		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		if err := rel.AddTuple(t); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
+		rel.Tuples = append(rel.Tuples, t) // the schema's arity by construction
 	}
-	return rel, nil
+	return rel
 }
 
 // decodeTombstones reads a tombstone list back into a bitmap (nil when
 // empty), validating indexes are ascending and in range.
-func decodeTombstones(d *snapDecoder, rows int) ([]bool, error) {
-	n := d.uvarintMax(uint64(rows))
-	if d.err != nil {
-		return nil, d.err
-	}
-	if n == 0 {
-		return nil, nil
+func decodeTombstones(d *wire.Dec, rows int) []bool {
+	n := d.Uvarint(uint64(rows))
+	if n == 0 || d.Err() != nil {
+		return nil
 	}
 	dead := make([]bool, rows)
-	prev := -1
-	for i := uint64(0); i < n; i++ {
-		idx := int(d.uvarintMax(math.MaxInt32))
-		if d.err != nil {
-			return nil, d.err
-		}
-		if idx <= prev || idx >= rows {
-			return nil, fmt.Errorf("%w: tombstone index %d out of order or range", ErrBadSnapshot, idx)
+	for prev := -1; n > 0 && d.Err() == nil; n-- {
+		idx := int(d.Uvarint(uint64(rows - 1)))
+		if idx <= prev {
+			d.Failf("tombstone index %d out of order", idx)
 		}
 		dead[idx] = true
 		prev = idx
 	}
-	return dead, nil
+	return dead
 }

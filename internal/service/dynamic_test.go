@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -182,6 +183,12 @@ func TestManagerIngestRejectsBadDeltas(t *testing.T) {
 	}
 	if _, err := m.Ingest("flights", joininference.Delta{DeleteR: []int{99}}); !errors.Is(err, ErrBadDelta) {
 		t.Fatalf("out-of-range delete: %v", err)
+	}
+	// A value over the delta log's limit would be appended, then fail
+	// replay at every boot.
+	huge := joininference.Delta{InsertR: []joininference.Tuple{{"NYC", strings.Repeat("x", 2<<20), "BA"}}}
+	if _, err := m.Ingest("flights", huge); !errors.Is(err, ErrBadDelta) {
+		t.Fatalf("oversized value: %v", err)
 	}
 }
 

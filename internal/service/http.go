@@ -87,8 +87,8 @@ func NewHandler(m *Manager) http.Handler {
 	}
 	mux.HandleFunc("POST /sessions", gated(routeCreate, func(w http.ResponseWriter, r *http.Request) {
 		var req createRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if err := decodeBody(w, r, &req); err != nil {
+			httpError(w, statusFor(err), err)
 			return
 		}
 		var info Info
@@ -134,8 +134,8 @@ func NewHandler(m *Manager) http.Handler {
 	}))
 	mux.HandleFunc("POST /sessions/{id}/answers", gated(routeAnswers, func(w http.ResponseWriter, r *http.Request) {
 		var req answersRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if err := decodeBody(w, r, &req); err != nil {
+			httpError(w, statusFor(err), err)
 			return
 		}
 		res, err := m.Answer(r.Context(), r.PathValue("id"), req.Answers)
@@ -186,8 +186,8 @@ func NewHandler(m *Manager) http.Handler {
 	})
 	mux.HandleFunc("POST /instances/{id}/rows", gated(routeIngest, func(w http.ResponseWriter, r *http.Request) {
 		var req ingestRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if err := decodeBody(w, r, &req); err != nil {
+			httpError(w, statusFor(err), err)
 			return
 		}
 		res, err := m.Ingest(r.PathValue("id"), req.delta())
@@ -306,6 +306,22 @@ func (req ingestRequest) delta() joininference.Delta {
 	return d
 }
 
+// maxRequestBody caps a request body: far above any real create, answer
+// batch or ingest, low enough that one request cannot hold memory for the
+// whole read timeout.
+const maxRequestBody = 16 << 20
+
+// errBadRequest marks a request body that does not decode.
+var errBadRequest = errors.New("service: bad request body")
+
+// decodeBody decodes a JSON request body of at most maxRequestBody bytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v); err != nil {
+		return fmt.Errorf("%w: %w", errBadRequest, err)
+	}
+	return nil
+}
+
 type errorResponse struct {
 	Error string `json:"error"`
 }
@@ -320,7 +336,10 @@ type answersError struct {
 
 // statusFor maps service and inference errors onto HTTP statuses.
 func statusFor(err error) int {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrSessionNotFound), errors.Is(err, ErrUnknownInstance):
 		return http.StatusNotFound
 	case errors.Is(err, joininference.ErrBudgetExhausted),
@@ -331,7 +350,8 @@ func statusFor(err error) int {
 		errors.Is(err, joininference.ErrBadSnapshot),
 		errors.Is(err, joininference.ErrBadTranscript),
 		errors.Is(err, joininference.ErrBadQuestionRef),
-		errors.Is(err, ErrBadDelta):
+		errors.Is(err, ErrBadDelta),
+		errors.Is(err, errBadRequest):
 		return http.StatusBadRequest
 	case errors.Is(err, resilience.ErrSaturated):
 		// Admission gate full: shed, retry elsewhere (Retry-After is set).

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	joininference "repro"
@@ -334,6 +335,12 @@ func TestHTTPErrorMapping(t *testing.T) {
 	doJSON(t, client, http.MethodGet, srv.URL+"/sessions/deadbeef", nil, http.StatusNotFound, nil)
 	doJSON(t, client, http.MethodGet, srv.URL+"/sessions/deadbeef/questions?k=0", nil, http.StatusBadRequest, nil)
 	doJSON(t, client, http.MethodDelete, srv.URL+"/sessions/deadbeef", nil, http.StatusNotFound, nil)
+	// Params and snapshots the store could not read back are refused before
+	// anything is persisted, and so is a body over the size cap.
+	doJSON(t, client, http.MethodPost, srv.URL+"/sessions", Params{Instance: "flights", Budget: -1}, http.StatusBadRequest, nil)
+	doJSON(t, client, http.MethodPost, srv.URL+"/sessions", createRequest{Snapshot: &SessionSnapshot{Instance: "flights",
+		Snapshot: &joininference.Snapshot{Version: 1, Kind: joininference.SnapshotKindJoin, Budget: -1}}}, http.StatusBadRequest, nil)
+	doJSON(t, client, http.MethodPost, srv.URL+"/sessions", Params{Instance: strings.Repeat("x", maxRequestBody)}, http.StatusRequestEntityTooLarge, nil)
 
 	// A malformed question ref is the client's fault: 400, not 500, and
 	// nothing from the batch is recorded.

@@ -377,6 +377,15 @@ func (m *Manager) Create(p Params) (Info, error) {
 		opts = append(opts, joininference.WithPrecomputedClasses(entry.Classes))
 		sess = joininference.NewSession(entry.Inst, opts...)
 	}
+	// Params the store could not read back (a negative budget, a 2^40
+	// error budget) are refused before the session is acknowledged.
+	sn, err := sess.Snapshot()
+	if err == nil {
+		err = sn.Validate()
+	}
+	if err != nil {
+		return Info{}, fmt.Errorf("service: session params: %w", err)
+	}
 	info, err := m.add("", p, sess)
 	if err == nil {
 		m.created.Inc()

@@ -145,8 +145,9 @@ func NewRegistry() *Registry { return &Registry{slots: make(map[string]*regSlot)
 
 // Register adds a named source; registering a duplicate name is an error.
 func (r *Registry) Register(name string, src Source) error {
-	if name == "" {
-		return fmt.Errorf("service: instance name must be non-empty")
+	if name == "" || len(name) > maxServiceSnapName {
+		// The name goes into every session's store record.
+		return fmt.Errorf("service: instance name must be 1 to %d bytes", maxServiceSnapName)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -336,6 +337,11 @@ func (r *Registry) Ingest(name string, d joininference.Delta) (*joininference.In
 	}
 	inst := slot.e.Inst
 	if err := inst.ValidateDelta(d); err != nil {
+		return nil, badDelta(err)
+	}
+	// A delta the log could not replay is refused up front, with or
+	// without a store, so acceptance does not depend on configuration.
+	if err := store.CheckDelta(d); err != nil {
 		return nil, badDelta(err)
 	}
 	if kv != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -139,6 +140,75 @@ func TestManagerStoreRestartDifferential(t *testing.T) {
 				})
 			}
 		}
+	}
+	t.Run("refused-writes", testRestartAfterRefusedWrites)
+}
+
+// testRestartAfterRefusedWrites: creates, answers and ingests that the
+// store could not read back are refused before they are acknowledged, so
+// every acknowledged one is restored after a restart.
+func testRestartAfterRefusedWrites(t *testing.T) {
+	kv := store.NewMem()
+	boot := func() *Manager {
+		reg := testRegistry(t)
+		reg.AttachStore(kv, nil)
+		m, err := NewManager(reg, Options{Store: kv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m1 := boot()
+	for _, p := range []Params{
+		{Instance: "flights", Budget: -1},
+		{Instance: "flights", Budget: math.MaxInt32 + 1},
+		{Instance: "flights", Parallelism: math.MaxInt32 + 1},
+		{Instance: "flights", ErrorBudget: math.MaxInt32 + 1},
+		{Instance: "ex21", Semijoin: true, Budget: -3},
+	} {
+		if _, err := m1.Create(p); !errors.Is(err, joininference.ErrBadSnapshot) {
+			t.Errorf("create %+v: %v, want ErrBadSnapshot", p, err)
+		}
+	}
+	soft, err := m1.Create(Params{Instance: "flights", ErrorBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := m1.Questions(context.Background(), soft.ID, 1)
+	if err != nil || len(qs) != 1 {
+		t.Fatalf("questions: %v, %v", qs, err)
+	}
+	vote := Answer{QuestionRef: qs[0].Ref(), Worker: strings.Repeat("w", 257)}
+	if _, err := m1.Answer(context.Background(), soft.ID, []Answer{vote}); !errors.Is(err, joininference.ErrBadSnapshot) {
+		t.Errorf("answer with a 257-byte worker id: %v, want ErrBadSnapshot", err)
+	}
+	vote.Worker = "ann"
+	if res, err := m1.Answer(context.Background(), soft.ID, []Answer{vote}); err != nil || res.Applied != 1 {
+		t.Fatalf("answer: %+v, %v", res, err)
+	}
+	huge := joininference.Delta{InsertR: []joininference.Tuple{{"NYC", strings.Repeat("x", 2<<20), "BA"}}}
+	if _, err := m1.Ingest("flights", huge); !errors.Is(err, ErrBadDelta) {
+		t.Errorf("ingest of a 2 MiB value: %v, want ErrBadDelta", err)
+	}
+	if _, err := m1.Ingest("flights", joininference.Delta{InsertR: []joininference.Tuple{{"NYC", "Lille", "BA"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := boot()
+	if info, err := m2.Get(soft.ID); err != nil || info.Soft == nil || info.Soft.Votes != 1 {
+		t.Errorf("restored soft session: %+v, %v", info, err)
+	}
+	if len(m2.List()) != 1 {
+		t.Errorf("restored %d sessions, want 1", len(m2.List()))
+	}
+	if h := m2.Health(); h.Restore == nil || h.Restore.Status != "ok" || h.Status != "ok" {
+		t.Errorf("health after restart: %+v, restore %+v", h, h.Restore)
+	}
+	if e, err := m2.reg.Get("flights"); err != nil || e.Inst.Version() != 1 {
+		t.Errorf("restored instance: %+v, %v", e, err)
 	}
 }
 

@@ -2,10 +2,10 @@ package service
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 
 	joininference "repro"
+	"repro/internal/wire"
 )
 
 // Service snapshot binary form, the record the store keeps per session:
@@ -19,17 +19,17 @@ var serviceSnapMagic = []byte("JSRV")
 
 const serviceSnapVersion = 1
 
-// maxServiceSnapName bounds the id/instance strings in a record.
+// maxServiceSnapName bounds the id/instance strings in a record. Ids are
+// always 16 hex digits (validID), and the registry refuses longer names
+// (Registry.Register), so every session the manager holds fits.
 const maxServiceSnapName = 4096
 
 // encodeServiceSnapshot builds the binary store record for a session.
 func encodeServiceSnapshot(snap *SessionSnapshot) []byte {
 	buf := append([]byte(nil), serviceSnapMagic...)
 	buf = append(buf, serviceSnapVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(snap.ID)))
-	buf = append(buf, snap.ID...)
-	buf = binary.AppendUvarint(buf, uint64(len(snap.Instance)))
-	buf = append(buf, snap.Instance...)
+	buf = wire.AppendString(buf, snap.ID)
+	buf = wire.AppendString(buf, snap.Instance)
 	return snap.Snapshot.AppendBinary(buf)
 }
 
@@ -40,30 +40,18 @@ func decodeServiceSnapshot(data []byte) (*SessionSnapshot, error) {
 	if !bytes.HasPrefix(data, serviceSnapMagic) {
 		return nil, fmt.Errorf("%w: not a service snapshot record", joininference.ErrBadSnapshot)
 	}
-	b := data[len(serviceSnapMagic):]
-	if len(b) == 0 || b[0] != serviceSnapVersion {
-		return nil, fmt.Errorf("%w: service snapshot container version", joininference.ErrBadSnapshot)
+	d := wire.NewDec(data[len(serviceSnapMagic):], joininference.ErrBadSnapshot)
+	if v := d.Byte(); v != serviceSnapVersion {
+		d.Failf("service snapshot container version %d", v)
 	}
-	b = b[1:]
-	id, b, err := readLenString(b)
-	if err != nil {
+	id := d.Str(maxServiceSnapName)
+	instance := d.Str(maxServiceSnapName)
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	instance, b, err := readLenString(b)
-	if err != nil {
-		return nil, err
-	}
-	sn, err := joininference.DecodeBinarySnapshot(b)
+	sn, err := joininference.DecodeBinarySnapshot(data[len(data)-d.Len():]) // the rest of the record
 	if err != nil {
 		return nil, err
 	}
 	return &SessionSnapshot{ID: id, Instance: instance, Snapshot: sn}, nil
-}
-
-func readLenString(b []byte) (string, []byte, error) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 || n > maxServiceSnapName || uint64(len(b)-w) < n {
-		return "", nil, fmt.Errorf("%w: bad string in service snapshot", joininference.ErrBadSnapshot)
-	}
-	return string(b[w : w+int(n)]), b[w+int(n):], nil
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 // Delta-log value format (version-tagged, varint-packed):
@@ -23,12 +24,37 @@ import (
 // (FuzzDecodeDelta drives this).
 const deltaRecordVersion = 1
 
-// maxDeltaStr bounds a single encoded value; generous for real data, small
-// enough that a corrupt length cannot drive a huge allocation.
-const maxDeltaStr = 1 << 20
+// Limits of the delta record: a value is at most maxDeltaStr bytes
+// (generous for real data, small enough that a corrupt length cannot drive
+// a huge allocation), a tuple at most maxDeltaArity fields, and a row index
+// at most maxDeltaIndex. CheckDelta holds a delta's values and arities to
+// them before it is appended (a delete index is already bounded by the
+// instance's row count), so every record the log acknowledges decodes
+// again.
+const (
+	maxDeltaStr   = 1 << 20
+	maxDeltaArity = 1 << 16
+	maxDeltaIndex = math.MaxInt32
+)
 
-// maxDeltaArity bounds a tuple's field count.
-const maxDeltaArity = 1 << 16
+// CheckDelta reports whether the delta fits the record limits. Callers
+// check it before AppendDelta: a record beyond them would be written, then
+// fail replay at every boot.
+func CheckDelta(d relation.Delta) error {
+	for _, ts := range [][]relation.Tuple{d.InsertR, d.InsertP} {
+		for _, t := range ts {
+			if len(t) > maxDeltaArity {
+				return fmt.Errorf("store: tuple arity %d exceeds %d", len(t), maxDeltaArity)
+			}
+			for _, v := range t {
+				if len(v) > maxDeltaStr {
+					return fmt.Errorf("store: value of %d bytes exceeds %d", len(v), maxDeltaStr)
+				}
+			}
+		}
+	}
+	return nil
+}
 
 // EncodeDelta appends the delta's binary form to buf.
 func EncodeDelta(buf []byte, d relation.Delta) []byte {
@@ -45,8 +71,7 @@ func appendDeltaTuples(buf []byte, ts []relation.Tuple) []byte {
 	for _, t := range ts {
 		buf = binary.AppendUvarint(buf, uint64(len(t)))
 		for _, v := range t {
-			buf = binary.AppendUvarint(buf, uint64(len(v)))
-			buf = append(buf, v...)
+			buf = wire.AppendString(buf, v)
 		}
 	}
 	return buf
@@ -63,89 +88,40 @@ func appendDeltaIndexes(buf []byte, idx []int) []byte {
 // DecodeDelta parses a delta-log record. Corrupt input of any shape
 // returns an error wrapping ErrCorrupt, never a panic.
 func DecodeDelta(data []byte) (relation.Delta, error) {
-	var d relation.Delta
-	if len(data) == 0 {
-		return d, fmt.Errorf("%w: empty delta record", ErrCorrupt)
+	d := wire.NewDec(data, ErrCorrupt)
+	if v := d.Byte(); v != deltaRecordVersion {
+		d.Failf("delta record version %d", v)
 	}
-	if data[0] != deltaRecordVersion {
-		return d, fmt.Errorf("%w: delta record version %d", ErrCorrupt, data[0])
+	rd := relation.Delta{
+		InsertR: decodeDeltaTuples(&d),
+		InsertP: decodeDeltaTuples(&d),
+		DeleteR: decodeDeltaIndexes(&d),
+		DeleteP: decodeDeltaIndexes(&d),
 	}
-	b := data[1:]
-	var err error
-	if d.InsertR, b, err = readDeltaTuples(b); err != nil {
+	if err := d.Finish(); err != nil {
 		return relation.Delta{}, err
 	}
-	if d.InsertP, b, err = readDeltaTuples(b); err != nil {
-		return relation.Delta{}, err
-	}
-	if d.DeleteR, b, err = readDeltaIndexes(b); err != nil {
-		return relation.Delta{}, err
-	}
-	if d.DeleteP, b, err = readDeltaIndexes(b); err != nil {
-		return relation.Delta{}, err
-	}
-	if len(b) != 0 {
-		return relation.Delta{}, fmt.Errorf("%w: %d trailing bytes in delta record", ErrCorrupt, len(b))
-	}
-	return d, nil
+	return rd, nil
 }
 
-func readDeltaTuples(b []byte) ([]relation.Tuple, []byte, error) {
-	count, b, err := readUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	// A tuple takes at least one byte (its arity), so count > len(b) is
-	// corrupt, not data.
-	if int64(count) > int64(len(b)) {
-		return nil, nil, fmt.Errorf("%w: delta tuple count %d", ErrCorrupt, count)
-	}
+func decodeDeltaTuples(d *wire.Dec) []relation.Tuple {
 	var ts []relation.Tuple
-	for i := uint64(0); i < count; i++ {
-		var arity uint64
-		if arity, b, err = readUvarint(b); err != nil {
-			return nil, nil, err
-		}
-		if arity > maxDeltaArity || int64(arity) > int64(len(b)) {
-			return nil, nil, fmt.Errorf("%w: delta tuple arity %d", ErrCorrupt, arity)
-		}
-		t := make(relation.Tuple, arity)
+	for n := d.Count(1); n > 0 && d.Err() == nil; n-- { // a tuple takes ≥ 1 byte
+		t := make(relation.Tuple, d.Uvarint(uint64(min(maxDeltaArity, d.Len()))))
 		for j := range t {
-			var n uint64
-			if n, b, err = readUvarint(b); err != nil {
-				return nil, nil, err
-			}
-			if n > maxDeltaStr || int64(n) > int64(len(b)) {
-				return nil, nil, fmt.Errorf("%w: delta value length %d", ErrCorrupt, n)
-			}
-			t[j] = string(b[:n])
-			b = b[n:]
+			t[j] = d.Str(maxDeltaStr)
 		}
 		ts = append(ts, t)
 	}
-	return ts, b, nil
+	return ts
 }
 
-func readDeltaIndexes(b []byte) ([]int, []byte, error) {
-	count, b, err := readUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if int64(count) > int64(len(b)) {
-		return nil, nil, fmt.Errorf("%w: delta index count %d", ErrCorrupt, count)
-	}
+func decodeDeltaIndexes(d *wire.Dec) []int {
 	var idx []int
-	for i := uint64(0); i < count; i++ {
-		var v uint64
-		if v, b, err = readUvarint(b); err != nil {
-			return nil, nil, err
-		}
-		if v > math.MaxInt32 {
-			return nil, nil, fmt.Errorf("%w: delta row index %d", ErrCorrupt, v)
-		}
-		idx = append(idx, int(v))
+	for n := d.Count(1); n > 0 && d.Err() == nil; n-- {
+		idx = append(idx, int(d.Uvarint(maxDeltaIndex)))
 	}
-	return idx, b, nil
+	return idx
 }
 
 // AppendDelta persists the delta that produced the given version of the

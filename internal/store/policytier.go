@@ -2,12 +2,12 @@ package store
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sync/atomic"
 
 	"repro/internal/policy"
 	"repro/internal/resilience"
+	"repro/internal/wire"
 )
 
 // PolicyTier adapts a KV into the policy cache's second tier: published
@@ -130,6 +130,9 @@ func (t *PolicyTier) Save(k policy.Key, prefix []byte, rngPos uint64, n policy.N
 //
 //	[1B version=1][varint chosen][1B complete][uvarint rngAfter]
 //	[uvarint len(pivots)][varint pivot]...
+//
+// chosen is a class index or -1, a pivot a class index. A node the decoder
+// rejects is a cache miss, and the walk recomputes it.
 const policyNodeVersion = 1
 
 // maxPolicyPivots bounds the decoded pivot count: a batch never picks more
@@ -141,11 +144,7 @@ const maxPolicyPivots = 1 << 20
 func EncodePolicyNode(buf []byte, n policy.Node) []byte {
 	buf = append(buf, policyNodeVersion)
 	buf = binary.AppendVarint(buf, int64(n.Chosen))
-	if n.Complete {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
+	buf = wire.AppendFlag(buf, n.Complete)
 	buf = binary.AppendUvarint(buf, n.RNGAfter)
 	buf = binary.AppendUvarint(buf, uint64(len(n.Pivots)))
 	for _, p := range n.Pivots {
@@ -158,75 +157,24 @@ func EncodePolicyNode(buf []byte, n policy.Node) []byte {
 // version-skewed input returns ErrCorrupt — never a panic, and never a
 // silently misparsed node.
 func DecodePolicyNode(data []byte) (policy.Node, error) {
-	var n policy.Node
-	if len(data) == 0 {
-		return n, fmt.Errorf("%w: empty policy node", ErrCorrupt)
+	d := wire.NewDec(data, ErrCorrupt)
+	if v := d.Byte(); v != policyNodeVersion {
+		d.Failf("policy node version %d", v)
 	}
-	if data[0] != policyNodeVersion {
-		return n, fmt.Errorf("%w: policy node version %d", ErrCorrupt, data[0])
+	n := policy.Node{
+		Chosen:   int(d.Varint(-1, math.MaxInt32)),
+		Complete: d.Flag(),
+		RNGAfter: d.Uvarint(math.MaxUint64),
 	}
-	b := data[1:]
-	chosen, b, err := readVarint(b)
-	if err != nil {
-		return n, err
-	}
-	if chosen < -1 || chosen > math.MaxInt32 {
-		return n, fmt.Errorf("%w: policy node chosen %d", ErrCorrupt, chosen)
-	}
-	if len(b) == 0 || b[0] > 1 {
-		return n, fmt.Errorf("%w: policy node complete flag", ErrCorrupt)
-	}
-	complete := b[0] == 1
-	b = b[1:]
-	rngAfter, b, err := readUvarint(b)
-	if err != nil {
-		return n, err
-	}
-	count, b, err := readUvarint(b)
-	if err != nil {
-		return n, err
-	}
-	if count > maxPolicyPivots || int64(count) > int64(len(b)) {
-		// Each pivot takes at least one byte, so count > len(b) is corrupt.
-		return n, fmt.Errorf("%w: policy node pivot count %d", ErrCorrupt, count)
-	}
-	var pivots []int
-	if count > 0 {
-		pivots = make([]int, count)
-		for i := range pivots {
-			var p int64
-			p, b, err = readVarint(b)
-			if err != nil {
-				return n, err
-			}
-			if p < 0 || p > math.MaxInt32 {
-				return n, fmt.Errorf("%w: policy node pivot %d", ErrCorrupt, p)
-			}
-			pivots[i] = int(p)
+	// A pivot takes at least one byte.
+	if count := d.Uvarint(uint64(min(maxPolicyPivots, d.Len()))); count > 0 {
+		n.Pivots = make([]int, count)
+		for i := range n.Pivots {
+			n.Pivots[i] = int(d.Varint(0, math.MaxInt32))
 		}
 	}
-	if len(b) != 0 {
-		return n, fmt.Errorf("%w: %d trailing bytes in policy node", ErrCorrupt, len(b))
+	if err := d.Finish(); err != nil {
+		return policy.Node{}, err
 	}
-	n.Chosen = int(chosen)
-	n.Complete = complete
-	n.RNGAfter = rngAfter
-	n.Pivots = pivots
 	return n, nil
-}
-
-func readVarint(b []byte) (int64, []byte, error) {
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: bad varint", ErrCorrupt)
-	}
-	return v, b[n:], nil
-}
-
-func readUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: bad uvarint", ErrCorrupt)
-	}
-	return v, b[n:], nil
 }

@@ -218,17 +218,35 @@ func (sn *Snapshot) validate() error {
 	if sn.Asked != len(sn.Transcript) {
 		return fmt.Errorf("%w: asked %d but %d transcript entries", ErrBadSnapshot, sn.Asked, len(sn.Transcript))
 	}
+	// The binary form's limits (snapshot_binary.go) hold for both forms, so
+	// whatever validates here persists and decodes again.
+	if len(sn.Strategy) > maxSnapshotStrategyLen || sn.Budget < 0 || sn.Budget > maxSnapshotInt ||
+		sn.Parallelism < minSnapshotParallelism || sn.Parallelism > maxSnapshotInt {
+		return fmt.Errorf("%w: budget %d, parallelism %d or strategy id of %d bytes beyond the snapshot limits",
+			ErrBadSnapshot, sn.Budget, sn.Parallelism, len(sn.Strategy))
+	}
 	// The kind decides whether ResumeSession rebuilds a join or a semijoin
 	// session, so a snapshot whose entries belong to the other kind — a
 	// tampered or miswired Kind field — must be rejected here, not surface
 	// as a confusing replay failure against the wrong session type.
 	for i, e := range sn.Transcript {
-		if semijoinEntry := e.PIndex < 0; semijoinEntry != (sn.Kind == SnapshotKindSemijoin) {
-			return fmt.Errorf("%w: entry %d: %s entry (%d,%d) in a %q snapshot",
-				ErrBadSnapshot, i+1, entryKind(semijoinEntry), e.RIndex, e.PIndex, sn.Kind)
+		if err := sn.checkEntry(e.RIndex, e.PIndex); err != nil {
+			return fmt.Errorf("%w: entry %d: %v", ErrBadSnapshot, i+1, err)
 		}
 	}
 	return sn.validateSoft()
+}
+
+// checkEntry checks one transcript or belief entry's row indexes against
+// the snapshot's kind and the binary form's limits.
+func (sn *Snapshot) checkEntry(r, p int) error {
+	if semijoinEntry := p < 0; semijoinEntry != (sn.Kind == SnapshotKindSemijoin) {
+		return fmt.Errorf("%s entry (%d,%d) in a %q snapshot", entryKind(semijoinEntry), r, p, sn.Kind)
+	}
+	if r < 0 || r > maxSnapshotInt || p < -1 || p > maxSnapshotInt {
+		return fmt.Errorf("entry (%d,%d) out of range", r, p)
+	}
+	return nil
 }
 
 // validateSoft checks the Soft section's internal consistency.
@@ -243,23 +261,23 @@ func (sn *Snapshot) validateSoft() error {
 	if !finiteNonNeg(soft.Threshold) {
 		return fmt.Errorf("%w: soft threshold %v", ErrBadSnapshot, soft.Threshold)
 	}
-	if soft.ErrorBudget < 0 || soft.Retractions < 0 || soft.Retractions > soft.ErrorBudget {
-		return fmt.Errorf("%w: %d retractions against error budget %d", ErrBadSnapshot, soft.Retractions, soft.ErrorBudget)
+	if soft.ErrorBudget < 0 || soft.ErrorBudget > maxSnapshotInt || soft.Retractions < 0 || soft.Retractions > soft.ErrorBudget {
+		return fmt.Errorf("%w: error budget %d with %d retractions out of range", ErrBadSnapshot, soft.ErrorBudget, soft.Retractions)
 	}
-	if soft.Votes < 0 {
-		return fmt.Errorf("%w: negative vote count %d", ErrBadSnapshot, soft.Votes)
+	if soft.Votes < 0 || soft.Votes > maxSnapshotInt {
+		return fmt.Errorf("%w: vote count %d out of range", ErrBadSnapshot, soft.Votes)
 	}
 	for i, b := range soft.Beliefs {
-		if semijoinEntry := b.PIndex < 0; semijoinEntry != (sn.Kind == SnapshotKindSemijoin) {
-			return fmt.Errorf("%w: belief %d: %s entry (%d,%d) in a %q snapshot",
-				ErrBadSnapshot, i+1, entryKind(semijoinEntry), b.RIndex, b.PIndex, sn.Kind)
+		if err := sn.checkEntry(b.RIndex, b.PIndex); err != nil {
+			return fmt.Errorf("%w: belief %d: %v", ErrBadSnapshot, i+1, err)
 		}
-		if b.RIndex < 0 || !finiteNonNeg(b.Pos) || !finiteNonNeg(b.Neg) {
-			return fmt.Errorf("%w: belief %d: bad entry (%d,%d) pos %v neg %v", ErrBadSnapshot, i+1, b.RIndex, b.PIndex, b.Pos, b.Neg)
+		if !finiteNonNeg(b.Pos) || !finiteNonNeg(b.Neg) {
+			return fmt.Errorf("%w: belief %d: pos %v neg %v", ErrBadSnapshot, i+1, b.Pos, b.Neg)
 		}
 		for _, v := range b.Votes {
-			if math.IsNaN(v.Weight) || math.IsInf(v.Weight, 0) {
-				return fmt.Errorf("%w: belief %d: non-finite vote weight", ErrBadSnapshot, i+1)
+			if math.IsNaN(v.Weight) || math.IsInf(v.Weight, 0) || len(v.Worker) > maxSnapshotWorkerLen {
+				return fmt.Errorf("%w: belief %d: vote weight %v or worker id of %d bytes out of range",
+					ErrBadSnapshot, i+1, v.Weight, len(v.Worker))
 			}
 		}
 	}

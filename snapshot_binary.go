@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/wire"
 )
 
 // Binary snapshot wire form. The JSON form (Encode/DecodeSnapshot) remains
@@ -28,7 +30,7 @@ import (
 //
 // Snapshots without a soft section keep writing container version 1, so
 // the store's existing records and older readers are both unaffected; the
-// decoder accepts versions 1 and 2.
+// decoder accepts versions 1 and 2. Flag bytes are 0 or 1.
 //
 // The container version covers the framing above; the embedded Version
 // field carries the same SnapshotVersion compatibility policy as the JSON
@@ -40,12 +42,17 @@ var snapshotMagic = []byte("JSNB")
 // decoder understands (see the layout above for the history).
 const snapshotContainerVersion = 2
 
-// maxSnapshotStrategyLen bounds the strategy id length in a binary
-// snapshot; real ids are a few bytes, anything huge is corruption.
-const maxSnapshotStrategyLen = 256
-
-// maxSnapshotWorkerLen bounds a worker id's length in a binary snapshot.
-const maxSnapshotWorkerLen = 256
+// Limits of the binary form. Snapshot.validate enforces them, so every
+// snapshot a session or a JSON resume produces decodes again; the decoder
+// rejects anything beyond them as corrupt.
+const (
+	maxSnapshotStrategyLen = 256 // bytes of Strategy
+	maxSnapshotWorkerLen   = 256 // bytes of a vote's Worker
+	// maxSnapshotInt bounds Version, Budget, Parallelism, row indexes and
+	// the soft counters; minSnapshotParallelism is Parallelism's floor.
+	maxSnapshotInt         = math.MaxInt32
+	minSnapshotParallelism = math.MinInt32
+)
 
 // AppendBinary appends the snapshot's binary form to buf.
 func (sn *Snapshot) AppendBinary(buf []byte) []byte {
@@ -62,8 +69,7 @@ func (sn *Snapshot) AppendBinary(buf []byte) []byte {
 	} else {
 		buf = append(buf, 1)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(sn.Strategy)))
-	buf = append(buf, sn.Strategy...)
+	buf = wire.AppendString(buf, string(sn.Strategy))
 	buf = binary.AppendVarint(buf, sn.Seed)
 	buf = binary.AppendVarint(buf, int64(sn.Budget))
 	buf = binary.AppendVarint(buf, int64(sn.Parallelism))
@@ -72,11 +78,7 @@ func (sn *Snapshot) AppendBinary(buf []byte) []byte {
 	for _, e := range sn.Transcript {
 		buf = binary.AppendUvarint(buf, uint64(e.RIndex))
 		buf = binary.AppendVarint(buf, int64(e.PIndex))
-		if e.Positive {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = wire.AppendFlag(buf, e.Positive)
 	}
 	if sn.Soft != nil {
 		buf = append(buf, 1)
@@ -85,12 +87,8 @@ func (sn *Snapshot) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-func appendFloat64(buf []byte, v float64) []byte {
-	return binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
-}
-
 func appendSoftBinary(buf []byte, soft *SoftSnapshot) []byte {
-	buf = appendFloat64(buf, soft.Threshold)
+	buf = wire.AppendFloat64(buf, soft.Threshold)
 	buf = binary.AppendUvarint(buf, uint64(soft.ErrorBudget))
 	buf = binary.AppendUvarint(buf, uint64(soft.Retractions))
 	buf = binary.AppendUvarint(buf, uint64(soft.Votes))
@@ -98,18 +96,13 @@ func appendSoftBinary(buf []byte, soft *SoftSnapshot) []byte {
 	for _, b := range soft.Beliefs {
 		buf = binary.AppendUvarint(buf, uint64(b.RIndex))
 		buf = binary.AppendVarint(buf, int64(b.PIndex))
-		buf = appendFloat64(buf, b.Pos)
-		buf = appendFloat64(buf, b.Neg)
+		buf = wire.AppendFloat64(buf, b.Pos)
+		buf = wire.AppendFloat64(buf, b.Neg)
 		buf = binary.AppendUvarint(buf, uint64(len(b.Votes)))
 		for _, v := range b.Votes {
-			buf = binary.AppendUvarint(buf, uint64(len(v.Worker)))
-			buf = append(buf, v.Worker...)
-			buf = appendFloat64(buf, v.Weight)
-			if v.Positive {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
+			buf = wire.AppendString(buf, v.Worker)
+			buf = wire.AppendFloat64(buf, v.Weight)
+			buf = wire.AppendFlag(buf, v.Positive)
 		}
 	}
 	return buf
@@ -120,55 +113,45 @@ func appendSoftBinary(buf []byte, soft *SoftSnapshot) []byte {
 // version-skewed input fails with an error wrapping ErrBadSnapshot — never
 // a panic, and never a silently misparsed snapshot.
 func DecodeBinarySnapshot(data []byte) (*Snapshot, error) {
-	d := snapDecoder{b: data}
 	if !bytes.HasPrefix(data, snapshotMagic) {
 		return nil, fmt.Errorf("%w: not a binary snapshot", ErrBadSnapshot)
 	}
-	d.b = d.b[len(snapshotMagic):]
-	cv := d.byte()
-	if (cv < 1 || cv > snapshotContainerVersion) && d.err == nil {
-		return nil, fmt.Errorf("%w: binary container version %d not supported", ErrBadSnapshot, cv)
+	d := wire.NewDec(data[len(snapshotMagic):], ErrBadSnapshot)
+	cv := d.Byte()
+	if cv < 1 || cv > snapshotContainerVersion {
+		d.Failf("binary container version %d not supported", cv)
 	}
 	var sn Snapshot
-	sn.Version = int(d.uvarintMax(math.MaxInt32))
-	switch d.byte() {
+	sn.Version = int(d.Uvarint(maxSnapshotInt))
+	switch d.Byte() {
 	case 1:
 		sn.Kind = SnapshotKindJoin
 	case 2:
 		sn.Kind = SnapshotKindSemijoin
 	default:
-		if d.err == nil {
-			return nil, fmt.Errorf("%w: unknown kind byte", ErrBadSnapshot)
-		}
+		d.Failf("unknown kind byte")
 	}
-	sn.Strategy = StrategyID(d.str(maxSnapshotStrategyLen))
-	sn.Seed = d.varint()
-	sn.Budget = int(d.varintRange(0, math.MaxInt32))
-	sn.Parallelism = int(d.varintRange(math.MinInt32, math.MaxInt32))
-	sn.RNGPos = d.uvarintMax(math.MaxUint64)
-	count := d.uvarintMax(uint64(len(data))) // each entry takes ≥ 3 bytes
-	if d.err == nil && count > 0 {
-		sn.Transcript = make([]TranscriptEntry, 0, count)
-		for i := uint64(0); i < count && d.err == nil; i++ {
-			e := TranscriptEntry{
-				RIndex:   int(d.uvarintMax(math.MaxInt32)),
-				PIndex:   int(d.varintRange(-1, math.MaxInt32)),
-				Positive: d.byte() == 1,
+	sn.Strategy = StrategyID(d.Str(maxSnapshotStrategyLen))
+	sn.Seed = d.Varint(math.MinInt64, math.MaxInt64)
+	sn.Budget = int(d.Varint(0, maxSnapshotInt))
+	sn.Parallelism = int(d.Varint(minSnapshotParallelism, maxSnapshotInt))
+	sn.RNGPos = d.Uvarint(MaxSnapshotRNGPos)
+	if n := d.Count(3); n > 0 { // an entry takes ≥ 3 bytes
+		sn.Transcript = make([]TranscriptEntry, n)
+		for i := range sn.Transcript {
+			sn.Transcript[i] = TranscriptEntry{
+				RIndex:   int(d.Uvarint(maxSnapshotInt)),
+				PIndex:   int(d.Varint(-1, maxSnapshotInt)),
+				Positive: d.Flag(),
 			}
-			sn.Transcript = append(sn.Transcript, e)
 		}
 	}
 	sn.Asked = len(sn.Transcript)
-	if cv >= 2 {
-		if d.byte() == 1 {
-			sn.Soft = decodeSoftBinary(&d)
-		}
+	if cv >= 2 && d.Flag() {
+		sn.Soft = decodeSoftBinary(&d)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(d.b))
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	if err := sn.validate(); err != nil {
 		return nil, err
@@ -188,122 +171,28 @@ func DecodeSnapshotBytes(data []byte) (*Snapshot, error) {
 
 // decodeSoftBinary parses the container-v2 soft section; malformed input
 // degrades to the decoder's sticky ErrBadSnapshot.
-func decodeSoftBinary(d *snapDecoder) *SoftSnapshot {
+func decodeSoftBinary(d *wire.Dec) *SoftSnapshot {
 	soft := &SoftSnapshot{
-		Threshold:   d.float64(),
-		ErrorBudget: int(d.uvarintMax(math.MaxInt32)),
-		Retractions: int(d.uvarintMax(math.MaxInt32)),
-		Votes:       int(d.uvarintMax(math.MaxInt32)),
+		Threshold:   d.Float64(),
+		ErrorBudget: int(d.Uvarint(maxSnapshotInt)),
+		Retractions: int(d.Uvarint(maxSnapshotInt)),
+		Votes:       int(d.Uvarint(maxSnapshotInt)),
 	}
-	count := d.uvarintMax(uint64(len(d.b)) + 1) // each belief takes ≥ 19 bytes
-	for i := uint64(0); i < count && d.err == nil; i++ {
+	for i, n := 0, d.Count(19); i < n && d.Err() == nil; i++ { // a belief takes ≥ 19 bytes
 		b := BeliefEntry{
-			RIndex: int(d.uvarintMax(math.MaxInt32)),
-			PIndex: int(d.varintRange(-1, math.MaxInt32)),
-			Pos:    d.float64(),
-			Neg:    d.float64(),
+			RIndex: int(d.Uvarint(maxSnapshotInt)),
+			PIndex: int(d.Varint(-1, maxSnapshotInt)),
+			Pos:    d.Float64(),
+			Neg:    d.Float64(),
 		}
-		votes := d.uvarintMax(uint64(len(d.b)) + 1) // each vote takes ≥ 10 bytes
-		for j := uint64(0); j < votes && d.err == nil; j++ {
+		for j, m := 0, d.Count(10); j < m && d.Err() == nil; j++ { // a vote takes ≥ 10 bytes
 			b.Votes = append(b.Votes, WorkerVote{
-				Worker:   d.str(maxSnapshotWorkerLen),
-				Weight:   d.float64(),
-				Positive: d.byte() == 1,
+				Worker:   d.Str(maxSnapshotWorkerLen),
+				Weight:   d.Float64(),
+				Positive: d.Flag(),
 			})
 		}
 		soft.Beliefs = append(soft.Beliefs, b)
 	}
 	return soft
-}
-
-// snapDecoder is a cursor with sticky error state; every read is bounds-
-// checked so corrupt input degrades to an ErrBadSnapshot, never a panic.
-type snapDecoder struct {
-	b   []byte
-	err error
-}
-
-func (d *snapDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
-	}
-}
-
-func (d *snapDecoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) == 0 {
-		d.fail("truncated")
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *snapDecoder) uvarintMax(max uint64) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	if v > max {
-		d.fail("value %d out of range", v)
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *snapDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail("bad varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *snapDecoder) varintRange(lo, hi int64) int64 {
-	v := d.varint()
-	if d.err == nil && (v < lo || v > hi) {
-		d.fail("value %d out of range [%d,%d]", v, lo, hi)
-		return 0
-	}
-	return v
-}
-
-func (d *snapDecoder) float64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.fail("truncated float")
-		return 0
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *snapDecoder) str(maxLen uint64) string {
-	n := d.uvarintMax(maxLen)
-	if d.err != nil {
-		return ""
-	}
-	if uint64(len(d.b)) < n {
-		d.fail("truncated string")
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
 }

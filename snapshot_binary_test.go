@@ -158,6 +158,17 @@ func TestBinarySnapshotRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// TestAllocFreeSnapshotAppend: the binary encoder runs on every persisted
+// answer, so appending into a buffer with room allocates nothing.
+func TestAllocFreeSnapshotAppend(t *testing.T) {
+	inst, goal := liarInstance(t)
+	sn := sessionSnapshot(t, inst, goal, false, WithSoftInference(2), WithErrorBudget(1))
+	buf := make([]byte, 0, 4096)
+	if allocs := testing.AllocsPerRun(100, func() { buf = sn.AppendBinary(buf[:0]) }); allocs != 0 {
+		t.Errorf("AppendBinary allocates %v times per call", allocs)
+	}
+}
+
 // FuzzDecodeSnapshot: arbitrary bytes through the auto-detecting decoder
 // must either fail with ErrBadSnapshot or produce a snapshot that validates
 // and survives a binary re-encode round trip. Never a panic.
@@ -192,6 +203,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte("JSNB"))
 	f.Add([]byte(`{"version":1,"kind":"join","seed":1,"asked":0,"transcript":[]}`))
 	f.Add([]byte(`{"version":2,"kind":"join","seed":1,"asked":0,"soft":{"threshold":1}}`))
+	// A budget the binary form cannot hold: validation refuses it, so it
+	// never reaches the store.
+	f.Add([]byte(`{"version":1,"kind":"join","seed":1,"budget":-1,"asked":0}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sn, err := DecodeSnapshotBytes(data)
 		if err != nil {
@@ -293,4 +307,44 @@ func TestInstanceCacheRejectsCorrupt(t *testing.T) {
 	if _, _, err := DecodeInstanceCache(tail); err == nil {
 		t.Error("corrupt class record accepted")
 	}
+}
+
+// FuzzDecodeInstanceCache: arbitrary bytes must either fail with
+// ErrBadSnapshot or decode to an instance whose re-encoded record decodes
+// again to the same bytes. Never a panic.
+func FuzzDecodeInstanceCache(f *testing.F) {
+	inst := paperdata.FlightHotel()
+	upd, err := ApplyDelta(inst, PrecomputeClasses(inst), Delta{
+		InsertR: []Tuple{{"NYC", "Lille", "BA"}},
+		DeleteR: []int{0},
+		DeleteP: []int{1},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, rec := range [][]byte{
+		EncodeInstanceCache(inst, PrecomputeClasses(inst)),
+		EncodeInstanceCache(upd.To, upd.Classes),
+	} {
+		for _, cut := range []int{len(rec), len(rec) - 1, len(rec) / 2, 5} {
+			f.Add(rec[:cut])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inst, cs, err := DecodeInstanceCache(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("decode error does not wrap ErrBadSnapshot: %v", err)
+			}
+			return
+		}
+		enc := EncodeInstanceCache(inst, cs)
+		inst2, cs2, err := DecodeInstanceCache(enc)
+		if err != nil {
+			t.Fatalf("re-encode of a decoded record failed: %v", err)
+		}
+		if !bytes.Equal(enc, EncodeInstanceCache(inst2, cs2)) {
+			t.Fatal("round trip diverged")
+		}
+	})
 }

@@ -172,12 +172,18 @@ func (s *Session) interactions() int {
 // spent, and ErrInconsistent only when a contradiction cannot be absorbed
 // within the error budget (the offending answer is then rejected and its
 // belief cleared; the session stays intact, exactly like the hard path).
+// A worker id longer than a snapshot can hold (256 bytes) is refused with
+// ErrBadSnapshot before anything is recorded.
 func (s *Session) AnswerVote(q Question, l Label, v Vote) error {
 	if s.soft == nil {
 		return fmt.Errorf("joininference: AnswerVote requires WithSoftInference")
 	}
 	if s.cfg.budget > 0 && s.soft.Votes >= s.cfg.budget {
 		return ErrBudgetExhausted
+	}
+	if len(v.Worker) > maxSnapshotWorkerLen {
+		// The vote could be recorded but not snapshotted.
+		return fmt.Errorf("%w: worker id of %d bytes exceeds %d", ErrBadSnapshot, len(v.Worker), maxSnapshotWorkerLen)
 	}
 	key, err := s.answerKey(q)
 	if err != nil {

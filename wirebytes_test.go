@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/paperdata"
+	"repro/internal/policy"
 	"repro/internal/predicate"
 	"repro/internal/store"
 )
@@ -17,7 +18,8 @@ import (
 // plus answer prefix plus RND position) — as SHA-256 digests. Every other
 // suite checks that two code paths agree; this one fails when a refactor
 // changes what an older build wrote to the store or a peer cached. Each
-// snapshot also decodes from both forms back to the same bytes.
+// snapshot also decodes from both forms back to the same bytes. The
+// store-records subtest pins the records no session here writes.
 func TestWireBytes(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -159,6 +161,41 @@ func TestWireBytes(t *testing.T) {
 				}
 			}
 		})
+	}
+	t.Run("store-records", wireRecords)
+}
+
+// wireRecords pins the store records that no session of TestWireBytes
+// writes: a delta-log record with inserts and deletes on both sides, a
+// policy-node value with pivots, and the instance-cache record of an
+// ingested instance (tombstones, version > 0).
+func wireRecords(t *testing.T) {
+	inst := paperdata.FlightHotel()
+	d := Delta{
+		InsertR: []Tuple{{"NYC", "Lille", "BA"}, {"Lille", "Paris", "AF"}},
+		InsertP: []Tuple{{"Lille", "BA"}},
+		DeleteR: []int{0, 2},
+		DeleteP: []int{1},
+	}
+	upd, err := ApplyDelta(inst, PrecomputeClasses(inst), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if upd.To.Version() == 0 || len(upd.To.DeadR()) == 0 {
+		t.Fatalf("ingested instance at version %d, dead rows %v", upd.To.Version(), upd.To.DeadR())
+	}
+	for _, r := range []struct {
+		name  string
+		bytes []byte
+		want  string
+	}{
+		{"delta record", store.EncodeDelta(nil, d), "dee15acc89b163311b097553a2fd1091406b8b3bdc7b50fe13a1d3e172b76703"},
+		{"policy node", store.EncodePolicyNode(nil, policy.Node{Chosen: 5, Complete: true, RNGAfter: 300, Pivots: []int{5, 0, 129}}), "98ef74562b06e48d4171de80939ccfb643b324e11cc5123b4bfa5a31eb3bb08c"},
+		{"instance cache", EncodeInstanceCache(upd.To, upd.Classes), "98787eec7772b4ef6d459ef7c79f4f366e006e1899cd6b352b345674c6306995"},
+	} {
+		if got := digest(r.bytes); got != r.want {
+			t.Errorf("%s digest %s, want %s", r.name, got, r.want)
+		}
 	}
 }
 
