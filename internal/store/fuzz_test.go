@@ -95,12 +95,19 @@ func FuzzKeyEscape(f *testing.F) {
 
 // FuzzLogReplay: a log file containing arbitrary bytes must open without a
 // panic (garbage is a torn tail and is truncated), and the reopened log must
-// accept and persist new writes.
+// accept and persist new writes. Replay builds the key index, so after each
+// open a full Scan must visit exactly the live keys, in ascending order.
 func FuzzLogReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a log at all"))
 	f.Add(appendFrame(nil, opPut, []byte("k"), []byte("v")))
 	f.Add(appendFrame(appendFrame(nil, opPut, []byte("k"), []byte("v"))[:10], opDelete, []byte("k"), nil))
+	var log []byte
+	for _, k := range []string{"m", "b", "z", "probe", "a", "b"} {
+		log = appendFrame(log, opPut, []byte(k), []byte("v-"+k))
+	}
+	log = appendFrame(log, opDelete, []byte("z"), nil)
+	f.Add(appendFrame(log, opPut, []byte("\x00"), nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, logFileName), data, 0o644); err != nil {
@@ -110,6 +117,7 @@ func FuzzLogReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("OpenLog on fuzzed file: %v", err)
 		}
+		checkScanIsDirectory(t, s)
 		if err := s.Put([]byte("probe"), []byte("alive")); err != nil {
 			t.Fatal(err)
 		}
@@ -122,5 +130,35 @@ func FuzzLogReplay(f *testing.F) {
 		if v, ok, _ := re.Get([]byte("probe")); !ok || !bytes.Equal(v, []byte("alive")) {
 			t.Fatal("write after fuzzed replay did not survive reopen")
 		}
+		checkScanIsDirectory(t, re)
 	})
+}
+
+// checkScanIsDirectory checks that a full Scan of a freshly opened log
+// visits exactly the keys of its key directory, in strictly ascending
+// order, each with the value Get returns.
+func checkScanIsDirectory(t *testing.T, s *Log) {
+	t.Helper()
+	var prev []byte
+	n := 0
+	err := s.Scan(nil, func(k, v []byte) bool {
+		if n > 0 && bytes.Compare(prev, k) >= 0 {
+			t.Fatalf("scan visited %q after %q", k, prev)
+		}
+		if _, ok := s.dir[string(k)]; !ok {
+			t.Fatalf("scan visited %q, which is not live", k)
+		}
+		if got, ok, err := s.Get(k); err != nil || !ok || !bytes.Equal(got, v) {
+			t.Fatalf("scan value of %q differs from Get: %v, %v", k, ok, err)
+		}
+		prev = append(prev[:0], k...)
+		n++
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(s.dir) {
+		t.Fatalf("scan visited %d keys, the log holds %d", n, len(s.dir))
+	}
 }

@@ -1,23 +1,24 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
 
 // Log is the durable KV backend: a single append-only file of CRC-framed
-// records plus an in-RAM key directory (key → record location). Values live
-// on disk and are read back on demand, so resident memory is proportional
-// to the key space, not the data; a policy tree far larger than the
-// in-process LRU can persist here and page in by prefix scan.
+// records plus an in-RAM key directory (key → record location) and the
+// sorted key index over the same keys. Values live on disk and are read
+// back on demand, so resident memory is proportional to the key space, not
+// the data; a policy tree far larger than the in-process LRU can persist
+// here and page in by prefix scan.
 //
 // # Record framing
 //
@@ -53,8 +54,7 @@ type Log struct {
 	f      *os.File
 	off    int64 // append offset == durable file size
 	dir    map[string]recLoc
-	keys   []string // sorted when !dirty
-	dirty  bool
+	keys   keyIndex
 	live   int64 // bytes of live records
 	dead   int64 // bytes of garbage records
 	closed bool
@@ -149,7 +149,8 @@ func OpenLog(dir string, opts LogOptions) (*Log, error) {
 }
 
 // replay scans the log sequentially, rebuilding the key directory and
-// truncating at the first torn or corrupt record.
+// truncating at the first torn or corrupt record, then builds the key
+// index with one sort.
 func (s *Log) replay() error {
 	size, err := s.f.Seek(0, io.SeekEnd)
 	if err != nil {
@@ -198,12 +199,12 @@ func (s *Log) replay() error {
 		}
 	}
 	s.off = off
-	s.dirty = true
+	s.keys = newKeyIndex(slices.Collect(maps.Keys(s.dir)))
 	return nil
 }
 
 // applyReplayed folds one replayed record into the directory and byte
-// accounting.
+// accounting; the key index is the caller's.
 func (s *Log) applyReplayed(key string, op byte, loc recLoc) {
 	if old, ok := s.dir[key]; ok {
 		s.dead += old.size
@@ -364,14 +365,12 @@ func (s *Log) Batch(ops []Op) error {
 		} else {
 			s.cnt.deletes.Add(1)
 		}
-		if _, ok := s.dir[rec.key]; !ok && rec.op == opPut {
-			s.dirty = true
-			s.keys = append(s.keys, rec.key)
+		if rec.op == opPut {
+			s.keys.insert(rec.key)
+		} else {
+			s.keys.delete(rec.key)
 		}
 		s.applyReplayed(rec.key, rec.op, rec.loc)
-		if rec.op == opDelete {
-			s.dirty = true
-		}
 	}
 	if s.opts.SyncEvery {
 		if err := s.timed("fsync", s.f.Sync); err != nil {
@@ -395,10 +394,8 @@ func (s *Log) timed(op string, fn func() error) error {
 	return err
 }
 
-// Scan implements KV: ascending key order within the prefix. The key set is
-// snapshotted at scan start; values are re-resolved per record, so
-// concurrent writes and compactions are safe (a key deleted mid-scan is
-// skipped). fn must not call back into this store.
+// Scan implements KV: ascending key order within the prefix. Values are
+// read back per record, so concurrent writes and compactions are safe.
 func (s *Log) Scan(prefix []byte, fn func(key, value []byte) bool) error {
 	s.mu.Lock()
 	if s.closed {
@@ -406,18 +403,9 @@ func (s *Log) Scan(prefix []byte, fn func(key, value []byte) bool) error {
 		return ErrClosed
 	}
 	s.cnt.scans.Add(1)
-	s.resortLocked()
-	p := string(prefix)
-	from := sort.SearchStrings(s.keys, p)
-	var snap []string
-	for _, k := range s.keys[from:] {
-		if !bytes.HasPrefix([]byte(k), prefix) {
-			break
-		}
-		snap = append(snap, k)
-	}
+	keys := s.keys.withPrefix(string(prefix))
 	s.mu.Unlock()
-	for _, k := range snap {
+	for _, k := range keys {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -439,20 +427,6 @@ func (s *Log) Scan(prefix []byte, fn func(key, value []byte) bool) error {
 		}
 	}
 	return nil
-}
-
-// resortLocked rebuilds the sorted key slice after mutations.
-func (s *Log) resortLocked() {
-	if !s.dirty {
-		return
-	}
-	keys := s.keys[:0]
-	for k := range s.dir {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s.keys = keys
-	s.dirty = false
 }
 
 // maybeCompactLocked compacts when garbage crosses the configured bounds.
@@ -490,15 +464,13 @@ func (s *Log) compactInnerLocked() error {
 		return fmt.Errorf("store: compacting: %w", err)
 	}
 	defer os.Remove(s.tPath) // no-op after the successful rename
-	s.resortLocked()
 	newDir := make(map[string]recLoc, len(s.dir))
 	var off int64
 	var buf []byte
-	for _, k := range s.keys {
-		loc, ok := s.dir[k]
-		if !ok {
-			continue
-		}
+	// The rewrite keeps the key set, so it walks the index in key order and
+	// leaves it as it is.
+	for k := range s.keys.all() {
+		loc := s.dir[k]
 		v, err := s.readValueLocked(loc)
 		if err != nil {
 			tmp.Close()

@@ -1,13 +1,9 @@
 package store
 
-import (
-	"bytes"
-	"sort"
-	"sync"
-)
+import "sync"
 
-// Mem is the in-memory KV backend: a map plus a lazily re-sorted key slice
-// for ordered prefix scans. It exists for tests and for running joinserve
+// Mem is the in-memory KV backend: a map plus the sorted key index for
+// ordered prefix scans. It exists for tests and for running joinserve
 // with store semantics but no disk (-store mem); it offers the same
 // interface and ordering guarantees as the log backend, minus durability.
 type Mem struct {
@@ -15,8 +11,7 @@ type Mem struct {
 
 	mu     sync.Mutex
 	m      map[string][]byte
-	keys   []string // sorted when !dirty
-	dirty  bool
+	keys   keyIndex
 	closed bool
 }
 
@@ -56,8 +51,7 @@ func (s *Mem) Put(key, value []byte) error {
 func (s *Mem) putLocked(key, value []byte) {
 	k := string(key)
 	if _, ok := s.m[k]; !ok {
-		s.keys = append(s.keys, k)
-		s.dirty = true
+		s.keys.insert(k)
 	}
 	s.m[k] = append([]byte(nil), value...)
 }
@@ -78,9 +72,7 @@ func (s *Mem) deleteLocked(key []byte) {
 	k := string(key)
 	if _, ok := s.m[k]; ok {
 		delete(s.m, k)
-		// The stale entry in s.keys is skipped by Scan's map check and
-		// dropped on the next re-sort.
-		s.dirty = true
+		s.keys.delete(k)
 	}
 }
 
@@ -111,47 +103,25 @@ func (s *Mem) Scan(prefix []byte, fn func(key, value []byte) bool) error {
 		return ErrClosed
 	}
 	s.cnt.scans.Add(1)
-	s.resortLocked()
-	p := string(prefix)
-	from := sort.SearchStrings(s.keys, p)
-	// Snapshot the matching range so fn runs without the lock (it may call
-	// back into the store).
-	type kv struct {
-		k string
-		v []byte
-	}
-	var snap []kv
-	for _, k := range s.keys[from:] {
-		if !bytes.HasPrefix([]byte(k), prefix) {
-			break
-		}
-		if v, ok := s.m[k]; ok {
-			snap = append(snap, kv{k, v})
-		}
-	}
+	keys := s.keys.withPrefix(string(prefix))
 	s.mu.Unlock()
-	for _, e := range snap {
+	for _, k := range keys {
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return ErrClosed
+		}
+		v, ok := s.m[k]
+		s.mu.Unlock()
+		if !ok {
+			continue
+		}
 		s.cnt.scanned.Add(1)
-		if !fn([]byte(e.k), e.v) {
+		if !fn([]byte(k), v) {
 			break
 		}
 	}
 	return nil
-}
-
-// resortLocked rebuilds the sorted key slice after mutations, dropping
-// deleted keys; amortized O(n log n) per burst of writes.
-func (s *Mem) resortLocked() {
-	if !s.dirty {
-		return
-	}
-	keys := s.keys[:0]
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s.keys = keys
-	s.dirty = false
 }
 
 // Sync implements KV; the memory backend has nothing to flush.

@@ -68,6 +68,12 @@ type KV interface {
 	// Scan visits every record whose key starts with prefix, in ascending
 	// key order, until fn returns false. fn's key and value are only valid
 	// for the duration of the call.
+	//
+	// The keys to visit are fixed when the scan starts, and each value is
+	// read when its key is reached; the store is not locked while fn runs,
+	// so fn may call back into the store. A key deleted before the scan
+	// reaches it is skipped (unless it was put back by then), and a key
+	// added after the scan started is not visited.
 	Scan(prefix []byte, fn func(key, value []byte) bool) error
 	// Batch applies the operations in order as one append; on the log
 	// backend they land in one contiguous write.
