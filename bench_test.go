@@ -405,3 +405,44 @@ func BenchmarkNextQuestionsBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSemijoinSession measures one honest semijoin session on TPC-H
+// join1, the amortisation the per-version witness table buys: "fresh"
+// gives every session a cold ClassSet, so it computes T(r, p) for every
+// row pair it touches; "shared" runs every session on one ClassSet whose
+// table an earlier session already filled, as sessions on one registry
+// entry do.
+func BenchmarkSemijoinSession(b *testing.B) {
+	data := tpch.MustGenerate(1, 42)
+	inst, goal, err := data.Instance(tpch.Join1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	run := func(b *testing.B, cs *ClassSet) int {
+		res, err := Run(ctx, NewSemijoinSession(inst, WithPrecomputedClasses(cs)), HonestOracle(goal))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res.Questions
+	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		questions := 0
+		for i := 0; i < b.N; i++ {
+			questions = run(b, &ClassSet{inst: inst})
+		}
+		b.ReportMetric(float64(questions), "interactions")
+	})
+	b.Run("shared", func(b *testing.B) {
+		warm := &ClassSet{inst: inst}
+		run(b, warm)
+		b.ReportAllocs()
+		b.ResetTimer()
+		questions := 0
+		for i := 0; i < b.N; i++ {
+			questions = run(b, warm)
+		}
+		b.ReportMetric(float64(questions), "interactions")
+	})
+}

@@ -43,6 +43,7 @@ type InstanceUpdate struct {
 	// Classes are the new version's T-classes, maintained incrementally —
 	// sessions built fresh on To with WithPrecomputedClasses(Classes) and
 	// sessions carried over with ApplyUpdate see identical class state.
+	// Semijoin sessions on To share its witness table.
 	Classes *ClassSet
 
 	res        *product.DeltaResult
@@ -74,7 +75,7 @@ func ApplyDelta(inst *Instance, cs *ClassSet, d Delta) (*InstanceUpdate, error) 
 		From:       inst,
 		To:         next,
 		Delta:      d.Clone(),
-		Classes:    &ClassSet{classes: dr.Classes},
+		Classes:    &ClassSet{classes: dr.Classes, inst: next},
 		res:        dr,
 		oldClasses: cs.classes,
 	}, nil

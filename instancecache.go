@@ -150,7 +150,7 @@ func DecodeInstanceCache(data []byte) (*Instance, *ClassSet, error) {
 	if err := d.Finish(); err != nil {
 		return nil, nil, err
 	}
-	return inst, &ClassSet{classes: classes}, nil
+	return inst, &ClassSet{classes: classes, inst: inst}, nil
 }
 
 // decodeRelation reads one relation; once d has failed its result is

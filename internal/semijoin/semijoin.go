@@ -12,7 +12,9 @@
 //   - Informative: whether both labels of a row admit a consistent
 //     predicate — the question the interactive scenario asks of every row.
 //   - Solver: Consistent and Informative amortized over one instance, as
-//     the root package's semijoin sessions use them.
+//     the root package's semijoin sessions use them, over a Table of
+//     per-row witness sets that any number of solvers on one instance
+//     version share.
 //   - BruteForce: the definition, enumerating all θ ⊆ Ω; test oracle.
 //   - The 3SAT → CONS⋉ reduction of Appendix A.1 (reduction.go) and a DPLL
 //     SAT solver (sat.go) to cross-validate it.

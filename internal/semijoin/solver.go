@@ -3,34 +3,81 @@ package semijoin
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/predicate"
 	"repro/internal/relation"
 )
 
+// Table holds the per-row witness sets {T(R[i], t') | t' ∈ P}
+// (deduplicated, ⊆-maximal) of one instance version. They depend only on
+// that version, so one table serves every Solver over it: rows are filled
+// lazily, on first use, and a filled row is never mutated again. A Table is
+// safe for concurrent use — racing first users of a row compute identical
+// sets and the first to publish wins.
+type Table struct {
+	inst *relation.Instance
+	u    *predicate.Universe
+	rows []atomic.Pointer[[]predicate.Pred]
+}
+
+// NewTable returns an empty witness table for the instance version.
+func NewTable(inst *relation.Instance) *Table {
+	return &Table{
+		inst: inst,
+		u:    predicate.NewUniverse(inst),
+		rows: make([]atomic.Pointer[[]predicate.Pred], inst.R.Len()),
+	}
+}
+
+// Instance returns the instance version the table was built for.
+func (t *Table) Instance() *relation.Instance { return t.inst }
+
+// Universe returns Ω of the table's instance.
+func (t *Table) Universe() *predicate.Universe { return t.u }
+
+// Witnesses returns row ri's deduplicated ⊆-maximal witness predicates,
+// computing them on first use. Callers must not mutate the slice.
+func (t *Table) Witnesses(ri int) []predicate.Pred {
+	if ws := t.rows[ri].Load(); ws != nil {
+		return *ws
+	}
+	ws := witnesses(t.inst, t.u, ri)
+	if t.rows[ri].CompareAndSwap(nil, &ws) {
+		return ws
+	}
+	return *t.rows[ri].Load()
+}
+
+// Filled returns how many rows have their witness set computed.
+func (t *Table) Filled() int {
+	n := 0
+	for i := range t.rows {
+		if t.rows[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // Solver amortizes repeated CONS⋉ decisions over one instance — the shape
 // of the interactive scenario, where every informativeness test costs two
 // Consistent calls and a session issues thousands of them against the same
-// R and P. The per-row witness sets {T(R[i], t') | t' ∈ P} (deduplicated,
-// ⊆-maximal) depend only on the instance, so the solver computes each row's
-// set once and caches it; the backtracking search itself runs on scratch —
-// per-depth intersection buffers instead of a fresh predicate per branch,
-// and memo keys built in a reusable byte buffer — so a decision allocates
-// only its memo table. Results are exactly those of the package-level
-// Consistent/Informative (solver_test.go checks differentially); the
-// worst case stays exponential, as Theorem 6.1 demands.
+// R and P. The witness sets come from a Table, computed once per instance
+// version and shared by every solver over it; the backtracking search
+// itself runs on scratch — per-depth intersection buffers instead of a
+// fresh predicate per branch, and memo keys built in a reusable byte
+// buffer — so a decision allocates only its memo table. Results are
+// exactly those of the package-level Consistent/Informative (solver_test.go
+// checks differentially); the worst case stays exponential, as Theorem 6.1
+// demands.
 //
-// A Solver is not safe for concurrent use.
+// A Solver is not safe for concurrent use; its Table is.
 type Solver struct {
-	inst *relation.Instance
-	u    *predicate.Universe
+	tbl *Table
 
 	// omega is Ω, the root of every backtracking search.
 	omega predicate.Pred
-	// wits caches each row's witness set; witsOK marks filled entries
-	// (an empty P yields legitimately empty sets).
-	wits   [][]predicate.Pred
-	witsOK []bool
 
 	// Scratch: seen backs validation, posBuf/negBuf the hypothetical
 	// samples of Informative, posWs/negWs the per-call witness tables,
@@ -44,28 +91,14 @@ type Solver struct {
 	keyBuf []byte
 }
 
-// NewSolver returns a solver for the instance.
-func NewSolver(inst *relation.Instance) *Solver {
-	u := predicate.NewUniverse(inst)
+// NewSolver returns a solver over the witness table t, which it may share
+// with any number of other solvers.
+func NewSolver(t *Table) *Solver {
 	return &Solver{
-		inst:   inst,
-		u:      u,
-		omega:  predicate.Omega(u),
-		wits:   make([][]predicate.Pred, inst.R.Len()),
-		witsOK: make([]bool, inst.R.Len()),
-		seen:   make([]bool, inst.R.Len()),
+		tbl:   t,
+		omega: predicate.Omega(t.u),
+		seen:  make([]bool, len(t.rows)),
 	}
-}
-
-// Witnesses returns row ri's deduplicated ⊆-maximal witness predicates,
-// computing them on first use. The slice is cached; callers must not
-// mutate it.
-func (sv *Solver) Witnesses(ri int) []predicate.Pred {
-	if !sv.witsOK[ri] {
-		sv.wits[ri] = witnesses(sv.inst, sv.u, ri)
-		sv.witsOK[ri] = true
-	}
-	return sv.wits[ri]
 }
 
 // Consistent decides CONS⋉ for the sample, returning a witness predicate
@@ -111,8 +144,8 @@ func (sv *Solver) validate(s Sample) error {
 	}()
 	check := func(idxs []int) error {
 		for _, i := range idxs {
-			if i < 0 || i >= sv.inst.R.Len() {
-				return fmt.Errorf("semijoin: example index %d out of range [0,%d)", i, sv.inst.R.Len())
+			if i < 0 || i >= len(sv.seen) {
+				return fmt.Errorf("semijoin: example index %d out of range [0,%d)", i, len(sv.seen))
 			}
 			if sv.seen[i] {
 				return fmt.Errorf("semijoin: tuple %d labeled twice", i)
@@ -143,13 +176,13 @@ func (sv *Solver) solve(s Sample) (predicate.Pred, bool, error) {
 	}
 	negWs := sv.negWs[:0]
 	for _, j := range s.Neg {
-		negWs = append(negWs, sv.Witnesses(j))
+		negWs = append(negWs, sv.tbl.Witnesses(j))
 	}
 	sv.negWs = negWs
 
 	posWs := sv.posWs[:0]
 	for _, i := range s.Pos {
-		ws := sv.Witnesses(i)
+		ws := sv.tbl.Witnesses(i)
 		if len(ws) == 0 {
 			// P is empty: no θ can select a positive example.
 			sv.posWs = posWs

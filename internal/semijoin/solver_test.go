@@ -2,9 +2,12 @@ package semijoin
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 
+	"repro/internal/predicate"
 	"repro/internal/relation"
 )
 
@@ -63,7 +66,7 @@ func TestSolverMatchesConsistent(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 120; trial++ {
 		inst := randSolverInstance(r)
-		sv := NewSolver(inst)
+		sv := NewSolver(NewTable(inst))
 		for probe := 0; probe < 6; probe++ {
 			s := randSample(r, inst.R.Len())
 			wantTheta, wantOK, wantErr := Consistent(inst, s)
@@ -87,7 +90,7 @@ func TestSolverMatchesInformative(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 80; trial++ {
 		inst := randSolverInstance(r)
-		sv := NewSolver(inst)
+		sv := NewSolver(NewTable(inst))
 		for probe := 0; probe < 4; probe++ {
 			s := randSample(r, inst.R.Len())
 			if _, ok, err := Consistent(inst, s); err != nil || !ok {
@@ -122,7 +125,7 @@ func TestSolverMatchesInformative(t *testing.T) {
 func TestSolverValidation(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	inst := randSolverInstance(r)
-	sv := NewSolver(inst)
+	sv := NewSolver(NewTable(inst))
 	bad := []Sample{
 		{Pos: []int{0, 0}},
 		{Pos: []int{0}, Neg: []int{0}},
@@ -137,5 +140,118 @@ func TestSolverValidation(t *testing.T) {
 	// A valid call right after the rejects must still work (scratch reset).
 	if _, ok, err := sv.Consistent(Sample{Pos: []int{0}}); err != nil {
 		t.Fatalf("valid sample after rejects: %v (ok=%v)", err, ok)
+	}
+}
+
+// TestSolverSharedTableConcurrent: solvers on several goroutines share one
+// witness table from its first, racing fills onward. Every Consistent and
+// Informative verdict equals a fresh solver's (over its own table) and
+// BruteForce's, on random instances, half of them with deleted P rows
+// (some with every P row deleted, so some witness sets are empty).
+func TestSolverSharedTableConcurrent(t *testing.T) {
+	const workers = 4
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 60; trial++ {
+		inst := randSolverInstance(r)
+		if trial%2 == 1 {
+			var dead []int
+			for pi := 0; pi < inst.P.Len(); pi++ {
+				if r.Intn(2) == 0 {
+					dead = append(dead, pi)
+				}
+			}
+			if len(dead) == 0 {
+				dead = []int{r.Intn(inst.P.Len())}
+			}
+			next, err := inst.DeleteRows(nil, dead)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst = next
+		}
+
+		// The expected verdicts: a fresh solver, checked against the
+		// definition.
+		type probe struct {
+			s       Sample
+			ok      bool
+			theta   predicate.Pred
+			labeled []bool
+			inf     []bool // per unlabeled row
+		}
+		fresh := NewSolver(NewTable(inst))
+		probes := make([]probe, 6)
+		for i := range probes {
+			p := &probes[i]
+			p.s = randSample(r, inst.R.Len())
+			theta, ok, err := fresh.Consistent(p.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, bfOK, _ := BruteForce(inst, p.s); bfOK != ok {
+				t.Fatalf("trial %d sample %+v: solver ok=%v, BruteForce ok=%v", trial, p.s, ok, bfOK)
+			}
+			p.ok, p.theta = ok, theta
+			p.labeled = make([]bool, inst.R.Len())
+			p.inf = make([]bool, inst.R.Len())
+			for _, ri := range append(append([]int(nil), p.s.Pos...), p.s.Neg...) {
+				p.labeled[ri] = true
+			}
+			for ri := range p.labeled {
+				if p.labeled[ri] {
+					continue
+				}
+				inf, err := fresh.Informative(p.s, ri)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, bfPos, _ := BruteForce(inst, Sample{Pos: append(append([]int(nil), p.s.Pos...), ri), Neg: p.s.Neg})
+				_, bfNeg, _ := BruteForce(inst, Sample{Pos: p.s.Pos, Neg: append(append([]int(nil), p.s.Neg...), ri)})
+				if inf != (bfPos && bfNeg) {
+					t.Fatalf("trial %d sample %+v row %d: solver informative=%v, BruteForce says %v", trial, p.s, ri, inf, bfPos && bfNeg)
+				}
+				p.inf[ri] = inf
+			}
+		}
+
+		tbl := NewTable(inst)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				sv := NewSolver(tbl)
+				<-start
+				for i := range probes {
+					p := &probes[(i+w)%len(probes)] // each worker fills rows in its own order
+					theta, ok, err := sv.Consistent(p.s)
+					if err != nil || ok != p.ok || ok && !theta.Equal(p.theta) {
+						t.Errorf("trial %d worker %d sample %+v: (%v, %v, %v), want (%v, %v)", trial, w, p.s, theta, ok, err, p.theta, p.ok)
+						return
+					}
+					for ri, want := range p.inf {
+						if p.labeled[ri] {
+							continue
+						}
+						inf, err := sv.Informative(p.s, ri)
+						if err != nil || inf != want {
+							t.Errorf("trial %d worker %d sample %+v row %d: informative (%v, %v), want %v", trial, w, p.s, ri, inf, err, want)
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		for ri := 0; ri < inst.R.Len(); ri++ {
+			if got, want := tbl.Witnesses(ri), fresh.tbl.Witnesses(ri); !slices.EqualFunc(got, want, predicate.Pred.Equal) {
+				t.Fatalf("trial %d row %d: shared witnesses %v, private %v", trial, ri, got, want)
+			}
+		}
 	}
 }

@@ -369,12 +369,13 @@ func (m *Manager) Create(p Params) (Info, error) {
 	if err != nil {
 		return Info{}, err
 	}
-	opts := m.sessionOptions(p)
+	// Join sessions adopt the entry's T-classes, semijoin sessions its
+	// witness table: both are computed once per instance version.
+	opts := append(m.sessionOptions(p), joininference.WithPrecomputedClasses(entry.Classes))
 	var sess *joininference.Session
 	if p.Semijoin {
 		sess = joininference.NewSemijoinSession(entry.Inst, opts...)
 	} else {
-		opts = append(opts, joininference.WithPrecomputedClasses(entry.Classes))
 		sess = joininference.NewSession(entry.Inst, opts...)
 	}
 	// Params the store could not read back (a negative budget, a 2^40
@@ -453,11 +454,7 @@ func (m *Manager) Resume(snap *SessionSnapshot) (Info, error) {
 	if err != nil {
 		return Info{}, err
 	}
-	var opts []joininference.Option
-	semijoin := snap.Snapshot.Kind == joininference.SnapshotKindSemijoin
-	if !semijoin {
-		opts = append(opts, joininference.WithPrecomputedClasses(entry.Classes))
-	}
+	opts := []joininference.Option{joininference.WithPrecomputedClasses(entry.Classes)}
 	if m.opts.PolicyCache != nil {
 		opts = append(opts, joininference.WithPolicyCache(m.opts.PolicyCache, snap.Instance))
 	}
@@ -468,7 +465,7 @@ func (m *Manager) Resume(snap *SessionSnapshot) (Info, error) {
 	}
 	p := Params{
 		Instance:    snap.Instance,
-		Semijoin:    semijoin,
+		Semijoin:    snap.Snapshot.Kind == joininference.SnapshotKindSemijoin,
 		Strategy:    snap.Snapshot.Strategy,
 		Seed:        snap.Snapshot.Seed,
 		Budget:      snap.Snapshot.Budget,

@@ -33,9 +33,9 @@ type Entry struct {
 	// Inst is the two-relation instance, at the version current when the
 	// entry was fetched.
 	Inst *joininference.Instance
-	// Classes are the precomputed T-classes of that version (join sessions
-	// adopt them via WithPrecomputedClasses, skipping the product scan per
-	// session).
+	// Classes are the precomputed per-version state of that version,
+	// adopted via WithPrecomputedClasses: join sessions skip the product
+	// scan, semijoin sessions share one witness table.
 	Classes *joininference.ClassSet
 }
 

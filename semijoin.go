@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/belief"
-	"repro/internal/predicate"
 	"repro/internal/semijoin"
 	"repro/internal/strategy"
 )
@@ -36,9 +35,10 @@ func SemijoinEval(inst *Instance, theta Pred) []int {
 	return semijoin.Eval(inst, theta)
 }
 
-// semijoinKernel decides keys (rows of R) with the CONS⋉ solver, whose
-// per-row witness cache and scratch buffers amortize the NP-complete
-// informativeness scans across the whole session.
+// semijoinKernel decides keys (rows of R) with the CONS⋉ solver. The
+// solver's scratch buffers amortize the NP-complete informativeness scans
+// across the session; its witness table, and the universe with it, belong
+// to the instance version and may be shared with other sessions over it.
 type semijoinKernel struct {
 	inst    *Instance
 	u       *Universe
@@ -57,12 +57,12 @@ type semijoinKernel struct {
 	pairPos, pairNeg []int
 }
 
-func newSemijoinKernel(inst *Instance) *semijoinKernel {
+func newSemijoinKernel(tbl *semijoin.Table) *semijoinKernel {
 	return &semijoinKernel{
-		inst:    inst,
-		u:       predicate.NewUniverse(inst),
-		solver:  semijoin.NewSolver(inst),
-		labeled: make([]bool, inst.R.Len()),
+		inst:    tbl.Instance(),
+		u:       tbl.Universe(),
+		solver:  semijoin.NewSolver(tbl),
+		labeled: make([]bool, tbl.Instance().R.Len()),
 	}
 }
 
@@ -257,7 +257,7 @@ func (k *semijoinKernel) consistent(entries []TranscriptEntry) (bool, error) {
 }
 
 // rebuild resets the sample to tr; the solver carries over, its witness
-// cache depends only on the instance.
+// table depends only on the instance version.
 func (k *semijoinKernel) rebuild(tr []TranscriptEntry) error {
 	k.sample, _ = sampleOf(tr)
 	k.labeled = make([]bool, k.inst.R.Len())
@@ -280,11 +280,11 @@ func (k *semijoinKernel) inferred() Pred {
 	return k.current
 }
 
-// applyUpdate drops the answers for deleted R rows, rebuilds the solver
-// (its witness caches are instance-bound) and re-checks the surviving
-// sample: deletes in P can orphan a positive row.
+// applyUpdate drops the answers for deleted R rows, moves onto the new
+// version's shared witness table (witness sets are version-bound) and
+// re-checks the surviving sample: deletes in P can orphan a positive row.
 func (k *semijoinKernel) applyUpdate(upd *InstanceUpdate, soft *belief.State) error {
-	next := &semijoinKernel{u: k.u, inst: upd.To, solver: semijoin.NewSolver(upd.To)}
+	next := newSemijoinKernel(upd.Classes.witnesses())
 	var kept []TranscriptEntry
 	for _, e := range k.entries {
 		if upd.To.RAlive(e.RIndex) {

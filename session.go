@@ -3,12 +3,14 @@ package joininference
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/belief"
 	"repro/internal/inference"
 	"repro/internal/policy"
 	"repro/internal/predicate"
 	"repro/internal/product"
+	"repro/internal/semijoin"
 	"repro/internal/strategy"
 )
 
@@ -93,18 +95,30 @@ func WithParallelism(n int) Option {
 	return func(c *sessionConfig) { c.parallelism = n }
 }
 
-// WithPrecomputedClasses supplies T-classes computed once with
-// PrecomputeClasses, so many sessions over the same instance (e.g. serving
-// concurrent users, or rerunning with different oracles) skip the product
-// scan.
+// WithPrecomputedClasses supplies the per-version state a ClassSet holds,
+// computed once and shared by every session over that instance version
+// (e.g. serving concurrent users, or rerunning with different oracles):
+// join sessions adopt its T-classes and skip the product scan; semijoin
+// sessions adopt its witness table, when the set was computed for the
+// session's own instance version, and skip recomputing the witness sets.
 func WithPrecomputedClasses(cs *ClassSet) Option {
 	return func(c *sessionConfig) { c.classes = cs }
 }
 
-// ClassSet is an opaque handle to the T-classes of an instance, shareable
-// across sessions via WithPrecomputedClasses.
+// ClassSet is an opaque handle to the derived state of one instance
+// version, shareable across sessions via WithPrecomputedClasses: the
+// T-classes of join sessions, and the CONS⋉ witness sets of semijoin
+// sessions (filled lazily, row by row, by whichever session needs a row
+// first). It records the instance version it was computed for —
+// PrecomputeClasses's argument, ApplyDelta's new version, or the decoded
+// instance of DecodeInstanceCache — and the witness sets are always built
+// from that version.
 type ClassSet struct {
 	classes []*product.Class
+	inst    *Instance
+
+	witsOnce sync.Once
+	wits     *semijoin.Table
 }
 
 // PrecomputeClasses scans the instance's Cartesian product (through the
@@ -113,7 +127,14 @@ type ClassSet struct {
 // same instance.
 func PrecomputeClasses(inst *Instance) *ClassSet {
 	u := predicate.NewUniverse(inst)
-	return &ClassSet{classes: product.ClassesIndexed(inst, u)}
+	return &ClassSet{classes: product.ClassesIndexed(inst, u), inst: inst}
+}
+
+// witnesses returns the semijoin witness table of the set's instance
+// version, creating it (empty) on first use.
+func (cs *ClassSet) witnesses() *semijoin.Table {
+	cs.witsOnce.Do(func() { cs.wits = semijoin.NewTable(cs.inst) })
+	return cs.wits
 }
 
 // Len returns the number of T-classes in the set.
@@ -226,10 +247,19 @@ func NewSession(inst *Instance, opts ...Option) *Session {
 // (the Section 7 future-work scenario): questions are single rows of R and
 // every informativeness test pays the NP-complete CONS⋉ price, so expect
 // exponential worst cases by design. Strategy options are ignored — rows
-// are asked in scan order — but WithBudget applies.
+// are asked in scan order — but WithBudget applies. With
+// WithPrecomputedClasses computed for inst, the session shares that
+// version's witness table with every other session over it; otherwise it
+// keeps a private one.
 func NewSemijoinSession(inst *Instance, opts ...Option) *Session {
 	s := newSession(inst, opts)
-	s.kern = newSemijoinKernel(inst)
+	var tbl *semijoin.Table
+	if cs := s.cfg.classes; cs != nil && cs.inst == inst {
+		tbl = cs.witnesses()
+	} else {
+		tbl = semijoin.NewTable(inst)
+	}
+	s.kern = newSemijoinKernel(tbl)
 	return s
 }
 

@@ -278,6 +278,12 @@ func TestInstanceCacheRoundTrip(t *testing.T) {
 	ref := questionSeq(t, NewSession(inst, WithStrategy(StrategyL2S), WithPrecomputedClasses(cs)), goal, 2)
 	got := questionSeq(t, NewSession(inst2, WithStrategy(StrategyL2S), WithPrecomputedClasses(cs2)), goal, 2)
 	sameSeq(t, "decoded instance cache", ref, got)
+
+	// The decoded set records the decoded instance, so semijoin sessions
+	// over it share its witness table.
+	if tbl := cs2.witnesses(); tbl.Instance() != inst2 {
+		t.Fatal("decoded class set is not bound to the decoded instance")
+	}
 }
 
 // TestInstanceCacheRejectsCorrupt: truncations and tampered records fail
