@@ -2,9 +2,9 @@ package belief
 
 import (
 	"math/rand"
-	"strconv"
+	"slices"
 
-	"repro/internal/inference"
+	"repro/internal/certainty"
 	"repro/internal/predicate"
 )
 
@@ -41,14 +41,22 @@ func Attribution(u *predicate.Universe, classThetas []predicate.Pred, answers []
 	if n == 0 {
 		return scores
 	}
-	ev := &outcomeEval{u: u, classThetas: classThetas, answers: answers}
+	ev := newOutcomeEval(u, classThetas, answers)
+	in := make([]bool, n)
 	if n-1 <= exactAttributionMax {
 		coalitions := 1 << (n - 1)
 		for i := range answers {
 			flips := 0
 			for mask := 0; mask < coalitions; mask++ {
-				with, without := ev.pair(i, insertBit(mask, i))
-				if with != without {
+				// Spread mask's n−1 bits over the answers other than i.
+				b := 0
+				for j := range in {
+					if j != i {
+						in[j] = mask>>b&1 == 1
+						b++
+					}
+				}
+				if ev.flips(i, in) {
 					flips++
 				}
 			}
@@ -60,14 +68,10 @@ func Attribution(u *predicate.Universe, classThetas []predicate.Pred, answers []
 	for i := range answers {
 		flips := 0
 		for s := 0; s < attributionSamples; s++ {
-			mask := 0
-			for j := 0; j < n; j++ {
-				if j != i && rng.Intn(2) == 1 {
-					mask |= 1 << j
-				}
+			for j := range in {
+				in[j] = j != i && rng.Intn(2) == 1
 			}
-			with, without := ev.pair(i, mask)
-			if with != without {
+			if ev.flips(i, in) {
 				flips++
 			}
 		}
@@ -76,75 +80,69 @@ func Attribution(u *predicate.Universe, classThetas []predicate.Pred, answers []
 	return scores
 }
 
-// insertBit spreads a mask over the n−1 positions excluding i: bits below i
-// keep their place, bits at or above i shift up one, leaving bit i clear.
-func insertBit(mask, i int) int {
-	low := mask & ((1 << i) - 1)
-	high := mask &^ ((1 << i) - 1)
-	return low | high<<1
-}
-
-// outcomeEval evaluates the version-space outcome of an answer coalition.
+// outcomeEval evaluates the version-space outcome of an answer coalition,
+// given as a membership flag per answer, on a reused certainty kernel.
 type outcomeEval struct {
-	u           *predicate.Universe
+	omega       []uint64
 	classThetas []predicate.Pred
 	answers     []LabeledPred
-	negScratch  []predicate.Pred
+	k           certainty.Kernel
+	tpos        []uint64
 }
 
-// pair returns the outcome signatures with and without answer i, given the
-// coalition mask over the other answers (bit i must be clear in mask).
-func (ev *outcomeEval) pair(i, mask int) (with, without string) {
-	without = ev.outcome(mask)
-	with = ev.outcome(mask | 1<<i)
-	return with, without
+func newOutcomeEval(u *predicate.Universe, classThetas []predicate.Pred, answers []LabeledPred) *outcomeEval {
+	omega := predicate.Omega(u).Set.Words()
+	return &outcomeEval{omega: omega, classThetas: classThetas, answers: answers, k: certainty.New(omega)}
 }
 
-// outcome computes the signature of the coalition selected by mask: the
-// key of T(S+) together with the count of classes certain under Lemmas
-// 3.3/3.4. Two coalitions with equal signatures conclude the same facts
-// about every tuple, so an answer flips the outcome iff it changes this
-// string.
-func (ev *outcomeEval) outcome(mask int) string {
-	tpos := predicate.Omega(ev.u)
-	negs := ev.negScratch[:0]
+// flips reports whether answer i changes the outcome of the coalition of
+// the other answers marked in in (in[i] is ignored).
+func (ev *outcomeEval) flips(i int, in []bool) bool {
+	in[i] = false
+	without := ev.outcome(in)
+	ev.tpos = append(ev.tpos[:0], ev.k.TPos...)
+	in[i] = true
+	return ev.outcome(in) != without || !slices.Equal(ev.tpos, ev.k.TPos)
+}
+
+// outcome evaluates the coalition marked in in and returns the number of
+// classes certain under Lemmas 3.3/3.4, leaving its T(S+) in ev.k. Two
+// coalitions with equal T(S+) and equal counts conclude the same facts
+// about every tuple, so an answer flips the outcome iff it changes either.
+func (ev *outcomeEval) outcome(in []bool) int {
+	copy(ev.k.TPos, ev.omega)
+	ev.k.Negs = ev.k.Negs[:0]
 	for j, a := range ev.answers {
-		if mask&(1<<j) == 0 {
+		if !in[j] {
 			continue
 		}
 		if a.Positive {
-			tpos = tpos.Intersect(a.Theta)
+			ev.k.AddPositive(a.Theta.Set.Words())
 		} else {
-			negs = append(negs, a.Theta)
+			ev.k.AddNegative(a.Theta.Set.Words())
 		}
 	}
-	ev.negScratch = negs
 	settled := 0
 	for _, theta := range ev.classThetas {
-		if inference.CertainUnder(tpos, negs, theta) {
+		if ev.k.Certain(theta.Set.Words()) {
 			settled++
 		}
 	}
-	return tpos.Key() + "|" + strconv.Itoa(settled)
+	return settled
 }
 
 // DropOneCritical reports, for each answer, whether removing just that
 // answer (keeping all others) changes the outcome — the cheapest useful
 // explanation for large transcripts, and the semijoin criticality test.
 func DropOneCritical(u *predicate.Universe, classThetas []predicate.Pred, answers []LabeledPred) []bool {
-	n := len(answers)
-	crit := make([]bool, n)
-	if n == 0 {
-		return crit
+	crit := make([]bool, len(answers))
+	ev := newOutcomeEval(u, classThetas, answers)
+	in := make([]bool, len(answers))
+	for j := range in {
+		in[j] = true
 	}
-	ev := &outcomeEval{u: u, classThetas: classThetas, answers: answers}
-	full := 0
-	for j := 0; j < n; j++ {
-		full |= 1 << j
-	}
-	base := ev.outcome(full)
-	for i := 0; i < n; i++ {
-		crit[i] = ev.outcome(full&^(1<<i)) != base
+	for i := range in {
+		crit[i] = ev.flips(i, in) // leaves in[i] set
 	}
 	return crit
 }

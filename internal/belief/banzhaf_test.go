@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/inference"
+	"repro/internal/oracle"
 	"repro/internal/paperdata"
 	"repro/internal/predicate"
+	"repro/internal/strategy"
 	"repro/internal/synth"
 )
 
@@ -13,14 +15,16 @@ import (
 // running example.
 func attributionFixture(t *testing.T) (*predicate.Universe, []predicate.Pred) {
 	t.Helper()
-	inst := paperdata.FlightHotel()
-	eng := inference.New(inst)
-	classes := eng.Classes()
-	thetas := make([]predicate.Pred, len(classes))
-	for i, c := range classes {
+	eng := inference.New(paperdata.FlightHotel())
+	return eng.U, classThetas(eng)
+}
+
+func classThetas(e *inference.Engine) []predicate.Pred {
+	thetas := make([]predicate.Pred, len(e.Classes()))
+	for i, c := range e.Classes() {
 		thetas[i] = c.Theta
 	}
-	return eng.U, thetas
+	return thetas
 }
 
 func TestAttributionExact(t *testing.T) {
@@ -82,12 +86,7 @@ func TestDuplicateAnswerNotCritical(t *testing.T) {
 func TestAttributionSampledDeterministic(t *testing.T) {
 	inst := synth.MustGenerate(synth.Config{AttrsR: 9, AttrsP: 8, Rows: 5, Values: 3}, 1)
 	eng := inference.New(inst)
-	u := eng.U
-	classes := eng.Classes()
-	thetas := make([]predicate.Pred, len(classes))
-	for i, c := range classes {
-		thetas[i] = c.Theta
-	}
+	u, thetas := eng.U, classThetas(eng)
 	n := exactAttributionMax + 3
 	if len(thetas) < n {
 		t.Fatalf("fixture has only %d classes, need %d", len(thetas), n)
@@ -113,5 +112,51 @@ func TestDropOneCriticalEmpty(t *testing.T) {
 	u, thetas := attributionFixture(t)
 	if got := DropOneCritical(u, thetas, nil); len(got) != 0 {
 		t.Fatalf("empty answers gave %v", got)
+	}
+}
+
+// TestExplainLastAnswerCriticalPast64Answers: the last answer of a halted
+// hard session was informative when it was asked, so dropping it always
+// changes the outcome — also past 64 answers, where coalitions indexed by
+// an int bitmask never held it.
+func TestExplainLastAnswerCriticalPast64Answers(t *testing.T) {
+	inst := synth.MustGenerate(synth.Config{AttrsR: 6, AttrsP: 6, Rows: 60, Values: 4}, 1)
+	e := inference.New(inst)
+	goal := predicate.FromPairs(e.U, [2]int{0, 0}, [2]int{1, 1})
+	if _, err := inference.Run(e, strategy.BottomUp{}, oracle.NewHonest(inst, e.U, goal), 0); err != nil {
+		t.Fatal(err)
+	}
+	exs := e.Sample().Examples()
+	if len(exs) <= 64 {
+		t.Fatalf("BU session took %d answers; want more than 64", len(exs))
+	}
+	answers := make([]LabeledPred, len(exs))
+	for i, ex := range exs {
+		answers[i] = LabeledPred{Theta: ex.Theta, Positive: bool(ex.Label)}
+	}
+	if crit := DropOneCritical(e.U, classThetas(e), answers); !crit[len(crit)-1] {
+		t.Errorf("last of %d answers not critical", len(exs))
+	}
+}
+
+// TestAttributionSampledPast64Answers: a lone positive answer among 69
+// duplicate negatives changes T(S+) in every coalition, so it scores 1
+// wherever it sits in the transcript.
+func TestAttributionSampledPast64Answers(t *testing.T) {
+	u, thetas := attributionFixture(t)
+	neg := LabeledPred{Theta: thetas[0], Positive: false}
+	pos := LabeledPred{Theta: thetas[len(thetas)-1], Positive: true}
+	if pos.Theta.Equal(predicate.Omega(u)) {
+		t.Fatal("fixture's largest class is Ω; a positive on it changes nothing")
+	}
+	for _, at := range []int{0, 69} {
+		answers := make([]LabeledPred, 70)
+		for i := range answers {
+			answers[i] = neg
+		}
+		answers[at] = pos
+		if got := Attribution(u, thetas, answers, 1)[at]; got != 1 {
+			t.Errorf("positive at index %d scores %v; want 1", at, got)
+		}
 	}
 }

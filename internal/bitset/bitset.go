@@ -264,18 +264,14 @@ func (s Set) ForEach(fn func(i int) bool) {
 	}
 }
 
-// WordsFor returns the number of words needed to hold values in [0, n).
-func WordsFor(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return (n + wordBits - 1) / wordBits
-}
+// Words returns the set's backing words, shared and read-only. Their
+// number follows the set's capacity, not its universe: missing high words
+// are zero, which span operations over a fixed width must honour.
+func (s Set) Words() []uint64 { return s.words }
 
 // CopyWords writes the set's first len(dst) words into dst, zero-padding
 // beyond the set's capacity. Hot paths use it to lay predicates out in flat
-// []uint64 arenas and then run the span operations below without touching
-// Set at all.
+// []uint64 arenas.
 func (s Set) CopyWords(dst []uint64) {
 	n := copy(dst, s.words)
 	for i := n; i < len(dst); i++ {
@@ -299,31 +295,6 @@ func IntersectInto(dst *Set, a, b Set) {
 	for i := 0; i < n; i++ {
 		dst.words[i] = a.words[i] & b.words[i]
 	}
-}
-
-// IntersectWords writes a & b elementwise into dst. The three spans must
-// have equal length (the arena layout guarantees it); dst may alias a or b.
-func IntersectWords(dst, a, b []uint64) {
-	if len(a) == 0 {
-		return
-	}
-	_ = dst[len(a)-1] // bounds hint
-	b = b[:len(a)]
-	for i := range a {
-		dst[i] = a[i] & b[i]
-	}
-}
-
-// SubsetWords reports a ⊆ b for two equal-length word spans without
-// allocating.
-func SubsetWords(a, b []uint64) bool {
-	b = b[:len(a)]
-	for i, w := range a {
-		if w&^b[i] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // AppendKey appends the bytes of Key to dst and returns the extended

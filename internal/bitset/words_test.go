@@ -2,25 +2,16 @@ package bitset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
-
-func TestWordsFor(t *testing.T) {
-	for _, c := range []struct{ n, want int }{
-		{-1, 0}, {0, 0}, {1, 1}, {64, 1}, {65, 2}, {128, 2}, {129, 3},
-	} {
-		if got := WordsFor(c.n); got != c.want {
-			t.Errorf("WordsFor(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
-}
 
 func TestCopyWordsRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + r.Intn(200)
 		s := randSet(r, n)
-		dst := make([]uint64, WordsFor(n))
+		dst := make([]uint64, (n+63)/64)
 		for i := range dst {
 			dst[i] = ^uint64(0) // must be overwritten, including zero-padding
 		}
@@ -61,29 +52,23 @@ func TestIntersectIntoMatchesIntersect(t *testing.T) {
 	}
 }
 
+// TestSpanOpsMatchSetOps: the shared word view holds exactly the set's
+// elements, and CopyWords pads it with zeros past the set's capacity.
 func TestSpanOpsMatchSetOps(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + r.Intn(190)
-		W := WordsFor(n)
 		a := randSet(r, n)
-		b := randSet(r, n)
-		aw := make([]uint64, W)
-		bw := make([]uint64, W)
-		a.CopyWords(aw)
-		b.CopyWords(bw)
-		if got, want := SubsetWords(aw, bw), a.SubsetOf(b); got != want {
-			t.Fatalf("n=%d: SubsetWords = %v, SubsetOf = %v (a=%v b=%v)", n, got, want, a, b)
-		}
-		dst := make([]uint64, W)
-		IntersectWords(dst, aw, bw)
-		inter := a.Intersect(b)
-		iw := make([]uint64, W)
-		inter.CopyWords(iw)
-		for i := range dst {
-			if dst[i] != iw[i] {
-				t.Fatalf("n=%d word %d: IntersectWords %x, Intersect %x", n, i, dst[i], iw[i])
+		ws := a.Words()
+		for i := 0; i < len(ws)*64; i++ {
+			if got := ws[i/64]&(1<<uint(i%64)) != 0; got != a.Contains(i) {
+				t.Fatalf("n=%d bit %d: Words %v, Contains %v", n, i, got, a.Contains(i))
 			}
+		}
+		dst := make([]uint64, len(ws)+2)
+		a.CopyWords(dst)
+		if !slices.Equal(dst[:len(ws)], ws) || dst[len(ws)] != 0 || dst[len(ws)+1] != 0 {
+			t.Fatalf("n=%d: CopyWords %x, Words %x", n, dst, ws)
 		}
 	}
 }

@@ -11,7 +11,9 @@
 //     example removal (T(S+) only grows, witnesses only disappear), so a
 //     class that was informative stays informative; only the classes those
 //     examples were settling — the settled-but-now-unlabeled ones — are
-//     re-tested, exactly Lemma 3.4's witnesses in reverse.
+//     re-tested, exactly Lemma 3.4's witnesses in reverse. The kernel is
+//     rebuilt from the surviving examples, so a negative it had pruned as
+//     dominated by a dropped one counts again.
 //
 // The result is state-identical to rebuilding the engine from scratch on
 // the new version and replaying the surviving examples (delta_test.go
@@ -21,7 +23,7 @@ package inference
 import (
 	"fmt"
 
-	"repro/internal/predicate"
+	"repro/internal/certainty"
 	"repro/internal/product"
 	"repro/internal/relation"
 	"repro/internal/sample"
@@ -61,11 +63,8 @@ func (e *Engine) ApplyDelta(newInst *relation.Instance, dr *product.DeltaResult)
 	if len(droppedEx) == 0 {
 		// Sample intact: survivors keep their certainty verbatim; only
 		// minted classes are unknown.
-		tpos := e.s.TPos()
 		for _, ni := range dr.Added {
-			if CertainUnderWith(&e.inter, tpos, e.negs, dr.Classes[ni].Theta) {
-				ns[ni] = true
-			}
+			ns[ni] = e.kern.Certain(dr.Classes[ni].Theta.Set.Words())
 		}
 	} else {
 		// Rebuild the sample from the surviving examples, preserving
@@ -74,14 +73,16 @@ func (e *Engine) ApplyDelta(newInst *relation.Instance, dr *product.DeltaResult)
 		// (anti-monotonicity keeps unsettled classes unsettled) plus the
 		// minted ones.
 		s2 := sample.New(e.U)
-		var negs2 []predicate.Pred
+		k2 := certainty.New(s2.TPos().Set.Words())
 		for _, ex := range e.s.Examples() {
 			if !newInst.RAlive(ex.RI) || !newInst.PAlive(ex.PI) {
 				continue
 			}
 			s2.Add(ex)
-			if ex.Label == sample.Negative {
-				negs2 = append(negs2, ex.Theta)
+			if ex.Label == sample.Positive {
+				k2.AddPositive(ex.Theta.Set.Words())
+			} else {
+				k2.AddNegative(ex.Theta.Set.Words())
 			}
 		}
 		byKey := make(map[string]int, len(dr.Classes))
@@ -93,17 +94,14 @@ func (e *Engine) ApplyDelta(newInst *relation.Instance, dr *product.DeltaResult)
 				nl[ni] = 0
 			}
 		}
-		tpos := s2.TPos()
 		for ni, c := range dr.Classes {
 			if nl[ni] != 0 || !ns[ni] {
 				continue
 			}
-			ns[ni] = CertainUnderWith(&e.inter, tpos, negs2, c.Theta)
+			ns[ni] = k2.Certain(c.Theta.Set.Words())
 		}
 		for _, ni := range dr.Added {
-			if !ns[ni] && CertainUnderWith(&e.inter, tpos, negs2, dr.Classes[ni].Theta) {
-				ns[ni] = true
-			}
+			ns[ni] = k2.Certain(dr.Classes[ni].Theta.Set.Words())
 		}
 		if !s2.Consistent() {
 			// Unreachable for a sample that was consistent before the
@@ -112,7 +110,7 @@ func (e *Engine) ApplyDelta(newInst *relation.Instance, dr *product.DeltaResult)
 			return len(droppedEx), ErrInconsistent
 		}
 		e.s = s2
-		e.negs = negs2
+		e.kern = k2
 	}
 
 	infCount := 0

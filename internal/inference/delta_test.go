@@ -66,8 +66,10 @@ func enginesEqual(t *testing.T, tag string, got, want *Engine) {
 		if got.Informative(ci) != want.Informative(ci) {
 			t.Fatalf("%s: class %d informative=%v, rebuilt says %v", tag, ci, got.Informative(ci), want.Informative(ci))
 		}
-		if got.IsLabeled(ci) != want.IsLabeled(ci) {
-			t.Fatalf("%s: class %d labeled=%v, rebuilt says %v", tag, ci, got.IsLabeled(ci), want.IsLabeled(ci))
+		gp, gl := got.LabelOf(ci)
+		wp, wl := want.LabelOf(ci)
+		if gp != wp || gl != wl {
+			t.Fatalf("%s: class %d label (%v,%v), rebuilt says (%v,%v)", tag, ci, gp, gl, wp, wl)
 		}
 	}
 	if got.NumInformative() != want.NumInformative() {
@@ -139,6 +141,58 @@ func TestEngineApplyDeltaDifferential(t *testing.T) {
 			want := rebuildReplay(t, next, dr.Classes, e.Sample().Examples())
 			enginesEqual(t, "after delta", e, want)
 			inst, classes = next, dr.Classes
+		}
+	}
+}
+
+// TestApplyDeltaRestoresPrunedNegatives: negatives n1 ⊂ n2 leave only n2
+// in the kernel's ⊆-maximal list. Deleting n2's row drops its example, and
+// n1 must settle what it covers again, while what only n2 covered turns
+// informative — exactly as on an engine rebuilt from scratch.
+func TestApplyDeltaRestoresPrunedNegatives(t *testing.T) {
+	for _, n2First := range []bool{false, true} {
+		// Pairs: 0 = (A1,B1), 1 = (A1,B2), 2 = (A2,B1), 3 = (A2,B2).
+		r := relation.NewRelation(relation.MustSchema("R", "A1", "A2"))
+		r.MustAddTuple("1", "9") // r0
+		r.MustAddTuple("2", "8") // r1
+		p := relation.NewRelation(relation.MustSchema("P", "B1", "B2"))
+		p.MustAddTuple("1", "1") // p0: T(r0,p0) = {0,1} = n2
+		p.MustAddTuple("1", "2") // p1: T(r0,p1) = {0} = n1, T(r1,p1) = {1}
+		p.MustAddTuple("5", "5") // p2: T(·,p2) = ∅
+		inst := relation.MustInstance(r, p)
+		u := predicate.NewUniverse(inst)
+		e := New(inst, WithClasses(product.ClassesIndexed(inst, u)))
+		n1, n2 := classIndexFor(e, 0, 1), classIndexFor(e, 0, 0)
+		order := []int{n1, n2}
+		if n2First {
+			order = []int{n2, n1}
+		}
+		for _, ci := range order {
+			if err := e.Label(ci, sample.Negative); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := len(e.Certainty().Negs); got != 1 {
+			t.Fatalf("kernel keeps %d negative words, want n2 alone", got)
+		}
+		d := relation.Delta{DeleteP: []int{0}}
+		next, err := inst.ApplyDelta(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dr, err := product.ApplyDelta(inst, next, u, e.Classes(), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dropped, err := e.ApplyDelta(next, dr); err != nil || dropped != 1 {
+			t.Fatalf("ApplyDelta dropped %d examples (err %v), want n2's", dropped, err)
+		}
+		enginesEqual(t, "after deleting n2", e, rebuildReplay(t, next, dr.Classes, e.Sample().Examples()))
+		if empty := classIndexFor(e, 0, 2); e.Informative(empty) || !e.CertainNegative(empty) {
+			t.Error("n1 no longer settles the ∅ class")
+		}
+		if only2 := classIndexFor(e, 1, 1); !e.Informative(only2) {
+			t.Error("the class only n2 covered is still settled")
 		}
 	}
 }

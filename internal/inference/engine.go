@@ -5,20 +5,19 @@
 // The engine works on T-classes of the Cartesian product (package product):
 // tuples with equal most specific predicate T(t) are interchangeable for
 // inference, so certainty, informativeness and strategy decisions are all
-// per class. An Engine holds the evolving sample and answers the PTIME
-// membership tests of Theorem 3.5:
-//
-//	t ∈ Cert+(S) ⇔ T(S+) ⊆ T(t)                      (Lemma 3.3)
-//	t ∈ Cert−(S) ⇔ ∃t'∈S−: T(S+) ∩ T(t) ⊆ T(t')      (Lemma 3.4)
-//
-// and a tuple is informative iff it is unlabeled and in neither set
-// (Lemma 3.2 equates uninformative and certain examples).
+// per class. An Engine holds the evolving sample and decides the PTIME
+// membership tests of Theorem 3.5 (Lemmas 3.3 and 3.4) with the one
+// certainty kernel (package certainty), which it keeps in step with the
+// sample: T(S+) and the ⊆-maximal negatives. A tuple is informative iff it
+// is unlabeled and certain under neither lemma (Lemma 3.2 equates
+// uninformative and certain examples).
 package inference
 
 import (
 	"errors"
 	"fmt"
 
+	"repro/internal/certainty"
 	"repro/internal/predicate"
 	"repro/internal/product"
 	"repro/internal/relation"
@@ -38,9 +37,9 @@ var ErrInconsistent = errors.New("inference: sample is inconsistent with every e
 // 3.4 conditions are monotone in the sample — consistency is not even
 // required). Each Label therefore re-examines only the classes still
 // informative, restricted to what the label can flip: a negative example
-// leaves T(S+) unchanged, so only the one new Lemma 3.4 witness is tested.
-// This makes Done O(1) and Informative O(1) instead of O(|negs|) scans
-// with an allocation per class per call.
+// leaves T(S+) unchanged, so only the one new Lemma 3.4 witness is tested,
+// and a negative the kernel drops as dominated tests nothing at all. This
+// makes Done O(1) and Informative O(1).
 type Engine struct {
 	Inst    *relation.Instance
 	U       *predicate.Universe
@@ -48,16 +47,15 @@ type Engine struct {
 
 	s       *sample.Sample
 	labeled []int8 // 0 unlabeled, 1 positive, 2 negative (per class)
-	negs    []predicate.Pred
+	// kern is the sample's T(S+) and ⊆-maximal negatives.
+	kern certainty.Kernel
 
 	// settled[ci] records that class ci is labeled or certain (either
 	// sign); monotone, so it never reverts. infCount counts the zeros.
 	settled  []bool
 	infCount int
-	// infScratch backs InformativeClasses; inter is the intersection
-	// scratch of the incremental certainty sweeps.
+	// infScratch backs InformativeClasses.
 	infScratch []int
-	inter      predicate.Pred
 }
 
 // Option configures engine construction.
@@ -85,20 +83,21 @@ func New(inst *relation.Instance, opts ...Option) *Engine {
 	if cs == nil {
 		cs = product.ClassesIndexed(inst, u)
 	}
+	s := sample.New(u)
 	e := &Engine{
 		Inst:    inst,
 		U:       u,
 		classes: cs,
-		s:       sample.New(u),
+		s:       s,
 		labeled: make([]int8, len(cs)),
+		kern:    certainty.New(s.TPos().Set.Words()),
 		settled: make([]bool, len(cs)),
 	}
 	// Initial certainty: with no negatives, only Lemma 3.3 can settle a
 	// class, and T(S+) = Ω, so exactly the classes with Theta = Ω start
 	// certain (their tuples are selected by every predicate).
-	tpos := e.s.TPos()
 	for ci, c := range cs {
-		if CertainPositive(tpos, c.Theta) {
+		if e.kern.Positive(c.Theta.Set.Words()) {
 			e.settled[ci] = true
 		} else {
 			e.infCount++
@@ -117,22 +116,25 @@ func (e *Engine) Sample() *sample.Sample { return e.s }
 // TPos returns T(S+), Ω while no positive example exists.
 func (e *Engine) TPos() predicate.Pred { return e.s.TPos() }
 
-// Negatives returns the T values of negative examples (shared slice).
-func (e *Engine) Negatives() []predicate.Pred { return e.negs }
+// Certainty returns the engine's certainty kernel: T(S+) and the
+// ⊆-maximal negatives as word spans (shared; callers must not mutate it).
+func (e *Engine) Certainty() *certainty.Kernel { return &e.kern }
 
-// IsLabeled reports whether class ci has been labeled.
-func (e *Engine) IsLabeled(ci int) bool { return e.labeled[ci] != 0 }
+// LabelOf returns class ci's label: labeled is false while it has none.
+func (e *Engine) LabelOf(ci int) (positive, labeled bool) {
+	return e.labeled[ci] == 1, e.labeled[ci] != 0
+}
 
 // CertainPositive reports whether the tuples of class ci are certain to be
 // selected by every predicate consistent with the current sample.
 func (e *Engine) CertainPositive(ci int) bool {
-	return CertainPositive(e.s.TPos(), e.classes[ci].Theta)
+	return e.kern.Positive(e.classes[ci].Theta.Set.Words())
 }
 
 // CertainNegative reports whether the tuples of class ci are certain to be
 // rejected by every predicate consistent with the current sample.
 func (e *Engine) CertainNegative(ci int) bool {
-	return CertainNegative(e.s.TPos(), e.negs, e.classes[ci].Theta)
+	return e.kern.Negative(e.classes[ci].Theta.Set.Words())
 }
 
 // Informative reports whether labeling class ci would shrink the set of
@@ -175,17 +177,13 @@ func (e *Engine) Label(ci int, l sample.Label) error {
 	}
 	c := e.classes[ci]
 	e.s.Add(sample.Example{RI: c.RI, PI: c.PI, Theta: c.Theta, Label: l})
-	if l == sample.Positive {
-		e.labeled[ci] = 1
-	} else {
-		e.labeled[ci] = 2
-		e.negs = append(e.negs, c.Theta)
-	}
 	e.settle(ci)
 	if l == sample.Positive {
-		e.sweepPositive()
+		e.labeled[ci] = 1
+		e.sweepPositive(c.Theta.Set.Words())
 	} else {
-		e.sweepNegative(c.Theta)
+		e.labeled[ci] = 2
+		e.sweepNegative(c.Theta.Set.Words())
 	}
 	if !e.s.Consistent() {
 		return ErrInconsistent
@@ -201,46 +199,30 @@ func (e *Engine) settle(ci int) {
 	}
 }
 
-// sweepPositive re-examines the still-informative classes after a positive
-// example shrank T(S+): both lemmas can newly fire, so the full certainty
-// test runs — but only over informative classes, with the intersection in
-// scratch.
-func (e *Engine) sweepPositive() {
-	tpos := e.s.TPos()
+// sweepPositive records a positive example with most specific predicate
+// theta and re-examines the still-informative classes: T(S+) shrank, so
+// both lemmas can newly fire.
+func (e *Engine) sweepPositive(theta []uint64) {
+	e.kern.AddPositive(theta)
 	for ci, done := range e.settled {
-		if done {
-			continue
-		}
-		th := e.classes[ci].Theta
-		if CertainPositive(tpos, th) || e.certainNegativeScratch(tpos, th) {
+		if !done && e.kern.Certain(e.classes[ci].Theta.Set.Words()) {
 			e.settle(ci)
 		}
 	}
 }
 
-// certainNegativeScratch is CertainNegative with the intersection computed
-// into the engine's scratch predicate instead of a fresh allocation.
-func (e *Engine) certainNegativeScratch(tpos, theta predicate.Pred) bool {
-	predicate.IntersectInto(&e.inter, tpos, theta)
-	for _, n := range e.negs {
-		if e.inter.MoreGeneralThan(n) {
-			return true
-		}
+// sweepNegative records a negative example with most specific predicate
+// theta. T(S+) is unchanged, so Lemma 3.3 cannot newly fire, and Lemma 3.4
+// needs testing against the one new negative only; a negative the kernel
+// drops as dominated settles nothing new.
+func (e *Engine) sweepNegative(theta []uint64) {
+	if !e.kern.AddNegative(theta) {
+		return
 	}
-	return false
-}
-
-// sweepNegative re-examines the still-informative classes after a negative
-// example: T(S+) is unchanged, so Lemma 3.3 cannot newly fire and Lemma 3.4
-// needs testing against the one new witness only — O(1) per class.
-func (e *Engine) sweepNegative(newNeg predicate.Pred) {
-	tpos := e.s.TPos()
+	W := len(e.kern.TPos)
+	last := certainty.Kernel{TPos: e.kern.TPos, Negs: e.kern.Negs[len(e.kern.Negs)-W:]}
 	for ci, done := range e.settled {
-		if done {
-			continue
-		}
-		predicate.IntersectInto(&e.inter, tpos, e.classes[ci].Theta)
-		if e.inter.MoreGeneralThan(newNeg) {
+		if !done && last.Negative(e.classes[ci].Theta.Set.Words()) {
 			e.settle(ci)
 		}
 	}
@@ -251,46 +233,3 @@ func (e *Engine) sweepNegative(newNeg predicate.Pred) {
 // Done() holds (Section 3.3). With no positive examples this is Ω, exactly
 // as the paper prescribes for empty goal joins.
 func (e *Engine) Result() predicate.Pred { return e.s.TPos().Clone() }
-
-// CertainPositive is the stateless Lemma 3.3 test: under positive knowledge
-// tpos = T(S+), a tuple with most specific predicate theta is certainly
-// selected iff tpos ⊆ theta.
-func CertainPositive(tpos, theta predicate.Pred) bool {
-	return tpos.MoreGeneralThan(theta)
-}
-
-// CertainNegative is the stateless Lemma 3.4 test: a tuple with most
-// specific predicate theta is certainly rejected iff some negative example
-// t' satisfies T(S+) ∩ theta ⊆ T(t').
-func CertainNegative(tpos predicate.Pred, negs []predicate.Pred, theta predicate.Pred) bool {
-	inter := tpos.Intersect(theta)
-	for _, n := range negs {
-		if inter.MoreGeneralThan(n) {
-			return true
-		}
-	}
-	return false
-}
-
-// CertainUnder reports whether a class is certain (either sign) under
-// hypothetical knowledge (tpos, negs); used by lookahead strategies to
-// evaluate what-if labelings without mutating the engine.
-func CertainUnder(tpos predicate.Pred, negs []predicate.Pred, theta predicate.Pred) bool {
-	return CertainPositive(tpos, theta) || CertainNegative(tpos, negs, theta)
-}
-
-// CertainUnderWith is CertainUnder with the Lemma 3.4 intersection computed
-// into the caller-provided scratch predicate, so repeated hypothetical
-// tests (e.g. the batch pairwise-informativeness scan) allocate nothing.
-func CertainUnderWith(inter *predicate.Pred, tpos predicate.Pred, negs []predicate.Pred, theta predicate.Pred) bool {
-	if CertainPositive(tpos, theta) {
-		return true
-	}
-	predicate.IntersectInto(inter, tpos, theta)
-	for _, n := range negs {
-		if inter.MoreGeneralThan(n) {
-			return true
-		}
-	}
-	return false
-}

@@ -9,14 +9,24 @@ import (
 )
 
 // statelessInformative recomputes informativeness from first principles —
-// the pre-incremental implementation the certainty cache must agree with
-// after every label.
+// a test-only copy of Lemmas 3.3 and 3.4 over predicate values, written
+// independently of the certainty kernel, that the engine's incremental
+// state must agree with after every label.
 func statelessInformative(e *Engine, ci int) bool {
-	if e.IsLabeled(ci) {
+	if _, labeled := e.LabelOf(ci); labeled {
 		return false
 	}
-	th := e.Classes()[ci].Theta
-	return !CertainPositive(e.TPos(), th) && !CertainNegative(e.TPos(), e.Negatives(), th)
+	tpos, th := e.TPos(), e.Classes()[ci].Theta
+	if tpos.MoreGeneralThan(th) { // Lemma 3.3
+		return false
+	}
+	inter := tpos.Intersect(th)
+	for _, n := range e.Sample().Negatives() { // Lemma 3.4, every negative
+		if inter.MoreGeneralThan(n) {
+			return false
+		}
+	}
+	return true
 }
 
 // checkIncremental compares the cached certainty state against the

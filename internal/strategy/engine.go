@@ -3,8 +3,8 @@ package strategy
 // The lookahead engine: entropy^K (Section 4.4, Algorithm 5) for every pair
 // universe and every depth. Predicates are W = ⌈|Ω|/64⌉-word spans laid out
 // in flat []uint64 arenas snapshotted once per decision (per-class thetas,
-// base T(S+), ⊆-maximal base negatives), and a hypothetical extension chain
-// lives entirely in the candidate's lookScratch:
+// base T(S+), the engine's ⊆-maximal base negatives), and a hypothetical
+// extension chain lives entirely in the candidate's lookScratch:
 //
 //   - a positive extension from depth d writes T(S+) ∩ θ into the scratch's
 //     d-th W-word T(S+) slot;
@@ -24,15 +24,15 @@ package strategy
 // classes drop out of the informative lists by themselves, and delta
 // corrects their weight by the chain depth.
 //
-// The certainty sweeps are the innermost Θ(K) loops of the Θ(K³) lookahead
-// (K = informative classes), so they come in three widths picked from |Ω|:
-// one word (every schema in the paper), two words (65–128 pairs) and a
-// generic loop. engine_test.go checks every width against the slice-based
-// reference engine, and paperdefs_test.go checks entropy¹ and entropy²
-// against brute force over the version space.
+// Every hypothetical state is a certainty.Kernel over the scratch spans,
+// and its two sweeps (Delta, InformativeInto) are the innermost Θ(K) loops
+// of the Θ(K³) lookahead (K = informative classes). engine_test.go checks
+// the engine against the slice-based reference engine, and
+// paperdefs_test.go checks entropy¹ and entropy² against brute force over
+// the version space.
 
 import (
-	"repro/internal/bitset"
+	"repro/internal/certainty"
 	"repro/internal/inference"
 )
 
@@ -45,13 +45,10 @@ type look struct {
 	baseInf []int
 	// W is the number of words per predicate span.
 	W int
-	// tpos is the base T(S+), W words.
-	tpos []uint64
-	// negs holds the ⊆-maximal base negatives, W words each. Only those
-	// matter for Lemma 3.4 (inter ⊆ n implies inter ⊆ n' for any n ⊆ n'),
-	// so dominated and duplicate negatives are dropped: identical
-	// certainty booleans, shorter loop.
-	negs []uint64
+	// base is the engine's kernel: the base T(S+) and ⊆-maximal negatives.
+	// It is shared, since the engine does not change during a decision;
+	// extensions write scratch spans only.
+	base certainty.Kernel
 	// thetas holds one W-word span per baseInf position.
 	thetas []uint64
 	// weights is what making a position certain is worth: its class's
@@ -62,32 +59,10 @@ type look struct {
 
 // newLook snapshots the engine's current sample for one decision.
 func newLook(e *inference.Engine, countClasses bool) *look {
-	W := max(1, bitset.WordsFor(e.U.Size()))
-	l := &look{baseInf: e.InformativeClasses(), W: W, tpos: make([]uint64, W)}
-	e.TPos().Set.CopyWords(l.tpos)
-
-	negs := e.Negatives()
-	all := make([]uint64, len(negs)*W)
-	for i, n := range negs {
-		n.Set.CopyWords(all[i*W : (i+1)*W])
-	}
-	for i := range negs {
-		ni := all[i*W : (i+1)*W]
-		dominated := false
-		for j := range negs {
-			nj := all[j*W : (j+1)*W]
-			if j != i && bitset.SubsetWords(ni, nj) && (j < i || !bitset.SubsetWords(nj, ni)) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			l.negs = append(l.negs, ni...)
-		}
-	}
-
+	l := &look{baseInf: e.InformativeClasses(), base: *e.Certainty()}
+	l.W = len(l.base.TPos)
 	cs := e.Classes()
-	l.thetas = make([]uint64, len(l.baseInf)*W)
+	l.thetas = make([]uint64, len(l.baseInf)*l.W)
 	l.weights = make([]int64, len(l.baseInf))
 	for pos, ci := range l.baseInf {
 		cs[ci].Theta.Set.CopyWords(l.theta(pos))
@@ -118,97 +93,39 @@ type lookScratch struct {
 	// negs holds the base negatives followed by capacity for the ≤ k
 	// negative extensions along a chain.
 	negs []uint64
-	// inter is the generic-width Lemma 3.4 intersection buffer.
-	inter []uint64
 }
 
 // newScratch sizes a scratch for depth-k evaluation.
 func (l *look) newScratch(k int) *lookScratch {
 	sc := &lookScratch{
-		rest:  make([]int32, k*len(l.baseInf)),
-		tpos:  make([]uint64, k*l.W),
-		negs:  make([]uint64, len(l.negs), len(l.negs)+k*l.W),
-		inter: make([]uint64, l.W),
+		rest: make([]int32, k*len(l.baseInf)),
+		tpos: make([]uint64, k*l.W),
+		negs: make([]uint64, len(l.base.Negs), len(l.base.Negs)+k*l.W),
 	}
-	copy(sc.negs, l.negs)
+	copy(sc.negs, l.base.Negs)
 	return sc
 }
 
-// hyp is a hypothetical extension of the base sample: its T(S+) (the base
-// arena or a scratch slot), its negatives (a prefix of the scratch list)
+// hyp is a hypothetical extension of the base sample: its kernel (T(S+) in
+// the base arena or a scratch slot, negatives a prefix of the scratch list)
 // and the number of classes the chain labelled. It is a small value:
 // extensions copy it on the stack and never allocate.
 type hyp struct {
-	tpos  []uint64
-	negs  []uint64
+	k     certainty.Kernel
 	depth int
 }
 
 // withPositive labels position pos positive: T(S+) ∩ θ goes into the
 // scratch slot of the current depth.
 func (l *look) withPositive(s hyp, pos int, sc *lookScratch) hyp {
-	W := l.W
-	dst := sc.tpos[s.depth*W : (s.depth+1)*W]
-	bitset.IntersectWords(dst, s.tpos, l.theta(pos))
-	return hyp{tpos: dst, negs: s.negs, depth: s.depth + 1}
+	dst := sc.tpos[s.depth*l.W : (s.depth+1)*l.W]
+	return hyp{k: s.k.WithPositive(dst, l.theta(pos)), depth: s.depth + 1}
 }
 
 // withNegative labels position pos negative: θ's words are appended into
 // the scratch's reserved negative capacity.
 func (l *look) withNegative(s hyp, pos int) hyp {
-	return hyp{tpos: s.tpos, negs: append(s.negs, l.theta(pos)...), depth: s.depth + 1}
-}
-
-// certain1 is CertainUnder on one-word predicates.
-func certain1(t, th uint64, negs []uint64) bool {
-	inter := t & th
-	if inter == t { // Lemma 3.3: tpos ⊆ theta
-		return true
-	}
-	for _, n := range negs { // Lemma 3.4: inter ⊆ some negative
-		if inter&^n == 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// certain2 is CertainUnder on two-word predicates.
-func certain2(t0, t1, th0, th1 uint64, negs []uint64) bool {
-	i0, i1 := t0&th0, t1&th1
-	if i0 == t0 && i1 == t1 { // Lemma 3.3
-		return true
-	}
-	for off := 0; off+1 < len(negs); off += 2 { // Lemma 3.4
-		if i0&^negs[off] == 0 && i1&^negs[off+1] == 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// certainN is CertainUnder on spans of any width, building the Lemma 3.4
-// intersection in inter and detecting the Lemma 3.3 subset in one pass.
-func certainN(tpos, theta, negs, inter []uint64) bool {
-	W := len(tpos)
-	theta, inter = theta[:W], inter[:W]
-	sub := true
-	for i, w := range tpos {
-		v := w & theta[i]
-		inter[i] = v
-		if v != w {
-			sub = false
-		}
-	}
-	if sub {
-		return true
-	}
-	for off := 0; off < len(negs); off += W {
-		if bitset.SubsetWords(inter, negs[off:off+W]) {
-			return true
-		}
-	}
-	return false
+	return hyp{k: certainty.Kernel{TPos: s.k.TPos, Negs: append(s.k.Negs, l.theta(pos)...)}, depth: s.depth + 1}
 }
 
 // delta computes u = |Uninf(S_ext) \ Uninf(S_base)| for the hypothetical
@@ -216,64 +133,15 @@ func certainN(tpos, theta, negs, inter []uint64) bool {
 // uninformative. Newly labelled tuples themselves are not counted (the
 // paper's Figure 5 counts 11, not 12, for the ∅ tuple), but their class
 // twins are — hence one less per labelled class, of which there are depth.
-func (l *look) delta(s *hyp, sc *lookScratch) int64 {
-	var sum int64
-	switch l.W {
-	case 1:
-		t, negs := s.tpos[0], s.negs
-		for pos, th := range l.thetas {
-			if certain1(t, th, negs) {
-				sum += l.weights[pos]
-			}
-		}
-	case 2:
-		t0, t1, negs, ths := s.tpos[0], s.tpos[1], s.negs, l.thetas
-		for pos, w := range l.weights {
-			if certain2(t0, t1, ths[2*pos], ths[2*pos+1], negs) {
-				sum += w
-			}
-		}
-	default:
-		for pos, w := range l.weights {
-			if certainN(s.tpos, l.theta(pos), s.negs, sc.inter) {
-				sum += w
-			}
-		}
-	}
-	return sum - int64(s.depth)
+func (l *look) delta(s *hyp) int64 {
+	return s.k.Delta(l.thetas, l.weights) - int64(s.depth)
 }
 
-// informativeInto appends the baseInf positions still informative under s
-// to buf (a per-level rest slot).
-func (l *look) informativeInto(s *hyp, buf []int32, sc *lookScratch) []int32 {
-	switch l.W {
-	case 1:
-		t, negs := s.tpos[0], s.negs
-		for pos, th := range l.thetas {
-			if !certain1(t, th, negs) {
-				buf = append(buf, int32(pos))
-			}
-		}
-	case 2:
-		t0, t1, negs, ths := s.tpos[0], s.tpos[1], s.negs, l.thetas
-		for pos := range l.weights {
-			if !certain2(t0, t1, ths[2*pos], ths[2*pos+1], negs) {
-				buf = append(buf, int32(pos))
-			}
-		}
-	default:
-		for pos := range l.weights {
-			if !certainN(s.tpos, l.theta(pos), s.negs, sc.inter) {
-				buf = append(buf, int32(pos))
-			}
-		}
-	}
-	return buf
-}
-
-// entropyAt evaluates baseInf position pos at depth k from the base sample.
+// entropyAt evaluates baseInf position pos at depth k from the base sample,
+// whose negatives are the scratch copy with room for the chain's negative
+// extensions.
 func (l *look) entropyAt(pos, k int, sc *lookScratch) Entropy {
-	return l.entropyK(pos, hyp{tpos: l.tpos, negs: sc.negs}, k, sc)
+	return l.entropyK(pos, hyp{k: certainty.Kernel{TPos: l.base.TPos, Negs: sc.negs}}, k, sc)
 }
 
 // entropy1 is the entropy of Section 4.4 for position pos, computed in the
@@ -281,9 +149,9 @@ func (l *look) entropyAt(pos, k int, sc *lookScratch) Entropy {
 // lookahead the u counts remain differences against the base sample).
 func (l *look) entropy1(pos int, s hyp, sc *lookScratch) Entropy {
 	p := l.withPositive(s, pos, sc)
-	up := l.delta(&p, sc)
+	up := l.delta(&p)
 	n := l.withNegative(s, pos)
-	un := l.delta(&n, sc)
+	un := l.delta(&n)
 	if up > un {
 		up, un = un, up
 	}
@@ -315,7 +183,7 @@ func (l *look) entropyK(pos int, s hyp, k int, sc *lookScratch) Entropy {
 func (l *look) branch(ext hyp, k int, sc *lookScratch) Entropy {
 	K := len(l.baseInf)
 	off := (ext.depth - 1) * K
-	rest := l.informativeInto(&ext, sc.rest[off:off:off+K], sc)
+	rest := ext.k.InformativeInto(l.thetas, sc.rest[off:off:off+K])
 	if len(rest) == 0 {
 		// No informative tuple left: interaction ends (lines 3–5).
 		return Entropy{Min: Inf, Max: Inf}

@@ -3,9 +3,11 @@ package strategy
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/certainty"
 	"repro/internal/inference"
 	"repro/internal/oracle"
 	"repro/internal/paperdata"
@@ -155,7 +157,7 @@ func chainAgrees(r *rand.Rand, e *inference.Engine, countClasses bool) bool {
 	lk := newLook(e, countClasses)
 	lg := newLegacy(e, countClasses)
 	sc := lk.newScratch(3)
-	hs := hyp{tpos: lk.tpos, negs: sc.negs}
+	hs := hyp{k: certainty.Kernel{TPos: lk.base.TPos, Negs: sc.negs}}
 	gs := lg.baseState()
 	chain := r.Perm(len(lk.baseInf))
 	if len(chain) > 3 {
@@ -171,10 +173,10 @@ func chainAgrees(r *rand.Rand, e *inference.Engine, countClasses bool) bool {
 			gs = gs.withNegative(theta, ci)
 			hs = lk.withNegative(hs, pos)
 		}
-		if lg.delta(gs) != lk.delta(&hs, sc) {
+		if lg.delta(gs) != lk.delta(&hs) {
 			return false
 		}
-		rest := lk.informativeInto(&hs, nil, sc)
+		rest := hs.k.InformativeInto(lk.thetas, nil)
 		want := lg.informativeUnder(gs)
 		if len(rest) != len(want) {
 			return false
@@ -228,13 +230,13 @@ func TestQuickArenaDeltaMatchesLegacy(t *testing.T) {
 }
 
 // sweepsAgree follows a random hypothetical chain of up to three labels
-// and reports whether, after every step, the width-specialised certainty
-// test (certain1 on one word, certain2 on two) decides every position as
-// the generic-width certainN does.
+// and reports whether, after every step, the kernel's width-specialised
+// sweeps (one word, two words) weigh and list every position as its
+// generic-width sweep does on the same spans zero-padded to three words.
 func sweepsAgree(r *rand.Rand, e *inference.Engine, countClasses bool) bool {
 	lk := newLook(e, countClasses)
 	sc := lk.newScratch(3)
-	hs := hyp{tpos: lk.tpos, negs: sc.negs}
+	hs := hyp{k: certainty.Kernel{TPos: lk.base.TPos, Negs: sc.negs}}
 	chain := r.Perm(len(lk.baseInf))
 	if len(chain) > 3 {
 		chain = chain[:3]
@@ -245,23 +247,25 @@ func sweepsAgree(r *rand.Rand, e *inference.Engine, countClasses bool) bool {
 		} else {
 			hs = lk.withNegative(hs, pos)
 		}
-		for p := range lk.baseInf {
-			th := lk.theta(p)
-			var fast bool
-			switch lk.W {
-			case 1:
-				fast = certain1(hs.tpos[0], th[0], hs.negs)
-			case 2:
-				fast = certain2(hs.tpos[0], hs.tpos[1], th[0], th[1], hs.negs)
-			default:
-				return false
-			}
-			if fast != certainN(hs.tpos, th, hs.negs, sc.inter) {
-				return false
-			}
+		wide := certainty.Kernel{TPos: padSpans(hs.k.TPos, lk.W), Negs: padSpans(hs.k.Negs, lk.W)}
+		thetas := padSpans(lk.thetas, lk.W)
+		if hs.k.Delta(lk.thetas, lk.weights) != wide.Delta(thetas, lk.weights) {
+			return false
+		}
+		if !slices.Equal(hs.k.InformativeInto(lk.thetas, nil), wide.InformativeInto(thetas, nil)) {
+			return false
 		}
 	}
 	return true
+}
+
+// padSpans copies w-word spans into 3-word spans, zero-padded.
+func padSpans(spans []uint64, w int) []uint64 {
+	out := make([]uint64, len(spans)/w*3)
+	for i := 0; i < len(spans)/w; i++ {
+		copy(out[3*i:], spans[w*i:w*(i+1)])
+	}
+	return out
 }
 
 // TestQuickFastPathMatchesGeneral: the one-word certainty sweep (the fast

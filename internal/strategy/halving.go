@@ -108,7 +108,7 @@ func (h Halving) Next(e *inference.Engine) int {
 		return -1
 	}
 	tpos := e.TPos()
-	negs := e.Negatives()
+	negs := e.Sample().Negatives()
 
 	bestIdx := -1
 	var bestImbalance *big.Int

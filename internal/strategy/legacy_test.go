@@ -9,8 +9,9 @@ import (
 )
 
 // legacyLookahead is the slice-based reference implementation of LkS:
-// Algorithm 5 written directly over predicate.Pred values and
-// inference.CertainUnder, with fresh slices per hypothetical extension and
+// Algorithm 5 written directly over predicate.Pred values and its own copy
+// of Lemmas 3.3 and 3.4 (legacyCertain, independent of the certainty
+// kernel), with fresh slices per hypothetical extension and
 // an explicit list of the classes each chain labelled. It is slow and
 // plain on purpose — the differential tests and BenchmarkColdPath compare
 // the arena engine against it. MaxCandidates re-implements the beam from
@@ -122,7 +123,23 @@ func (s state) labeled(ci int) bool {
 }
 
 func (l *legacy) baseState() state {
-	return state{tpos: l.e.TPos(), negs: l.e.Negatives()}
+	return state{tpos: l.e.TPos(), negs: l.e.Sample().Negatives()}
+}
+
+// legacyCertain is the Theorem 3.5 test over predicate values: Lemma 3.3
+// (T(S+) ⊆ θ) or Lemma 3.4 (T(S+) ∩ θ ⊆ some negative), scanning every
+// negative.
+func legacyCertain(tpos predicate.Pred, negs []predicate.Pred, theta predicate.Pred) bool {
+	if tpos.MoreGeneralThan(theta) {
+		return true
+	}
+	inter := tpos.Intersect(theta)
+	for _, n := range negs {
+		if inter.MoreGeneralThan(n) {
+			return true
+		}
+	}
+	return false
 }
 
 // delta computes u = |Uninf(S_ext) \ Uninf(S_base)| for the hypothetical
@@ -144,7 +161,7 @@ func (l *legacy) delta(s state) int64 {
 			}
 			continue
 		}
-		if inference.CertainUnder(s.tpos, s.negs, c.Theta) {
+		if legacyCertain(s.tpos, s.negs, c.Theta) {
 			sum += w
 		}
 	}
@@ -159,7 +176,7 @@ func (l *legacy) informativeUnder(s state) []int {
 		if s.labeled(ci) {
 			continue
 		}
-		if !inference.CertainUnder(s.tpos, s.negs, l.e.Classes()[ci].Theta) {
+		if !legacyCertain(s.tpos, s.negs, l.e.Classes()[ci].Theta) {
 			out = append(out, ci)
 		}
 	}

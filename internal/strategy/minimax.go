@@ -3,6 +3,7 @@ package strategy
 import (
 	"fmt"
 
+	"repro/internal/certainty"
 	"repro/internal/inference"
 	"repro/internal/predicate"
 )
@@ -47,28 +48,7 @@ func (s *minimaxState) key() string {
 // Next implements Strategy: it returns an informative class minimizing
 // 1 + max over the two answers of the optimal remaining cost.
 func (o *Optimal) Next(e *inference.Engine) int {
-	limit := o.MaxClasses
-	if limit == 0 {
-		limit = DefaultMaxClasses
-	}
-	if len(e.Classes()) > limit {
-		panic(fmt.Sprintf("strategy: Optimal limited to %d classes, instance has %d", limit, len(e.Classes())))
-	}
-	if o.memo == nil {
-		o.memo = make(map[string]int)
-	}
-	st := &minimaxState{labels: make([]int8, len(e.Classes()))}
-	for ci := range e.Classes() {
-		if e.IsLabeled(ci) {
-			// Recover the sign from the engine's sample bookkeeping: a
-			// labeled class is certain for exactly its own label.
-			if e.CertainPositive(ci) {
-				st.labels[ci] = 1
-			} else {
-				st.labels[ci] = 2
-			}
-		}
-	}
+	st := o.start(e)
 	bestCost := -1
 	bestIdx := -1
 	for _, ci := range o.informative(e, st) {
@@ -85,21 +65,31 @@ func (o *Optimal) Next(e *inference.Engine) int {
 // engine's current state; exposed for tests comparing strategies against
 // the optimum.
 func (o *Optimal) Cost(e *inference.Engine) int {
-	ci := o.Next(e)
-	if ci < 0 {
-		return 0
+	return o.value(e, o.start(e))
+}
+
+// start checks the size bound and returns the engine's labeling state.
+func (o *Optimal) start(e *inference.Engine) *minimaxState {
+	limit := o.MaxClasses
+	if limit == 0 {
+		limit = DefaultMaxClasses
+	}
+	if len(e.Classes()) > limit {
+		panic(fmt.Sprintf("strategy: Optimal limited to %d classes, instance has %d", limit, len(e.Classes())))
+	}
+	if o.memo == nil {
+		o.memo = make(map[string]int)
 	}
 	st := &minimaxState{labels: make([]int8, len(e.Classes()))}
-	for i := range e.Classes() {
-		if e.IsLabeled(i) {
-			if e.CertainPositive(i) {
-				st.labels[i] = 1
-			} else {
-				st.labels[i] = 2
+	for ci := range st.labels {
+		if positive, labeled := e.LabelOf(ci); labeled {
+			st.labels[ci] = 2
+			if positive {
+				st.labels[ci] = 1
 			}
 		}
 	}
-	return o.value(e, st)
+	return st
 }
 
 // value = 0 if no informative class; else min over informative ci of
@@ -140,25 +130,21 @@ func (o *Optimal) worst(e *inference.Engine, st *minimaxState, ci int) int {
 }
 
 // informative recomputes the informative classes for a hypothetical
-// labeling state using the stateless Lemma 3.3/3.4 tests.
+// labeling state on a fresh certainty kernel.
 func (o *Optimal) informative(e *inference.Engine, st *minimaxState) []int {
 	cs := e.Classes()
-	tpos := predicate.Omega(e.U)
-	var negs []predicate.Pred
+	k := certainty.New(predicate.Omega(e.U).Set.Words())
 	for ci, l := range st.labels {
 		switch l {
 		case 1:
-			tpos.Set.IntersectInPlace(cs[ci].Theta.Set)
+			k.AddPositive(cs[ci].Theta.Set.Words())
 		case 2:
-			negs = append(negs, cs[ci].Theta)
+			k.AddNegative(cs[ci].Theta.Set.Words())
 		}
 	}
 	var out []int
 	for ci, l := range st.labels {
-		if l != 0 {
-			continue
-		}
-		if !inference.CertainUnder(tpos, negs, cs[ci].Theta) {
+		if l == 0 && !k.Certain(cs[ci].Theta.Set.Words()) {
 			out = append(out, ci)
 		}
 	}

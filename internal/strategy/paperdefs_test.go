@@ -16,7 +16,7 @@ import (
 
 // The paper-definition check: entropy¹ and entropy² computed by brute
 // force over the whole version space, with neither Lemma 3.3/3.4 nor
-// inference.CertainUnder, must equal Lookahead.Entropies. A tuple is
+// the certainty kernel, must equal Lookahead.Entropies. A tuple is
 // certain under a sample when every predicate consistent with the sample
 // agrees on it; u counts the tuples (or, under CountClasses, the T-classes)
 // informative under the base sample that an extension makes certain,

@@ -24,7 +24,7 @@ import (
 // inclusion–exclusion width is exceeded (more than 20 distinct ⊆-maximal
 // negative intersections — practically unheard of).
 func Count(e *inference.Engine) *big.Int {
-	return strategy.CountConsistent(e.TPos(), e.Negatives())
+	return strategy.CountConsistent(e.TPos(), e.Sample().Negatives())
 }
 
 // Enumerate lists C(S) explicitly, in ascending size order, provided
@@ -36,7 +36,7 @@ func Enumerate(e *inference.Engine, maxBits int) []predicate.Pred {
 	if len(elems) > maxBits {
 		return nil
 	}
-	negs := e.Negatives()
+	negs := e.Sample().Negatives()
 	var out []predicate.Pred
 	for mask := 0; mask < 1<<uint(len(elems)); mask++ {
 		var s bitset.Set

@@ -84,11 +84,10 @@ type joinKernel struct {
 	stratErr error
 	newStrat func() (inference.Strategy, error)
 
-	// batchTPos/batchInter/batchNegs are the scratch of the batch pairwise
-	// scan (mutuallyInformative).
-	batchTPos  Pred
-	batchInter Pred
-	batchNegs  []Pred
+	// batchTPos/batchNegs are the scratch of the batch pairwise scan
+	// (mutuallyInformative).
+	batchTPos []uint64
+	batchNegs []uint64
 }
 
 func (k *joinKernel) kind() string        { return SnapshotKindJoin }
@@ -158,12 +157,7 @@ func (k *joinKernel) question(ci int) Question {
 	}
 }
 
-func (k *joinKernel) labelOf(ci int) (positive, labeled bool) {
-	if !k.engine.IsLabeled(ci) {
-		return false, false
-	}
-	return k.engine.CertainPositive(ci), true
-}
+func (k *joinKernel) labelOf(ci int) (positive, labeled bool) { return k.engine.LabelOf(ci) }
 
 func (k *joinKernel) informative(ci int) (bool, error) { return k.engine.Informative(ci), nil }
 
@@ -226,10 +220,8 @@ func (k *joinKernel) extend(ctx context.Context, picked []int, n int) ([]int, bo
 // either label of every picked class, and vice versa — the guarantee that
 // makes a batch safe to dispatch in parallel.
 func (k *joinKernel) pairwiseInformative(c int, picked []int) bool {
-	tpos := k.engine.TPos()
-	negs := k.engine.Negatives()
 	for _, p := range picked {
-		if !k.mutuallyInformative(tpos, negs, k.theta(p), k.theta(c)) {
+		if !k.mutuallyInformative(k.theta(p), k.theta(c)) {
 			return false
 		}
 	}
@@ -239,18 +231,15 @@ func (k *joinKernel) pairwiseInformative(c int, picked []int) bool {
 // mutuallyInformative reports whether classes with most specific
 // predicates a and b each stay informative under either label of the other
 // (informativeness is not symmetric, so all four hypotheticals are
-// checked). The hypothetical T(S+), negative list, and Lemma 3.4
-// intersection all live in kernel scratch, so the O(k²) probes of a batch
-// scan allocate nothing.
-func (k *joinKernel) mutuallyInformative(tpos Pred, negs []Pred, a, b Pred) bool {
+// checked). The hypothetical kernels live in kernel scratch, so the O(k²)
+// probes of a batch scan allocate nothing.
+func (k *joinKernel) mutuallyInformative(a, b Pred) bool {
+	base := k.engine.Certainty()
 	for _, pair := range [2][2]Pred{{a, b}, {b, a}} {
-		x, y := pair[0], pair[1]
-		predicate.IntersectInto(&k.batchTPos, tpos, x)
-		if inference.CertainUnderWith(&k.batchInter, k.batchTPos, negs, y) {
-			return false
-		}
-		k.batchNegs = append(append(k.batchNegs[:0], negs...), x)
-		if inference.CertainUnderWith(&k.batchInter, tpos, k.batchNegs, y) {
+		x, y := pair[0].Set.Words(), pair[1].Set.Words()
+		pos, neg := base.WithPositive(k.batchTPos, x), base.WithNegative(k.batchNegs, x)
+		k.batchTPos, k.batchNegs = pos.TPos, neg.Negs
+		if pos.Certain(y) || neg.Certain(y) {
 			return false
 		}
 	}

@@ -506,7 +506,7 @@ func TestPolicyCacheInconsistentRollback(t *testing.T) {
 		}
 		contradicted := false
 		for ci := 0; ci < s.Classes(); ci++ {
-			if s.join().engine.IsLabeled(ci) || s.join().engine.Informative(ci) {
+			if _, labeled := s.join().engine.LabelOf(ci); labeled || s.join().engine.Informative(ci) {
 				continue
 			}
 			c := s.join().engine.Classes()[ci]

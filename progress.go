@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"repro/internal/certainty"
 	"repro/internal/inference"
 	"repro/internal/strategy"
 	"repro/internal/versionspace"
@@ -74,36 +75,28 @@ func (s *Session) ExplainQuestion(q Question) Explanation {
 	}
 	theta := k.theta(ci)
 	tpos := k.engine.TPos()
-	negs := k.engine.Negatives()
+	negs := k.engine.Sample().Negatives()
+	kern, th := k.engine.Certainty(), theta.Set.Words()
 
 	return Explanation{
 		CandidatesIfYes: strategy.CountConsistent(tpos.Intersect(theta), negs),
-		CandidatesIfNo: strategy.CountConsistent(tpos,
-			append(append([]Pred(nil), negs...), theta)),
-		DecidedIfYes: countDecided(k.engine, ci, Positive),
-		DecidedIfNo:  countDecided(k.engine, ci, Negative),
+		CandidatesIfNo:  strategy.CountConsistent(tpos, append(negs, theta)),
+		DecidedIfYes:    countDecided(k.engine, ci, kern.WithPositive(nil, th)),
+		DecidedIfNo:     countDecided(k.engine, ci, kern.WithNegative(nil, th)),
 	}
 }
 
-// countDecided counts base-informative tuples made certain by labeling the
-// class with the given label.
-func countDecided(e *inference.Engine, ci int, l Label) int64 {
-	theta := e.Classes()[ci].Theta
-	tpos := e.TPos()
-	negs := e.Negatives()
-	if l == Positive {
-		tpos = tpos.Intersect(theta)
-	} else {
-		negs = append(append([]Pred(nil), negs...), theta)
-	}
+// countDecided counts the base-informative tuples that hyp, the kernel
+// after a hypothetical label of class ci, makes certain; ci's own tuple
+// does not count, its class twins do.
+func countDecided(e *inference.Engine, ci int, hyp certainty.Kernel) int64 {
 	var sum int64
 	for _, cj := range e.InformativeClasses() {
+		c := e.Classes()[cj]
 		if cj == ci {
-			sum += e.Classes()[cj].Count - 1
-			continue
-		}
-		if inference.CertainUnder(tpos, negs, e.Classes()[cj].Theta) {
-			sum += e.Classes()[cj].Count
+			sum += c.Count - 1
+		} else if hyp.Certain(c.Theta.Set.Words()) {
+			sum += c.Count
 		}
 	}
 	return sum

@@ -186,12 +186,13 @@ func (v engineView) InformativeClasses() []int {
 }
 func (v engineView) TPos() Pred { return v.e.TPos().Clone() }
 func (v engineView) Negatives() []Pred {
-	negs := v.e.Negatives()
-	out := make([]Pred, len(negs))
+	// The engine's kernel keeps only the ⊆-maximal negatives; the sample
+	// has every answer, in a fresh slice.
+	negs := v.e.Sample().Negatives()
 	for i, n := range negs {
-		out[i] = n.Clone()
+		negs[i] = n.Clone()
 	}
-	return out
+	return negs
 }
 
 // customStrategy adapts a public Strategy to the internal interface.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/inference"
 	"repro/internal/paperdata"
+	"repro/internal/synth"
 )
 
 // honestRun drives a fresh session with the given options to completion
@@ -169,6 +170,41 @@ func TestNextQuestionsPairwiseInformative(t *testing.T) {
 						j, i, l)
 				}
 			}
+		}
+	}
+}
+
+// TestAllocFreePairwiseInformative: warm-crowd and churn run the k-batch
+// scan on every k=2 fetch; once the kernel scratch is warm its probes
+// allocate nothing, on one-word and two-word universes.
+func TestAllocFreePairwiseInformative(t *testing.T) {
+	ctx := context.Background()
+	for _, inst := range []*Instance{
+		synth.MustGenerate(synth.Config{AttrsR: 3, AttrsP: 3, Rows: 10, Values: 3}, 1),
+		synth.MustGenerate(synth.Config{AttrsR: 9, AttrsP: 8, Rows: 5, Values: 3}, 1),
+	} {
+		s := NewSession(inst)
+		for _, l := range []Label{Negative, Positive} {
+			qs, err := s.NextQuestions(ctx, 1)
+			if err != nil || len(qs) == 0 {
+				t.Fatalf("fetch: %d questions, err %v", len(qs), err)
+			}
+			if err := s.Answer(qs[0], l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		k := s.join()
+		inf := slices.Clone(k.engine.InformativeClasses())
+		if len(inf) < 3 {
+			t.Fatalf("%d informative classes; want at least 3", len(inf))
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, c := range inf[2:] {
+				k.pairwiseInformative(c, inf[:2])
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%d-pair universe: pairwise scan allocates %.1f per run; want 0", k.engine.U.Size(), allocs)
 		}
 	}
 }

@@ -545,7 +545,7 @@ func certainUnlabeledQuestion(s *Session) (Question, Label, bool) {
 		return Question{}, Negative, false
 	}
 	for ci := 0; ci < s.Classes(); ci++ {
-		if s.join().engine.IsLabeled(ci) || s.join().engine.Informative(ci) {
+		if _, labeled := s.join().engine.LabelOf(ci); labeled || s.join().engine.Informative(ci) {
 			continue
 		}
 		c := s.join().engine.Classes()[ci]
