@@ -35,6 +35,14 @@ func New(n int) Set {
 	return Set{words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
+// FromWords returns a set holding a copy of words, in Words() layout.
+func FromWords(words []uint64) Set {
+	if len(words) == 0 {
+		return Set{}
+	}
+	return Set{words: append([]uint64(nil), words...)}
+}
+
 // FromSlice returns a set containing exactly the given elements.
 func FromSlice(elems []int) Set {
 	var s Set

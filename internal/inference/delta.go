@@ -85,12 +85,9 @@ func (e *Engine) ApplyDelta(newInst *relation.Instance, dr *product.DeltaResult)
 				k2.AddNegative(ex.Theta.Set.Words())
 			}
 		}
-		byKey := make(map[string]int, len(dr.Classes))
-		for ni, c := range dr.Classes {
-			byKey[c.Theta.Key()] = ni
-		}
+		idx := product.NewIndex(e.U, dr.Classes)
 		for _, ex := range droppedEx {
-			if ni, ok := byKey[ex.Theta.Key()]; ok {
+			if ni := idx.Find(ex.Theta); ni >= 0 {
 				nl[ni] = 0
 			}
 		}

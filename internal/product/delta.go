@@ -66,9 +66,15 @@ func ApplyDelta(oldInst, newInst *relation.Instance, u *predicate.Universe, oldC
 		}
 		return work[i]
 	}
-	byKey := make(map[string]int, len(work))
+	// table maps T masks to work indexes; mask and kb are the scratch of
+	// every pair's T and its table key.
+	w := maskWords(u)
+	table := newMaskTable(w, len(work))
+	mask := make([]uint64, w)
+	kb := make([]byte, 0, 8*w)
 	for i, c := range work {
-		byKey[c.Theta.Key()] = i
+		c.Theta.Set.CopyWords(mask)
+		table.put(mask, int32(i), kb)
 	}
 
 	delR := make([]bool, nOldR)
@@ -83,6 +89,12 @@ func ApplyDelta(oldInst, newInst *relation.Instance, u *predicate.Universe, oldC
 	// headers cover both old and inserted rows.
 	rT := newInst.R.Tuples
 	pT := newInst.P.Tuples
+	// classOf computes T(rT[ri], pT[pi]) into mask and looks it up.
+	classOf := func(ri, pi int) (int, bool) {
+		tMask(u, rT[ri], pT[pi], mask)
+		i, ok := table.get(mask, kb)
+		return int(i), ok
+	}
 
 	countChanged := false
 	// repDirty marks classes whose representative pair was deleted; their
@@ -95,8 +107,7 @@ func ApplyDelta(oldInst, newInst *relation.Instance, u *predicate.Universe, oldC
 	addedOf := make(map[int]int64)
 
 	removePair := func(ri, pi int) error {
-		th := predicate.T(u, rT[ri], pT[pi])
-		i, ok := byKey[th.Key()]
+		i, ok := classOf(ri, pi)
 		if !ok {
 			return fmt.Errorf("product: deleted pair (%d,%d) has no class — stale class list", ri, pi)
 		}
@@ -137,9 +148,7 @@ func ApplyDelta(oldInst, newInst *relation.Instance, u *predicate.Universe, oldC
 
 	var added []int // work indexes of minted classes
 	addPair := func(ri, pi int) {
-		th := predicate.T(u, rT[ri], pT[pi])
-		k := th.Key()
-		if i, ok := byKey[k]; ok {
+		if i, ok := classOf(ri, pi); ok {
 			c := mutate(i)
 			c.Count++
 			addedOf[i]++
@@ -151,8 +160,8 @@ func ApplyDelta(oldInst, newInst *relation.Instance, u *predicate.Universe, oldC
 			}
 			return
 		}
-		c := &Class{Theta: th, RI: ri, PI: pi, Count: 1}
-		byKey[k] = len(work)
+		c := &Class{Theta: thetaOf(mask), RI: ri, PI: pi, Count: 1}
+		table.put(mask, int32(len(work)), kb)
 		added = append(added, len(work))
 		work = append(work, c)
 		cow = append(cow, true)
@@ -210,8 +219,7 @@ func ApplyDelta(oldInst, newInst *relation.Instance, u *predicate.Universe, oldC
 				if !oldInst.PAlive(pi) || delP[pi] {
 					continue
 				}
-				th := predicate.T(u, rT[ri], pT[pi])
-				i, ok := byKey[th.Key()]
+				i, ok := classOf(ri, pi)
 				if !ok {
 					continue
 				}

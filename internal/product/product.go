@@ -9,20 +9,24 @@
 // representative tuple and the number of tuples in the class. All strategy
 // computation is then polynomial in the number of classes, not in |D|.
 //
-// Two collection paths are provided:
+// Two collection paths compute the same list:
 //
-//   - Classes: a straightforward O(|R|·|P|) scan, evaluating T per pair.
-//   - ClassesIndexed: builds an inverted index value → attribute positions;
-//     only pairs of tuples sharing at least one value can have T(t) ≠ ∅, so
-//     the scan enumerates candidate pairs through the index and credits all
-//     remaining pairs to the ∅ class in O(1). On sparse instances (TPC-H
-//     scale) this avoids almost the entire product.
+//   - Classes: the definition, an O(|R|·|P|) scan evaluating T per pair.
+//   - ClassesIndexed: the class kernel (kernel.go). Only pairs sharing a
+//     value can have T(t) ≠ ∅, so it walks per-attribute postings of
+//     interned values, builds each candidate pair's T as a W-word mask and
+//     looks it up in a mask table, crediting every other pair to the ∅
+//     class in bulk. It allocates only when a class is minted, and on
+//     sparse instances (TPC-H scale) it skips almost the entire product.
+//
+// The same mask table keys T wherever this package looks a pair's class
+// up: Index (a class list's pair → class lookup, shared by the sessions
+// over one instance version) and ApplyDelta.
 package product
 
 import (
 	"sort"
 
-	"repro/internal/bitset"
 	"repro/internal/predicate"
 	"repro/internal/relation"
 )
@@ -65,105 +69,6 @@ func Classes(inst *relation.Instance, u *predicate.Universe) []*Class {
 	}
 	sortClasses(order)
 	return order
-}
-
-// ClassesIndexed groups the product into T-classes using a shared-value
-// inverted index, touching only pairs that can have a non-empty T. The
-// result is identical to Classes (same classes, counts, representatives and
-// order); only the work differs: per R row, candidate P rows come from the
-// index (stamp-marked, no per-row allocation), and each candidate pair's T
-// is assembled from a per-P-row value → attribute-position table instead of
-// the naive O(n·m) comparison sweep.
-func ClassesIndexed(inst *relation.Instance, u *predicate.Universe) []*Class {
-	nP := inst.P.Len()
-	nPLive := inst.LiveP()
-	// For each value, the live P-row indexes containing it (deduped,
-	// ascending); dead rows are invisible to the index.
-	pIndex := make(map[relation.Value][]int)
-	// For each P row, its value → attribute positions table.
-	pPos := make([]map[relation.Value][]int, nP)
-	for pi, tP := range inst.P.Tuples {
-		if !inst.PAlive(pi) {
-			continue
-		}
-		pos := make(map[relation.Value][]int, len(tP))
-		for j, v := range tP {
-			if _, ok := pos[v]; !ok {
-				pIndex[v] = append(pIndex[v], pi)
-			}
-			pos[v] = append(pos[v], j)
-		}
-		pPos[pi] = pos
-	}
-
-	byKey := make(map[string]*Class)
-	var order []*Class
-	empty := &Class{Theta: predicate.Empty(), RI: -1, PI: -1}
-
-	// Stamp-marked candidate set, reused across R rows.
-	stamp := make([]int, nP)
-	cur := 0
-	var pis []int
-
-	for ri, tR := range inst.R.Tuples {
-		if !inst.RAlive(ri) {
-			continue
-		}
-		cur++
-		pis = pis[:0]
-		for _, v := range tR {
-			for _, pi := range pIndex[v] {
-				if stamp[pi] != cur {
-					stamp[pi] = cur
-					pis = append(pis, pi)
-				}
-			}
-		}
-		sort.Ints(pis) // deterministic representative choice
-		for _, pi := range pis {
-			th := tFromPositions(u, tR, pPos[pi])
-			k := th.Key()
-			if c, ok := byKey[k]; ok {
-				c.Count++
-				continue
-			}
-			c := &Class{Theta: th, RI: ri, PI: pi, Count: 1}
-			byKey[k] = c
-			order = append(order, c)
-		}
-		// Every live non-candidate pair has T = ∅.
-		rest := int64(nPLive - len(pis))
-		if rest > 0 {
-			if empty.Count == 0 {
-				// First occurrence: representative is the first live
-				// non-candidate pi for this row.
-				empty.RI = ri
-				for pi := 0; pi < nP; pi++ {
-					if inst.PAlive(pi) && stamp[pi] != cur {
-						empty.PI = pi
-						break
-					}
-				}
-			}
-			empty.Count += rest
-		}
-	}
-	if empty.Count > 0 {
-		order = append(order, empty)
-	}
-	sortClasses(order)
-	return order
-}
-
-// tFromPositions computes T(tR, tP) given tP's value → positions table.
-func tFromPositions(u *predicate.Universe, tR relation.Tuple, pos map[relation.Value][]int) predicate.Pred {
-	s := bitset.New(u.Size())
-	for i, v := range tR {
-		for _, j := range pos[v] {
-			s.Add(u.PairID(i, j))
-		}
-	}
-	return predicate.Pred{Set: s}
 }
 
 // sortClasses orders classes by ascending predicate size, breaking ties by

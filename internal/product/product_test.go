@@ -9,6 +9,7 @@ import (
 	"repro/internal/paperdata"
 	"repro/internal/predicate"
 	"repro/internal/relation"
+	"repro/internal/tpch"
 )
 
 func TestClassesExample21(t *testing.T) {
@@ -123,26 +124,8 @@ func TestClassesIndexedAgreesOnPaperInstances(t *testing.T) {
 		paperdata.SingleTuple(),
 	} {
 		u := predicate.NewUniverse(inst)
-		assertSameClasses(t, Classes(inst, u), ClassesIndexed(inst, u))
-	}
-}
-
-func assertSameClasses(t *testing.T, a, b []*Class) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("class count mismatch: %d vs %d", len(a), len(b))
-	}
-	am := make(map[string]*Class, len(a))
-	for _, c := range a {
-		am[c.Theta.Key()] = c
-	}
-	for _, c := range b {
-		d, ok := am[c.Theta.Key()]
-		if !ok {
-			t.Fatalf("indexed scan produced extra class %v", c.Theta)
-		}
-		if c.Count != d.Count {
-			t.Fatalf("class %v count mismatch: %d vs %d", c.Theta, d.Count, c.Count)
+		if err := classesEqual(Classes(inst, u), ClassesIndexed(inst, u)); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -180,81 +163,222 @@ func TestClassesIndexedEmptyClassRepresentative(t *testing.T) {
 	}
 }
 
-func randomInstance(r *rand.Rand) *relation.Instance {
-	n := 1 + r.Intn(3)
-	m := 1 + r.Intn(3)
-	vals := 1 + r.Intn(5)
-	attrsR := make([]string, n)
-	for i := range attrsR {
-		attrsR[i] = "A" + strconv.Itoa(i+1)
-	}
-	attrsP := make([]string, m)
-	for j := range attrsP {
-		attrsP[j] = "B" + strconv.Itoa(j+1)
-	}
-	R := relation.NewRelation(relation.MustSchema("R", attrsR...))
-	P := relation.NewRelation(relation.MustSchema("P", attrsP...))
-	for i, rows := 0, 1+r.Intn(8); i < rows; i++ {
-		tr := make(relation.Tuple, n)
-		for k := range tr {
-			tr[k] = strconv.Itoa(r.Intn(vals))
-		}
-		R.Tuples = append(R.Tuples, tr)
-	}
-	for i, rows := 0, 1+r.Intn(8); i < rows; i++ {
-		tp := make(relation.Tuple, m)
-		for k := range tp {
-			tp[k] = strconv.Itoa(r.Intn(vals))
-		}
-		P.Tuples = append(P.Tuples, tp)
-	}
-	return relation.MustInstance(R, P)
+// diffShapes are the universe shapes of the kernel differential: one mask
+// word (up to 3×3 pairs), two words (9×8 = 72) and three (12×11 = 132).
+var diffShapes = [][2]int{{1, 1}, {2, 3}, {3, 3}, {9, 8}, {12, 11}}
+
+// diffFeatures tallies the instance features the differential must cover.
+type diffFeatures struct {
+	deadR, deadP, allPDead, repeated, rOnly int
 }
 
-// TestQuickIndexedMatchesFullScan: the inverted-index collection path must
-// produce exactly the same classes as the exhaustive scan.
+// diffInstance draws an n×m instance for the kernel differential. Values
+// come from a small domain, so they repeat inside tuples and a pair often
+// shares several; R also draws values P never holds. A delta then deletes
+// random live R and P rows — every P row in one draw out of eight — and may
+// append rows.
+func diffInstance(r *rand.Rand, n, m int, f *diffFeatures) *relation.Instance {
+	vals := 1 + r.Intn(4)
+	row := func(arity int, rOnly bool) relation.Tuple {
+		t := make(relation.Tuple, arity)
+		seen := make(map[string]bool, arity)
+		for k := range t {
+			if rOnly && r.Intn(4) == 0 {
+				t[k] = "r" + strconv.Itoa(r.Intn(2))
+				f.rOnly++
+			} else {
+				t[k] = strconv.Itoa(r.Intn(vals))
+			}
+			if seen[t[k]] {
+				f.repeated++
+			}
+			seen[t[k]] = true
+		}
+		return t
+	}
+	attrs := func(prefix string, k int) []string {
+		out := make([]string, k)
+		for i := range out {
+			out[i] = prefix + strconv.Itoa(i+1)
+		}
+		return out
+	}
+	R := relation.NewRelation(relation.MustSchema("R", attrs("A", n)...))
+	P := relation.NewRelation(relation.MustSchema("P", attrs("B", m)...))
+	for i, rows := 0, 1+r.Intn(8); i < rows; i++ {
+		R.Tuples = append(R.Tuples, row(n, true))
+	}
+	for i, rows := 0, 1+r.Intn(12); i < rows; i++ {
+		P.Tuples = append(P.Tuples, row(m, false))
+	}
+	inst := relation.MustInstance(R, P)
+
+	var d relation.Delta
+	for ri := range R.Tuples {
+		if r.Intn(4) == 0 {
+			d.DeleteR = append(d.DeleteR, ri)
+		}
+	}
+	allP := r.Intn(8) == 0
+	for pi := range P.Tuples {
+		if allP || r.Intn(4) == 0 {
+			d.DeleteP = append(d.DeleteP, pi)
+		}
+	}
+	if r.Intn(3) == 0 {
+		d.InsertR = []relation.Tuple{row(n, true)}
+	}
+	if !allP && r.Intn(3) == 0 {
+		d.InsertP = []relation.Tuple{row(m, false)}
+	}
+	next, err := inst.ApplyDelta(d)
+	if err != nil {
+		panic(err)
+	}
+	if len(d.DeleteR) > 0 {
+		f.deadR++
+	}
+	if len(d.DeleteP) > 0 {
+		f.deadP++
+	}
+	if next.LiveP() == 0 {
+		f.allPDead++
+	}
+	return next
+}
+
+// TestQuickIndexedMatchesFullScan: the class kernel must return exactly
+// the list Classes does — Theta, representative (RI, PI) and Count, in
+// order — on one-, two- and three-word universes, with deleted R and P
+// rows (applied through relation.Delta, every P row dead included),
+// values repeated inside a tuple and R values that never occur in P.
 func TestQuickIndexedMatchesFullScan(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		inst := randomInstance(r)
-		u := predicate.NewUniverse(inst)
-		a := Classes(inst, u)
-		b := ClassesIndexed(inst, u)
-		if len(a) != len(b) {
-			return false
-		}
-		am := make(map[string]int64, len(a))
-		for _, c := range a {
-			am[c.Theta.Key()] = c.Count
-		}
-		for _, c := range b {
-			if am[c.Theta.Key()] != c.Count {
+	for _, sh := range diffShapes {
+		var feat diffFeatures
+		f := func(seed int64) bool {
+			r := rand.New(rand.NewSource(seed))
+			inst := diffInstance(r, sh[0], sh[1], &feat)
+			u := predicate.NewUniverse(inst)
+			b := ClassesIndexed(inst, u)
+			if err := classesEqual(Classes(inst, u), b); err != nil {
+				t.Logf("%d×%d seed %d: %v", sh[0], sh[1], seed, err)
 				return false
 			}
+			return TotalCount(b) == inst.ProductSize()
 		}
-		return TotalCount(b) == inst.ProductSize()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Errorf("%d×%d universe: %v", sh[0], sh[1], err)
+		}
+		if sh == [2]int{1, 1} {
+			feat.repeated = -1 // a one-value tuple cannot repeat one
+		}
+		if feat.deadR == 0 || feat.deadP == 0 || feat.allPDead == 0 || feat.repeated == 0 || feat.rOnly == 0 {
+			t.Errorf("%d×%d universe: a feature went untested: %+v", sh[0], sh[1], feat)
+		}
 	}
 }
 
 // TestQuickRepresentativesConsistent: each class representative's T must
 // equal the class predicate, and counts must partition the product.
 func TestQuickRepresentativesConsistent(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		inst := randomInstance(r)
+	for _, sh := range diffShapes {
+		var feat diffFeatures
+		f := func(seed int64) bool {
+			r := rand.New(rand.NewSource(seed))
+			inst := diffInstance(r, sh[0], sh[1], &feat)
+			u := predicate.NewUniverse(inst)
+			cs := ClassesIndexed(inst, u)
+			for _, c := range cs {
+				if !inst.RAlive(c.RI) || !inst.PAlive(c.PI) {
+					return false
+				}
+				got := predicate.T(u, inst.R.Tuples[c.RI], inst.P.Tuples[c.PI])
+				if !got.Equal(c.Theta) {
+					return false
+				}
+			}
+			return TotalCount(cs) == inst.ProductSize()
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+			t.Errorf("%d×%d universe: %v", sh[0], sh[1], err)
+		}
+	}
+}
+
+// TestClassesIndexedMatchesFullScanTPCH runs the differential on the
+// paper's five TPC-H joins (multiplier 1, seed 42): R rows that share a
+// value with most of P and rows that share one with few, and hundreds of
+// classes whose representatives rest on first-touch order.
+func TestClassesIndexedMatchesFullScanTPCH(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full product scans of the TPC-H joins")
+	}
+	data := tpch.MustGenerate(1, 42)
+	for _, j := range tpch.AllJoins() {
+		inst, _, err := data.Instance(j)
+		if err != nil {
+			t.Fatal(err)
+		}
 		u := predicate.NewUniverse(inst)
-		for _, c := range ClassesIndexed(inst, u) {
-			got := predicate.T(u, inst.R.Tuples[c.RI], inst.P.Tuples[c.PI])
-			if !got.Equal(c.Theta) {
-				return false
+		if err := classesEqual(Classes(inst, u), ClassesIndexed(inst, u)); err != nil {
+			t.Errorf("%v: %v", j, err)
+		}
+	}
+}
+
+// TestAllocsClassesIndexedPerClass: the class kernel allocates per class
+// minted, not per candidate pair. On TPC-H join4 (multiplier 1, seed 42)
+// about 360k pairs share a value and fall into 505 classes; a kernel that
+// allocated once per pair would exceed the bound hundreds of times over.
+func TestAllocsClassesIndexedPerClass(t *testing.T) {
+	inst, _, err := tpch.MustGenerate(1, 42).Instance(tpch.Join4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := predicate.NewUniverse(inst)
+	classes := len(ClassesIndexed(inst, u))
+	allocs := testing.AllocsPerRun(3, func() { ClassesIndexed(inst, u) })
+	if bound := float64(4*classes + 64); allocs > bound {
+		t.Errorf("ClassesIndexed makes %.0f allocations for %d classes; want at most %.0f", allocs, classes, bound)
+	}
+}
+
+// TestIndexMatchesLinearSearch: Index.Of and Index.Find return the class
+// a linear search over Theta finds, on universes of one to five words,
+// and Of allocates nothing up to four words.
+func TestIndexMatchesLinearSearch(t *testing.T) {
+	for _, sh := range append(diffShapes, [2]int{17, 16}) {
+		var feat diffFeatures
+		for seed := int64(0); seed < 40; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			inst := diffInstance(r, sh[0], sh[1], &feat)
+			u := predicate.NewUniverse(inst)
+			cs := ClassesIndexed(inst, u)
+			x := NewIndex(u, cs)
+			for ri, tR := range inst.R.Tuples {
+				for pi, tP := range inst.P.Tuples {
+					th := predicate.T(u, tR, tP)
+					want := -1
+					for ci, c := range cs {
+						if c.Theta.Equal(th) {
+							want = ci
+						}
+					}
+					if got := x.Of(tR, tP); got != want {
+						t.Fatalf("%d×%d seed %d: Of(%d,%d) = %d, want %d", sh[0], sh[1], seed, ri, pi, got, want)
+					}
+					if got := x.Find(th); got != want {
+						t.Fatalf("%d×%d seed %d: Find(%v) = %d, want %d", sh[0], sh[1], seed, th, got, want)
+					}
+				}
+			}
+			if maskWords(u) > stackWords || inst.R.Len() == 0 || inst.P.Len() == 0 {
+				continue
+			}
+			tR, tP := inst.R.Tuples[0], inst.P.Tuples[0]
+			if allocs := testing.AllocsPerRun(10, func() { x.Of(tR, tP) }); allocs != 0 {
+				t.Errorf("%d×%d: Index.Of allocates %.1f per call; want 0", sh[0], sh[1], allocs)
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
 	}
 }

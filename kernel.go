@@ -75,8 +75,9 @@ type kernel interface {
 // joinKernel decides keys (T-class indexes) with the version-space engine.
 type joinKernel struct {
 	engine *inference.Engine
-	// classIdx maps a T-class predicate key to its index, built lazily.
-	classIdx map[string]int
+	// classes holds the engine's T-classes and their shared pair → class
+	// index.
+	classes *ClassSet
 
 	// strat is resolved through newStrat on first use and dropped whenever
 	// the engine is replaced or migrated, so nothing retains a stale one.
@@ -121,23 +122,14 @@ func (k *joinKernel) keyOf(ref QuestionRef) (int, error) {
 	return ci, nil
 }
 
-// classIndexFor finds the T-class of a product tuple through a map from
-// T-class predicate key to index, built once per class set — so replay and
-// undo stay linear in the number of answers.
+// classIndexFor finds the T-class of a product tuple, -1 if none, through
+// the class set's mask-keyed index: built once per instance version and
+// shared by its sessions, it keys T as words computed on the stack, so an
+// answer allocates nothing to find its class and replay and undo stay
+// linear in the number of answers.
 func (k *joinKernel) classIndexFor(ri, pi int) int {
-	if k.classIdx == nil {
-		cs := k.engine.Classes()
-		k.classIdx = make(map[string]int, len(cs))
-		for ci, c := range cs {
-			k.classIdx[c.Theta.Key()] = ci
-		}
-	}
 	inst := k.engine.Inst
-	ci, ok := k.classIdx[predicate.T(k.engine.U, inst.R.Tuples[ri], inst.P.Tuples[pi]).Key()]
-	if !ok {
-		return -1
-	}
-	return ci
+	return k.classes.index().Of(inst.R.Tuples[ri], inst.P.Tuples[pi])
 }
 
 // question materializes the public Question for class ci, asked through
@@ -336,7 +328,7 @@ func (k *joinKernel) applyUpdate(upd *InstanceUpdate, soft *belief.State) error 
 	// question re-derives against the new classes. RND re-seeds and
 	// fast-forwards to the marked position, exactly as a resume would.
 	k.dropStrategy()
-	k.classIdx = nil
+	k.classes = upd.Classes
 	// Beliefs are keyed by class index; surviving classes carry their
 	// evidence across the remap, retired classes lose it (their tuples are
 	// gone, so the votes describe nothing).

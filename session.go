@@ -107,15 +107,19 @@ func WithPrecomputedClasses(cs *ClassSet) Option {
 
 // ClassSet is an opaque handle to the derived state of one instance
 // version, shareable across sessions via WithPrecomputedClasses: the
-// T-classes of join sessions, and the CONS⋉ witness sets of semijoin
-// sessions (filled lazily, row by row, by whichever session needs a row
-// first). It records the instance version it was computed for —
-// PrecomputeClasses's argument, ApplyDelta's new version, or the decoded
-// instance of DecodeInstanceCache — and the witness sets are always built
-// from that version.
+// T-classes of join sessions with their pair → class index (built on
+// first use), and the CONS⋉ witness sets of semijoin sessions (filled
+// lazily, row by row, by whichever session needs a row first). It records
+// the instance version it was computed for — PrecomputeClasses's argument,
+// ApplyDelta's new version, or the decoded instance of
+// DecodeInstanceCache — and the witness sets are always built from that
+// version.
 type ClassSet struct {
 	classes []*product.Class
 	inst    *Instance
+
+	idxOnce sync.Once
+	idx     *product.Index
 
 	witsOnce sync.Once
 	wits     *semijoin.Table
@@ -128,6 +132,13 @@ type ClassSet struct {
 func PrecomputeClasses(inst *Instance) *ClassSet {
 	u := predicate.NewUniverse(inst)
 	return &ClassSet{classes: product.ClassesIndexed(inst, u), inst: inst}
+}
+
+// index returns the set's product pair → T-class lookup, building it on
+// first use; join sessions over the set share it.
+func (cs *ClassSet) index() *product.Index {
+	cs.idxOnce.Do(func() { cs.idx = product.NewIndex(predicate.NewUniverse(cs.inst), cs.classes) })
+	return cs.idx
 }
 
 // witnesses returns the semijoin witness table of the set's instance
@@ -236,11 +247,15 @@ type Session struct {
 // T-classes. Options select the strategy, seed, and budget.
 func NewSession(inst *Instance, opts ...Option) *Session {
 	s := newSession(inst, opts)
-	var engOpts []inference.Option
-	if s.cfg.classes != nil {
-		engOpts = append(engOpts, inference.WithClasses(s.cfg.classes.classes))
+	cs := s.cfg.classes
+	if cs == nil || cs.classes == nil {
+		cs = PrecomputeClasses(inst)
 	}
-	s.kern = &joinKernel{engine: inference.New(inst, engOpts...), newStrat: s.newStrategy}
+	s.kern = &joinKernel{
+		engine:   inference.New(inst, inference.WithClasses(cs.classes)),
+		classes:  cs,
+		newStrat: s.newStrategy,
+	}
 	return s
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/inference"
 	"repro/internal/paperdata"
+	"repro/internal/predicate"
 	"repro/internal/synth"
 )
 
@@ -205,6 +206,44 @@ func TestAllocFreePairwiseInformative(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%d-pair universe: pairwise scan allocates %.1f per run; want 0", k.engine.U.Size(), allocs)
+		}
+	}
+}
+
+// TestAllocFreeClassIndexFor: resolving an answered ref to its T-class
+// allocates nothing once the class set's index is built, on one- and
+// two-word universes; every pair resolves to the class whose Theta is its
+// T, and sessions over one class set share one index.
+func TestAllocFreeClassIndexFor(t *testing.T) {
+	for _, inst := range []*Instance{
+		synth.MustGenerate(synth.Config{AttrsR: 3, AttrsP: 3, Rows: 10, Values: 3}, 1),
+		synth.MustGenerate(synth.Config{AttrsR: 9, AttrsP: 8, Rows: 5, Values: 3}, 1),
+	} {
+		cs := PrecomputeClasses(inst)
+		k := NewSession(inst, WithPrecomputedClasses(cs)).join()
+		u := k.engine.U
+		for ri := range inst.R.Tuples {
+			for pi := range inst.P.Tuples {
+				ci := k.classIndexFor(ri, pi)
+				want := predicate.T(u, inst.R.Tuples[ri], inst.P.Tuples[pi])
+				if ci < 0 || !k.theta(ci).Equal(want) {
+					t.Fatalf("%d-pair universe: pair (%d,%d) resolved to class %d, want Theta %v", u.Size(), ri, pi, ci, want)
+				}
+			}
+		}
+		if other := NewSession(inst, WithPrecomputedClasses(cs)).join(); other.classes.index() != k.classes.index() {
+			t.Errorf("%d-pair universe: two sessions over one class set built two indexes", u.Size())
+		}
+		nR, nP := inst.R.Len(), inst.P.Len()
+		allocs := testing.AllocsPerRun(20, func() {
+			for ri := 0; ri < nR; ri++ {
+				for pi := 0; pi < nP; pi++ {
+					k.classIndexFor(ri, pi)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%d-pair universe: classIndexFor allocates %.1f per run; want 0", u.Size(), allocs)
 		}
 	}
 }
