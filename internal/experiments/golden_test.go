@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/synth"
@@ -23,35 +22,14 @@ func TestGoldenSynthPanel(t *testing.T) {
 	}
 	got := RenderInteractions("golden", rows)
 
-	// Structural golden checks, robust to cosmetic renderer changes but
-	// pinned on the numbers: recompute and require exact reproducibility.
-	again, err := Synth(SynthOptions{
-		Config:          synth.Config{AttrsR: 2, AttrsP: 2, Rows: 12, Values: 8},
-		Runs:            2,
-		Seed:            123,
-		MaxGoalsPerSize: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2 := RenderInteractions("golden", again); got2 != got {
-		t.Errorf("same seed rendered differently:\n%s\nvs\n%s", got, got2)
-	}
-
-	// Sanity anchors that must hold for this workload.
-	if !strings.Contains(got, "|θG| = 0") {
-		t.Errorf("missing size-0 row:\n%s", got)
-	}
-	lines := strings.Split(got, "\n")
-	var size0 string
-	for _, l := range lines {
-		if strings.Contains(l, "|θG| = 0") {
-			size0 = l
-		}
-	}
-	fields := strings.Fields(size0)
-	// workload occupies three fields ("|θG|", "=", "0"); BU is next.
-	if len(fields) < 4 || fields[3] != "1" {
-		t.Errorf("BU on size 0 should be exactly 1:\n%s", size0)
+	// The panel as this implementation renders it; any drift in engine,
+	// strategies, RND's seeding, generator or renderer shows up as a diff.
+	const want = "golden — number of interactions\n" +
+		"  workload     BU   TD   L1S   L2S   RND\n" +
+		"  |θG| = 0      1    2     1   2.5   2.5\n" +
+		"  |θG| = 1    3.5  3.5  3.62  3.25  3.38\n" +
+		"  |θG| = 2   7.71    4  5.43     4  4.29\n"
+	if got != want {
+		t.Errorf("panel drifted:\n%s\nwant:\n%s", got, want)
 	}
 }
