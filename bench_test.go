@@ -1,10 +1,10 @@
-package joininference
+package joininference_test
 
 // Benchmark harness: one benchmark per figure/table of the paper's
-// evaluation (Section 5) plus ablation benches for the design choices
-// DESIGN.md calls out. Each figure bench runs the same workload the
+// evaluation (Section 5). Each figure bench runs the same workload the
 // experiment harness renders (cmd/experiments regenerates the actual
-// rows); benches additionally report "interactions" as a custom metric so
+// rows), through the same public Session loop joinserve serves; benches
+// additionally report "interactions" as a custom metric so
 // `go test -bench` output shows both measures the paper reports.
 //
 // Figure ↔ bench map:
@@ -26,14 +26,14 @@ import (
 	"runtime"
 	"testing"
 
+	joininference "repro"
 	"repro/internal/experiments"
 	"repro/internal/inference"
-	"repro/internal/oracle"
 	"repro/internal/paperdata"
 	"repro/internal/predicate"
 	"repro/internal/product"
+	"repro/internal/sample"
 	"repro/internal/semijoin"
-	"repro/internal/strategy"
 	"repro/internal/synth"
 	"repro/internal/tpch"
 )
@@ -84,6 +84,7 @@ func BenchmarkFig6TPCHScale100000(b *testing.B) {
 // identical between w1 and wN — parallelism never changes the questions.
 func BenchmarkFig6PerJoin(b *testing.B) {
 	data := tpch.MustGenerate(1, 42)
+	ctx := context.Background()
 	workerCounts := []int{1}
 	if n := runtime.NumCPU(); n > 1 {
 		workerCounts = append(workerCounts, n)
@@ -93,22 +94,25 @@ func BenchmarkFig6PerJoin(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		u := predicate.NewUniverse(inst)
-		classes := product.ClassesIndexed(inst, u)
+		cs := joininference.PrecomputeClasses(inst)
 		for _, workers := range workerCounts {
-			for _, mk := range experiments.DefaultMakersWorkers(7, workers) {
-				if workers != 1 && mk.Name != "L1S" && mk.Name != "L2S" {
+			for _, id := range joininference.KnownStrategies() {
+				if workers != 1 && id != joininference.StrategyL1S && id != joininference.StrategyL2S {
 					continue
 				}
-				b.Run(fmt.Sprintf("join%d/%s/w%d", int(j), mk.Name, workers), func(b *testing.B) {
+				b.Run(fmt.Sprintf("join%d/%s/w%d", int(j), id, workers), func(b *testing.B) {
 					interactions := 0
 					for i := 0; i < b.N; i++ {
-						e := inference.New(inst, inference.WithClasses(classes))
-						res, err := inference.Run(e, mk.New(int64(j)), oracle.NewHonest(inst, e.U, goal), 0)
+						s := joininference.NewSession(inst,
+							joininference.WithPrecomputedClasses(cs),
+							joininference.WithStrategy(id),
+							joininference.WithParallelism(workers),
+							joininference.WithSeed(7^int64(j)))
+						res, err := joininference.Run(ctx, s, joininference.HonestOracle(goal))
 						if err != nil {
 							b.Fatal(err)
 						}
-						interactions = res.Interactions
+						interactions = res.Questions
 					}
 					b.ReportMetric(float64(interactions), "interactions")
 				})
@@ -146,7 +150,7 @@ func BenchmarkTable1Summary(b *testing.B) {
 	var rows []experiments.Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Table1(42, 1, 3, 1, nil)
+		rows, err = experiments.Table1(42, 1, 3, 1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,8 +195,6 @@ func hardFormula(n int) semijoin.Formula {
 	return f
 }
 
-// --- Ablation benches (DESIGN.md, "Design choices worth ablating") ---
-
 // BenchmarkAblationClassCollection compares the full O(|R|·|P|) product
 // scan against the shared-value inverted-index scan on a sparse TPC-H
 // instance.
@@ -215,143 +217,16 @@ func BenchmarkAblationClassCollection(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationLookaheadDepth compares lookahead depths on the same
-// workload: interactions drop (or stay) as k grows, time rises steeply.
-func BenchmarkAblationLookaheadDepth(b *testing.B) {
-	inst := synth.MustGenerate(synth.Config{AttrsR: 3, AttrsP: 3, Rows: 50, Values: 100}, 11)
-	u := predicate.NewUniverse(inst)
-	classes := product.ClassesIndexed(inst, u)
-	goal := predicate.Pred{}
-	// Use the first size-2 class predicate as the goal.
-	for _, c := range classes {
-		if c.Theta.Size() == 2 {
-			goal = c.Theta
-			break
-		}
-	}
-	for k := 1; k <= 3; k++ {
-		b.Run(fmt.Sprintf("L%dS", k), func(b *testing.B) {
-			interactions := 0
-			for i := 0; i < b.N; i++ {
-				e := inference.New(inst, inference.WithClasses(classes))
-				res, err := inference.Run(e, strategy.Lookahead{K: k},
-					oracle.NewHonest(inst, e.U, goal), 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				interactions = res.Interactions
-			}
-			b.ReportMetric(float64(interactions), "interactions")
-		})
-	}
-}
-
-// BenchmarkAblationCountingUnit compares tuple-weighted (the paper's)
-// against class-weighted entropy counting.
-func BenchmarkAblationCountingUnit(b *testing.B) {
-	data := tpch.MustGenerate(1, 42)
-	inst, goal, err := data.Instance(tpch.Join2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := predicate.NewUniverse(inst)
-	classes := product.ClassesIndexed(inst, u)
-	for _, mode := range []struct {
-		name         string
-		countClasses bool
-	}{{"tuples", false}, {"classes", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			interactions := 0
-			for i := 0; i < b.N; i++ {
-				e := inference.New(inst, inference.WithClasses(classes))
-				res, err := inference.Run(e,
-					strategy.Lookahead{K: 1, CountClasses: mode.countClasses},
-					oracle.NewHonest(inst, e.U, goal), 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				interactions = res.Interactions
-			}
-			b.ReportMetric(float64(interactions), "interactions")
-		})
-	}
-}
-
-// BenchmarkAblationHalvingVsLookahead compares the version-space halving
-// extension against the paper's lookahead strategies on the same workload.
-func BenchmarkAblationHalvingVsLookahead(b *testing.B) {
-	inst := synth.MustGenerate(synth.Config{AttrsR: 3, AttrsP: 3, Rows: 50, Values: 100}, 3)
-	u := predicate.NewUniverse(inst)
-	classes := product.ClassesIndexed(inst, u)
-	goal := predicate.Pred{}
-	for _, c := range classes {
-		if c.Theta.Size() == 1 {
-			goal = c.Theta
-			break
-		}
-	}
-	for _, mk := range []struct {
-		name string
-		s    func() inference.Strategy
-	}{
-		{"HALVE", func() inference.Strategy { return strategy.Halving{} }},
-		{"L1S", func() inference.Strategy { return strategy.Lookahead{K: 1} }},
-		{"L2S", func() inference.Strategy { return strategy.Lookahead{K: 2} }},
-	} {
-		b.Run(mk.name, func(b *testing.B) {
-			interactions := 0
-			for i := 0; i < b.N; i++ {
-				e := inference.New(inst, inference.WithClasses(classes))
-				res, err := inference.Run(e, mk.s(), oracle.NewHonest(inst, e.U, goal), 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				interactions = res.Interactions
-			}
-			b.ReportMetric(float64(interactions), "interactions")
-		})
-	}
-}
-
-// BenchmarkAblationBeam compares exact L2S against beamed L2S on a
-// many-class TPC-H workload.
-func BenchmarkAblationBeam(b *testing.B) {
-	data := tpch.MustGenerate(1, 42)
-	inst, goal, err := data.Instance(tpch.Join5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := predicate.NewUniverse(inst)
-	classes := product.ClassesIndexed(inst, u)
-	for _, spec := range []struct {
-		name string
-		beam int
-	}{{"exact", 0}, {"beam32", 32}, {"beam8", 8}} {
-		b.Run(spec.name, func(b *testing.B) {
-			interactions := 0
-			for i := 0; i < b.N; i++ {
-				e := inference.New(inst, inference.WithClasses(classes))
-				res, err := inference.Run(e,
-					strategy.Lookahead{K: 2, MaxCandidates: spec.beam},
-					oracle.NewHonest(inst, e.U, goal), 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				interactions = res.Interactions
-			}
-			b.ReportMetric(float64(interactions), "interactions")
-		})
-	}
-}
-
 // BenchmarkInformativeTest measures the PTIME informativeness test of
 // Theorem 3.5 in isolation (the hot inner loop of every strategy).
 func BenchmarkInformativeTest(b *testing.B) {
 	inst := paperdata.Example21()
 	e := inference.New(inst)
-	// Midway through an interaction: one positive, one negative.
-	e.Label(5, oracle.NewHonest(inst, e.U, predicate.FromPairs(e.U, [2]int{1, 2})).
-		LabelFor(e.Classes()[5].RI, e.Classes()[5].PI))
+	// Midway through an interaction: the honest label of class 5 for the
+	// goal {(A2,B3)}.
+	c := e.Classes()[5]
+	e.Label(5, sample.Label(predicate.FromPairs(e.U, [2]int{1, 2}).
+		Selects(e.U, inst.R.Tuples[c.RI], inst.P.Tuples[c.PI])))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for ci := range e.Classes() {
@@ -365,16 +240,16 @@ func BenchmarkInformativeTest(b *testing.B) {
 // shared across iterations.
 func BenchmarkSessionEndToEnd(b *testing.B) {
 	inst := paperdata.FlightHotel()
-	classes := PrecomputeClasses(inst)
-	goal, err := PredFromNames(NewSession(inst).Universe(), [2]string{"To", "City"})
+	classes := joininference.PrecomputeClasses(inst)
+	goal, err := joininference.PredFromNames(joininference.NewSession(inst).Universe(), [2]string{"To", "City"})
 	if err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := NewSession(inst, WithPrecomputedClasses(classes))
-		if _, err := Run(ctx, s, HonestOracle(goal)); err != nil {
+		s := joininference.NewSession(inst, joininference.WithPrecomputedClasses(classes))
+		if _, err := joininference.Run(ctx, s, joininference.HonestOracle(goal)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -388,13 +263,13 @@ func BenchmarkNextQuestionsBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	classes := PrecomputeClasses(inst)
+	classes := joininference.PrecomputeClasses(inst)
 	ctx := context.Background()
 	for _, k := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
 			batch := 0
 			for i := 0; i < b.N; i++ {
-				s := NewSession(inst, WithPrecomputedClasses(classes))
+				s := joininference.NewSession(inst, joininference.WithPrecomputedClasses(classes))
 				qs, err := s.NextQuestions(ctx, k)
 				if err != nil {
 					b.Fatal(err)
@@ -419,8 +294,8 @@ func BenchmarkSemijoinSession(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	run := func(b *testing.B, cs *ClassSet) int {
-		res, err := Run(ctx, NewSemijoinSession(inst, WithPrecomputedClasses(cs)), HonestOracle(goal))
+	run := func(b *testing.B, cs *joininference.ClassSet) int {
+		res, err := joininference.Run(ctx, joininference.NewSemijoinSession(inst, joininference.WithPrecomputedClasses(cs)), joininference.HonestOracle(goal))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -430,12 +305,12 @@ func BenchmarkSemijoinSession(b *testing.B) {
 		b.ReportAllocs()
 		questions := 0
 		for i := 0; i < b.N; i++ {
-			questions = run(b, &ClassSet{inst: inst})
+			questions = run(b, joininference.ColdClassSet(inst))
 		}
 		b.ReportMetric(float64(questions), "interactions")
 	})
 	b.Run("shared", func(b *testing.B) {
-		warm := &ClassSet{inst: inst}
+		warm := joininference.ColdClassSet(inst)
 		run(b, warm)
 		b.ReportAllocs()
 		b.ResetTimer()

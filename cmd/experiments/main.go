@@ -8,11 +8,18 @@
 //	experiments -fig 6a         # one panel
 //	experiments -fig 7b -runs 20
 //	experiments -table 1
+//	experiments -fig 6a -workers -1   # lookahead candidates on every CPU
 //
 // Panel ids follow the paper: 6a/6b are TPC-H interactions at the two
 // scales, 6c/6d the times; 7a…7l alternate interactions/times for the six
 // synthetic configurations (a,c = config 1; b,d = config 2; e,g = 3;
 // f,h = 4; i,k = 5; j,l = 6).
+//
+// Every inference is one joininference Session over the instance's shared
+// T-classes, driven by Run against an honest oracle: the strategies are
+// the built-in five (BU, TD, L1S, L2S, RND), and the counts are the ones
+// joinserve's sessions produce. -workers is the sessions' WithParallelism;
+// -parallel runs whole inferences concurrently.
 package main
 
 import (
@@ -36,7 +43,6 @@ func main() {
 	workers := flag.Int("workers", 1, "goroutines per lookahead question (candidate evaluation); -1 = all CPUs; interaction counts are unaffected")
 	goals := flag.Int("goals", 10, "max goal predicates per size for synthetic data (0 = all)")
 	seed := flag.Int64("seed", 42, "base random seed")
-	extended := flag.Bool("extended", false, "also run this implementation's extra strategies (HALVE, L3S)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	flag.Parse()
@@ -46,7 +52,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	runErr := run(*fig, *table, *runs, *goals, *seed, *extended, *parallel, *workers)
+	runErr := run(*fig, *table, *runs, *goals, *seed, *parallel, *workers)
 	stopCPU()
 	if err := writeMemProfile(*memprofile); err != nil && runErr == nil {
 		runErr = err
@@ -94,13 +100,9 @@ func writeMemProfile(path string) error {
 	return nil
 }
 
-func run(fig, table string, runs, goals int, seed int64, extended bool, parallel, workers int) error {
+func run(fig, table string, runs, goals int, seed int64, parallel, workers int) error {
 	all := fig == "" && table == ""
 	configs := synth.PaperConfigs()
-	makers := experiments.DefaultMakersWorkers(seed, workers)
-	if extended {
-		makers = experiments.ExtendedMakersWorkers(seed, workers)
-	}
 
 	// Figure 6.
 	for _, spec := range []struct {
@@ -119,7 +121,7 @@ func run(fig, table string, runs, goals int, seed int64, extended bool, parallel
 		rows, err := experiments.TPCH(experiments.TPCHOptions{
 			Multiplier:  spec.mult,
 			Seed:        seed,
-			Makers:      makers,
+			Workers:     workers,
 			Parallelism: parallel,
 		})
 		if err != nil {
@@ -160,7 +162,7 @@ func run(fig, table string, runs, goals int, seed int64, extended bool, parallel
 				Runs:            runs,
 				Seed:            seed,
 				MaxGoalsPerSize: goals,
-				Makers:          makers,
+				Workers:         workers,
 				Parallelism:     parallel,
 			})
 			if err != nil {
@@ -177,7 +179,7 @@ func run(fig, table string, runs, goals int, seed int64, extended bool, parallel
 	}
 
 	if all || table == "1" {
-		rows, err := experiments.Table1(seed, runs, goals, parallel, makers)
+		rows, err := experiments.Table1(seed, runs, goals, parallel, workers)
 		if err != nil {
 			return err
 		}

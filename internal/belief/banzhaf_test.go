@@ -1,15 +1,35 @@
 package belief
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/inference"
-	"repro/internal/oracle"
 	"repro/internal/paperdata"
 	"repro/internal/predicate"
+	"repro/internal/sample"
 	"repro/internal/strategy"
 	"repro/internal/synth"
 )
+
+// honestRun drives strat against an honest user for goal until no
+// informative class remains (Algorithm 1): every pick must be an
+// informative class, and its answer is whether the goal selects the
+// class's representative tuple.
+func honestRun(e *inference.Engine, strat inference.Strategy, goal predicate.Pred) error {
+	for !e.Done() {
+		ci := strat.Next(e)
+		if ci < 0 || ci >= len(e.Classes()) || !e.Informative(ci) {
+			return fmt.Errorf("%s picked %d, not an informative class", strat.Name(), ci)
+		}
+		c := e.Classes()[ci]
+		l := sample.Label(goal.Selects(e.U, e.Inst.R.Tuples[c.RI], e.Inst.P.Tuples[c.PI]))
+		if err := e.Label(ci, l); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // attributionFixture builds the class thetas and universe of the paper's
 // running example.
@@ -123,7 +143,7 @@ func TestExplainLastAnswerCriticalPast64Answers(t *testing.T) {
 	inst := synth.MustGenerate(synth.Config{AttrsR: 6, AttrsP: 6, Rows: 60, Values: 4}, 1)
 	e := inference.New(inst)
 	goal := predicate.FromPairs(e.U, [2]int{0, 0}, [2]int{1, 1})
-	if _, err := inference.Run(e, strategy.BottomUp{}, oracle.NewHonest(inst, e.U, goal), 0); err != nil {
+	if err := honestRun(e, strategy.BottomUp{}, goal); err != nil {
 		t.Fatal(err)
 	}
 	exs := e.Sample().Examples()

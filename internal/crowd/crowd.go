@@ -7,7 +7,9 @@
 // The package quantifies the money/accuracy trade-off: more workers per
 // question cost more but make the aggregated label (and hence the whole
 // inference, which is brittle to a single wrong label) exponentially more
-// reliable.
+// reliable. Majority and Panel only perturb and aggregate a truth label the
+// caller supplies; the root package's CrowdOracle and ReliabilityOracle
+// wrap them around a truth oracle.
 package crowd
 
 import (
@@ -18,19 +20,10 @@ import (
 	"repro/internal/sample"
 )
 
-// Truth answers membership queries correctly (e.g. oracle.Honest).
-type Truth interface {
-	LabelFor(ri, pi int) sample.Label
-}
-
-// Majority is an oracle that asks Workers independent noisy workers per
-// question and returns the majority label. Ties (possible only with an
-// even worker count) are broken by asking one more worker.
+// Majority aggregates a panel of Workers independent noisy workers per
+// question into the majority label. Ties (possible only with an even
+// worker count) are broken by asking one more worker.
 type Majority struct {
-	// Truth provides the correct label each worker perturbs. It may be nil
-	// when the caller resolves the truth itself and aggregates with Vote;
-	// LabelFor requires it.
-	Truth Truth
 	// Workers per question; values < 1 behave as 1.
 	Workers int
 	// ErrorRate is each worker's independent probability of flipping the
@@ -82,8 +75,8 @@ func (m *Majority) Stats() []RoundStats {
 	return out
 }
 
-// NewMajority builds a majority-vote oracle with a seeded generator.
-func NewMajority(truth Truth, workers int, errorRate float64, seed int64) (*Majority, error) {
+// NewMajority builds a majority-vote panel with a seeded generator.
+func NewMajority(workers int, errorRate float64, seed int64) (*Majority, error) {
 	if errorRate < 0 || errorRate >= 1 {
 		return nil, fmt.Errorf("crowd: error rate %v outside [0, 1)", errorRate)
 	}
@@ -91,24 +84,17 @@ func NewMajority(truth Truth, workers int, errorRate float64, seed int64) (*Majo
 		workers = 1
 	}
 	return &Majority{
-		Truth:     truth,
 		Workers:   workers,
 		ErrorRate: errorRate,
 		rng:       rand.New(rand.NewSource(seed)),
 	}, nil
 }
 
-// LabelFor implements the inference oracle interface with majority voting.
-func (m *Majority) LabelFor(ri, pi int) sample.Label {
-	return m.Vote(m.Truth.LabelFor(ri, pi))
-}
-
 // Vote aggregates one crowd round given the true label: Workers
 // independent noisy votes, majority wins, ties ask one more worker. It
-// updates the running cost/accuracy statistics. Vote lets a caller that
-// resolves the truth through its own channel (and outside its own locks)
-// reuse the aggregation; it is not safe for concurrent use — the caller
-// serializes rounds.
+// updates the running cost/accuracy statistics. The caller resolves the
+// truth itself (outside its own locks, as the root package's Crowd does);
+// Vote is not safe for concurrent use — the caller serializes rounds.
 func (m *Majority) Vote(truth sample.Label) sample.Label {
 	m.Questions++
 	votesFor, votesAgainst := 0, 0

@@ -1,27 +1,52 @@
 package crowd
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/inference"
-	"repro/internal/oracle"
 	"repro/internal/paperdata"
 	"repro/internal/predicate"
+	"repro/internal/relation"
+	"repro/internal/sample"
 	"repro/internal/strategy"
 )
 
+// honest returns the honest user's answer to product tuple (ri, pi) of
+// inst: positive iff the goal selects it.
+func honest(inst *relation.Instance, u *predicate.Universe, goal predicate.Pred) func(ri, pi int) sample.Label {
+	return func(ri, pi int) sample.Label {
+		return sample.Label(goal.Selects(u, inst.R.Tuples[ri], inst.P.Tuples[pi]))
+	}
+}
+
+// crowdRun drives strat to the halt condition of Algorithm 1, each honest
+// answer for goal passing through one majority vote of m. Every pick must
+// be an informative class.
+func crowdRun(e *inference.Engine, strat inference.Strategy, goal predicate.Pred, m *Majority) error {
+	truth := honest(e.Inst, e.U, goal)
+	for !e.Done() {
+		ci := strat.Next(e)
+		if ci < 0 || ci >= len(e.Classes()) || !e.Informative(ci) {
+			return fmt.Errorf("%s picked %d, not an informative class", strat.Name(), ci)
+		}
+		c := e.Classes()[ci]
+		if err := e.Label(ci, m.Vote(truth(c.RI, c.PI))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func TestNewMajorityValidation(t *testing.T) {
-	inst := paperdata.Example21()
-	u := predicate.NewUniverse(inst)
-	truth := oracle.NewHonest(inst, u, predicate.Empty())
-	if _, err := NewMajority(truth, 3, -0.1, 1); err == nil {
+	if _, err := NewMajority(3, -0.1, 1); err == nil {
 		t.Error("negative error rate accepted")
 	}
-	if _, err := NewMajority(truth, 3, 1.0, 1); err == nil {
+	if _, err := NewMajority(3, 1.0, 1); err == nil {
 		t.Error("error rate 1 accepted")
 	}
-	m, err := NewMajority(truth, 0, 0.2, 1)
+	m, err := NewMajority(0, 0.2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +59,14 @@ func TestPerfectWorkersNeverWrong(t *testing.T) {
 	inst := paperdata.Example21()
 	u := predicate.NewUniverse(inst)
 	goal := predicate.FromPairs(u, [2]int{1, 2})
-	truth := oracle.NewHonest(inst, u, goal)
-	m, err := NewMajority(truth, 1, 0, 7)
+	truth := honest(inst, u, goal)
+	m, err := NewMajority(1, 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for ri := 0; ri < 4; ri++ {
 		for pi := 0; pi < 3; pi++ {
-			if m.LabelFor(ri, pi) != truth.LabelFor(ri, pi) {
+			if m.Vote(truth(ri, pi)) != truth(ri, pi) {
 				t.Fatalf("perfect worker wrong at (%d,%d)", ri, pi)
 			}
 		}
@@ -58,16 +83,16 @@ func TestMajorityReducesErrors(t *testing.T) {
 	inst := paperdata.Example21()
 	u := predicate.NewUniverse(inst)
 	goal := predicate.FromPairs(u, [2]int{1, 2})
-	truth := oracle.NewHonest(inst, u, goal)
+	truth := honest(inst, u, goal)
 
 	wrongRate := func(workers int) float64 {
-		m, err := NewMajority(truth, workers, 0.25, 99)
+		m, err := NewMajority(workers, 0.25, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
 		const trials = 2000
 		for i := 0; i < trials; i++ {
-			m.LabelFor(i%4, i%3)
+			m.Vote(truth(i%4, i%3))
 		}
 		return float64(m.WrongAnswers) / float64(m.Questions)
 	}
@@ -110,16 +135,13 @@ func TestMajorityErrorRateClosedForm(t *testing.T) {
 }
 
 func TestTotalCost(t *testing.T) {
-	inst := paperdata.Example21()
-	u := predicate.NewUniverse(inst)
-	truth := oracle.NewHonest(inst, u, predicate.Empty())
-	m, err := NewMajority(truth, 3, 0, 1)
+	m, err := NewMajority(3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.CostPerTask = 0.05
-	m.LabelFor(0, 0)
-	m.LabelFor(1, 1)
+	m.Vote(sample.Positive)
+	m.Vote(sample.Negative)
 	if got := m.TotalCost(); math.Abs(got-0.30) > 1e-12 {
 		t.Errorf("TotalCost = %v, want 0.30", got)
 	}
@@ -136,17 +158,15 @@ func TestInferenceThroughCrowd(t *testing.T) {
 			inst := paperdata.Example21()
 			e := inference.New(inst)
 			goal := predicate.FromPairs(e.U, [2]int{0, 0}) // {(A1,B1)}
-			truth := oracle.NewHonest(inst, e.U, goal)
-			m, err := NewMajority(truth, workers, 0.25, seed)
+			m, err := NewMajority(workers, 0.25, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := inference.Run(e, strategy.NewTopDown(), m, 0)
-			if err != nil {
+			if err := crowdRun(e, strategy.NewTopDown(), goal, m); err != nil {
 				continue // inconsistency detected: a failed crowd run
 			}
 			gj := predicate.Join(inst, e.U, goal)
-			rj := predicate.Join(inst, e.U, res.Predicate)
+			rj := predicate.Join(inst, e.U, e.Result())
 			if len(gj) == len(rj) {
 				wins++
 			}
@@ -168,16 +188,15 @@ func TestInferenceThroughCrowd(t *testing.T) {
 // even panel splits, and costs follow CostPerTask.
 func TestMajorityStats(t *testing.T) {
 	inst := paperdata.Example21()
-	u := predicate.NewUniverse(inst)
-	truth := oracle.NewHonest(inst, u, predicate.Empty())
-	m, err := NewMajority(truth, 2, 0.4, 7)
+	truth := honest(inst, predicate.NewUniverse(inst), predicate.Empty())
+	m, err := NewMajority(2, 0.4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.CostPerTask = 5
 	const questions = 200
 	for i := 0; i < questions; i++ {
-		m.LabelFor(i%4, i%3)
+		m.Vote(truth(i%4, i%3))
 	}
 	st := m.Stats()
 	if len(st) < 3 {
@@ -204,40 +223,5 @@ func TestMajorityStats(t *testing.T) {
 	}
 	if total != m.Microtasks {
 		t.Errorf("per-round asks sum to %d, Microtasks = %d", total, m.Microtasks)
-	}
-}
-
-// TestVoteMatchesLabelFor: LabelFor is exactly Vote over the truth's
-// answer — the same seed must produce the same label sequence and the same
-// statistics whichever entry point is used, so callers that resolve the
-// truth themselves (outside their locks) aggregate identically.
-func TestVoteMatchesLabelFor(t *testing.T) {
-	inst := paperdata.Example21()
-	u := predicate.NewUniverse(inst)
-	goal := predicate.FromPairs(u, [2]int{1, 2})
-	truth := oracle.NewHonest(inst, u, goal)
-	viaLabelFor, err := NewMajority(truth, 4, 0.3, 123)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaVote, err := NewMajority(nil, 4, 0.3, 123)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ri := 0; ri < 4; ri++ {
-		for pi := 0; pi < 3; pi++ {
-			a := viaLabelFor.LabelFor(ri, pi)
-			b := viaVote.Vote(truth.LabelFor(ri, pi))
-			if a != b {
-				t.Fatalf("labels diverged at (%d,%d): %v vs %v", ri, pi, a, b)
-			}
-		}
-	}
-	if viaLabelFor.Microtasks != viaVote.Microtasks ||
-		viaLabelFor.Questions != viaVote.Questions ||
-		viaLabelFor.WrongAnswers != viaVote.WrongAnswers {
-		t.Errorf("statistics diverged: LabelFor (%d,%d,%d) vs Vote (%d,%d,%d)",
-			viaLabelFor.Microtasks, viaLabelFor.Questions, viaLabelFor.WrongAnswers,
-			viaVote.Microtasks, viaVote.Questions, viaVote.WrongAnswers)
 	}
 }

@@ -6,8 +6,10 @@
 //
 // Each experiment measures, per strategy, the number of user interactions
 // and the wall-clock inference time, exactly the two measures the paper
-// reports. Results carry enough metadata to render the paper-style rows
-// (render.go).
+// reports. Every inference is one public Session driven by Run against an
+// HonestOracle, the loop joinserve serves, with the instance's T-classes
+// computed once and shared by all its sessions. Results carry enough
+// metadata to render the paper-style rows (render.go).
 package experiments
 
 import (
@@ -17,72 +19,43 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/inference"
+	joininference "repro"
 	"repro/internal/lattice"
-	"repro/internal/oracle"
 	"repro/internal/pool"
 	"repro/internal/predicate"
 	"repro/internal/product"
 	"repro/internal/relation"
 	"repro/internal/stats"
-	"repro/internal/strategy"
 	"repro/internal/synth"
 	"repro/internal/tpch"
 )
-
-// Maker names a strategy and constructs fresh instances of it (strategies
-// may carry per-run state such as RND's generator or TD's cache).
-type Maker struct {
-	Name string
-	// New builds a fresh strategy. The seed parameter only matters for
-	// randomized strategies (RND); it is derived deterministically from
-	// the workload so results do not depend on scheduling.
-	New func(seed int64) inference.Strategy
-}
-
-// DefaultMakers returns the paper's five strategies in its reporting order:
-// BU, TD, L1S, L2S, RND.
-func DefaultMakers(seed int64) []Maker {
-	return DefaultMakersWorkers(seed, 1)
-}
-
-// DefaultMakersWorkers is DefaultMakers with the lookahead strategies
-// fanning their per-candidate evaluation across workers goroutines
-// (strategy.Lookahead.Workers). Interaction counts are unaffected — the
-// parallel reduction applies the exact serial selection rule — only the
-// per-question wall-clock changes.
-func DefaultMakersWorkers(seed int64, workers int) []Maker {
-	return []Maker{
-		{Name: "BU", New: func(int64) inference.Strategy { return strategy.BottomUp{} }},
-		{Name: "TD", New: func(int64) inference.Strategy { return strategy.NewTopDown() }},
-		{Name: "L1S", New: func(int64) inference.Strategy { return strategy.Lookahead{K: 1, Workers: workers} }},
-		{Name: "L2S", New: func(int64) inference.Strategy { return strategy.Lookahead{K: 2, Workers: workers} }},
-		{Name: "RND", New: func(s int64) inference.Strategy { return strategy.NewRandom(seed ^ s) }},
-	}
-}
-
-// ExtendedMakers appends this implementation's extra strategies to the
-// paper's five: HALVE (version-space halving) and L3S (three-step
-// lookahead). Comparing them against the originals is the
-// "probabilistic lookahead" ablation DESIGN.md calls out.
-func ExtendedMakers(seed int64) []Maker {
-	return ExtendedMakersWorkers(seed, 1)
-}
-
-// ExtendedMakersWorkers is ExtendedMakers with the lookahead strategies
-// running workers-wide candidate evaluation (see DefaultMakersWorkers).
-func ExtendedMakersWorkers(seed int64, workers int) []Maker {
-	return append(DefaultMakersWorkers(seed, workers),
-		Maker{Name: "HALVE", New: func(int64) inference.Strategy { return strategy.Halving{} }},
-		Maker{Name: "L3S", New: func(int64) inference.Strategy { return strategy.Lookahead{K: 3, MaxCandidates: 16, Workers: workers} }},
-	)
-}
 
 // forEachTask runs fn(i) for every i in [0, n), fanning across at most
 // workers goroutines (0 or 1 = sequential). fn must confine its writes to
 // per-index slots.
 func forEachTask(workers, n int, fn func(i int)) {
 	pool.ForEach(context.Background(), workers, n, fn)
+}
+
+// workload is one instance with the class set its sessions share and the
+// class statistics the rows report.
+type workload struct {
+	inst  *relation.Instance
+	cs    *joininference.ClassSet
+	stats lattice.Stats
+}
+
+// newWorkload builds inst's shared class set and its statistics, and
+// returns the classes for callers that derive goals from them. A ClassSet
+// keeps its classes to its sessions, so the statistics group the product
+// a second time, once per instance.
+func newWorkload(inst *relation.Instance) (workload, []*product.Class) {
+	classes := product.ClassesIndexed(inst, predicate.NewUniverse(inst))
+	return workload{
+		inst:  inst,
+		cs:    joininference.PrecomputeClasses(inst),
+		stats: lattice.ComputeStats(classes),
+	}, classes
 }
 
 // Cell is one (strategy, workload) measurement, averaged over the
@@ -133,16 +106,31 @@ func (r Row) Best(order []string) (string, Cell) {
 }
 
 // runOne executes one inference run and returns interactions and duration.
-func runOne(inst *relation.Instance, classes []*product.Class, mk Maker,
+// seed seeds RND; an honest user never needs more questions than there are
+// classes, so the budget stops a strategy that loops.
+func runOne(wl *workload, id joininference.StrategyID, workers int,
 	goal predicate.Pred, seed int64) (int, time.Duration, error) {
-	e := inference.New(inst, inference.WithClasses(classes))
-	orc := oracle.NewHonest(inst, e.U, goal)
+	s := joininference.NewSession(wl.inst,
+		joininference.WithPrecomputedClasses(wl.cs),
+		joininference.WithStrategy(id),
+		joininference.WithParallelism(workers),
+		joininference.WithSeed(seed),
+		joininference.WithBudget(wl.cs.Len()))
 	start := time.Now()
-	res, err := inference.Run(e, mk.New(seed), orc, 4*len(classes)+16)
+	res, err := joininference.Run(context.Background(), s, joininference.HonestOracle(goal))
 	if err != nil {
-		return 0, 0, fmt.Errorf("%s on %s: %w", mk.Name, goal.Format(e.U), err)
+		return 0, 0, fmt.Errorf("%s on %s: %w", id, goal.Format(s.Universe()), err)
 	}
-	return res.Interactions, time.Since(start), nil
+	return res.Questions, time.Since(start), nil
+}
+
+// strategies resolves an options' strategy list: nil means every built-in
+// strategy, in the paper's order.
+func strategies(ids []joininference.StrategyID) []joininference.StrategyID {
+	if ids == nil {
+		return joininference.KnownStrategies()
+	}
+	return ids
 }
 
 // TPCHOptions configures the Figure 6 experiments.
@@ -153,8 +141,13 @@ type TPCHOptions struct {
 	Seed int64
 	// Joins restricts the goal joins; nil means all five.
 	Joins []tpch.Join
-	// Makers restricts the strategies; nil means DefaultMakers(Seed).
-	Makers []Maker
+	// Strategies restricts the strategies; nil means every built-in one,
+	// in the paper's order (joininference.KnownStrategies).
+	Strategies []joininference.StrategyID
+	// Workers fans each lookahead question's candidate evaluation across
+	// that many goroutines (joininference.WithParallelism); interaction
+	// counts are unaffected.
+	Workers int
 	// Parallelism runs that many (join, strategy) inference tasks
 	// concurrently (0 or 1 = sequential, negative = one per CPU). Interaction
 	// counts are unaffected
@@ -176,10 +169,7 @@ func TPCH(o TPCHOptions) ([]Row, error) {
 	if joins == nil {
 		joins = tpch.AllJoins()
 	}
-	makers := o.Makers
-	if makers == nil {
-		makers = DefaultMakers(o.Seed)
-	}
+	ids := strategies(o.Strategies)
 	data, err := tpch.Generate(o.Multiplier, o.Seed)
 	if err != nil {
 		return nil, err
@@ -187,58 +177,55 @@ func TPCH(o TPCHOptions) ([]Row, error) {
 	// Workloads materialize lazily (first task of a join builds its
 	// instance and classes) and are released once the join's last task
 	// finishes, so peak memory stays at the joins currently in flight —
-	// one for a sequential run, matching the old per-join loop.
-	type workload struct {
+	// one for a sequential run.
+	type lazyWorkload struct {
 		once    sync.Once
-		inst    *relation.Instance
+		wl      workload
 		goal    predicate.Pred
-		classes []*product.Class
-		stats   lattice.Stats
 		err     error
 		pending atomic.Int32
 	}
-	wls := make([]*workload, len(joins))
+	wls := make([]*lazyWorkload, len(joins))
 	for ji := range wls {
-		wls[ji] = &workload{}
-		wls[ji].pending.Store(int32(len(makers)))
+		wls[ji] = &lazyWorkload{}
+		wls[ji].pending.Store(int32(len(ids)))
 	}
-	materialize := func(ji int) *workload {
-		wl := wls[ji]
-		wl.once.Do(func() {
+	materialize := func(ji int) *lazyWorkload {
+		lw := wls[ji]
+		lw.once.Do(func() {
 			inst, goal, err := data.Instance(joins[ji])
 			if err != nil {
-				wl.err = err
+				lw.err = err
 				return
 			}
-			u := predicate.NewUniverse(inst)
-			wl.inst, wl.goal = inst, goal
-			wl.classes = product.ClassesIndexed(inst, u)
-			wl.stats = lattice.ComputeStats(wl.classes)
+			lw.wl, _ = newWorkload(inst)
+			lw.goal = goal
 		})
-		return wl
+		return lw
 	}
 	type taskResult struct {
 		n   int
 		d   time.Duration
 		err error
 	}
-	results := make([]taskResult, len(joins)*len(makers))
+	results := make([]taskResult, len(joins)*len(ids))
 	forEachTask(o.Parallelism, len(results), func(i int) {
-		ji, mi := i/len(makers), i%len(makers)
-		wl := materialize(ji)
-		if wl.err != nil {
-			results[i] = taskResult{err: wl.err}
+		ji, si := i/len(ids), i%len(ids)
+		lw := materialize(ji)
+		if lw.err != nil {
+			results[i] = taskResult{err: lw.err}
 		} else {
-			n, d, err := runOne(wl.inst, wl.classes, makers[mi], wl.goal, int64(joins[ji])*1009)
+			seed := int64(joins[ji]) * 1009
+			n, d, err := runOne(&lw.wl, ids[si], o.Workers, lw.goal, o.Seed^seed)
 			results[i] = taskResult{n: n, d: d, err: err}
 		}
-		if wl.pending.Add(-1) == 0 {
-			wl.inst, wl.classes = nil, nil // stats and goal stay for the rows
+		if lw.pending.Add(-1) == 0 {
+			lw.wl.inst, lw.wl.cs = nil, nil // stats and goal stay for the rows
 		}
 	})
 	var rows []Row
 	for ji, j := range joins {
-		st := wls[ji].stats
+		st := wls[ji].wl.stats
 		row := Row{
 			Dataset:     fmt.Sprintf("TPC-H ×%d", o.Multiplier),
 			Workload:    fmt.Sprintf("%s (size %d)", j, j.GoalSize()),
@@ -246,14 +233,14 @@ func TPCH(o TPCHOptions) ([]Row, error) {
 			ProductSize: float64(st.ProductSize),
 			Classes:     float64(st.Classes),
 			JoinRatio:   st.JoinRatio,
-			Cells:       make(map[string]Cell, len(makers)),
+			Cells:       make(map[string]Cell, len(ids)),
 		}
-		for mi, mk := range makers {
-			res := results[ji*len(makers)+mi]
+		for si, id := range ids {
+			res := results[ji*len(ids)+si]
 			if res.err != nil {
 				return nil, res.err
 			}
-			row.Cells[mk.Name] = Cell{
+			row.Cells[string(id)] = Cell{
 				Interactions: float64(res.n),
 				Seconds:      res.d.Seconds(),
 				Runs:         1,
@@ -278,8 +265,13 @@ type SynthOptions struct {
 	MaxGoalsPerSize int
 	// MaxGoalSize bounds the goal sizes reported (the paper plots 0–4).
 	MaxGoalSize int
-	// Makers restricts the strategies; nil means DefaultMakers(Seed).
-	Makers []Maker
+	// Strategies restricts the strategies; nil means every built-in one,
+	// in the paper's order (joininference.KnownStrategies).
+	Strategies []joininference.StrategyID
+	// Workers fans each lookahead question's candidate evaluation across
+	// that many goroutines (joininference.WithParallelism); interaction
+	// counts are unaffected.
+	Workers int
 	// Parallelism runs that many (strategy, goal) inference tasks
 	// concurrently (0 or 1 = sequential, negative = one per CPU) —
 	// finer-grained than whole
@@ -299,10 +291,7 @@ func Synth(o SynthOptions) ([]Row, error) {
 	if o.MaxGoalSize == 0 {
 		o.MaxGoalSize = 4
 	}
-	makers := o.Makers
-	if makers == nil {
-		makers = DefaultMakers(o.Seed)
-	}
+	ids := strategies(o.Strategies)
 
 	// Phase 1: generate the instances (one per run, each independently
 	// seeded), in parallel — generation is cheap but not free at 100 runs.
@@ -310,11 +299,9 @@ func Synth(o SynthOptions) ([]Row, error) {
 	// scheduled freely; the paper configurations yield a few dozen classes
 	// per instance, so even 100 runs stay in the low megabytes.
 	type instanceData struct {
-		inst    *relation.Instance
-		classes []*product.Class
-		stats   lattice.Stats
-		goals   map[int][]predicate.Pred
-		err     error
+		wl    workload
+		goals map[int][]predicate.Pred
+		err   error
 	}
 	insts := make([]instanceData, o.Runs)
 	forEachTask(o.Parallelism, o.Runs, func(run int) {
@@ -323,14 +310,8 @@ func Synth(o SynthOptions) ([]Row, error) {
 			insts[run] = instanceData{err: err}
 			return
 		}
-		u := predicate.NewUniverse(inst)
-		classes := product.ClassesIndexed(inst, u)
-		insts[run] = instanceData{
-			inst:    inst,
-			classes: classes,
-			stats:   lattice.ComputeStats(classes),
-			goals:   lattice.GoalsBySize(classes),
-		}
+		wl, classes := newWorkload(inst)
+		insts[run] = instanceData{wl: wl, goals: lattice.GoalsBySize(classes)}
 	})
 	for run := range insts {
 		if err := insts[run].err; err != nil {
@@ -340,10 +321,10 @@ func Synth(o SynthOptions) ([]Row, error) {
 
 	// Phase 2: flatten every (run, size, strategy, goal) inference into an
 	// independent task. The task order (run-major, then size, strategy,
-	// goal) is the exact order the old sequential loop measured in, so the
-	// aggregation below is bit-compatible with it.
+	// goal) is the order a sequential loop measures in, so the aggregation
+	// below does not depend on scheduling.
 	type task struct {
-		run, size, mi int
+		run, size, si int
 		goal          predicate.Pred
 		seed          int64
 		inter, secs   float64
@@ -357,10 +338,10 @@ func Synth(o SynthOptions) ([]Row, error) {
 			if o.MaxGoalsPerSize > 0 && len(gs) > o.MaxGoalsPerSize {
 				gs = gs[:o.MaxGoalsPerSize]
 			}
-			for mi := range makers {
+			for si := range ids {
 				for gi, goal := range gs {
 					tasks = append(tasks, task{
-						run: run, size: size, mi: mi, goal: goal,
+						run: run, size: size, si: si, goal: goal,
 						seed: int64(run)*1000003 + int64(size)*1009 + int64(gi)*31,
 					})
 				}
@@ -372,8 +353,7 @@ func Synth(o SynthOptions) ([]Row, error) {
 	// own slot.
 	forEachTask(o.Parallelism, len(tasks), func(i int) {
 		t := &tasks[i]
-		id := insts[t.run]
-		n, d, err := runOne(id.inst, id.classes, makers[t.mi], t.goal, t.seed)
+		n, d, err := runOne(&insts[t.run].wl, ids[t.si], o.Workers, t.goal, o.Seed^t.seed)
 		if err != nil {
 			t.err = err
 			return
@@ -390,7 +370,7 @@ func Synth(o SynthOptions) ([]Row, error) {
 	var prodSum, classSum, ratioSum float64
 	instances := 0
 	for run := 0; run < o.Runs; run++ {
-		st := insts[run].stats
+		st := insts[run].wl.stats
 		prodSum += float64(st.ProductSize)
 		classSum += float64(st.Classes)
 		ratioSum += st.JoinRatio
@@ -404,7 +384,7 @@ func Synth(o SynthOptions) ([]Row, error) {
 		if accs[t.size] == nil {
 			accs[t.size] = make(map[string]*acc)
 		}
-		name := makers[t.mi].Name
+		name := string(ids[t.si])
 		a := accs[t.size][name]
 		if a == nil {
 			a = &acc{}
@@ -446,12 +426,13 @@ func Synth(o SynthOptions) ([]Row, error) {
 }
 
 // Table1 assembles the summary table from TPC-H rows at the two scales and
-// the six synthetic configurations. makers nil means DefaultMakers(seed);
-// parallelism fans the inference tasks like TPCHOptions/SynthOptions do.
-func Table1(seed int64, synthRuns, maxGoalsPerSize, parallelism int, makers []Maker) ([]Row, error) {
+// the six synthetic configurations, with every built-in strategy;
+// parallelism and workers fan the inference tasks and the lookahead
+// candidates like TPCHOptions/SynthOptions do.
+func Table1(seed int64, synthRuns, maxGoalsPerSize, parallelism, workers int) ([]Row, error) {
 	var rows []Row
 	for _, mult := range []int{1, tpch.SFToMultiplier(100000)} {
-		rs, err := TPCH(TPCHOptions{Multiplier: mult, Seed: seed, Makers: makers, Parallelism: parallelism})
+		rs, err := TPCH(TPCHOptions{Multiplier: mult, Seed: seed, Workers: workers, Parallelism: parallelism})
 		if err != nil {
 			return nil, err
 		}
@@ -463,7 +444,7 @@ func Table1(seed int64, synthRuns, maxGoalsPerSize, parallelism int, makers []Ma
 			Runs:            synthRuns,
 			Seed:            seed,
 			MaxGoalsPerSize: maxGoalsPerSize,
-			Makers:          makers,
+			Workers:         workers,
 			Parallelism:     parallelism,
 		})
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	joininference "repro"
 	"repro/internal/synth"
 	"repro/internal/tpch"
 )
@@ -61,7 +62,7 @@ func TestTPCHSubset(t *testing.T) {
 		Multiplier: 1,
 		Seed:       1,
 		Joins:      []tpch.Join{tpch.Join2},
-		Makers:     DefaultMakers(1)[:2], // BU, TD
+		Strategies: joininference.KnownStrategies()[:2], // BU, TD
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,23 +148,6 @@ func TestSynthParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestExtendedMakers(t *testing.T) {
-	ms := ExtendedMakers(1)
-	if len(ms) != 7 {
-		t.Fatalf("got %d makers, want 7", len(ms))
-	}
-	names := map[string]bool{}
-	for _, m := range ms {
-		names[m.Name] = true
-		if m.New(0) == nil {
-			t.Errorf("maker %s builds nil strategy", m.Name)
-		}
-	}
-	if !names["HALVE"] || !names["L3S"] {
-		t.Error("extended makers missing HALVE/L3S")
-	}
-}
-
 func TestBest(t *testing.T) {
 	r := Row{Cells: map[string]Cell{
 		"BU":  {Interactions: 5, Seconds: 0.001},
@@ -185,7 +169,7 @@ func TestRenderers(t *testing.T) {
 		Multiplier: 1,
 		Seed:       3,
 		Joins:      []tpch.Join{tpch.Join1, tpch.Join2},
-		Makers:     DefaultMakers(3)[:3],
+		Strategies: joininference.KnownStrategies()[:3],
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// StrategyOrder is the paper's column order for the per-strategy panels,
-// followed by this implementation's extensions.
-var StrategyOrder = []string{"BU", "TD", "L1S", "L2S", "RND", "HALVE", "L3S"}
+// StrategyOrder is the paper's column order for the per-strategy panels.
+var StrategyOrder = []string{"BU", "TD", "L1S", "L2S", "RND"}
 
 // RenderInteractions renders the "number of interactions" panel of a
 // figure: one line per workload, one column per strategy.
@@ -106,27 +104,18 @@ func RenderTable1(rows []Row) string {
 }
 
 // presentStrategies returns the strategies present in the rows, in
-// StrategyOrder followed by any extras alphabetically.
+// StrategyOrder.
 func presentStrategies(rows []Row) []string {
-	present := make(map[string]bool)
-	for _, r := range rows {
-		for name := range r.Cells {
-			present[name] = true
-		}
-	}
 	var cols []string
 	for _, name := range StrategyOrder {
-		if present[name] {
-			cols = append(cols, name)
-			delete(present, name)
+		for _, r := range rows {
+			if _, ok := r.Cells[name]; ok {
+				cols = append(cols, name)
+				break
+			}
 		}
 	}
-	var extra []string
-	for name := range present {
-		extra = append(extra, name)
-	}
-	sort.Strings(extra)
-	return append(cols, extra...)
+	return cols
 }
 
 // trimFloat renders 4 as "4" and 4.25 as "4.25".

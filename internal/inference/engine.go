@@ -1,6 +1,8 @@
 // Package inference implements the paper's core contribution: the
-// characterization of certain/uninformative tuples (Section 3.4) and the
-// general interactive inference algorithm (Algorithm 1, Section 4.1).
+// characterization of certain/uninformative tuples (Section 3.4) that the
+// general interactive inference algorithm (Algorithm 1, Section 4.1) runs
+// on, and the Strategy interface of its question choice Υ. The loop itself
+// is the root package's Session, driven by its Run.
 //
 // The engine works on T-classes of the Cartesian product (package product):
 // tuples with equal most specific predicate T(t) are interchangeable for

@@ -1,11 +1,11 @@
 package inference
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/oracle"
 	"repro/internal/paperdata"
 	"repro/internal/predicate"
 	"repro/internal/sample"
@@ -25,42 +25,48 @@ func (firstInformative) Next(e *Engine) int {
 	return -1
 }
 
-// badStrategy returns an out-of-range index.
-type badStrategy struct{}
+// honestLabel is the honest user's answer for class ci: positive iff the
+// goal selects the class's representative tuple.
+func honestLabel(e *Engine, ci int, goal predicate.Pred) sample.Label {
+	c := e.Classes()[ci]
+	return sample.Label(goal.Selects(e.U, e.Inst.R.Tuples[c.RI], e.Inst.P.Tuples[c.PI]))
+}
 
-func (badStrategy) Name() string       { return "bad" }
-func (badStrategy) Next(e *Engine) int { return 10000 }
-
-// uninformativeStrategy returns a labeled/uninformative class.
-type uninformativeStrategy struct{ inner firstInformative }
-
-func (uninformativeStrategy) Name() string { return "uninf" }
-func (s uninformativeStrategy) Next(e *Engine) int {
-	for ci := range e.Classes() {
-		if !e.Informative(ci) {
-			return ci
+// honestRun drives strat against an honest user for goal until no
+// informative class remains (Algorithm 1) and returns the number of
+// questions. Every pick must be an informative class, so a run asks at
+// most one question per class.
+func honestRun(e *Engine, strat Strategy, goal predicate.Pred) (int, error) {
+	n := 0
+	for !e.Done() {
+		ci := strat.Next(e)
+		if ci < 0 || ci >= len(e.Classes()) || !e.Informative(ci) {
+			return n, fmt.Errorf("%s picked %d, not an informative class", strat.Name(), ci)
+		}
+		n++
+		if err := e.Label(ci, honestLabel(e, ci, goal)); err != nil {
+			return n, err
 		}
 	}
-	return s.inner.Next(e)
+	return n, nil
 }
 
 func TestRunInfersGoalEquivalent(t *testing.T) {
 	inst := paperdata.Example21()
 	e := New(inst)
 	goal := predicate.FromPairs(e.U, [2]int{1, 2}) // θG = {(A2,B3)}
-	orc := oracle.NewHonest(inst, e.U, goal)
-	res, err := Run(e, firstInformative{}, orc, 0)
+	n, err := honestRun(e, firstInformative{}, goal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Interactions == 0 || res.Interactions > 12 {
-		t.Errorf("interactions = %d", res.Interactions)
+	if n == 0 || n > 12 {
+		t.Errorf("interactions = %d", n)
 	}
 	// The result must be instance-equivalent to the goal.
 	gj := predicate.Join(inst, e.U, goal)
-	rj := predicate.Join(inst, e.U, res.Predicate)
+	rj := predicate.Join(inst, e.U, e.Result())
 	if len(gj) != len(rj) {
-		t.Fatalf("result %v not instance-equivalent to goal %v", res.Predicate, goal)
+		t.Fatalf("result %v not instance-equivalent to goal %v", e.Result(), goal)
 	}
 	for i := range gj {
 		if gj[i] != rj[i] {
@@ -69,61 +75,27 @@ func TestRunInfersGoalEquivalent(t *testing.T) {
 	}
 }
 
-func TestRunMaxInteractions(t *testing.T) {
-	inst := paperdata.Example21()
-	e := New(inst)
-	orc := oracle.NewHonest(inst, e.U, predicate.Empty())
-	if _, err := Run(e, firstInformative{}, orc, 0); err != nil {
-		t.Errorf("unlimited run failed: %v", err)
-	}
-	e2 := New(inst)
-	goal := predicate.FromPairs(e2.U, [2]int{1, 2})
-	if _, err := Run(e2, firstInformative{}, oracle.NewHonest(inst, e2.U, goal), 1); err == nil {
-		t.Error("1-interaction cap not enforced")
-	}
-}
-
-func TestRunRejectsBadStrategies(t *testing.T) {
-	inst := paperdata.Example21()
-	e := New(inst)
-	orc := oracle.NewHonest(inst, e.U, predicate.Empty())
-	if _, err := Run(e, badStrategy{}, orc, 0); err == nil {
-		t.Error("out-of-range strategy index accepted")
-	}
-	e2 := New(inst)
-	e2.Label(0, sample.Positive) // make class 0 labeled (T=∅ → everything certain+... pick another)
-	_ = e2
-	// Exercise the uninformative-selection guard: after one positive label
-	// some classes are certain; uninformativeStrategy picks one.
-	e3 := New(inst)
-	goal := predicate.FromPairs(e3.U, [2]int{1, 2})
-	orc3 := oracle.NewHonest(inst, e3.U, goal)
-	// Label the first class manually so an uninformative class exists.
-	if err := e3.Label(0, orc3.LabelFor(e3.Classes()[0].RI, e3.Classes()[0].PI)); err != nil {
-		t.Fatal(err)
-	}
-	if !e3.Done() {
-		if _, err := Run(e3, uninformativeStrategy{}, orc3, 0); err == nil {
-			t.Error("uninformative selection accepted")
-		}
-	}
-}
-
+// TestRunDetectsDishonestUser: a user who answers the first question
+// honestly and flips every later answer drives the sample inconsistent,
+// and the engine reports it (lines 6–7 of Algorithm 1).
 func TestRunDetectsDishonestUser(t *testing.T) {
 	inst := paperdata.Example21()
 	e := New(inst)
 	goal := predicate.FromPairs(e.U, [2]int{1, 2})
-	adv := &oracle.Adversary{
-		Honest:    oracle.NewHonest(inst, e.U, goal),
-		FlipAfter: 1,
+	for n := 0; !e.Done(); n++ {
+		ci := firstInformative{}.Next(e)
+		l := honestLabel(e, ci, goal)
+		if n > 0 {
+			l = !l
+		}
+		if err := e.Label(ci, l); err != nil {
+			if err != ErrInconsistent {
+				t.Errorf("err = %v, want ErrInconsistent", err)
+			}
+			return
+		}
 	}
-	_, err := Run(e, firstInformative{}, adv, 0)
-	if err == nil {
-		t.Skip("adversary flip did not force inconsistency on this trace")
-	}
-	if err != ErrInconsistent {
-		t.Errorf("err = %v, want ErrInconsistent", err)
-	}
+	t.Skip("adversary flip did not force inconsistency on this trace")
 }
 
 // TestQuickRunAlwaysInstanceEquivalent: for random instances and random
@@ -135,13 +107,12 @@ func TestQuickRunAlwaysInstanceEquivalent(t *testing.T) {
 		inst := smallRandomInstance(r)
 		e := New(inst)
 		goal := randomPred(r, e.U)
-		orc := oracle.NewHonest(inst, e.U, goal)
-		res, err := Run(e, firstInformative{}, orc, len(e.Classes()))
-		if err != nil {
+		if _, err := honestRun(e, firstInformative{}, goal); err != nil {
 			return false
 		}
+		res := e.Result()
 		gj := predicate.Join(inst, e.U, goal)
-		rj := predicate.Join(inst, e.U, res.Predicate)
+		rj := predicate.Join(inst, e.U, res)
 		if len(gj) != len(rj) {
 			return false
 		}
@@ -152,7 +123,7 @@ func TestQuickRunAlwaysInstanceEquivalent(t *testing.T) {
 		}
 		// The returned predicate must moreover be the most specific
 		// consistent one: every positive example's T contains it.
-		return e.Sample().ConsistentWith(res.Predicate)
+		return e.Sample().ConsistentWith(res)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

@@ -9,15 +9,15 @@
 // predicates, and a pair of adjacent rows appears in the path join iff it
 // appears in the pairwise join and both rows survive the neighbouring
 // semijoins — the membership oracle hides none of the pairwise structure.
+// Each step is therefore inferred by its own joininference Session over
+// Step(i); examples/joinpath drives one per step.
 package joinpath
 
 import (
 	"fmt"
 
-	"repro/internal/inference"
 	"repro/internal/predicate"
 	"repro/internal/relation"
-	"repro/internal/sample"
 )
 
 // Path is a sequence of ≥ 2 relations with pairwise-disjoint attribute
@@ -55,68 +55,6 @@ func (p *Path) Step(i int) (*relation.Instance, *predicate.Universe) {
 
 // Goal is a path-join predicate: one pairwise predicate per step.
 type Goal []predicate.Pred
-
-// Oracle answers adjacency membership queries: does the pair
-// (Relations[step][ri], Relations[step+1][pi]) belong to the user's
-// step-th join?
-type Oracle interface {
-	LabelPair(step, ri, pi int) sample.Label
-}
-
-// GoalOracle is the honest oracle for a known path goal.
-type GoalOracle struct {
-	Path *Path
-	Goal Goal
-}
-
-// LabelPair implements Oracle.
-func (g *GoalOracle) LabelPair(step, ri, pi int) sample.Label {
-	inst, u := g.Path.Step(step)
-	if g.Goal[step].Selects(u, inst.R.Tuples[ri], inst.P.Tuples[pi]) {
-		return sample.Positive
-	}
-	return sample.Negative
-}
-
-// stepOracle adapts Oracle to the single-instance inference interface.
-type stepOracle struct {
-	inner Oracle
-	step  int
-}
-
-func (s stepOracle) LabelFor(ri, pi int) sample.Label {
-	return s.inner.LabelPair(s.step, ri, pi)
-}
-
-// Result reports a path inference run.
-type Result struct {
-	// Preds holds the inferred pairwise predicates, one per step.
-	Preds Goal
-	// Interactions is the total number of labels across all steps.
-	Interactions int
-	// PerStep is the interaction count per step.
-	PerStep []int
-}
-
-// Infer runs the pairwise inference along the path. newStrategy constructs
-// a fresh strategy per step (strategies carry per-instance state).
-func Infer(p *Path, newStrategy func() inference.Strategy, orc Oracle) (Result, error) {
-	if len(p.steps) == 0 {
-		return Result{}, fmt.Errorf("joinpath: path not built with NewPath")
-	}
-	var res Result
-	for i := range p.steps {
-		e := inference.New(p.steps[i])
-		stepRes, err := inference.Run(e, newStrategy(), stepOracle{inner: orc, step: i}, 0)
-		if err != nil {
-			return res, fmt.Errorf("joinpath: step %d: %w", i+1, err)
-		}
-		res.Preds = append(res.Preds, stepRes.Predicate)
-		res.PerStep = append(res.PerStep, stepRes.Interactions)
-		res.Interactions += stepRes.Interactions
-	}
-	return res, nil
-}
 
 // Eval materializes the path join as index tuples (one index per
 // relation), in lexicographic order. Intended for tests and small data.

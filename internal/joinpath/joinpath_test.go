@@ -1,18 +1,36 @@
 package joinpath
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/inference"
+	joininference "repro"
 	"repro/internal/predicate"
 	"repro/internal/relation"
-	"repro/internal/strategy"
 	"repro/internal/tpch"
 )
+
+// infer runs one honest session per step of the path and returns the
+// inferred path predicate with the questions each step asked.
+func infer(p *Path, id joininference.StrategyID, goal Goal) (Goal, []int, error) {
+	var preds Goal
+	var perStep []int
+	for i := 0; i < p.Steps(); i++ {
+		inst, _ := p.Step(i)
+		s := joininference.NewSession(inst, joininference.WithStrategy(id))
+		res, err := joininference.Run(context.Background(), s, joininference.HonestOracle(goal[i]))
+		if err != nil {
+			return nil, nil, err
+		}
+		preds = append(preds, res.Inferred)
+		perStep = append(perStep, res.Questions)
+	}
+	return preds, perStep, nil
+}
 
 // tpchPath builds the Customer → Orders → Lineitem chain.
 func tpchPath(t testing.TB) (*Path, Goal) {
@@ -54,23 +72,19 @@ func TestNewPathValidation(t *testing.T) {
 
 func TestInferTPCHPath(t *testing.T) {
 	p, goal := tpchPath(t)
-	orc := &GoalOracle{Path: p, Goal: goal}
-	res, err := Infer(p, func() inference.Strategy { return strategy.NewTopDown() }, orc)
+	preds, perStep, err := infer(p, joininference.StrategyTD, goal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Preds) != 2 || len(res.PerStep) != 2 {
-		t.Fatalf("result shape: %+v", res)
-	}
-	if res.Interactions != res.PerStep[0]+res.PerStep[1] {
-		t.Error("interaction total mismatch")
+	if len(preds) != 2 || len(perStep) != 2 || perStep[0] < 1 || perStep[1] < 1 {
+		t.Fatalf("result shape: %v, %v questions", preds, perStep)
 	}
 	// Instance equivalence per step ⇒ identical path join.
 	want, err := Eval(p, goal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Eval(p, res.Preds)
+	got, err := Eval(p, preds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +155,7 @@ func TestQuickPathInference(t *testing.T) {
 			}
 			goal[s] = pred
 		}
-		res, err := Infer(p, func() inference.Strategy { return strategy.BottomUp{} },
-			&GoalOracle{Path: p, Goal: goal})
+		preds, _, err := infer(p, joininference.StrategyBU, goal)
 		if err != nil {
 			return false
 		}
@@ -150,7 +163,7 @@ func TestQuickPathInference(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Eval(p, res.Preds)
+		got, err := Eval(p, preds)
 		if err != nil {
 			return false
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/inference"
-	"repro/internal/oracle"
 	"repro/internal/predicate"
 	"repro/internal/synth"
 )
@@ -51,15 +50,6 @@ func BenchmarkNextL2S(b *testing.B) {
 	}
 }
 
-func BenchmarkNextHalving(b *testing.B) {
-	e := benchEngine(b)
-	s := Halving{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Next(e)
-	}
-}
-
 // BenchmarkColdPath measures uncached (first-user) serving on a 72-pair
 // universe (two-word predicates) — the work a policy cache cannot help.
 // Each op is one full inference run; "arena" is the production engine,
@@ -90,11 +80,11 @@ func BenchmarkColdPath(b *testing.B) {
 			questions := 0
 			for i := 0; i < b.N; i++ {
 				e := inference.New(inst, inference.WithClasses(classes))
-				res, err := inference.Run(e, v.strat, oracle.NewHonest(inst, e.U, goal), 0)
+				n, err := honestRun(e, v.strat, goal)
 				if err != nil {
 					b.Fatal(err)
 				}
-				questions += res.Interactions
+				questions += n
 			}
 			b.ReportMetric(float64(questions)/b.Elapsed().Seconds(), "questions/s")
 		})

@@ -52,13 +52,12 @@ type look struct {
 	// thetas holds one W-word span per baseInf position.
 	thetas []uint64
 	// weights is what making a position certain is worth: its class's
-	// tuple count (the paper's unit) or 1 when counting classes (an
-	// ablation, see README "Strategies").
+	// tuple count, the paper's unit.
 	weights []int64
 }
 
 // newLook snapshots the engine's current sample for one decision.
-func newLook(e *inference.Engine, countClasses bool) *look {
+func newLook(e *inference.Engine) *look {
 	l := &look{baseInf: e.InformativeClasses(), base: *e.Certainty()}
 	l.W = len(l.base.TPos)
 	cs := e.Classes()
@@ -67,9 +66,6 @@ func newLook(e *inference.Engine, countClasses bool) *look {
 	for pos, ci := range l.baseInf {
 		cs[ci].Theta.Set.CopyWords(l.theta(pos))
 		l.weights[pos] = cs[ci].Count
-		if countClasses {
-			l.weights[pos] = 1
-		}
 	}
 	return l
 }

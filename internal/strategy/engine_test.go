@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/certainty"
 	"repro/internal/inference"
-	"repro/internal/oracle"
 	"repro/internal/paperdata"
 	"repro/internal/predicate"
 	"repro/internal/sample"
@@ -49,7 +48,7 @@ func labelHonestly(r *rand.Rand, e *inference.Engine, goal predicate.Pred, n int
 func synthEngine(tb testing.TB, cfg synth.Config, seed int64, words int) *inference.Engine {
 	tb.Helper()
 	e := inference.New(synth.MustGenerate(cfg, seed))
-	if w := newLook(e, false).W; w != words {
+	if w := newLook(e).W; w != words {
 		tb.Fatalf("universe of %d pairs spans %d words; want %d", e.U.Size(), w, words)
 	}
 	return e
@@ -69,15 +68,15 @@ func wideInstance(tb testing.TB, seed int64) *inference.Engine {
 
 // entropiesDiff compares the engine's entropy^k with legacyLookahead's and
 // describes the first difference, or returns "".
-func entropiesDiff(e *inference.Engine, k int, countClasses bool) string {
-	got := Lookahead{K: k, CountClasses: countClasses}.Entropies(e)
-	want := legacyLookahead{K: k, CountClasses: countClasses}.Entropies(e)
+func entropiesDiff(e *inference.Engine, k int) string {
+	got := Lookahead{K: k}.Entropies(e)
+	want := legacyLookahead{K: k}.Entropies(e)
 	if len(got) != len(want) {
-		return fmt.Sprintf("k=%d cc=%v: %d entries, legacy %d", k, countClasses, len(got), len(want))
+		return fmt.Sprintf("k=%d: %d entries, legacy %d", k, len(got), len(want))
 	}
 	for ci, g := range got {
 		if w, ok := want[ci]; !ok || w != g {
-			return fmt.Sprintf("k=%d cc=%v class %d: arena %v, legacy %v", k, countClasses, ci, g, w)
+			return fmt.Sprintf("k=%d class %d: arena %v, legacy %v", k, ci, g, w)
 		}
 	}
 	return ""
@@ -88,31 +87,27 @@ func entropiesDiff(e *inference.Engine, k int, countClasses bool) string {
 func TestArenaMatchesLegacyFigure5(t *testing.T) {
 	e := inference.New(paperdata.Example21())
 	for k := 1; k <= 3; k++ {
-		for _, cc := range []bool{false, true} {
-			if d := entropiesDiff(e, k, cc); d != "" {
-				t.Error(d)
-			}
+		if d := entropiesDiff(e, k); d != "" {
+			t.Error(d)
 		}
 	}
 }
 
 // TestQuickArenaMatchesLegacySmallUniverse: on random one-word instances
 // with random honest partial samples, the engine agrees with the legacy
-// implementation for k = 1–3 in both counting modes.
+// implementation for k = 1–3.
 func TestQuickArenaMatchesLegacySmallUniverse(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		inst := randInstance(r)
 		for k := 1; k <= 3; k++ {
-			for _, cc := range []bool{false, true} {
-				e := inference.New(inst)
-				if labelHonestly(r, e, randPred(r, e.U), r.Intn(4)) < 0 {
-					return false
-				}
-				if d := entropiesDiff(e, k, cc); d != "" {
-					t.Log(d)
-					return false
-				}
+			e := inference.New(inst)
+			if labelHonestly(r, e, randPred(r, e.U), r.Intn(4)) < 0 {
+				return false
+			}
+			if d := entropiesDiff(e, k); d != "" {
+				t.Log(d)
+				return false
 			}
 		}
 		return true
@@ -131,15 +126,13 @@ func TestQuickEntropiesMatchWithLabels(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		inst := randInstance(r)
 		for k := 1; k <= 3; k++ {
-			for _, cc := range []bool{false, true} {
-				e := inference.New(inst)
-				if labelHonestly(r, e, randPred(r, e.U), 2+r.Intn(4)) < 0 {
-					return false
-				}
-				if d := entropiesDiff(e, k, cc); d != "" {
-					t.Log(d)
-					return false
-				}
+			e := inference.New(inst)
+			if labelHonestly(r, e, randPred(r, e.U), 2+r.Intn(4)) < 0 {
+				return false
+			}
+			if d := entropiesDiff(e, k); d != "" {
+				t.Log(d)
+				return false
 			}
 		}
 		return true
@@ -153,9 +146,9 @@ func TestQuickEntropiesMatchWithLabels(t *testing.T) {
 // labels on the engine and the legacy state, and reports whether delta and
 // the still-informative classes agree after every step — the units
 // underneath every entropy computation.
-func chainAgrees(r *rand.Rand, e *inference.Engine, countClasses bool) bool {
-	lk := newLook(e, countClasses)
-	lg := newLegacy(e, countClasses)
+func chainAgrees(r *rand.Rand, e *inference.Engine) bool {
+	lk := newLook(e)
+	lg := newLegacy(e)
 	sc := lk.newScratch(3)
 	hs := hyp{k: certainty.Kernel{TPos: lk.base.TPos, Negs: sc.negs}}
 	gs := lg.baseState()
@@ -192,22 +185,17 @@ func chainAgrees(r *rand.Rand, e *inference.Engine, countClasses bool) bool {
 
 // TestQuickArenaDeltaMatchesLegacy: along random mirrored extension
 // chains, the engine's delta and informative lists equal the legacy
-// engine's on random one-word instances with labelled classes, in both
-// counting modes, and on the two- and three-word universes.
+// engine's on random one-word instances with labelled classes, and on the
+// two- and three-word universes.
 func TestQuickArenaDeltaMatchesLegacy(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		inst := randInstance(r)
-		for _, cc := range []bool{false, true} {
-			e := inference.New(inst)
-			if labelHonestly(r, e, randPred(r, e.U), r.Intn(5)) < 0 {
-				return false
-			}
-			if !chainAgrees(r, e, cc) {
-				return false
-			}
+		e := inference.New(inst)
+		if labelHonestly(r, e, randPred(r, e.U), r.Intn(5)) < 0 {
+			return false
 		}
-		return true
+		return chainAgrees(r, e)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -218,11 +206,9 @@ func TestQuickArenaDeltaMatchesLegacy(t *testing.T) {
 			if labelHonestly(r, e, randPred(r, e.U), r.Intn(4)) < 0 {
 				t.Fatal("labeling failed")
 			}
-			for _, cc := range []bool{false, true} {
-				for trial := 0; trial < 10; trial++ {
-					if !chainAgrees(r, e, cc) {
-						t.Fatalf("seed %d, %d pairs, cc=%v: chain diverged", seed, e.U.Size(), cc)
-					}
+			for trial := 0; trial < 10; trial++ {
+				if !chainAgrees(r, e) {
+					t.Fatalf("seed %d, %d pairs: chain diverged", seed, e.U.Size())
 				}
 			}
 		}
@@ -233,8 +219,8 @@ func TestQuickArenaDeltaMatchesLegacy(t *testing.T) {
 // and reports whether, after every step, the kernel's width-specialised
 // sweeps (one word, two words) weigh and list every position as its
 // generic-width sweep does on the same spans zero-padded to three words.
-func sweepsAgree(r *rand.Rand, e *inference.Engine, countClasses bool) bool {
-	lk := newLook(e, countClasses)
+func sweepsAgree(r *rand.Rand, e *inference.Engine) bool {
+	lk := newLook(e)
 	sc := lk.newScratch(3)
 	hs := hyp{k: certainty.Kernel{TPos: lk.base.TPos, Negs: sc.negs}}
 	chain := r.Perm(len(lk.baseInf))
@@ -271,22 +257,17 @@ func padSpans(spans []uint64, w int) []uint64 {
 // TestQuickFastPathMatchesGeneral: the one-word certainty sweep (the fast
 // path of every schema in the paper) agrees with the generic-width sweep
 // on random one-word instances with random honest partial samples, along
-// random hypothetical chains, in both counting modes; so does the
-// two-word sweep on the 72-pair universe.
+// random hypothetical chains; so does the two-word sweep on the 72-pair
+// universe.
 func TestQuickFastPathMatchesGeneral(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		inst := randInstance(r)
-		for _, cc := range []bool{false, true} {
-			e := inference.New(inst)
-			if labelHonestly(r, e, randPred(r, e.U), r.Intn(5)) < 0 {
-				return false
-			}
-			if !sweepsAgree(r, e, cc) {
-				return false
-			}
+		e := inference.New(inst)
+		if labelHonestly(r, e, randPred(r, e.U), r.Intn(5)) < 0 {
+			return false
 		}
-		return true
+		return sweepsAgree(r, e)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -298,7 +279,7 @@ func TestQuickFastPathMatchesGeneral(t *testing.T) {
 			t.Fatal("labeling failed")
 		}
 		for trial := 0; trial < 10; trial++ {
-			if !sweepsAgree(r, e, trial%2 == 0) {
+			if !sweepsAgree(r, e) {
 				t.Fatalf("seed %d: two-word sweep diverged from the generic one", seed)
 			}
 		}
@@ -307,7 +288,7 @@ func TestQuickFastPathMatchesGeneral(t *testing.T) {
 
 // TestArenaMatchesLegacyBigUniverse: on the 72-pair universe the engine
 // computes exactly the legacy entropies, for k = 1, 2 (and 3 on a smaller
-// instance), both counting modes, with and without labelled classes.
+// instance), with and without labelled classes.
 func TestArenaMatchesLegacyBigUniverse(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		e := bigInstance(t, 5, seed)
@@ -316,18 +297,14 @@ func TestArenaMatchesLegacyBigUniverse(t *testing.T) {
 			t.Fatal("labeling failed")
 		}
 		for _, k := range []int{1, 2} {
-			for _, cc := range []bool{false, true} {
-				if d := entropiesDiff(e, k, cc); d != "" {
-					t.Errorf("seed %d: %s", seed, d)
-				}
+			if d := entropiesDiff(e, k); d != "" {
+				t.Errorf("seed %d: %s", seed, d)
 			}
 		}
 	}
 	e := bigInstance(t, 4, 1)
-	for _, cc := range []bool{false, true} {
-		if d := entropiesDiff(e, 3, cc); d != "" {
-			t.Error(d)
-		}
+	if d := entropiesDiff(e, 3); d != "" {
+		t.Error(d)
 	}
 }
 
@@ -341,10 +318,8 @@ func TestArenaMatchesLegacyWideUniverse(t *testing.T) {
 			t.Fatal("labeling failed")
 		}
 		for k := 1; k <= 3; k++ {
-			for _, cc := range []bool{false, true} {
-				if d := entropiesDiff(e, k, cc); d != "" {
-					t.Errorf("seed %d: %s", seed, d)
-				}
+			if d := entropiesDiff(e, k); d != "" {
+				t.Errorf("seed %d: %s", seed, d)
 			}
 		}
 	}
@@ -356,14 +331,14 @@ func TestArenaMatchesLegacyWideUniverse(t *testing.T) {
 func sequencesMatch(t *testing.T, mk func() *inference.Engine, arena Lookahead, legacy legacyLookahead) {
 	t.Helper()
 	e, ref := mk(), mk()
-	orc := oracle.NewHonest(e.Inst, e.U, predicate.FromPairs(e.U, [2]int{0, 0}))
+	goal := predicate.FromPairs(e.U, [2]int{0, 0})
 	for step := 0; !e.Done(); step++ {
 		got := arena.Next(e)
 		want := legacy.Next(ref)
 		if got != want {
 			t.Fatalf("%+v step %d: arena picked %d, legacy picked %d", arena, step, got, want)
 		}
-		l := orc.LabelFor(e.Classes()[got].RI, e.Classes()[got].PI)
+		l := honestLabel(e, got, goal)
 		if err := e.Label(got, l); err != nil {
 			t.Fatal(err)
 		}
@@ -398,7 +373,7 @@ func TestArenaSequenceMatchesLegacy(t *testing.T) {
 // allocsPerEval reports the allocations of one depth-2 evaluation of
 // every candidate on a reused scratch.
 func allocsPerEval(e *inference.Engine) float64 {
-	lk := newLook(e, false)
+	lk := newLook(e)
 	const k = 2
 	sc := lk.newScratch(k)
 	return testing.AllocsPerRun(20, func() {

@@ -66,19 +66,18 @@ func selectEntropy(E []Entropy) Entropy {
 	return best
 }
 
-// selectBestPosition applies the same selection over per-candidate
-// entropies and returns the winning class index: positions[i] is a baseInf
-// position with entropy ents[i]. positions arrives in class order (the
-// beam re-sorts after scoring, see beamPositions), so the first evaluated
-// class wins ties — the serial tie-breaking rule, which is what keeps
-// parallel evaluation bit-identical to serial runs. Returns -1 for an
-// empty candidate set.
-func selectBestPosition(baseInf, positions []int, ents []Entropy) int {
+// selectBest applies the same selection over per-candidate entropies and
+// returns the winning class index: ents[pos] is the entropy of baseInf
+// position pos. Positions are in class order, so the first class wins
+// ties — the serial tie-breaking rule, which is what keeps parallel
+// evaluation bit-identical to serial runs. Returns -1 for an empty
+// candidate set.
+func selectBest(baseInf []int, ents []Entropy) int {
 	bestIdx := -1
 	best := Entropy{Min: -1, Max: -1}
-	for i, pos := range positions {
-		if ents[i].Min > best.Min || (ents[i].Min == best.Min && ents[i].Max > best.Max) {
-			best = ents[i]
+	for pos, e := range ents {
+		if e.Min > best.Min || (e.Min == best.Min && e.Max > best.Max) {
+			best = e
 			bestIdx = baseInf[pos]
 		}
 	}

@@ -2,7 +2,6 @@ package strategy
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/inference"
 	"repro/internal/predicate"
@@ -14,12 +13,9 @@ import (
 // kernel), with fresh slices per hypothetical extension and
 // an explicit list of the classes each chain labelled. It is slow and
 // plain on purpose — the differential tests and BenchmarkColdPath compare
-// the arena engine against it. MaxCandidates re-implements the beam from
-// its definition.
+// the arena engine against it.
 type legacyLookahead struct {
-	K             int
-	CountClasses  bool
-	MaxCandidates int
+	K int
 }
 
 func (s legacyLookahead) Name() string { return fmt.Sprintf("legacy-L%dS", s.K) }
@@ -27,7 +23,7 @@ func (s legacyLookahead) Name() string { return fmt.Sprintf("legacy-L%dS", s.K) 
 // Entropies returns the entropy^K of every informative class, keyed by
 // class index.
 func (s legacyLookahead) Entropies(e *inference.Engine) map[int]Entropy {
-	lg := newLegacy(e, s.CountClasses)
+	lg := newLegacy(e)
 	base := lg.baseState()
 	out := make(map[int]Entropy, len(lg.baseInf))
 	for _, ci := range lg.baseInf {
@@ -36,36 +32,12 @@ func (s legacyLookahead) Entropies(e *inference.Engine) map[int]Entropy {
 	return out
 }
 
-// beam returns the informative classes to evaluate, in class order: all
-// of them, or the MaxCandidates best by one-step entropy when K ≥ 2.
-func (s legacyLookahead) beam(lg *legacy) []int {
-	cands := append([]int(nil), lg.baseInf...)
-	if s.MaxCandidates <= 0 || s.K < 2 || len(cands) <= s.MaxCandidates {
-		return cands
-	}
-	base := lg.baseState()
-	one := make(map[int]Entropy, len(cands))
-	for _, ci := range cands {
-		one[ci] = lg.entropy1(ci, base)
-	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		ea, eb := one[cands[a]], one[cands[b]]
-		if ea.Min != eb.Min {
-			return ea.Min > eb.Min
-		}
-		return ea.Max > eb.Max
-	})
-	cands = cands[:s.MaxCandidates]
-	sort.Ints(cands)
-	return cands
-}
-
 func (s legacyLookahead) Next(e *inference.Engine) int {
-	lg := newLegacy(e, s.CountClasses)
+	lg := newLegacy(e)
 	base := lg.baseState()
 	best := Entropy{Min: -1, Max: -1}
 	bestIdx := -1
-	for _, ci := range s.beam(lg) {
+	for _, ci := range lg.baseInf {
 		ent := lg.entropyK(ci, base, max(1, s.K))
 		if ent.Min > best.Min || (ent.Min == best.Min && ent.Max > best.Max) {
 			best = ent
@@ -75,16 +47,15 @@ func (s legacyLookahead) Next(e *inference.Engine) int {
 	return bestIdx
 }
 
-// legacy is the reference engine's per-decision context: the engine, the
-// classes informative under the base sample, and the counting unit.
+// legacy is the reference engine's per-decision context: the engine and
+// the classes informative under the base sample.
 type legacy struct {
-	e            *inference.Engine
-	baseInf      []int
-	countClasses bool
+	e       *inference.Engine
+	baseInf []int
 }
 
-func newLegacy(e *inference.Engine, countClasses bool) *legacy {
-	return &legacy{e: e, baseInf: e.InformativeClasses(), countClasses: countClasses}
+func newLegacy(e *inference.Engine) *legacy {
+	return &legacy{e: e, baseInf: e.InformativeClasses()}
 }
 
 // state is a hypothetical extension of the base sample: the updated T(S+),
@@ -151,18 +122,12 @@ func (l *legacy) delta(s state) int64 {
 	var sum int64
 	for _, ci := range l.baseInf {
 		c := l.e.Classes()[ci]
-		w := c.Count
-		if l.countClasses {
-			w = 1
-		}
 		if s.labeled(ci) {
-			if !l.countClasses {
-				sum += w - 1
-			}
+			sum += c.Count - 1
 			continue
 		}
 		if legacyCertain(s.tpos, s.negs, c.Theta) {
-			sum += w
+			sum += c.Count
 		}
 	}
 	return sum

@@ -18,10 +18,9 @@ import (
 // force over the whole version space, with neither Lemma 3.3/3.4 nor
 // the certainty kernel, must equal Lookahead.Entropies. A tuple is
 // certain under a sample when every predicate consistent with the sample
-// agrees on it; u counts the tuples (or, under CountClasses, the T-classes)
-// informative under the base sample that an extension makes certain,
-// leaving out the tuples the extension labels (and, under CountClasses,
-// their classes) — the convention of the paper's Figure 5.
+// agrees on it; u counts the tuples informative under the base sample that
+// an extension makes certain, leaving out the tuples the extension labels
+// — the convention of the paper's Figure 5.
 
 // predSet is a set of predicates over a pair universe of at most 10 pairs:
 // bit m stands for the predicate whose pair ids are the set bits of m.
@@ -107,38 +106,28 @@ func (vs *versionSpace) certain(s []example) []bool {
 
 // bruteLook evaluates the paper's entropies against one base sample.
 type bruteLook struct {
-	vs           *versionSpace
-	base         []example
-	baseCertain  []bool
-	countClasses bool
+	vs          *versionSpace
+	base        []example
+	baseCertain []bool
 }
 
 // u is |Uninf(ext) \ Uninf(base)| without the tuples ext labels beyond the
-// base sample (under CountClasses: distinct T-classes, without the classes
-// of those tuples).
+// base sample.
 func (b *bruteLook) u(ext []example) int64 {
 	newly := ext[len(b.base):]
 	labelled := func(t int) bool {
 		for _, x := range newly {
-			if x.t == t || (b.countClasses && b.vs.t[x.t] == b.vs.t[t]) {
+			if x.t == t {
 				return true
 			}
 		}
 		return false
 	}
-	seen := map[uint]bool{}
 	var n int64
 	for t, c := range b.vs.certain(ext) {
-		if !c || b.baseCertain[t] || labelled(t) {
-			continue
+		if c && !b.baseCertain[t] && !labelled(t) {
+			n++
 		}
-		if b.countClasses {
-			if seen[b.vs.t[t]] {
-				continue
-			}
-			seen[b.vs.t[t]] = true
-		}
-		n++
 	}
 	return n
 }
@@ -246,29 +235,27 @@ func checkPaperDefinitions(t *testing.T, r *rand.Rand, inst *relation.Instance, 
 		}
 	}
 	baseCertain := vs.certain(s)
-	for _, cc := range []bool{false, true} {
-		b := &bruteLook{vs: vs, base: s, baseCertain: baseCertain, countClasses: cc}
-		for k := 1; k <= 2; k++ {
-			got := strategy.Lookahead{K: k, CountClasses: cc}.Entropies(e)
-			want := map[int]strategy.Entropy{}
-			for tu, c := range baseCertain {
-				if c {
-					continue
-				}
-				if k == 1 {
-					want[classOf[vs.t[tu]]] = b.entropy1(s, tu)
-				} else {
-					want[classOf[vs.t[tu]]] = b.entropy2(tu)
-				}
+	b := &bruteLook{vs: vs, base: s, baseCertain: baseCertain}
+	for k := 1; k <= 2; k++ {
+		got := strategy.Lookahead{K: k}.Entropies(e)
+		want := map[int]strategy.Entropy{}
+		for tu, c := range baseCertain {
+			if c {
+				continue
 			}
-			desc := fmt.Sprintf("|Ω|=%d sample %v k=%d cc=%v", e.U.Size(), s, k, cc)
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d informative classes, brute force %d", desc, len(got), len(want))
+			if k == 1 {
+				want[classOf[vs.t[tu]]] = b.entropy1(s, tu)
+			} else {
+				want[classOf[vs.t[tu]]] = b.entropy2(tu)
 			}
-			for ci, w := range want {
-				if g, ok := got[ci]; !ok || g != w {
-					t.Fatalf("%s class %d: engine %v, brute force %v", desc, ci, g, w)
-				}
+		}
+		desc := fmt.Sprintf("|Ω|=%d sample %v k=%d", e.U.Size(), s, k)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d informative classes, brute force %d", desc, len(got), len(want))
+		}
+		for ci, w := range want {
+			if g, ok := got[ci]; !ok || g != w {
+				t.Fatalf("%s class %d: engine %v, brute force %v", desc, ci, g, w)
 			}
 		}
 	}

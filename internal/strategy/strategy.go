@@ -8,7 +8,9 @@
 //
 // All strategies operate on T-classes: the engine guarantees that tuples
 // with equal T(t) are interchangeable, so "return a tuple" means "return a
-// class index" and the engine presents the class representative.
+// class index" and the engine presents the class representative. The root
+// package's Session asks the user, builds its strategy from a StrategyID,
+// and checks every pick.
 package strategy
 
 import (

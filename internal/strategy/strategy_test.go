@@ -1,13 +1,13 @@
 package strategy
 
 import (
+	"fmt"
 	"math/rand"
 	"strconv"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/inference"
-	"repro/internal/oracle"
 	"repro/internal/paperdata"
 	"repro/internal/predicate"
 	"repro/internal/relation"
@@ -25,28 +25,54 @@ func classFor(e *inference.Engine, ri, pi int) int {
 	return -1
 }
 
-func runWith(t *testing.T, strat inference.Strategy, goal predicate.Pred) inference.Result {
+// honestLabel is the honest user's answer for class ci: positive iff the
+// goal selects the class's representative tuple.
+func honestLabel(e *inference.Engine, ci int, goal predicate.Pred) sample.Label {
+	c := e.Classes()[ci]
+	return sample.Label(goal.Selects(e.U, e.Inst.R.Tuples[c.RI], e.Inst.P.Tuples[c.PI]))
+}
+
+// honestRun drives strat against an honest user for goal until no
+// informative class remains (Algorithm 1) and returns the number of
+// questions. Every pick must be an informative class, so a run asks at
+// most one question per class.
+func honestRun(e *inference.Engine, strat inference.Strategy, goal predicate.Pred) (int, error) {
+	n := 0
+	for !e.Done() {
+		ci := strat.Next(e)
+		if ci < 0 || ci >= len(e.Classes()) || !e.Informative(ci) {
+			return n, fmt.Errorf("%s picked %d, not an informative class", strat.Name(), ci)
+		}
+		n++
+		if err := e.Label(ci, honestLabel(e, ci, goal)); err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+func runWith(t *testing.T, strat inference.Strategy, goal predicate.Pred) int {
 	t.Helper()
 	return runOn(t, paperdata.Example21(), strat, goal)
 }
 
-// runOn drives strat on inst against an honest oracle for goal and checks
-// the result is instance-equivalent to the goal.
-func runOn(t *testing.T, inst *relation.Instance, strat inference.Strategy, goal predicate.Pred) inference.Result {
+// runOn drives strat on inst against an honest user for goal, checks the
+// result is instance-equivalent to the goal, and returns the number of
+// questions.
+func runOn(t *testing.T, inst *relation.Instance, strat inference.Strategy, goal predicate.Pred) int {
 	t.Helper()
 	e := inference.New(inst)
-	orc := oracle.NewHonest(inst, e.U, goal)
-	res, err := inference.Run(e, strat, orc, 2*len(e.Classes()))
+	n, err := honestRun(e, strat, goal)
 	if err != nil {
 		t.Fatalf("%s run: %v", strat.Name(), err)
 	}
 	// Sanity: instance equivalence.
 	gj := predicate.Join(inst, e.U, goal)
-	rj := predicate.Join(inst, e.U, res.Predicate)
+	rj := predicate.Join(inst, e.U, e.Result())
 	if len(gj) != len(rj) {
-		t.Fatalf("%s: result %v not equivalent to goal %v", strat.Name(), res.Predicate, goal)
+		t.Fatalf("%s: result %v not equivalent to goal %v", strat.Name(), e.Result(), goal)
 	}
-	return res
+	return n
 }
 
 func TestNames(t *testing.T) {
@@ -85,9 +111,8 @@ func TestBUWalkthrough(t *testing.T) {
 		t.Fatalf("BU first pick has T = %v, want ∅", got)
 	}
 	// Goal ∅: one interaction.
-	res := runWith(t, BottomUp{}, predicate.Empty())
-	if res.Interactions != 1 {
-		t.Errorf("BU on goal ∅: %d interactions, want 1", res.Interactions)
+	if n := runWith(t, BottomUp{}, predicate.Empty()); n != 1 {
+		t.Errorf("BU on goal ∅: %d interactions, want 1", n)
 	}
 	// Negative answer ⇒ next pick is the size-1 class {(A1,B3)}.
 	if err := e.Label(first, sample.Negative); err != nil {
@@ -103,9 +128,9 @@ func TestBUWalkthrough(t *testing.T) {
 // TestBUWorstCaseLabelsEverything: with goal Ω (all answers negative), BU
 // asks about every class — the drawback Section 4.3 points out.
 func TestBUWorstCaseLabelsEverything(t *testing.T) {
-	res := runWith(t, BottomUp{}, predicate.Pred{Set: predicate.Omega(predicate.NewUniverse(paperdata.Example21())).Set})
-	if res.Interactions != 12 {
-		t.Errorf("BU on goal Ω: %d interactions, want 12 (all classes)", res.Interactions)
+	n := runWith(t, BottomUp{}, predicate.Pred{Set: predicate.Omega(predicate.NewUniverse(paperdata.Example21())).Set})
+	if n != 12 {
+		t.Errorf("BU on goal Ω: %d interactions, want 12 (all classes)", n)
 	}
 }
 
@@ -151,15 +176,15 @@ func TestTDWalkthrough(t *testing.T) {
 func TestTDBetterThanBUOnOmega(t *testing.T) {
 	u := predicate.NewUniverse(paperdata.Example21())
 	goal := predicate.Omega(u)
-	resTD := runWith(t, NewTopDown(), goal)
-	resBU := runWith(t, BottomUp{}, goal)
-	if resTD.Interactions >= resBU.Interactions {
-		t.Errorf("TD (%d) should beat BU (%d) on goal Ω", resTD.Interactions, resBU.Interactions)
+	nTD := runWith(t, NewTopDown(), goal)
+	nBU := runWith(t, BottomUp{}, goal)
+	if nTD >= nBU {
+		t.Errorf("TD (%d) should beat BU (%d) on goal Ω", nTD, nBU)
 	}
 	// Labeling the 7 maximal classes negative leaves everything below
 	// certain-negative: exactly 7 interactions.
-	if resTD.Interactions != 7 {
-		t.Errorf("TD on goal Ω: %d interactions, want 7", resTD.Interactions)
+	if nTD != 7 {
+		t.Errorf("TD on goal Ω: %d interactions, want 7", nTD)
 	}
 }
 
@@ -301,9 +326,8 @@ func TestAllStrategiesInferAllGoals(t *testing.T) {
 	for _, mk := range strats {
 		for gi, goal := range goals {
 			strat := mk()
-			res := runWith(t, strat, goal)
-			if res.Interactions > 12 {
-				t.Errorf("%s goal %d: %d interactions", strat.Name(), gi, res.Interactions)
+			if n := runWith(t, strat, goal); n > 12 {
+				t.Errorf("%s goal %d: %d interactions", strat.Name(), gi, n)
 			}
 		}
 	}
@@ -353,7 +377,7 @@ func TestOptimalIsLowerBound(t *testing.T) {
 			for _, goal := range goals {
 				strat := mk()
 				name = strat.Name()
-				worst = max(worst, runOn(t, inst, strat, goal).Interactions)
+				worst = max(worst, runOn(t, inst, strat, goal))
 			}
 			if worst < optWorst {
 				t.Errorf("instance %d: %s worst case %d beats the optimal %d — minimax bug", n, name, worst, optWorst)
@@ -363,7 +387,7 @@ func TestOptimalIsLowerBound(t *testing.T) {
 		// The optimal strategy itself achieves its own bound.
 		worst := 0
 		for _, goal := range goals {
-			worst = max(worst, runOn(t, inst, opt, goal).Interactions)
+			worst = max(worst, runOn(t, inst, opt, goal))
 		}
 		if worst != optWorst {
 			t.Errorf("instance %d: OPT achieved worst case %d, minimax value is %d", n, worst, optWorst)
@@ -414,11 +438,11 @@ func TestQuickTDOmegaCostsMaximalClasses(t *testing.T) {
 				return true // skip: Ω non-nullable here
 			}
 		}
-		res, err := inference.Run(e, NewTopDown(), oracle.NewHonest(inst, e.U, goal), 0)
+		n, err := honestRun(e, NewTopDown(), goal)
 		if err != nil {
 			return false
 		}
-		return res.Interactions <= maxCount
+		return n <= maxCount
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -431,43 +455,14 @@ func TestRandomReproducible(t *testing.T) {
 	goal := predicate.FromPairs(u, [2]int{0, 0})
 	run := func(seed int64) int {
 		e := inference.New(inst)
-		res, err := inference.Run(e, NewRandom(seed), oracle.NewHonest(inst, e.U, goal), 0)
+		n, err := honestRun(e, NewRandom(seed), goal)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Interactions
+		return n
 	}
 	if run(7) != run(7) {
 		t.Error("same seed gave different interaction counts")
-	}
-}
-
-// TestCountClassesMode: with CountClasses the entropies count classes
-// (here identical to tuples since all class sizes are 1) — and on an
-// instance with duplicated rows the two modes differ.
-func TestCountClassesMode(t *testing.T) {
-	R := relation.NewRelation(relation.MustSchema("R", "A1"))
-	R.MustAddTuple("1")
-	R.MustAddTuple("1") // duplicate row: class sizes 2
-	P := relation.NewRelation(relation.MustSchema("P", "B1", "B2"))
-	P.MustAddTuple("1", "0")
-	P.MustAddTuple("1", "1")
-	P.MustAddTuple("0", "2")
-	inst := relation.MustInstance(R, P)
-
-	eTuples := inference.New(inst)
-	entT := Lookahead{K: 1}.Entropies(eTuples)
-	eClasses := inference.New(inst)
-	entC := Lookahead{K: 1, CountClasses: true}.Entropies(eClasses)
-
-	differs := false
-	for ci, a := range entT {
-		if b, ok := entC[ci]; ok && a != b {
-			differs = true
-		}
-	}
-	if !differs {
-		t.Error("tuple- and class-counting should differ on duplicated rows")
 	}
 }
 
@@ -486,13 +481,11 @@ func TestQuickStrategiesAlwaysTerminate(t *testing.T) {
 		} {
 			e := inference.New(inst)
 			goal := randPred(r, e.U)
-			orc := oracle.NewHonest(inst, e.U, goal)
-			res, err := inference.Run(e, mk(), orc, len(e.Classes()))
-			if err != nil {
+			if _, err := honestRun(e, mk(), goal); err != nil {
 				return false
 			}
 			gj := predicate.Join(inst, e.U, goal)
-			rj := predicate.Join(inst, e.U, res.Predicate)
+			rj := predicate.Join(inst, e.U, e.Result())
 			if len(gj) != len(rj) {
 				return false
 			}

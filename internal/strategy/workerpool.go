@@ -11,7 +11,7 @@ import (
 // reads shared state — so they fan across cores with the per-call bounded
 // fan-out of internal/pool. Selection stays bit-identical to the serial
 // path because results land in per-candidate slots and the reduction runs
-// serially in class order afterwards (see selectBestPosition).
+// serially in class order afterwards (see selectBest).
 
 // forEachCandidate runs eval(i) for every i in [0, n) on the worker pool;
 // cancellation is observed per candidate. workers follows the shared

@@ -45,8 +45,9 @@
 //
 // Subpackages under internal implement the substrates: T-class collection,
 // strategies (BU/TD/L1S/L2S/optimal), the TPC-H and synthetic workload
-// generators, the experiment harness for the paper's figures, and the
-// semijoin NP-completeness machinery (Section 6).
+// generators, and the semijoin NP-completeness machinery (Section 6). The
+// experiment harness for the paper's figures (internal/experiments) runs
+// every inference as a Session driven by Run, the one loop of Algorithm 1.
 package joininference
 
 import (

@@ -165,22 +165,44 @@ func (k *joinKernel) random() (*strategy.Random, error) {
 
 // next asks the strategy for its pick, routing through the context-aware
 // path when the strategy supports cancellation (the lookahead strategies
-// do).
+// do), and checks the pick.
 func (k *joinKernel) next(ctx context.Context) (int, error) {
 	if _, err := k.random(); err != nil {
 		return -1, err
 	}
+	var ci int
 	if cs, ok := k.strat.(inference.ContextStrategy); ok {
-		ci, err := cs.NextCtx(ctx, k.engine)
-		if err != nil {
+		var err error
+		if ci, err = cs.NextCtx(ctx, k.engine); err != nil {
 			return -1, fmt.Errorf("joininference: %w", err)
 		}
-		return ci, nil
+	} else {
+		if err := ctx.Err(); err != nil {
+			return -1, fmt.Errorf("joininference: %w", err)
+		}
+		ci = k.strat.Next(k.engine)
 	}
-	if err := ctx.Err(); err != nil {
-		return -1, fmt.Errorf("joininference: %w", err)
+	return k.checkPick(ci)
+}
+
+// checkPick accepts a strategy's pick only if it is an informative class,
+// or a negative value (no question) once no class is informative, so a
+// faulty custom strategy fails the fetch that asked it rather than
+// panicking, halting early, or failing later in Answer.
+func (k *joinKernel) checkPick(ci int) (int, error) {
+	n := k.keys()
+	switch {
+	case ci < 0:
+		if !k.engine.Done() {
+			return -1, fmt.Errorf("joininference: strategy %s returned no class while informative classes remain", k.strat.Name())
+		}
+		return -1, nil
+	case ci >= n:
+		return -1, fmt.Errorf("joininference: strategy %s picked class %d, out of range [0, %d)", k.strat.Name(), ci, n)
+	case !k.engine.Informative(ci):
+		return -1, fmt.Errorf("joininference: strategy %s picked class %d, which is not informative", k.strat.Name(), ci)
 	}
-	return k.strat.Next(k.engine), nil
+	return ci, nil
 }
 
 // extend walks the informative classes in ascending order, skipping the

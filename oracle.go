@@ -70,7 +70,7 @@ type Crowd struct {
 // each costing costPerTask. The seed makes worker noise reproducible for a
 // fixed dispatch order.
 func CrowdOracle(truth Oracle, workers int, errorRate, costPerTask float64, seed int64) (*Crowd, error) {
-	m, err := crowd.NewMajority(nil, workers, errorRate, seed)
+	m, err := crowd.NewMajority(workers, errorRate, seed)
 	if err != nil {
 		return nil, fmt.Errorf("joininference: %w", err)
 	}

@@ -152,9 +152,10 @@ func (cs *ClassSet) witnesses() *semijoin.Table {
 func (cs *ClassSet) Len() int { return len(cs.classes) }
 
 // Strategy is a caller-implemented questioning strategy (the Υ of
-// Algorithm 1), plugged in with WithCustomStrategy. Next is called only
-// while informative classes remain and must return the index of an
-// informative class (or a negative value to stop early).
+// Algorithm 1), plugged in with WithCustomStrategy. Next must return the
+// index of an informative class while one remains, and a negative value
+// only once none does; any other pick fails the NextQuestions (and Run)
+// that asked for it with an error naming the strategy.
 type Strategy interface {
 	// Name identifies the strategy in reports.
 	Name() string

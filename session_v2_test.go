@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/inference"
@@ -355,6 +356,54 @@ func TestWithCustomStrategy(t *testing.T) {
 	}
 	if len(Join(inst, res.Inferred)) != len(Join(inst, goal)) {
 		t.Errorf("custom strategy inferred %v", res.Inferred.Format(u))
+	}
+}
+
+// pickStrategy is a custom strategy whose pick is a function of the view;
+// it remembers its first informative pick for the re-pick case.
+type pickStrategy struct {
+	pick  func(v StrategyView, first int) int
+	first *int
+}
+
+func (pickStrategy) Name() string { return "PICKY" }
+func (p pickStrategy) Next(v StrategyView) int {
+	if *p.first < 0 {
+		*p.first = v.InformativeClasses()[0]
+	}
+	return p.pick(v, *p.first)
+}
+
+// TestCustomStrategyPickChecks: the session checks every pick of a custom
+// strategy. A class index out of range, a class that is not informative
+// (here: one already answered) and "no class" while informative classes
+// remain each fail the fetch with an error naming the strategy — not a
+// panic, a premature Determined result, or a later Answer failure.
+func TestCustomStrategyPickChecks(t *testing.T) {
+	inst := paperdata.Example21()
+	goal, err := PredFromNames(NewSession(inst).Universe(), [2]string{"A2", "B3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		pick func(v StrategyView, first int) int
+		want string
+	}{
+		{"out of range", func(v StrategyView, _ int) int { return v.NumClasses() + 5 }, "out of range"},
+		{"no class", func(StrategyView, int) int { return -1 }, "returned no class"},
+		{"answered class", func(_ StrategyView, first int) int { return first }, "not informative"},
+	} {
+		first := -1
+		s := NewSession(inst, WithCustomStrategy(pickStrategy{pick: tc.pick, first: &first}))
+		res, err := Run(ctx, s, HonestOracle(goal))
+		if err == nil || !strings.Contains(err.Error(), "PICKY") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run error = %v, want one naming PICKY and %q", tc.name, err, tc.want)
+		}
+		if res.Determined || s.Done() {
+			t.Errorf("%s: Determined %v after %d questions, Done %v", tc.name, res.Determined, res.Questions, s.Done())
+		}
 	}
 }
 
