@@ -4,7 +4,8 @@
 // and Table 1 (the summary with Cartesian-product sizes, join ratios, best
 // strategies and timings).
 //
-// Each experiment measures, per strategy, the number of user interactions
+// Each experiment measures, for each built-in strategy in the paper's order
+// (joininference.KnownStrategies), the number of user interactions
 // and the wall-clock inference time, exactly the two measures the paper
 // reports. Every inference is one public Session driven by Run against an
 // HonestOracle, the loop joinserve serves, with the instance's T-classes
@@ -124,15 +125,6 @@ func runOne(wl *workload, id joininference.StrategyID, workers int,
 	return res.Questions, time.Since(start), nil
 }
 
-// strategies resolves an options' strategy list: nil means every built-in
-// strategy, in the paper's order.
-func strategies(ids []joininference.StrategyID) []joininference.StrategyID {
-	if ids == nil {
-		return joininference.KnownStrategies()
-	}
-	return ids
-}
-
 // TPCHOptions configures the Figure 6 experiments.
 type TPCHOptions struct {
 	// Multiplier is the row-count multiplier (see tpch.SFToMultiplier).
@@ -141,9 +133,6 @@ type TPCHOptions struct {
 	Seed int64
 	// Joins restricts the goal joins; nil means all five.
 	Joins []tpch.Join
-	// Strategies restricts the strategies; nil means every built-in one,
-	// in the paper's order (joininference.KnownStrategies).
-	Strategies []joininference.StrategyID
 	// Workers fans each lookahead question's candidate evaluation across
 	// that many goroutines (joininference.WithParallelism); interaction
 	// counts are unaffected.
@@ -169,7 +158,7 @@ func TPCH(o TPCHOptions) ([]Row, error) {
 	if joins == nil {
 		joins = tpch.AllJoins()
 	}
-	ids := strategies(o.Strategies)
+	ids := joininference.KnownStrategies()
 	data, err := tpch.Generate(o.Multiplier, o.Seed)
 	if err != nil {
 		return nil, err
@@ -265,9 +254,6 @@ type SynthOptions struct {
 	MaxGoalsPerSize int
 	// MaxGoalSize bounds the goal sizes reported (the paper plots 0–4).
 	MaxGoalSize int
-	// Strategies restricts the strategies; nil means every built-in one,
-	// in the paper's order (joininference.KnownStrategies).
-	Strategies []joininference.StrategyID
 	// Workers fans each lookahead question's candidate evaluation across
 	// that many goroutines (joininference.WithParallelism); interaction
 	// counts are unaffected.
@@ -291,7 +277,7 @@ func Synth(o SynthOptions) ([]Row, error) {
 	if o.MaxGoalSize == 0 {
 		o.MaxGoalSize = 4
 	}
-	ids := strategies(o.Strategies)
+	ids := joininference.KnownStrategies()
 
 	// Phase 1: generate the instances (one per run, each independently
 	// seeded), in parallel — generation is cheap but not free at 100 runs.

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"strings"
-	"testing"
-
-	joininference "repro"
 	"repro/internal/synth"
 	"repro/internal/tpch"
+	"strings"
+	"testing"
 )
 
 func TestTPCHAllJoins(t *testing.T) {
@@ -62,12 +60,11 @@ func TestTPCHSubset(t *testing.T) {
 		Multiplier: 1,
 		Seed:       1,
 		Joins:      []tpch.Join{tpch.Join2},
-		Strategies: joininference.KnownStrategies()[:2], // BU, TD
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || len(rows[0].Cells) != 2 {
+	if len(rows) != 1 || len(rows[0].Cells) != 5 {
 		t.Fatalf("rows = %+v", rows)
 	}
 }
@@ -169,7 +166,6 @@ func TestRenderers(t *testing.T) {
 		Multiplier: 1,
 		Seed:       3,
 		Joins:      []tpch.Join{tpch.Join1, tpch.Join2},
-		Strategies: joininference.KnownStrategies()[:3],
 	})
 	if err != nil {
 		t.Fatal(err)
