@@ -28,6 +28,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
@@ -100,7 +101,28 @@ func writeMemProfile(path string) error {
 	return nil
 }
 
+// run checks the figure and table ids before any work, then runs what
+// they select; with neither given it runs everything.
 func run(fig, table string, runs, goals int, seed int64, parallel, workers int) error {
+	// Figure 7: panel letter → (config index, interactions-or-times).
+	panels := map[string]struct {
+		cfg   int
+		times bool
+	}{
+		"7a": {0, false}, "7c": {0, true},
+		"7b": {1, false}, "7d": {1, true},
+		"7e": {2, false}, "7g": {2, true},
+		"7f": {3, false}, "7h": {3, true},
+		"7i": {4, false}, "7k": {4, true},
+		"7j": {5, false}, "7l": {5, true},
+	}
+	fig = strings.ToLower(fig)
+	if _, ok := panels[fig]; fig != "" && !ok && !slices.Contains([]string{"6a", "6b", "6c", "6d"}, fig) {
+		return fmt.Errorf("unknown figure %q", fig)
+	}
+	if table != "" && table != "1" {
+		return fmt.Errorf("unknown table %q (only 1 exists)", table)
+	}
 	all := fig == "" && table == ""
 	configs := synth.PaperConfigs()
 
@@ -115,7 +137,7 @@ func run(fig, table string, runs, goals int, seed int64, parallel, workers int) 
 		{"6c", 1, true},
 		{"6d", tpch.SFToMultiplier(100000), true},
 	} {
-		if !all && !strings.EqualFold(fig, spec.id) {
+		if !all && fig != spec.id {
 			continue
 		}
 		rows, err := experiments.TPCH(experiments.TPCHOptions{
@@ -135,23 +157,12 @@ func run(fig, table string, runs, goals int, seed int64, parallel, workers int) 
 		}
 	}
 
-	// Figure 7: panel letter → (config index, interactions-or-times).
-	panels := map[string]struct {
-		cfg   int
-		times bool
-	}{
-		"7a": {0, false}, "7c": {0, true},
-		"7b": {1, false}, "7d": {1, true},
-		"7e": {2, false}, "7g": {2, true},
-		"7f": {3, false}, "7h": {3, true},
-		"7i": {4, false}, "7k": {4, true},
-		"7j": {5, false}, "7l": {5, true},
-	}
+	// Figure 7, in config order.
 	ordered := []string{"7a", "7c", "7b", "7d", "7e", "7g", "7f", "7h", "7i", "7k", "7j", "7l"}
 	cache := map[int][]experiments.Row{}
 	for _, id := range ordered {
 		spec := panels[id]
-		if !all && !strings.EqualFold(fig, id) {
+		if !all && fig != id {
 			continue
 		}
 		rows, ok := cache[spec.cfg]
@@ -184,13 +195,6 @@ func run(fig, table string, runs, goals int, seed int64, parallel, workers int) 
 			return err
 		}
 		fmt.Println(experiments.RenderTable1(rows))
-	} else if table != "" {
-		return fmt.Errorf("unknown table %q (only 1 exists)", table)
-	}
-	if fig != "" && !all {
-		if _, ok := panels[strings.ToLower(fig)]; !ok && !strings.HasPrefix(strings.ToLower(fig), "6") {
-			return fmt.Errorf("unknown figure %q", fig)
-		}
 	}
 	return nil
 }

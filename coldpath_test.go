@@ -2,10 +2,10 @@ package joininference
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/predicate"
-	"repro/internal/semijoin"
 	"repro/internal/synth"
 )
 
@@ -88,56 +88,22 @@ func TestColdPathJoinSequencesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestColdPathSemijoinSequencesBitIdentical: semijoin sessions on the same
-// instance ask the scan-order sequence the pre-solver implementation
-// produced — computed here as the reference with the package-level
-// (seed) semijoin.Informative — for every strategy id (ignored by
-// semijoin sessions) and parallelism.
+// TestColdPathSemijoinSequencesBitIdentical: semijoin sessions on the
+// 72-pair instance ask the scan-order sequence pinned below — the one the
+// seed implementation's package-level CONS⋉ search produced — for every
+// strategy id (ignored by semijoin sessions) and parallelism, and end with
+// a predicate whose semijoin is the goal's.
 func TestColdPathSemijoinSequencesBitIdentical(t *testing.T) {
 	inst := coldPathInstance(t)
 	goal := coldPathGoal(inst)
-
-	// Reference: the seed scan loop over package-level CONS⋉ decisions.
-	keeps := func(ri int) bool {
-		for _, tP := range inst.P.Tuples {
-			if goal.Selects(predicate.NewUniverse(inst), inst.R.Tuples[ri], tP) {
-				return true
-			}
-		}
-		return false
+	ref := []TranscriptEntry{
+		{RIndex: 0, PIndex: -1, Positive: false},
+		{RIndex: 1, PIndex: -1, Positive: true},
+		{RIndex: 2, PIndex: -1, Positive: true},
+		{RIndex: 3, PIndex: -1, Positive: false},
+		{RIndex: 4, PIndex: -1, Positive: true},
 	}
-	var ref []TranscriptEntry
-	var sample semijoin.Sample
-	labeled := make([]bool, inst.R.Len())
-	for {
-		next := -1
-		for ri := 0; ri < inst.R.Len() && next < 0; ri++ {
-			if labeled[ri] {
-				continue
-			}
-			ok, err := semijoin.Informative(inst, sample, ri)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok {
-				next = ri
-			}
-		}
-		if next < 0 {
-			break
-		}
-		labeled[next] = true
-		pos := keeps(next)
-		if pos {
-			sample.Pos = append(sample.Pos, next)
-		} else {
-			sample.Neg = append(sample.Neg, next)
-		}
-		ref = append(ref, TranscriptEntry{RIndex: next, PIndex: -1, Positive: pos})
-	}
-	if len(ref) == 0 {
-		t.Fatal("reference semijoin sequence is empty")
-	}
+	want := SemijoinEval(inst, goal)
 
 	for _, id := range KnownStrategies() {
 		for _, workers := range []int{1, 4} {
@@ -146,6 +112,9 @@ func TestColdPathSemijoinSequencesBitIdentical(t *testing.T) {
 			if !sameEntries(ref, seq) {
 				t.Fatalf("%s/w%d: semijoin sequence diverged from seed reference:\n  ref: %v\n  got: %v",
 					id, workers, ref, seq)
+			}
+			if got := SemijoinEval(inst, s.Inferred()); !slices.Equal(got, want) {
+				t.Fatalf("%s/w%d: inferred semijoin %v, goal's %v", id, workers, got, want)
 			}
 		}
 	}

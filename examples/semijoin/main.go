@@ -69,7 +69,7 @@ func main() {
 		red.Instance.R.Len(), red.Instance.R.Schema.Arity(),
 		red.Instance.P.Len(), red.Instance.P.Schema.Arity(), red.U.Size())
 
-	thetaPhi, consistent, err := semijoin.Consistent(red.Instance, red.Sample)
+	thetaPhi, consistent, err := semijoin.NewSolver(semijoin.NewTable(red.Instance)).Consistent(red.Sample)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/paperdata"
 	"repro/internal/predicate"
+	"repro/internal/relation"
 	"repro/internal/sample"
 )
 
@@ -75,27 +76,108 @@ func TestRunInfersGoalEquivalent(t *testing.T) {
 	}
 }
 
-// TestRunDetectsDishonestUser: a user who answers the first question
-// honestly and flips every later answer drives the sample inconsistent,
-// and the engine reports it (lines 6–7 of Algorithm 1).
-func TestRunDetectsDishonestUser(t *testing.T) {
-	inst := paperdata.Example21()
-	e := New(inst)
-	goal := predicate.FromPairs(e.U, [2]int{1, 2})
-	for n := 0; !e.Done(); n++ {
-		ci := firstInformative{}.Next(e)
-		l := honestLabel(e, ci, goal)
-		if n > 0 {
-			l = !l
-		}
-		if err := e.Label(ci, l); err != nil {
-			if err != ErrInconsistent {
-				t.Errorf("err = %v, want ErrInconsistent", err)
+// flipTrial returns trial's instance and goal: Example 2.1 with θG =
+// {(A2,B3)} first, then small random ones.
+func flipTrial(r *rand.Rand, trial int) (*relation.Instance, predicate.Pred) {
+	if trial == 0 {
+		inst := paperdata.Example21()
+		return inst, predicate.FromPairs(predicate.NewUniverse(inst), [2]int{1, 2})
+	}
+	inst := smallRandomInstance(r)
+	return inst, randomPred(r, predicate.NewUniverse(inst))
+}
+
+// TestRunFlippedAnswersStayConsistent: by Theorem 3.5 both labels of an
+// informative class admit a consistent predicate, so a user who flips
+// answers to informative questions never contradicts the sample. Under
+// three flip patterns (every answer, all but the first, every other one)
+// the run ends without error, and T(S+) selects exactly the classes the
+// user labelled positive.
+func TestRunFlippedAnswersStayConsistent(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 60; trial++ {
+		inst, goal := flipTrial(r, trial)
+		e := New(inst)
+		for n := 0; !e.Done(); n++ {
+			ci := firstInformative{}.Next(e)
+			l := honestLabel(e, ci, goal)
+			switch trial % 3 {
+			case 0:
+				l = !l
+			case 1:
+				l = l != (n > 0)
+			case 2:
+				l = l != (n%2 == 1)
 			}
-			return
+			if err := e.Label(ci, l); err != nil {
+				t.Fatalf("trial %d question %d: flipped label of an informative class: %v", trial, n, err)
+			}
+		}
+		res := e.Result()
+		for ci, c := range e.Classes() {
+			pos, labeled := e.LabelOf(ci)
+			if labeled && res.Selects(e.U, inst.R.Tuples[c.RI], inst.P.Tuples[c.PI]) != pos {
+				t.Fatalf("trial %d: result %v disagrees with the label of class %d", trial, res, ci)
+			}
 		}
 	}
-	t.Skip("adversary flip did not force inconsistency on this trace")
+}
+
+// TestLabelAgainstCertaintyIsInconsistent: labelling a certain class
+// against its certainty makes the sample inconsistent, and Label reports
+// it (lines 6–7 of Algorithm 1). Every unlabelled certain class at every
+// step of honest runs is checked on a replayed engine.
+func TestLabelAgainstCertaintyIsInconsistent(t *testing.T) {
+	type answer struct {
+		ci int
+		l  sample.Label
+	}
+	r := rand.New(rand.NewSource(5))
+	checked := 0
+	for trial := 0; trial < 40; trial++ {
+		inst, goal := flipTrial(r, trial)
+		e := New(inst)
+		var answers []answer
+		for {
+			for ci := range e.Classes() {
+				if _, labeled := e.LabelOf(ci); labeled {
+					continue
+				}
+				var against sample.Label
+				switch {
+				case e.CertainPositive(ci):
+					against = sample.Negative
+				case e.CertainNegative(ci):
+					against = sample.Positive
+				default:
+					continue
+				}
+				replay := New(inst)
+				for _, a := range answers {
+					if err := replay.Label(a.ci, a.l); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := replay.Label(ci, against); err != ErrInconsistent {
+					t.Fatalf("trial %d: labelling certain class %d %v after %v: err = %v, want ErrInconsistent",
+						trial, ci, against, answers, err)
+				}
+				checked++
+			}
+			if e.Done() {
+				break
+			}
+			ci := firstInformative{}.Next(e)
+			l := honestLabel(e, ci, goal)
+			if err := e.Label(ci, l); err != nil {
+				t.Fatal(err)
+			}
+			answers = append(answers, answer{ci, l})
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no certain class arose to label against its certainty")
+	}
 }
 
 // TestQuickRunAlwaysInstanceEquivalent: for random instances and random

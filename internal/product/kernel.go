@@ -139,29 +139,22 @@ func (x *Index) Find(theta predicate.Pred) int {
 	return int(s)
 }
 
-// ClassesIndexed groups the product into T-classes, touching only the
-// pairs that share a value. The result equals Classes element for element
-// (Theta, representative, count and order); only the work differs.
-//
-// Values are interned to dense ids, and each live P row's cells become
-// postings (value id, P attribute) → ascending live P rows, in flat
-// arrays. For each live R row, every posting of its values ORs the pair
-// bit into that P row's mask, and the touched rows are the candidates:
-// pairs sharing no value have T = ∅ and are credited to the ∅ class in
-// bulk. Each candidate's mask is looked up in the mask table and cleared;
-// only a minted class allocates.
-//
-// Candidates are visited in first-touch order, which needs no sort to
-// pick the representatives Classes picks. A row is first touched by the
-// first pair (A_i, B_j) of its T in the (i, j) loop order, so rows with
-// equal T are first touched by one posting, which lists them in ascending
-// order: within an R row, a class's first visited P row is its lowest.
-func ClassesIndexed(inst *relation.Instance, u *predicate.Universe) []*Class {
-	n, m := u.RSchema.Arity(), u.PSchema.Arity()
-	w := maskWords(u)
-	nP := inst.P.Len()
-	nPLive := inst.LiveP()
+// Postings index the live P rows of one instance version by value: P's
+// values are interned to dense ids, and rows[start[k]:start[k+1]] lists,
+// ascending, the live P rows holding value id v at attribute j, k = v·m + j.
+// They are read-only once built, so any number of Scans may share them.
+type Postings struct {
+	u     *predicate.Universe
+	nP    int
+	ids   map[relation.Value]int32
+	start []int32
+	rows  []int32
+}
 
+// NewPostings builds the value postings of inst's live P rows.
+func NewPostings(inst *relation.Instance, u *predicate.Universe) *Postings {
+	m := u.PSchema.Arity()
+	nP := inst.P.Len()
 	// Intern P's values; cell holds each live P cell's value id, so the
 	// postings pass below needs no second map lookup.
 	ids := make(map[relation.Value]int32)
@@ -179,8 +172,6 @@ func ClassesIndexed(inst *relation.Instance, u *predicate.Universe) []*Class {
 			cell[pi*m+j] = id
 		}
 	}
-	// rows[start[k]:start[k+1]] are the live P rows holding value id v at
-	// attribute j, k = v·m + j, ascending.
 	start := make([]int32, len(ids)*m+1)
 	for pi := 0; pi < nP; pi++ {
 		if inst.PAlive(pi) {
@@ -203,10 +194,86 @@ func ClassesIndexed(inst *relation.Instance, u *predicate.Universe) []*Class {
 			}
 		}
 	}
+	return &Postings{u: u, nP: nP, ids: ids, start: start, rows: rows}
+}
 
-	masks := make([]uint64, nP*w)
-	stamp := make([]int32, nP) // 1 + the last R row that touched a P row
-	var cands []int32
+// A Scan computes, one R row at a time, the T masks of the live P rows
+// sharing a value with it. It is scratch, not safe for concurrent use.
+type Scan struct {
+	p     *Postings
+	w     int
+	masks []uint64 // P row pi's mask is masks[pi·W : pi·W+W]
+	stamp []int32  // the Row call (cur) that last touched each P row
+	cur   int32
+	cands []int32
+}
+
+// NewScan returns a Scan over the postings.
+func (p *Postings) NewScan() *Scan {
+	w := maskWords(p.u)
+	return &Scan{p: p, w: w, masks: make([]uint64, p.nP*w), stamp: make([]int32, p.nP)}
+}
+
+// Row ORs each posting of tR's values into its rows' masks and returns the
+// rows touched, the candidates, in first-touch order; every other live
+// pair (tR, P[pi]) has T = ∅. The result, which the caller may reorder,
+// and the masks stay valid until the next Row.
+func (s *Scan) Row(tR relation.Tuple) []int32 {
+	for _, pi := range s.cands {
+		clear(s.Mask(pi))
+	}
+	s.cur++
+	s.cands = s.cands[:0]
+	p := s.p
+	n, m := p.u.RSchema.Arity(), p.u.PSchema.Arity()
+	for i := 0; i < n; i++ {
+		id, ok := p.ids[tR[i]]
+		if !ok {
+			continue
+		}
+		for j := 0; j < m; j++ {
+			k := int(id)*m + j
+			bit := i*m + j
+			wi, b := bit>>6, uint64(1)<<(bit&63)
+			for _, pi := range p.rows[p.start[k]:p.start[k+1]] {
+				if s.stamp[pi] != s.cur {
+					s.stamp[pi] = s.cur
+					s.cands = append(s.cands, pi)
+				}
+				s.masks[int(pi)*s.w+wi] |= b
+			}
+		}
+	}
+	return s.cands
+}
+
+// Mask returns T(tR, P[pi]) of the last Row's tR as W words; it is all
+// zero unless pi is a candidate. Callers must not mutate it.
+func (s *Scan) Mask(pi int32) []uint64 {
+	return s.masks[int(pi)*s.w : int(pi)*s.w+s.w]
+}
+
+// Touched reports whether P row pi is a candidate of the last Row.
+func (s *Scan) Touched(pi int) bool { return s.stamp[pi] == s.cur }
+
+// ClassesIndexed groups the product into T-classes, touching only the
+// pairs that share a value. The result equals Classes element for element
+// (Theta, representative, count and order); only the work differs.
+//
+// A Scan yields each live R row's candidates and their masks; the other
+// pairs are credited to the ∅ class in bulk. Each candidate's mask is
+// looked up in the mask table; only a minted class allocates.
+//
+// Candidates are visited in first-touch order, which needs no sort to
+// pick the representatives Classes picks. A row is first touched by the
+// first pair (A_i, B_j) of its T in the (i, j) loop order, so rows with
+// equal T are first touched by one posting, which lists them in ascending
+// order: within an R row, a class's first visited P row is its lowest.
+func ClassesIndexed(inst *relation.Instance, u *predicate.Universe) []*Class {
+	w := maskWords(u)
+	nP := inst.P.Len()
+	nPLive := inst.LiveP()
+	scan := NewPostings(inst, u).NewScan()
 	table := newMaskTable(w, 64)
 	kb := make([]byte, 0, 8*w)
 	var order []*Class
@@ -216,35 +283,15 @@ func ClassesIndexed(inst *relation.Instance, u *predicate.Universe) []*Class {
 		if !inst.RAlive(ri) {
 			continue
 		}
-		cur := int32(ri + 1)
-		cands = cands[:0]
-		for i := 0; i < n; i++ {
-			id, ok := ids[tR[i]]
-			if !ok {
-				continue
-			}
-			for j := 0; j < m; j++ {
-				k := int(id)*m + j
-				bit := i*m + j
-				wi, b := bit>>6, uint64(1)<<(bit&63)
-				for _, pi := range rows[start[k]:start[k+1]] {
-					if stamp[pi] != cur {
-						stamp[pi] = cur
-						cands = append(cands, pi)
-					}
-					masks[int(pi)*w+wi] |= b
-				}
-			}
-		}
+		cands := scan.Row(tR)
 		for _, pi := range cands {
-			mask := masks[int(pi)*w : int(pi)*w+w]
+			mask := scan.Mask(pi)
 			if s, ok := table.get(mask, kb); ok {
 				order[s].Count++
 			} else {
 				table.put(mask, int32(len(order)), kb)
 				order = append(order, &Class{Theta: thetaOf(mask), RI: ri, PI: int(pi), Count: 1})
 			}
-			clear(mask)
 		}
 		// Every live non-candidate pair has T = ∅.
 		if rest := int64(nPLive - len(cands)); rest > 0 {
@@ -252,7 +299,7 @@ func ClassesIndexed(inst *relation.Instance, u *predicate.Universe) []*Class {
 				// First occurrence: the first live non-candidate P row.
 				empty.RI = ri
 				for pi := 0; pi < nP; pi++ {
-					if inst.PAlive(pi) && stamp[pi] != cur {
+					if inst.PAlive(pi) && !scan.Touched(pi) {
 						empty.PI = pi
 						break
 					}

@@ -19,9 +19,10 @@
 //     class in bulk. It allocates only when a class is minted, and on
 //     sparse instances (TPC-H scale) it skips almost the entire product.
 //
-// The same mask table keys T wherever this package looks a pair's class
-// up: Index (a class list's pair → class lookup, shared by the sessions
-// over one instance version) and ApplyDelta.
+// The postings are shared: the semijoin witness table fills its rows
+// through the same Postings and Scan. The same mask table keys T wherever
+// this package looks a pair's class up: Index (a class list's pair → class
+// lookup, shared by the sessions over one instance version) and ApplyDelta.
 package product
 
 import (

@@ -47,7 +47,7 @@ func TestReducePhi0Consistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	theta, ok, err := Consistent(r.Instance, r.Sample)
+	theta, ok, err := NewSolver(NewTable(r.Instance)).Consistent(r.Sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestReduceUnsatisfiable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ok, err := Consistent(r.Instance, r.Sample)
+	_, ok, err := NewSolver(NewTable(r.Instance)).Consistent(r.Sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestQuickReductionIffSAT(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		theta, consistent, err := Consistent(red.Instance, red.Sample)
+		theta, consistent, err := NewSolver(NewTable(red.Instance)).Consistent(red.Sample)
 		if err != nil {
 			return false
 		}

@@ -30,7 +30,7 @@ func TestSemijoinSampleSection6(t *testing.T) {
 		t.Fatalf("R ⋉θ' P = %v; θ' should select t1,t2 and not t3", semi)
 	}
 
-	got, ok, err := Consistent(inst, s)
+	got, ok, err := NewSolver(NewTable(inst)).Consistent(s)
 	if err != nil || !ok {
 		t.Fatalf("Consistent = %v, %v, %v; want consistent", got, ok, err)
 	}
@@ -55,7 +55,7 @@ func TestValidate(t *testing.T) {
 	if err := (Sample{Pos: []int{-1}}).Validate(inst); err == nil {
 		t.Error("negative index accepted")
 	}
-	if _, _, err := Consistent(inst, Sample{Pos: []int{99}}); err == nil {
+	if _, _, err := NewSolver(NewTable(inst)).Consistent(Sample{Pos: []int{99}}); err == nil {
 		t.Error("Consistent accepted invalid sample")
 	}
 	if _, _, err := BruteForce(inst, Sample{Pos: []int{99}}); err == nil {
@@ -65,7 +65,7 @@ func TestValidate(t *testing.T) {
 
 func TestEmptySampleConsistent(t *testing.T) {
 	inst := paperdata.Example21()
-	_, ok, err := Consistent(inst, Sample{})
+	_, ok, err := NewSolver(NewTable(inst)).Consistent(Sample{})
 	if err != nil || !ok {
 		t.Errorf("empty sample should be consistent (err=%v)", err)
 	}
@@ -75,7 +75,7 @@ func TestOnlyNegatives(t *testing.T) {
 	inst := paperdata.Example21()
 	// Ω selects nothing on Example 2.1, so all-negative samples are
 	// consistent.
-	theta, ok, err := Consistent(inst, Sample{Neg: []int{0, 1, 2, 3}})
+	theta, ok, err := NewSolver(NewTable(inst)).Consistent(Sample{Neg: []int{0, 1, 2, 3}})
 	if err != nil || !ok {
 		t.Fatalf("all-negative sample should be consistent (err=%v)", err)
 	}
@@ -94,7 +94,7 @@ func TestInconsistentSample(t *testing.T) {
 	P := relation.NewRelation(relation.MustSchema("P", "B1"))
 	P.MustAddTuple("1")
 	inst := relation.MustInstance(R, P)
-	_, ok, err := Consistent(inst, Sample{Pos: []int{0}, Neg: []int{1}})
+	_, ok, err := NewSolver(NewTable(inst)).Consistent(Sample{Pos: []int{0}, Neg: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestPositiveWithEmptyP(t *testing.T) {
 	R.MustAddTuple("1")
 	P := relation.NewRelation(relation.MustSchema("P", "B1"))
 	inst := relation.MustInstance(R, P)
-	_, ok, err := Consistent(inst, Sample{Pos: []int{0}})
+	_, ok, err := NewSolver(NewTable(inst)).Consistent(Sample{Pos: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +158,9 @@ func randInstance(r *rand.Rand) *relation.Instance {
 	return relation.MustInstance(R, P)
 }
 
-// TestQuickConsistentMatchesBruteForce: the witness-assignment search and
-// the definitional enumeration agree on random instances and samples.
+// TestQuickConsistentMatchesBruteForce: the solver's witness-assignment
+// search and the definitional enumeration agree on random instances and
+// samples, and the solver's predicate is consistent by direct evaluation.
 func TestQuickConsistentMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -173,7 +174,7 @@ func TestQuickConsistentMatchesBruteForce(t *testing.T) {
 				s.Neg = append(s.Neg, i)
 			}
 		}
-		gotTheta, got, err := Consistent(inst, s)
+		gotTheta, got, err := NewSolver(NewTable(inst)).Consistent(s)
 		if err != nil {
 			return false
 		}
@@ -184,25 +185,7 @@ func TestQuickConsistentMatchesBruteForce(t *testing.T) {
 		if got != want {
 			return false
 		}
-		if got {
-			// Verify the witness predicate by direct evaluation.
-			u := predicate.NewUniverse(inst)
-			sel := make(map[int]bool)
-			for _, ri := range predicate.Semijoin(inst, u, gotTheta) {
-				sel[ri] = true
-			}
-			for _, i := range s.Pos {
-				if !sel[i] {
-					return false
-				}
-			}
-			for _, j := range s.Neg {
-				if sel[j] {
-					return false
-				}
-			}
-		}
-		return true
+		return !got || semijoinAgrees(inst, gotTheta, s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

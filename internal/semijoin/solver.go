@@ -1,24 +1,40 @@
 package semijoin
 
 import (
-	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
+	"repro/internal/bitset"
+	"repro/internal/certainty"
 	"repro/internal/predicate"
+	"repro/internal/product"
 	"repro/internal/relation"
 )
 
-// Table holds the per-row witness sets {T(R[i], t') | t' ∈ P}
-// (deduplicated, ⊆-maximal) of one instance version. They depend only on
-// that version, so one table serves every Solver over it: rows are filled
-// lazily, on first use, and a filled row is never mutated again. A Table is
-// safe for concurrent use — racing first users of a row compute identical
-// sets and the first to publish wins.
+// Table holds the per-row witness sets {T(R[i], t') | t' ∈ P live}
+// (deduplicated, ⊆-maximal) of one instance version; θ selects R[i] iff
+// θ ⊆ w for some witness w. One table serves every Solver over the
+// version: rows are filled lazily, on first use, and never mutated again.
+// A Table is safe for concurrent use — racing first users of a row compute
+// identical sets and the first to publish wins.
 type Table struct {
 	inst *relation.Instance
 	u    *predicate.Universe
 	rows []atomic.Pointer[[]predicate.Pred]
+
+	// post holds P's value postings, built on the first row fill; scans
+	// pools the fills' scratch, since fills run concurrently.
+	postOnce sync.Once
+	post     *product.Postings
+	scans    sync.Pool // of *witnessScratch
+}
+
+// witnessScratch is a fill's scratch: a scan and a kernel of W words.
+type witnessScratch struct {
+	scan *product.Scan
+	max  certainty.Kernel
 }
 
 // NewTable returns an empty witness table for the instance version.
@@ -36,17 +52,48 @@ func (t *Table) Instance() *relation.Instance { return t.inst }
 // Universe returns Ω of the table's instance.
 func (t *Table) Universe() *predicate.Universe { return t.u }
 
-// Witnesses returns row ri's deduplicated ⊆-maximal witness predicates,
-// computing them on first use. Callers must not mutate the slice.
+// Witnesses returns row ri's deduplicated ⊆-maximal witness predicates in
+// P order, computing them on first use. Callers must not mutate the slice.
 func (t *Table) Witnesses(ri int) []predicate.Pred {
 	if ws := t.rows[ri].Load(); ws != nil {
 		return *ws
 	}
-	ws := witnesses(t.inst, t.u, ri)
+	ws := t.fill(ri)
 	if t.rows[ri].CompareAndSwap(nil, &ws) {
 		return ws
 	}
 	return *t.rows[ri].Load()
+}
+
+// fill computes row ri's witnesses from P's value postings. A scan gives
+// the T mask of every live P row sharing a value with R[ri], and every
+// other live P row has T = ∅. Fed in P order to a certainty kernel's
+// AddNegative, which keeps its negatives ⊆-maximal and in first-occurrence
+// order, they leave exactly the witness set; ∅ goes first, as any other
+// mask evicts it.
+func (t *Table) fill(ri int) []predicate.Pred {
+	t.postOnce.Do(func() { t.post = product.NewPostings(t.inst, t.u) })
+	sc, _ := t.scans.Get().(*witnessScratch)
+	if sc == nil {
+		sc = &witnessScratch{scan: t.post.NewScan(), max: certainty.New(predicate.Omega(t.u).Set.Words())}
+	}
+	defer t.scans.Put(sc)
+
+	cands := sc.scan.Row(t.inst.R.Tuples[ri])
+	slices.Sort(cands)
+	sc.max.Negs = sc.max.Negs[:0]
+	if len(cands) < t.inst.LiveP() {
+		sc.max.AddNegative(nil)
+	}
+	for _, pi := range cands {
+		sc.max.AddNegative(sc.scan.Mask(pi))
+	}
+	w := len(sc.max.TPos)
+	ws := make([]predicate.Pred, 0, len(sc.max.Negs)/w)
+	for off := 0; off < len(sc.max.Negs); off += w {
+		ws = append(ws, predicate.Pred{Set: bitset.FromWords(sc.max.Negs[off : off+w])})
+	}
+	return ws
 }
 
 // Filled returns how many rows have their witness set computed.
@@ -60,17 +107,18 @@ func (t *Table) Filled() int {
 	return n
 }
 
-// Solver amortizes repeated CONS⋉ decisions over one instance — the shape
-// of the interactive scenario, where every informativeness test costs two
-// Consistent calls and a session issues thousands of them against the same
-// R and P. The witness sets come from a Table, computed once per instance
-// version and shared by every solver over it; the backtracking search
-// itself runs on scratch — per-depth intersection buffers instead of a
-// fresh predicate per branch, and memo keys built in a reusable byte
-// buffer — so a decision allocates only its memo table. Results are
-// exactly those of the package-level Consistent/Informative (solver_test.go
-// checks differentially); the worst case stays exponential, as Theorem 6.1
-// demands.
+// Solver decides CONS⋉ by a backtracking assignment of witnesses to the
+// positive examples, pruned by monotonicity: once a partial intersection
+// selects a negative example, every refinement does too. It amortizes the
+// decisions over one instance — the shape of the interactive scenario,
+// where every informativeness test costs two Consistent calls and a
+// session issues thousands of them against the same R and P. The witness
+// sets come from a Table, computed once per instance version and shared by
+// every solver over it; the search itself runs on scratch — per-depth
+// intersection buffers instead of a fresh predicate per branch, and memo
+// keys built in a reusable byte buffer — so a decision allocates only its
+// memo table. solver_test.go checks its verdicts against BruteForce; the
+// worst case stays exponential, as Theorem 6.1 demands.
 //
 // A Solver is not safe for concurrent use; its Table is.
 type Solver struct {
@@ -101,8 +149,10 @@ func NewSolver(t *Table) *Solver {
 	}
 }
 
-// Consistent decides CONS⋉ for the sample, returning a witness predicate
-// on success; identical results to the package-level Consistent.
+// Consistent decides CONS⋉: is there a semijoin predicate selecting all
+// positive examples and none of the negative ones? On success it returns
+// one such predicate, a ⊆-maximal one: the intersection of one witness per
+// positive example.
 func (sv *Solver) Consistent(s Sample) (predicate.Pred, bool, error) {
 	theta, ok, err := sv.solve(s)
 	if ok {
@@ -112,8 +162,8 @@ func (sv *Solver) Consistent(s Sample) (predicate.Pred, bool, error) {
 }
 
 // Informative reports whether both labels for row ri admit a consistent
-// predicate extending the sample (two CONS⋉ decisions); identical results
-// to the package-level Informative.
+// predicate extending the sample (two CONS⋉ decisions) — i.e. whether
+// asking the user about ri would narrow the candidate space.
 func (sv *Solver) Informative(s Sample, ri int) (bool, error) {
 	sv.posBuf = append(append(sv.posBuf[:0], s.Pos...), ri)
 	_, okPos, err := sv.solve(Sample{Pos: sv.posBuf, Neg: s.Neg})
@@ -128,36 +178,14 @@ func (sv *Solver) Informative(s Sample, ri int) (bool, error) {
 	return okNeg, err
 }
 
-// validate is Sample.Validate on the solver's scratch.
-func (sv *Solver) validate(s Sample) error {
-	defer func() {
-		for _, i := range s.Pos {
-			if i >= 0 && i < len(sv.seen) {
-				sv.seen[i] = false
-			}
+// selects reports whether θ selects the tuple with the given witnesses.
+func selects(theta predicate.Pred, ws []predicate.Pred) bool {
+	for _, w := range ws {
+		if theta.MoreGeneralThan(w) {
+			return true
 		}
-		for _, i := range s.Neg {
-			if i >= 0 && i < len(sv.seen) {
-				sv.seen[i] = false
-			}
-		}
-	}()
-	check := func(idxs []int) error {
-		for _, i := range idxs {
-			if i < 0 || i >= len(sv.seen) {
-				return fmt.Errorf("semijoin: example index %d out of range [0,%d)", i, len(sv.seen))
-			}
-			if sv.seen[i] {
-				return fmt.Errorf("semijoin: tuple %d labeled twice", i)
-			}
-			sv.seen[i] = true
-		}
-		return nil
 	}
-	if err := check(s.Pos); err != nil {
-		return err
-	}
-	return check(s.Neg)
+	return false
 }
 
 // stateKey encodes (depth, theta) into the reusable key buffer.
@@ -171,7 +199,7 @@ func (sv *Solver) stateKey(k int, theta predicate.Pred) []byte {
 // storage. The returned predicate aliases a scratch buffer (or Ω) and is
 // only valid until the next solver call.
 func (sv *Solver) solve(s Sample) (predicate.Pred, bool, error) {
-	if err := sv.validate(s); err != nil {
+	if err := s.validate(sv.seen); err != nil {
 		return predicate.Pred{}, false, err
 	}
 	negWs := sv.negWs[:0]
@@ -191,8 +219,7 @@ func (sv *Solver) solve(s Sample) (predicate.Pred, bool, error) {
 		posWs = append(posWs, ws)
 	}
 	sv.posWs = posWs
-	// Branch on the positives with the fewest witnesses first (same order
-	// as the package-level search).
+	// Branch on the positives with the fewest witnesses first.
 	sort.SliceStable(posWs, func(a, b int) bool { return len(posWs[a]) < len(posWs[b]) })
 
 	for len(sv.levels) < len(posWs) {

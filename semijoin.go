@@ -27,7 +27,7 @@ type SemijoinSample struct {
 // SemijoinConsistent decides whether any semijoin predicate selects all
 // Keep rows and no Drop row; on success it returns one such predicate.
 func SemijoinConsistent(inst *Instance, s SemijoinSample) (Pred, bool, error) {
-	return semijoin.Consistent(inst, semijoin.Sample{Pos: s.Keep, Neg: s.Drop})
+	return semijoin.NewSolver(semijoin.NewTable(inst)).Consistent(semijoin.Sample{Pos: s.Keep, Neg: s.Drop})
 }
 
 // SemijoinEval materializes R ⋉θ P as R-row indexes.
