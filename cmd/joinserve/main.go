@@ -21,9 +21,9 @@
 // inserts and deletes), moving the instance to its next version. T-classes
 // are maintained incrementally, live sessions follow at their next question
 // boundary with bit-identical question sequences, the shared policy cache
-// migrates or retires exactly the affected decision subtrees, and with a
-// store the delta is appended to a per-instance log replayed on the next
-// boot. Ingest and invalidation counters appear in /metrics.
+// drops the old version's decision trees, and with a store the delta is
+// appended to a per-instance log replayed on the next boot. Ingest and
+// invalidation counters appear in /metrics.
 //
 // With -store-dir, everything durable lives in one crash-safe KV store
 // (see internal/store and README "Persistence"): sessions persist as

@@ -13,7 +13,6 @@ package joininference
 import (
 	"fmt"
 
-	"repro/internal/policy"
 	"repro/internal/predicate"
 	"repro/internal/product"
 	"repro/internal/relation"
@@ -32,7 +31,7 @@ var ErrStaleVersion = relation.ErrStaleVersion
 // InstanceUpdate is one applied delta lifted to the T-class layer: the two
 // instance versions, the delta between them, and the maintained class set
 // for the new version. Live sessions move onto it with Session.ApplyUpdate;
-// a shared PolicyCache migrates its memoized trees with
+// a shared PolicyCache drops the old version's memoized trees with
 // PolicyCache.ApplyUpdate.
 type InstanceUpdate struct {
 	// From and To are the instance before and after the delta
@@ -46,11 +45,7 @@ type InstanceUpdate struct {
 	// Semijoin sessions on To share its witness table.
 	Classes *ClassSet
 
-	res        *product.DeltaResult
-	oldClasses []*product.Class
-	// maxKept memoizes the ⊆-maximal-set comparison the TD tree migration
-	// needs (O(classes²), computed at most once per update).
-	maxKept *bool
+	res *product.DeltaResult
 }
 
 // ApplyDelta applies d to inst (which must be the tip of its version
@@ -72,12 +67,11 @@ func ApplyDelta(inst *Instance, cs *ClassSet, d Delta) (*InstanceUpdate, error) 
 		return nil, fmt.Errorf("joininference: %w", err)
 	}
 	return &InstanceUpdate{
-		From:       inst,
-		To:         next,
-		Delta:      d.Clone(),
-		Classes:    &ClassSet{classes: dr.Classes, inst: next},
-		res:        dr,
-		oldClasses: cs.classes,
+		From:    inst,
+		To:      next,
+		Delta:   d.Clone(),
+		Classes: &ClassSet{classes: dr.Classes, inst: next},
+		res:     dr,
 	}, nil
 }
 
@@ -130,171 +124,17 @@ func (s *Session) ApplyUpdate(upd *InstanceUpdate) error {
 func (s *Session) InstanceVersion() int64 { return s.inst.Version() }
 
 // PolicyInvalidation summarizes what one instance update did to a policy
-// cache: how many of the old version's resident trees were migrated onto
-// the new version's keys versus dropped wholesale, and the node counts
-// carried over versus retired.
+// cache: how many of the old version's resident trees it dropped, and how
+// many nodes they held.
 type PolicyInvalidation struct {
-	TreesMigrated, TreesDropped int
-	NodesMigrated, NodesRetired int
+	TreesDropped, NodesRetired int
 }
 
-// ApplyUpdate migrates the cache's resident decision trees for instanceID
-// across the update. Per strategy, exactly the subtrees the delta can have
-// invalidated are retired and the rest are re-keyed onto the new instance
-// version (trees are version-keyed, so a retired node is recomputed on
-// demand and a stale one can never serve):
-//
-//   - BU and TD trees survive whenever the delta preserves the surviving
-//     classes' canonical order (their picks scan classes in index order);
-//     retired classes drop the nodes referencing them, minted classes
-//     clear "scan exhausted" markers, and TD additionally requires the
-//     ⊆-maximal class set to be unchanged (its pre-positive walk follows
-//     it).
-//   - RND trees survive only deltas that change no class indexes at all —
-//     the draw depends on the informative-class count, which a minted or
-//     retired class shifts.
-//   - L1S/L2S trees additionally require no class count to have changed:
-//     their picks weigh counts through the entropy lookahead.
-//   - Semijoin ("⋉") trees are always dropped — their picks rest on
-//     NP-complete witness scans over the very rows the delta changed.
+// ApplyUpdate drops every resident decision tree of instanceID at the
+// update's old version. Trees are keyed by instance version, so sessions on
+// the new version look up fresh trees and recompute a missed decision on
+// demand; no old-version node could serve them again.
 func (pc *PolicyCache) ApplyUpdate(instanceID string, upd *InstanceUpdate) PolicyInvalidation {
-	var inv PolicyInvalidation
-	for _, k := range pc.c.Trees(instanceID, upd.From.Version()) {
-		mig, ok := planMigration(k.Strategy, upd)
-		if !ok {
-			inv.NodesRetired += pc.c.Invalidate(k)
-			inv.TreesDropped++
-			continue
-		}
-		mig.Old = k
-		mig.New = k
-		mig.New.Version = upd.To.Version()
-		m, r := pc.c.InvalidateSubtrees(mig)
-		inv.TreesMigrated++
-		inv.NodesMigrated += m
-		inv.NodesRetired += r
-	}
-	return inv
-}
-
-// planMigration decides whether (and how) one strategy's decision tree
-// survives the update; ok=false means no sound migration exists and the
-// tree must be dropped.
-func planMigration(strategyID string, upd *InstanceUpdate) (mig policy.Migration, ok bool) {
-	res := upd.res
-	minted := len(res.Added)
-	identity := upd.identityRemap()
-	switch strategyID {
-	case string(StrategyBU), string(StrategyTD):
-		// Both scan classes in index order; decisions survive exactly when
-		// the surviving classes' relative order is intact and minted
-		// classes sit past the old tail (so a resumed batch scan reaches
-		// them). TD's pre-positive walk additionally follows the ⊆-maximal
-		// set, which retirement can widen and minting can shrink.
-		if !upd.orderPreserved() {
-			return policy.Migration{}, false
-		}
-		if strategyID == string(StrategyTD) && (minted > 0 || res.Retired > 0) && !upd.maximalPreserved() {
-			return policy.Migration{}, false
-		}
-		mig.DropDone = minted > 0
-		if !identity {
-			mig.Remap = res.Remap
-		}
-		return mig, true
-	case string(StrategyRND):
-		return policy.Migration{}, identity && minted == 0
-	case string(StrategyL1S), string(StrategyL2S):
-		return policy.Migration{}, identity && minted == 0 && !res.CountChanged
-	default:
-		// Semijoin trees ("⋉") and unknown strategies: drop.
-		return policy.Migration{}, false
-	}
-}
-
-// identityRemap reports that every old class kept its index (which implies
-// minted classes, if any, took fresh tail indexes).
-func (upd *InstanceUpdate) identityRemap() bool {
-	for i, ni := range upd.res.Remap {
-		if ni != i {
-			return false
-		}
-	}
-	return true
-}
-
-// orderPreserved reports that surviving classes kept their relative
-// canonical order and minted classes all sit after them — the condition
-// under which index-order scans resume correctly through a remap.
-func (upd *InstanceUpdate) orderPreserved() bool {
-	last := -1
-	for _, ni := range upd.res.Remap {
-		if ni < 0 {
-			continue
-		}
-		if ni <= last {
-			return false
-		}
-		last = ni
-	}
-	survivors := len(upd.res.Remap) - upd.res.Retired
-	for _, a := range upd.res.Added {
-		if a < survivors {
-			return false
-		}
-	}
-	return true
-}
-
-// maximalPreserved reports that the update maps the old ⊆-maximal class
-// set exactly onto the new one: every old maximal class survives and stays
-// maximal, and nothing else became maximal. Memoized — the check is
-// O(classes²) subset tests.
-func (upd *InstanceUpdate) maximalPreserved() bool {
-	if upd.maxKept == nil {
-		v := computeMaximalPreserved(upd)
-		upd.maxKept = &v
-	}
-	return *upd.maxKept
-}
-
-func computeMaximalPreserved(upd *InstanceUpdate) bool {
-	oldMax := maximalIdx(upd.oldClasses)
-	newMax := maximalIdx(upd.res.Classes)
-	if len(oldMax) != len(newMax) {
-		return false
-	}
-	img := make(map[int]bool, len(oldMax))
-	for _, oi := range oldMax {
-		ni := upd.res.Remap[oi]
-		if ni < 0 {
-			return false
-		}
-		img[ni] = true
-	}
-	for _, ni := range newMax {
-		if !img[ni] {
-			return false
-		}
-	}
-	return true
-}
-
-// maximalIdx returns the indexes of the ⊆-maximal classes, in class order
-// (mirroring the TD strategy's walk order).
-func maximalIdx(cs []*product.Class) []int {
-	var out []int
-	for i, c := range cs {
-		maximal := true
-		for j, d := range cs {
-			if i != j && c.Theta.Set.ProperSubsetOf(d.Theta.Set) {
-				maximal = false
-				break
-			}
-		}
-		if maximal {
-			out = append(out, i)
-		}
-	}
-	return out
+	trees, nodes := pc.c.DropVersion(instanceID, upd.From.Version())
+	return PolicyInvalidation{TreesDropped: trees, NodesRetired: nodes}
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/inference"
@@ -419,45 +421,59 @@ func TestSemijoinDeletedRowsNeverAsked(t *testing.T) {
 	}
 }
 
-// TestPolicyCacheApplyUpdateKeepsEquivalence populates a shared policy
-// cache on v0, migrates it across a delta, and checks the cache's
-// soundness contract on the new version: a cached session must ask
-// bit-identical questions to an uncached one. Migrated trees answer from
-// memory; dropped trees recompute — either way the sequence cannot change.
+// TestPolicyCacheApplyUpdateKeepsEquivalence checks the policy cache's
+// contract across instance updates on small random instances: warm a tree
+// on v0, apply one delta (an R or P insert or delete), and the update must
+// leave no v0 node resident; a cached session on v1 must then ask
+// bit-identical questions to an uncached one, fetching k at a time.
 func TestPolicyCacheApplyUpdateKeepsEquivalence(t *testing.T) {
+	kinds := []string{"insertR", "insertP", "deleteR", "deleteP"}
 	for _, strat := range []StrategyID{StrategyBU, StrategyTD, StrategyL1S, StrategyL2S, StrategyRND} {
 		t.Run(string(strat), func(t *testing.T) {
-			inst := paperdata.FlightHotel()
-			cs := PrecomputeClasses(inst)
-			u := NewSession(inst).Universe()
-			goal, err := PredFromNames(u, [2]string{"To", "City"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pc := NewPolicyCache(0)
-			warm := NewSession(inst, WithStrategy(strat), WithSeed(5),
-				WithPrecomputedClasses(cs), WithPolicyCache(pc, "fh"))
-			driveRecording(t, warm, goal, -1)
+			for seed := int64(1); seed <= 100; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				cfg := synth.Config{AttrsR: 2, AttrsP: 2, Rows: 4 + rng.Intn(5), Values: 2 + rng.Intn(3)}
+				goal, err := PredFromNames(NewSession(synth.MustGenerate(cfg, seed)).Universe(),
+					[2]string{fmt.Sprintf("A%d", 1+rng.Intn(2)), fmt.Sprintf("B%d", 1+rng.Intn(2))})
+				if err != nil {
+					t.Fatal(err)
+				}
+				row := func() Tuple {
+					return Tuple{strconv.Itoa(rng.Intn(cfg.Values)), strconv.Itoa(rng.Intn(cfg.Values))}
+				}
+				deltas := map[string]Delta{
+					"insertR": {InsertR: []Tuple{row()}},
+					"insertP": {InsertP: []Tuple{row()}},
+					"deleteR": {DeleteR: []int{rng.Intn(cfg.Rows)}},
+					"deleteP": {DeleteP: []int{rng.Intn(cfg.Rows)}},
+				}
+				for _, kind := range kinds {
+					for _, k := range []int{1, 2} {
+						tag := fmt.Sprintf("seed %d %s k=%d", seed, kind, k)
+						inst := synth.MustGenerate(cfg, seed)
+						cs := PrecomputeClasses(inst)
+						opts := []Option{WithStrategy(strat), WithSeed(5)}
+						pc := NewPolicyCache(0)
+						questionSeq(t, NewSession(inst, append(opts, WithPrecomputedClasses(cs), WithPolicyCache(pc, "syn"))...), goal, k)
 
-			upd, err := ApplyDelta(inst, cs, Delta{
-				InsertR: []Tuple{{"Lille", "Paris", "BA"}},
-				InsertP: []Tuple{{"Paris", "BA"}},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			inv := pc.ApplyUpdate("fh", upd)
-			if inv.TreesMigrated+inv.TreesDropped == 0 {
-				t.Fatalf("no resident tree was touched: %+v", inv)
-			}
+						upd, err := ApplyDelta(inst, cs, deltas[kind])
+						if err != nil {
+							t.Fatalf("%s: %v", tag, err)
+						}
+						inv := pc.ApplyUpdate("syn", upd)
+						if inv.TreesDropped != 1 || inv.NodesRetired == 0 {
+							t.Fatalf("%s: update dropped %+v; want the one warm tree", tag, inv)
+						}
+						if st := pc.Stats(); st.Nodes != 0 || st.Invalidated != uint64(inv.NodesRetired) {
+							t.Fatalf("%s: %d v0 nodes still resident after the update (stats %+v)", tag, st.Nodes, st)
+						}
 
-			cached := NewSession(upd.To, WithStrategy(strat), WithSeed(5),
-				WithPrecomputedClasses(upd.Classes), WithPolicyCache(pc, "fh"))
-			plain := NewSession(upd.To, WithStrategy(strat), WithSeed(5),
-				WithPrecomputedClasses(upd.Classes))
-			lockstep(t, string(strat), plain, cached, HonestOracle(goal), -1)
-			if !reflect.DeepEqual(Join(upd.To, plain.Inferred()), Join(upd.To, cached.Inferred())) {
-				t.Fatal("cached and uncached sessions inferred different joins")
+						opts = append(opts, WithPrecomputedClasses(upd.Classes))
+						plain := questionSeq(t, NewSession(upd.To, opts...), goal, k)
+						cached := questionSeq(t, NewSession(upd.To, append(opts, WithPolicyCache(pc, "syn"))...), goal, k)
+						sameSeq(t, tag, plain, cached)
+					}
+				}
 			}
 		})
 	}

@@ -17,10 +17,9 @@
 // The version is part of the key because the tree's decisions are a
 // function of the instance's T-classes, which a data delta changes: after
 // an ingest, sessions on the new version look up a fresh tree and the old
-// version's nodes become unreachable. InvalidateSubtrees carries the nodes
-// a delta provably cannot have changed onto the new version's key and
-// retires the rest, so warm trees survive small deltas. The seed is part of
-// the key because RND's walk depends on it; the parallelism knob
+// version's nodes become unreachable, so the ingest drops them all with
+// DropVersion. A miss recomputes, so dropping is always sound. The seed is
+// part of the key because RND's walk depends on it; the parallelism knob
 // (Lookahead.Workers) is deliberately NOT part of the key because the
 // worker-pool reduction applies the exact serial selection rule, making
 // strategy picks bit-identical at any parallelism — a choice computed with
@@ -167,9 +166,8 @@ type Stats struct {
 	// (each tier-2 hit pages in at least the node itself, usually plus
 	// readahead).
 	Tier2Hits, PageIns uint64
-	// Migrated counts nodes InvalidateSubtrees carried onto a new instance
-	// version; Invalidated counts nodes it (or Invalidate) retired instead.
-	Migrated, Invalidated uint64
+	// Invalidated counts nodes DropVersion dropped.
+	Invalidated uint64
 	// Nodes and Bytes are the current residency; MaxBytes is the configured
 	// bound (0 = unbounded).
 	Nodes    int
@@ -190,7 +188,7 @@ type Cache struct {
 
 	hits, misses, publishes, evictions uint64
 	tier2Hits, pageIns                 uint64
-	migrated, invalidated              uint64
+	invalidated                        uint64
 }
 
 // New returns an empty cache bounded to roughly maxBytes of node state;
@@ -323,7 +321,6 @@ func (c *Cache) Stats() Stats {
 		Evictions:   c.evictions,
 		Tier2Hits:   c.tier2Hits,
 		PageIns:     c.pageIns,
-		Migrated:    c.migrated,
 		Invalidated: c.invalidated,
 		Nodes:       c.lru.Len(),
 		Bytes:       c.bytes,
@@ -331,160 +328,28 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Migration describes how to carry one tree's resident nodes across an
-// instance version bump. The caller (who knows the strategy's semantics
-// and the delta's shape) decides what is sound; the cache just applies the
-// mechanical transform:
-//
-//   - Remap == nil, DropDone == false: pure re-key — the delta changed
-//     nothing a node's decisions depend on, every node moves verbatim.
-//   - DropDone == true: the delta minted new classes at the tail of the
-//     class order, so "no informative question remains" (Chosen == -1)
-//     nodes and Complete flags are wrong — those nodes are retired and the
-//     flag cleared; everything else still holds (a batch fetch extends the
-//     scan past the old tail and reaches the minted classes).
-//   - Remap != nil: old class indexes are rewritten through it (-1 marks a
-//     retired class). Nodes whose prefix or chosen pick references a
-//     retired class are retired with them; a pivot list is truncated at
-//     its first retired pick (greedy batch selection is prefix-stable, so
-//     the shorter list is still exact) and Complete cleared when cut.
-type Migration struct {
-	Old, New Key
-	Remap    []int
-	DropDone bool
-}
-
-// remapPrefix rewrites an answer prefix's class indexes; ok=false when a
-// step references a retired (or unknown) class, or the prefix is malformed.
-func remapPrefix(prefix string, remap []int) (string, bool) {
-	if remap == nil {
-		return prefix, true
-	}
-	out := make([]byte, 0, len(prefix))
-	b := []byte(prefix)
-	for len(b) > 0 {
-		v, n := binary.Uvarint(b)
-		if n <= 0 {
-			return "", false
-		}
-		b = b[n:]
-		idx := int(v >> 1)
-		if idx < 0 || idx >= len(remap) || remap[idx] < 0 {
-			return "", false
-		}
-		out = binary.AppendUvarint(out, uint64(remap[idx])<<1|(v&1))
-	}
-	return string(out), true
-}
-
-// InvalidateSubtrees carries the resident nodes of m.Old onto m.New,
-// retiring exactly the subtrees the delta can have invalidated (per the
-// Migration contract) and re-keying the rest. Migrated nodes are written
-// through to the second tier under the new key; nodes of m.Old that only
-// live in the tier are not migrated — they age out as unreachable version
-// garbage and their decisions are recomputed on demand. Returns the node
-// counts migrated and retired.
-func (c *Cache) InvalidateSubtrees(m Migration) (migrated, retired int) {
-	type moved struct {
-		nk nodeKey
-		n  Node
-	}
-	var keep []moved
-	c.mu.Lock()
-	for nk, el := range c.nodes {
-		if nk.tree != m.Old {
-			continue
-		}
-		e := el.Value.(*entry)
-		c.lru.Remove(el)
-		delete(c.nodes, nk)
-		c.bytes -= e.size
-		n := e.node
-		if m.DropDone && n.Chosen == -1 {
-			retired++
-			continue
-		}
-		prefix, ok := remapPrefix(nk.prefix, m.Remap)
-		if !ok {
-			retired++
-			continue
-		}
-		if m.Remap != nil && n.Chosen >= 0 {
-			if n.Chosen >= len(m.Remap) || m.Remap[n.Chosen] < 0 {
-				retired++
-				continue
-			}
-			n.Chosen = m.Remap[n.Chosen]
-		}
-		complete := n.Complete
-		if m.Remap != nil && len(n.Pivots) > 0 {
-			np := make([]int, 0, len(n.Pivots))
-			for _, p := range n.Pivots {
-				if p < 0 || p >= len(m.Remap) || m.Remap[p] < 0 {
-					complete = false
-					break
-				}
-				np = append(np, m.Remap[p])
-			}
-			n.Pivots = np
-		}
-		if m.DropDone {
-			complete = false
-		}
-		n.Complete = complete
-		keep = append(keep, moved{nodeKey{tree: m.New, prefix: prefix, rngPos: nk.rngPos}, n})
-	}
-	for _, mv := range keep {
-		c.storeLocked(mv.nk, mv.n)
-	}
-	migrated = len(keep)
-	c.migrated += uint64(migrated)
-	c.invalidated += uint64(retired)
-	t2 := c.tier2
-	c.mu.Unlock()
-	if t2 != nil {
-		for _, mv := range keep {
-			t2.Save(m.New, []byte(mv.nk.prefix), mv.nk.rngPos, mv.n)
-		}
-	}
-	return migrated, retired
-}
-
-// Invalidate drops every resident node of the tree (no migration is sound
-// for it). Returns the number of nodes dropped. Tier-2 copies are left in
-// place: with the version in the key they are unreachable from the new
-// version, and losing a cache tier entry costs recomputation, never
-// correctness.
-func (c *Cache) Invalidate(k Key) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dropped := 0
-	for nk, el := range c.nodes {
-		if nk.tree != k {
-			continue
-		}
-		e := el.Value.(*entry)
-		c.lru.Remove(el)
-		delete(c.nodes, nk)
-		c.bytes -= e.size
-		dropped++
-	}
-	c.invalidated += uint64(dropped)
-	return dropped
-}
-
-// Trees lists the distinct tree keys with resident nodes for the instance
-// at the given version — the trees an ingest must migrate or invalidate.
-func (c *Cache) Trees(instance string, version int64) []Key {
+// DropVersion drops every resident node of every tree of the instance at
+// the given version, in one pass under the lock, and returns how many
+// distinct trees and nodes it dropped. An ingest calls it for the version
+// it leaves behind: trees are keyed by version, so no later lookup could
+// reach those nodes. Tier-2 copies are left in place; they are unreachable
+// for the same reason, and losing a cache tier entry costs recomputation,
+// never correctness.
+func (c *Cache) DropVersion(instance string, version int64) (trees, nodes int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	seen := make(map[Key]bool)
-	var out []Key
-	for nk := range c.nodes {
-		if nk.tree.Instance == instance && nk.tree.Version == version && !seen[nk.tree] {
-			seen[nk.tree] = true
-			out = append(out, nk.tree)
+	for nk, el := range c.nodes {
+		if nk.tree.Instance != instance || nk.tree.Version != version {
+			continue
 		}
+		e := el.Value.(*entry)
+		c.lru.Remove(el)
+		delete(c.nodes, nk)
+		c.bytes -= e.size
+		seen[nk.tree] = true
+		nodes++
 	}
-	return out
+	c.invalidated += uint64(nodes)
+	return len(seen), nodes
 }

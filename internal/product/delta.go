@@ -30,9 +30,6 @@ type DeltaResult struct {
 	Added []int
 	// Retired counts retired classes.
 	Retired int
-	// CountChanged reports whether any surviving class's Count changed —
-	// the signal count-weighted consumers (lookahead entropy) key on.
-	CountChanged bool
 }
 
 // pairBefore orders product pairs row-major, the representative order.
@@ -96,7 +93,6 @@ func ApplyDelta(oldInst, newInst *relation.Instance, u *predicate.Universe, oldC
 		return int(i), ok
 	}
 
-	countChanged := false
 	// repDirty marks classes whose representative pair was deleted; their
 	// coordinates become the sentinel (maxInt, maxInt) — "no known
 	// representative" — which loses every row-major comparison, so addPair's
@@ -116,7 +112,6 @@ func ApplyDelta(oldInst, newInst *relation.Instance, u *predicate.Universe, oldC
 		if c.Count < 0 {
 			return fmt.Errorf("product: class count underflow at pair (%d,%d) — stale class list", ri, pi)
 		}
-		countChanged = true
 		if c.RI == ri && c.PI == pi {
 			repDirty[i] = true
 			c.RI, c.PI = noRep, noRep
@@ -152,7 +147,6 @@ func ApplyDelta(oldInst, newInst *relation.Instance, u *predicate.Universe, oldC
 			c := mutate(i)
 			c.Count++
 			addedOf[i]++
-			countChanged = countChanged || i < len(oldClasses)
 			// The new pair may precede the current representative in
 			// row-major order (e.g. an old row paired with a new one).
 			if pairBefore(ri, pi, c.RI, c.PI) {
@@ -243,7 +237,7 @@ func ApplyDelta(oldInst, newInst *relation.Instance, u *predicate.Universe, oldC
 	}
 
 	// Assemble the new canonical-order slice and the index remap.
-	res := &DeltaResult{CountChanged: countChanged}
+	res := &DeltaResult{}
 	out := make([]*Class, 0, len(work))
 	for _, c := range work {
 		if c.Count > 0 {

@@ -303,15 +303,25 @@ func TestRegistryBootCorruptDeltaLogSticks(t *testing.T) {
 }
 
 // TestHTTPIngest exercises POST /instances/{id}/rows and the new metrics
-// fields end to end.
+// fields end to end. An ingest drops the policy cache's trees of the old
+// version: the response counts them and their nodes, the nodes match the
+// growth of policy_cache_invalidated_total, and an ingest with no warm tree
+// at its old version drops nothing.
 func TestHTTPIngest(t *testing.T) {
-	m, err := NewManager(testRegistry(t), Options{})
+	m, err := NewManager(testRegistry(t), Options{PolicyCache: joininference.NewPolicyCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
 	client := srv.Client()
+
+	info, err := m.Create(Params{Instance: "flights", Strategy: joininference.StrategyTD})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveToDone(t, m, info.ID, flightGoal(t), 1)
+	before := samples(t, getMetrics(t, client, srv.URL))["policy_cache_invalidated_total"]
 
 	var res IngestResult
 	doJSON(t, client, "POST", srv.URL+"/instances/flights/rows",
@@ -320,6 +330,12 @@ func TestHTTPIngest(t *testing.T) {
 	if res.Version != 1 || res.Classes == 0 {
 		t.Fatalf("ingest response: %+v", res)
 	}
+	if res.PolicyTreesDropped != 1 || res.PolicyNodesRetired <= 0 {
+		t.Fatalf("ingest after a warm walk dropped %d trees, %d nodes; want the one tree and its nodes", res.PolicyTreesDropped, res.PolicyNodesRetired)
+	}
+	if got := samples(t, getMetrics(t, client, srv.URL))["policy_cache_invalidated_total"] - before; got != float64(res.PolicyNodesRetired) {
+		t.Fatalf("policy_cache_invalidated_total grew by %v, ingest reported %d nodes", got, res.PolicyNodesRetired)
+	}
 	doJSON(t, client, "POST", srv.URL+"/instances/nope/rows",
 		map[string]any{"delete_r": []int{0}}, 404, nil)
 	doJSON(t, client, "POST", srv.URL+"/instances/flights/rows",
@@ -327,8 +343,14 @@ func TestHTTPIngest(t *testing.T) {
 	doJSON(t, client, "POST", srv.URL+"/instances/flights/rows",
 		map[string]any{"delete_p": []int{99}}, 400, nil)
 
-	if got := samples(t, getMetrics(t, client, srv.URL)); got["deltas_ingested_total"] != 1 || m.reg.Stats().Ingests != 1 {
-		t.Fatalf("deltas_ingested_total = %v, registry %+v after one ingest", got["deltas_ingested_total"], m.reg.Stats())
+	res = IngestResult{}
+	doJSON(t, client, "POST", srv.URL+"/instances/flights/rows",
+		map[string]any{"delete_r": []int{0}}, 200, &res)
+	if res.Version != 2 || res.PolicyTreesDropped != 0 || res.PolicyNodesRetired != 0 {
+		t.Fatalf("ingest with no warm tree at v1: %+v; want version 2 and nothing dropped", res)
+	}
+	if got := samples(t, getMetrics(t, client, srv.URL)); got["deltas_ingested_total"] != 2 || m.reg.Stats().Ingests != 2 {
+		t.Fatalf("deltas_ingested_total = %v, registry %+v after two ingests", got["deltas_ingested_total"], m.reg.Stats())
 	}
 }
 
@@ -426,7 +448,7 @@ func TestIngestStoreFaultRefusedThenDurable(t *testing.T) {
 
 // TestConcurrentIngestAndAnswering runs sessions and ingests concurrently;
 // under -race this is the proof that the versioned registry, lazy session
-// migration and policy-cache migration are safe together.
+// migration and policy-cache invalidation are safe together.
 func TestConcurrentIngestAndAnswering(t *testing.T) {
 	reg := testRegistry(t)
 	m, err := NewManager(reg, Options{PolicyCache: joininference.NewPolicyCache(0)})

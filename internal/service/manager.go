@@ -670,17 +670,16 @@ type IngestResult struct {
 	// emptied.
 	ClassesMinted  int `json:"classes_minted"`
 	ClassesRetired int `json:"classes_retired"`
-	// PolicyTrees* / PolicyNodes* count what the update did to the shared
-	// policy cache's resident trees (all zero without a cache).
-	PolicyTreesMigrated int `json:"policy_trees_migrated,omitempty"`
-	PolicyTreesDropped  int `json:"policy_trees_dropped,omitempty"`
-	PolicyNodesMigrated int `json:"policy_nodes_migrated,omitempty"`
-	PolicyNodesRetired  int `json:"policy_nodes_retired,omitempty"`
+	// PolicyTreesDropped / PolicyNodesRetired count the old version's
+	// resident trees the shared policy cache dropped, and the nodes they
+	// held (both zero without a cache).
+	PolicyTreesDropped int `json:"policy_trees_dropped,omitempty"`
+	PolicyNodesRetired int `json:"policy_nodes_retired,omitempty"`
 }
 
 // Ingest applies one delta to a registered instance: the registry advances
 // the data and its T-classes to the next version (persisting the delta when
-// a store is attached), the shared policy cache migrates or retires its
+// a store is attached), the shared policy cache drops the old version's
 // memoized trees, and live sessions follow at their next question boundary
 // — a session resumed on the new version and one migrated onto it ask
 // bit-identical questions.
@@ -704,9 +703,7 @@ func (m *Manager) Ingest(name string, d joininference.Delta) (IngestResult, erro
 	}
 	if m.opts.PolicyCache != nil {
 		inv := m.opts.PolicyCache.ApplyUpdate(name, upd)
-		res.PolicyTreesMigrated = inv.TreesMigrated
 		res.PolicyTreesDropped = inv.TreesDropped
-		res.PolicyNodesMigrated = inv.NodesMigrated
 		res.PolicyNodesRetired = inv.NodesRetired
 	}
 	return res, nil

@@ -131,7 +131,6 @@ func (o *Obs) bind(m *Manager) {
 		r.CounterFunc("policy_cache_pageins_total", "Policy nodes paged in from the store tier.", func() float64 { return float64(pc.Stats().PageIns) })
 		r.CounterFunc("policy_cache_publishes_total", "Policy nodes written.", func() float64 { return float64(pc.Stats().Publishes) })
 		r.CounterFunc("policy_cache_evictions_total", "Policy nodes dropped to honor the byte bound.", func() float64 { return float64(pc.Stats().Evictions) })
-		r.CounterFunc("policy_cache_migrated_total", "Policy nodes carried across instance updates.", func() float64 { return float64(pc.Stats().Migrated) })
 		r.CounterFunc("policy_cache_invalidated_total", "Policy nodes retired by instance updates.", func() float64 { return float64(pc.Stats().Invalidated) })
 		r.GaugeFunc("policy_cache_bytes", "Bytes resident in the policy cache.", func() float64 { return float64(pc.Stats().Bytes) })
 		r.GaugeFunc("policy_cache_max_bytes", "Byte bound of the policy cache (0 = unbounded).", func() float64 { return float64(pc.Stats().MaxBytes) })

@@ -316,7 +316,6 @@ func TestObsPrometheusCoversEveryCounter(t *testing.T) {
 		"policy_cache.evictions":   "policy_cache_evictions_total",
 		"policy_cache.tier2_hits":  "policy_cache_tier2_hits_total",
 		"policy_cache.page_ins":    "policy_cache_pageins_total",
-		"policy_cache.migrated":    "policy_cache_migrated_total",
 		"policy_cache.invalidated": "policy_cache_invalidated_total",
 		"policy_cache.nodes":       "policy_cache_nodes",
 		"policy_cache.bytes":       "policy_cache_bytes",

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/inference"
 )
@@ -24,11 +23,6 @@ type Lookahead struct {
 	// chosen questions — and hence interaction counts — are bit-identical
 	// for every Workers value.
 	Workers int
-
-	// evalCount, when non-nil, is atomically incremented by the number of
-	// candidates whose entropy^K NextCtx evaluates; test instrumentation
-	// for the worker pool.
-	evalCount *atomic.Int64
 }
 
 // depth is K clamped to at least 1.
@@ -66,9 +60,6 @@ func (l Lookahead) NextCtx(ctx context.Context, e *inference.Engine) (int, error
 		scPool.Put(sc)
 	}); err != nil {
 		return -1, err
-	}
-	if l.evalCount != nil {
-		l.evalCount.Add(int64(len(ents)))
 	}
 	return selectBest(lk.baseInf, ents), nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"strconv"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/inference"
@@ -73,22 +72,6 @@ func TestWorkersDeterministicGeneralPath(t *testing.T) {
 		if got != serial {
 			t.Fatalf("workers=%d: picked %d, serial picked %d", w, got, serial)
 		}
-	}
-}
-
-// TestGeneralPathNoBeamEvaluatesAll: on a multi-word universe the engine
-// evaluates every informative candidate — the paper's exact algorithm,
-// with no beam cutting the candidate set.
-func TestGeneralPathNoBeamEvaluatesAll(t *testing.T) {
-	e := bigInstance(t, 5, 1)
-	inf := len(e.InformativeClasses())
-	var evals atomic.Int64
-	exact := Lookahead{K: 2, evalCount: &evals}
-	if _, err := exact.NextCtx(context.Background(), e); err != nil {
-		t.Fatal(err)
-	}
-	if got := evals.Load(); got != int64(inf) {
-		t.Errorf("exact L2S evaluated %d candidates; want all %d", got, inf)
 	}
 }
 

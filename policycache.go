@@ -131,10 +131,13 @@ type PolicyCacheStats struct {
 	// LRU (hits plus readahead). Both stay 0 without AttachStore.
 	Tier2Hits uint64 `json:"tier2_hits,omitempty"`
 	PageIns   uint64 `json:"page_ins,omitempty"`
-	// Migrated counts nodes carried across instance updates (ApplyUpdate);
-	// Invalidated counts nodes retired by them.
-	Migrated    uint64 `json:"migrated,omitempty"`
+	// Invalidated counts nodes that instance updates (ApplyUpdate) dropped
+	// with their old version's trees.
 	Invalidated uint64 `json:"invalidated,omitempty"`
+	// Migrated is always 0: an instance update drops the old version's
+	// trees and carries none onto the new version. The field stays only
+	// because joinbench still reads it; it goes when joinbench stops.
+	Migrated uint64 `json:"migrated,omitempty"`
 	// Nodes and Bytes are current residency; MaxBytes is the bound
 	// (0 = unbounded).
 	Nodes    int   `json:"nodes"`
@@ -152,7 +155,6 @@ func (pc *PolicyCache) Stats() PolicyCacheStats {
 		Evictions:   st.Evictions,
 		Tier2Hits:   st.Tier2Hits,
 		PageIns:     st.PageIns,
-		Migrated:    st.Migrated,
 		Invalidated: st.Invalidated,
 		Nodes:       st.Nodes,
 		Bytes:       st.Bytes,
