@@ -2,7 +2,40 @@ package policy
 
 import "testing"
 
-func TestDropVersion(t *testing.T) {
+// TestInvalidateDropsWholeTree checks that DropVersion drops every node of a
+// version's tree, counts them as invalidated, and leaves other trees alone.
+func TestInvalidateDropsWholeTree(t *testing.T) {
+	c := New(0)
+	k := Key{Instance: "inst", Version: 1, Strategy: "⋉"}
+	other := Key{Instance: "other", Version: 1, Strategy: "⋉"}
+	c.Publish(k, nil, 0, Node{Chosen: 1})
+	c.Publish(k, AppendEdge(nil, 1, true), 0, Node{Chosen: 2})
+	c.Publish(other, nil, 0, Node{Chosen: 9})
+
+	if trees, nodes := c.DropVersion("inst", 1); trees != 1 || nodes != 2 {
+		t.Fatalf("DropVersion = %d trees, %d nodes; want 1, 2", trees, nodes)
+	}
+	if _, ok := c.Lookup(k, nil, 0); ok {
+		t.Error("dropped root still resident")
+	}
+	if _, ok := c.Lookup(k, AppendEdge(nil, 1, true), 0); ok {
+		t.Error("dropped node still resident")
+	}
+	if n, ok := c.Lookup(other, nil, 0); !ok || n.Chosen != 9 {
+		t.Error("unrelated tree was touched")
+	}
+	if st := c.Stats(); st.Invalidated != 2 || st.Nodes != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if trees, nodes := c.DropVersion("inst", 1); trees != 0 || nodes != 0 {
+		t.Fatalf("second DropVersion = %d trees, %d nodes; want 0, 0", trees, nodes)
+	}
+}
+
+// TestTreesListsResidentVersionTrees checks that DropVersion picks out exactly
+// the resident trees of one instance version, one per strategy and seed, and
+// keeps older versions and other instances.
+func TestTreesListsResidentVersionTrees(t *testing.T) {
 	c := New(0)
 	bu := Key{Instance: "a", Version: 3, Strategy: "BU"}
 	rnd := Key{Instance: "a", Version: 3, Strategy: "RND", Seed: 7}
@@ -17,9 +50,6 @@ func TestDropVersion(t *testing.T) {
 	if trees, nodes := c.DropVersion("a", 3); trees != 2 || nodes != 3 {
 		t.Fatalf("DropVersion = %d trees, %d nodes; want 2, 3", trees, nodes)
 	}
-	if _, ok := c.Lookup(bu, AppendEdge(nil, 1, true), 0); ok {
-		t.Error("dropped node still resident")
-	}
 	if _, ok := c.Lookup(rnd, nil, 4); ok {
 		t.Error("dropped RND node still resident")
 	}
@@ -28,11 +58,5 @@ func TestDropVersion(t *testing.T) {
 	}
 	if n, ok := c.Lookup(other, nil, 0); !ok || n.Chosen != 9 {
 		t.Error("another instance was touched")
-	}
-	if st := c.Stats(); st.Invalidated != 3 || st.Nodes != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if trees, nodes := c.DropVersion("a", 3); trees != 0 || nodes != 0 {
-		t.Fatalf("second DropVersion = %d trees, %d nodes; want 0, 0", trees, nodes)
 	}
 }
