@@ -19,11 +19,11 @@
 //
 // Instances are dynamic: POST /instances/{id}/rows ingests a delta (row
 // inserts and deletes), moving the instance to its next version. T-classes
-// are maintained incrementally, live sessions follow at their next question
-// boundary with bit-identical question sequences, the shared policy cache
-// drops the old version's decision trees, and with a store the delta is
-// appended to a per-instance log replayed on the next boot. Ingest and
-// invalidation counters appear in /metrics.
+// are maintained incrementally, live sessions move there at their next
+// question boundary by replaying their surviving answers (as a restart
+// would), the shared policy cache drops the old version's decision trees,
+// and with a store the delta is appended to a per-instance log replayed on
+// the next boot. Ingest and invalidation counters appear in /metrics.
 //
 // With -store-dir, everything durable lives in one crash-safe KV store
 // (see internal/store and README "Persistence"): sessions persist as

@@ -1,13 +1,13 @@
-// Dynamic instances: versioned data with incremental version-space
-// maintenance. An Instance is no longer frozen at load time — InsertRows /
-// DeleteRows append a Delta to its log and return the next version, and
-// ApplyDelta carries the expensive derived state (the T-classes and, via
-// Session.ApplyUpdate, each live session's engine) onto that version
-// incrementally, re-examining only what the delta can actually flip
-// instead of recomputing the product. The maintained state is
-// bit-identical to a rebuild from scratch on the new version (the
-// differential suites check this at every layer), so dynamic and static
-// instances are indistinguishable to everything downstream.
+// Dynamic instances: versioned data with incremental T-class maintenance.
+// An Instance is no longer frozen at load time — InsertRows / DeleteRows
+// return the next version, and ApplyDelta carries the expensive derived
+// state, the T-classes, onto that version incrementally, re-examining only
+// the product pairs the delta creates or destroys instead of recomputing
+// the product. The maintained classes are bit-identical to a rebuild from
+// scratch on the new version. A session reaches a version one way only, by
+// replaying its surviving answers there (Session.MoveTo, ResumeSession):
+// its state is a function of those answers' T values and the version's
+// T-classes (Section 3.1).
 package joininference
 
 import (
@@ -19,9 +19,10 @@ import (
 )
 
 // Delta is one batch of row changes against an instance version: rows to
-// append to R and P, and live row indexes to delete. Apply one with
-// Instance.ApplyDelta (or the InsertRows/DeleteRows shorthands), then lift
-// it through the derived layers with the package-level ApplyDelta.
+// append to R and P, and live row indexes to delete. Apply one with the
+// package-level ApplyDelta, which also maintains the T-classes, or with
+// Instance.ApplyDelta (and the InsertRows/DeleteRows shorthands) for the
+// data alone.
 type Delta = relation.Delta
 
 // ErrStaleVersion reports a delta applied to an instance version that is
@@ -29,19 +30,17 @@ type Delta = relation.Delta
 var ErrStaleVersion = relation.ErrStaleVersion
 
 // InstanceUpdate is one applied delta lifted to the T-class layer: the two
-// instance versions, the delta between them, and the maintained class set
-// for the new version. Live sessions move onto it with Session.ApplyUpdate;
-// a shared PolicyCache drops the old version's memoized trees with
+// instance versions and the maintained class set for the new version. Live
+// sessions move onto it with Session.MoveTo(To, Classes); a shared
+// PolicyCache drops the old version's memoized trees with
 // PolicyCache.ApplyUpdate.
 type InstanceUpdate struct {
 	// From and To are the instance before and after the delta
 	// (To.Version() == From.Version()+1).
 	From, To *Instance
-	// Delta is the applied change.
-	Delta Delta
 	// Classes are the new version's T-classes, maintained incrementally —
 	// sessions built fresh on To with WithPrecomputedClasses(Classes) and
-	// sessions carried over with ApplyUpdate see identical class state.
+	// sessions moved there with MoveTo see identical class state.
 	// Semijoin sessions on To share its witness table.
 	Classes *ClassSet
 
@@ -69,7 +68,6 @@ func ApplyDelta(inst *Instance, cs *ClassSet, d Delta) (*InstanceUpdate, error) 
 	return &InstanceUpdate{
 		From:    inst,
 		To:      next,
-		Delta:   d.Clone(),
 		Classes: &ClassSet{classes: dr.Classes, inst: next},
 		res:     dr,
 	}, nil
@@ -84,43 +82,56 @@ func (upd *InstanceUpdate) ClassesMinted() int { return len(upd.res.Added) }
 // ClassesRetired returns how many T-classes the delta emptied.
 func (upd *InstanceUpdate) ClassesRetired() int { return upd.res.Retired }
 
-// ApplyUpdate moves a live session onto the updated instance version,
-// maintaining its engine incrementally: only classes the delta minted or
-// whose settledness the delta could have flipped are re-examined. The
-// session afterwards asks bit-identical questions to one snapshotted on
-// the old version and resumed on the new one — examples whose rows the
-// delta deleted are dropped from the sample (widening the version space;
-// budget allowance returns with them), everything else is untouched, and
-// the RND stream position is preserved.
+// MoveTo moves the session onto inst, a later version of the instance it
+// runs over, whose per-version state is cs (nil computes it; otherwise cs
+// must have been computed for inst, as InstanceUpdate.Classes and
+// PrecomputeClasses are). It is the replay ResumeSession runs, over a
+// fresh kernel: answers about a row inst deleted are dropped (widening the
+// version space; budget allowance returns with them), soft beliefs whose
+// class or row no longer exists are dropped, and everything else —
+// configuration, policy cache, RND stream position — carries over, so the
+// session asks bit-identical questions to one snapshotted before the move
+// and resumed on inst. Any number of versions may be skipped in one move;
+// deleted rows are never asked again.
 //
-// The session must be on upd.From (ErrStaleVersion otherwise); updates
-// must be applied in version order. For semijoin sessions, deleting P rows
-// can orphan a positive answer (its last witness disappears) — that
-// surfaces as ErrInconsistent and the session is left unchanged on the old
-// version, for the caller to retire. Deleted rows are never asked again.
+// Moving to an older version fails with ErrStaleVersion, and a version of
+// other data fails too. If the surviving answers admit no predicate on inst
+// (a semijoin positive whose every witness was deleted) MoveTo fails with
+// ErrInconsistent; on any failure the session is unchanged on its old
+// version. Moving to the session's own version does nothing.
 //
-// Sessions with WithCustomStrategy see the maintained engine through their
+// Sessions with WithCustomStrategy see the new engine through their
 // StrategyView on the next question; a custom strategy that memoized view
 // state across calls is the caller's to refresh.
-func (s *Session) ApplyUpdate(upd *InstanceUpdate) error {
-	if upd == nil {
-		return fmt.Errorf("joininference: nil instance update")
+func (s *Session) MoveTo(inst *Instance, cs *ClassSet) error {
+	switch {
+	case inst == s.inst:
+		return nil
+	case inst == nil || !inst.SameChain(s.inst):
+		return fmt.Errorf("joininference: MoveTo target is not a version of the session's instance")
+	case inst.Version() < s.inst.Version():
+		return fmt.Errorf("joininference: session is on version %d, cannot move back to %d: %w",
+			s.inst.Version(), inst.Version(), ErrStaleVersion)
+	case cs != nil && cs.inst != inst:
+		return fmt.Errorf("joininference: MoveTo classes were not computed for version %d", inst.Version())
 	}
-	if s.inst != upd.From {
-		return fmt.Errorf("joininference: session is on version %d, update starts at %d: %w",
-			s.inst.Version(), upd.From.Version(), ErrStaleVersion)
+	tr := s.Transcript()
+	var soft *SoftSnapshot
+	if s.soft != nil {
+		soft = s.softSnapshot()
 	}
-	if err := s.kern.applyUpdate(upd, s.soft); err != nil {
+	old := *s
+	s.cfg.classes = cs
+	s.reset(inst, s.kern.kind())
+	if err := s.replay(tr, soft); err != nil {
+		*s = old
 		return err
 	}
-	s.inst = upd.To
-	s.cfg.classes = upd.Classes
-	s.asked = len(s.kern.transcript())
 	return nil
 }
 
 // InstanceVersion returns the version of the instance the session currently
-// runs over; ApplyUpdate advances it.
+// runs over; MoveTo advances it.
 func (s *Session) InstanceVersion() int64 { return s.inst.Version() }
 
 // PolicyInvalidation summarizes what one instance update did to a policy

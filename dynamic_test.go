@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/inference"
 	"repro/internal/paperdata"
+	"repro/internal/relation"
 	"repro/internal/synth"
 )
 
@@ -71,6 +72,9 @@ func TestApplyDeltaBasics(t *testing.T) {
 	}
 }
 
+// TestApplyUpdateRejectsWrongVersion: a session moves forward along its own
+// version chain only, any number of versions at once, and a refused move
+// leaves it where it was.
 func TestApplyUpdateRejectsWrongVersion(t *testing.T) {
 	inst := paperdata.FlightHotel()
 	cs := PrecomputeClasses(inst)
@@ -84,41 +88,32 @@ func TestApplyUpdateRejectsWrongVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The session is on v0; upd2 starts at v1.
-	if err := s.ApplyUpdate(upd2); !errors.Is(err, ErrStaleVersion) {
-		t.Fatalf("out-of-order update: %v", err)
+	other := paperdata.FlightHotel()
+	for name, move := range map[string]func() error{
+		"nil instance":          func() error { return s.MoveTo(nil, nil) },
+		"another chain":         func() error { return s.MoveTo(other, PrecomputeClasses(other)) },
+		"another version's set": func() error { return s.MoveTo(upd2.To, upd1.Classes) },
+	} {
+		if err := move(); err == nil {
+			t.Errorf("%s: move accepted", name)
+		}
 	}
-	if err := s.ApplyUpdate(nil); err == nil {
-		t.Fatal("nil update accepted")
+	if s.InstanceVersion() != 0 {
+		t.Fatalf("refused moves left the session on version %d", s.InstanceVersion())
 	}
-	if err := s.ApplyUpdate(upd1); err != nil {
+	// Skipping v1 is one move.
+	if err := s.MoveTo(upd2.To, upd2.Classes); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ApplyUpdate(upd2); err != nil {
-		t.Fatal(err)
+	if err := s.MoveTo(upd1.To, upd1.Classes); !errors.Is(err, ErrStaleVersion) {
+		t.Fatalf("move back to v1: %v, want ErrStaleVersion", err)
+	}
+	if err := s.MoveTo(upd2.To, nil); err != nil {
+		t.Fatalf("move to the session's own version: %v", err)
 	}
 	if s.InstanceVersion() != 2 {
 		t.Fatalf("session version = %d", s.InstanceVersion())
 	}
-}
-
-// pruneForResume drops transcript entries whose rows the update deleted —
-// exactly what a client resuming an old snapshot on the new version would
-// have to do — and keeps everything else (RNG position included) intact.
-func pruneForResume(snap *Snapshot, to *Instance) *Snapshot {
-	out := *snap
-	out.Transcript = nil
-	for _, e := range snap.Transcript {
-		if !to.RAlive(e.RIndex) {
-			continue
-		}
-		if e.PIndex >= 0 && !to.PAlive(e.PIndex) {
-			continue
-		}
-		out.Transcript = append(out.Transcript, e)
-	}
-	out.Asked = len(out.Transcript)
-	return &out
 }
 
 // lockstep drives two sessions with the same oracle, requiring them to ask
@@ -131,58 +126,105 @@ func lockstep(t *testing.T, tag string, a, b *Session, oracle Oracle, maxSteps i
 	for maxSteps < 0 || steps < maxSteps {
 		qa, err := a.NextQuestions(ctx, 1)
 		if err != nil {
-			t.Fatalf("%s: maintained session step %d: %v", tag, steps, err)
+			t.Fatalf("%s: first session step %d: %v", tag, steps, err)
 		}
 		qb, err := b.NextQuestions(ctx, 1)
 		if err != nil {
-			t.Fatalf("%s: resumed session step %d: %v", tag, steps, err)
+			t.Fatalf("%s: second session step %d: %v", tag, steps, err)
 		}
 		if len(qa) != len(qb) {
-			t.Fatalf("%s: step %d: maintained has %d questions, resumed %d", tag, steps, len(qa), len(qb))
+			t.Fatalf("%s: step %d: first has %d questions, second %d", tag, steps, len(qa), len(qb))
 		}
 		if len(qa) == 0 {
 			break
 		}
 		if qa[0].Ref() != qb[0].Ref() {
-			t.Fatalf("%s: step %d: maintained asks %v, resumed asks %v", tag, steps, qa[0].Ref(), qb[0].Ref())
+			t.Fatalf("%s: step %d: first asks %v, second asks %v", tag, steps, qa[0].Ref(), qb[0].Ref())
 		}
 		l, err := oracle.Label(ctx, qa[0])
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", tag, err)
 		}
 		if err := a.Answer(qa[0], l); err != nil {
-			t.Fatalf("%s: maintained answer: %v", tag, err)
+			t.Fatalf("%s: first answer: %v", tag, err)
 		}
 		if err := b.Answer(qb[0], l); err != nil {
-			t.Fatalf("%s: resumed answer: %v", tag, err)
+			t.Fatalf("%s: second answer: %v", tag, err)
 		}
 		steps++
 	}
 	return steps
 }
 
-// runDynamicDifferential is the acceptance differential for dynamic
-// instances: a session maintained across deltas with ApplyUpdate must be
-// indistinguishable — bit-identical question sequence, same inferred
-// predicate — from a session snapshotted before each delta, pruned of
-// deleted rows, and resumed fresh on the new version. When an update makes
-// the recorded answers inconsistent (semijoin positives orphaned by a
-// delete), the resume must fail the same way.
-func runDynamicDifferential(t *testing.T, tag string, semijoinKind bool, mkOpts func(cs *ClassSet) []Option, inst *Instance, goal Pred, deltas []Delta) {
-	t.Helper()
-	cs := PrecomputeClasses(inst)
-	oracle := HonestOracle(goal)
+// dynCase is one script of the dynamic-instance differential.
+type dynCase struct {
+	semijoin bool
+	// opts builds the session options over a version's classes.
+	opts   func(cs *ClassSet) []Option
+	inst   *Instance
+	goal   Pred
+	deltas []Delta
+	// start answers the opening questions (default: two honest answers);
+	// moved, when set, checks the live session right after each move.
+	start func(t *testing.T, s *Session)
+	moved func(t *testing.T, s *Session)
+}
 
-	var a *Session
-	if semijoinKind {
-		a = NewSemijoinSession(inst, mkOpts(nil)...)
-	} else {
-		a = NewSession(inst, mkOpts(cs)...)
+// newSessionOf builds a session of the case's kind over inst.
+func (c dynCase) newSessionOf(inst *Instance, cs *ClassSet) *Session {
+	if c.semijoin {
+		return NewSemijoinSession(inst, c.opts(cs)...)
 	}
-	driveRecording(t, a, goal, 2)
+	return NewSession(inst, c.opts(cs)...)
+}
+
+// liveEntries counts the entries of tr whose rows are live at inst.
+func liveEntries(tr []TranscriptEntry, inst *Instance) int {
+	n := 0
+	for _, e := range tr {
+		if inst.RAlive(e.RIndex) && (e.PIndex < 0 || inst.PAlive(e.PIndex)) {
+			n++
+		}
+	}
+	return n
+}
+
+// runDynamicDifferential is the acceptance differential for dynamic
+// instances. A session moved live across deltas with MoveTo must be
+// indistinguishable — bit-identical question sequence, same inferred
+// predicate — from one snapshotted before each delta and resumed, unpruned,
+// on the new version; both must keep exactly the answers whose rows are
+// still live. A twin left untouched from the start that skips every
+// intermediate version and moves once must then ask what a twin moved at
+// every version asks. When a move makes the recorded answers inconsistent
+// (semijoin positives orphaned by a delete), the resume must fail the same
+// way.
+func runDynamicDifferential(t *testing.T, tag string, c dynCase) {
+	t.Helper()
+	inst, cs := c.inst, PrecomputeClasses(c.inst)
+	oracle := HonestOracle(c.goal)
+
+	a := c.newSessionOf(inst, cs)
+	if c.start != nil {
+		c.start(t, a)
+	} else {
+		driveRecording(t, a, c.goal, 2)
+	}
+	snap0, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := func() *Session {
+		s, err := ResumeSession(inst, snap0, c.opts(cs)...)
+		if err != nil {
+			t.Fatalf("%s: resume at v0: %v", tag, err)
+		}
+		return s
+	}
+	skipper, stepper := twin(), twin()
 
 	var b *Session
-	for i, d := range deltas {
+	for i, d := range c.deltas {
 		snap, err := a.Snapshot()
 		if err != nil {
 			t.Fatalf("%s: snapshot before delta %d: %v", tag, i, err)
@@ -193,23 +235,16 @@ func runDynamicDifferential(t *testing.T, tag string, semijoinKind bool, mkOpts 
 		}
 		inst, cs = upd.To, upd.Classes
 
-		aerr := a.ApplyUpdate(upd)
-		var bopts []Option
-		if semijoinKind {
-			bopts = mkOpts(nil)
-		} else {
-			bopts = mkOpts(upd.Classes)
-		}
-		b, err = ResumeSession(upd.To, pruneForResume(snap, upd.To), bopts...)
-
+		aerr := a.MoveTo(upd.To, upd.Classes)
+		b, err = ResumeSession(upd.To, snap, c.opts(upd.Classes)...)
 		if aerr != nil {
-			// The maintained path refused the update; the rebuild-from-
-			// scratch path must refuse the same snapshot for the same reason.
+			// The live move refused the version; resuming the same answers
+			// there must refuse them for the same reason.
 			if !errors.Is(aerr, ErrInconsistent) {
-				t.Fatalf("%s: delta %d: ApplyUpdate: %v", tag, i, aerr)
+				t.Fatalf("%s: delta %d: MoveTo: %v", tag, i, aerr)
 			}
 			if err == nil || !errors.Is(err, ErrInconsistent) {
-				t.Fatalf("%s: delta %d: maintained session inconsistent but resume says %v", tag, i, err)
+				t.Fatalf("%s: delta %d: moved session inconsistent but resume says %v", tag, i, err)
 			}
 			return
 		}
@@ -219,9 +254,20 @@ func runDynamicDifferential(t *testing.T, tag string, semijoinKind bool, mkOpts 
 		if a.InstanceVersion() != upd.Version() {
 			t.Fatalf("%s: session version %d after update to %d", tag, a.InstanceVersion(), upd.Version())
 		}
+		want := liveEntries(snap.Transcript, upd.To)
+		if got := a.Transcript(); len(got) != want || !reflect.DeepEqual(got, b.Transcript()) {
+			t.Fatalf("%s: delta %d: moved transcript %v, resumed %v; want the %d entries on live rows",
+				tag, i, got, b.Transcript(), want)
+		}
+		if c.moved != nil {
+			c.moved(t, a)
+		}
+		if err := stepper.MoveTo(upd.To, upd.Classes); err != nil {
+			t.Fatalf("%s: delta %d: stepwise twin: %v", tag, i, err)
+		}
 
 		steps := -1
-		if i < len(deltas)-1 {
+		if i < len(c.deltas)-1 {
 			steps = 2 // keep the run alive for the next delta
 		}
 		lockstep(t, fmt.Sprintf("%s/v%d", tag, upd.Version()), a, b, oracle, steps)
@@ -230,9 +276,9 @@ func runDynamicDifferential(t *testing.T, tag string, semijoinKind bool, mkOpts 
 	// Both drove to completion on the final version; the inferred
 	// predicates must select the same rows.
 	if a.Done() != b.Done() {
-		t.Fatalf("%s: maintained done=%v, resumed done=%v", tag, a.Done(), b.Done())
+		t.Fatalf("%s: moved done=%v, resumed done=%v", tag, a.Done(), b.Done())
 	}
-	if semijoinKind {
+	if c.semijoin {
 		if !reflect.DeepEqual(SemijoinEval(inst, a.Inferred()), SemijoinEval(inst, b.Inferred())) {
 			t.Fatalf("%s: inferred semijoins differ", tag)
 		}
@@ -241,14 +287,19 @@ func runDynamicDifferential(t *testing.T, tag string, semijoinKind bool, mkOpts 
 			t.Fatalf("%s: inferred joins differ", tag)
 		}
 	}
+
+	if err := skipper.MoveTo(inst, cs); err != nil {
+		t.Fatalf("%s: twin skipping to v%d: %v", tag, inst.Version(), err)
+	}
+	lockstep(t, tag+"/skip", skipper, stepper, oracle, -1)
 }
 
 // TestDynamicMaintainedMatchesResumeJoin runs the differential for every
 // built-in strategy at Workers 1 and 4, over a delta script that inserts
 // into both relations, deletes answered rows from both, and then mixes the
-// two — so examples are dropped, classes are minted and retired, and the
-// remap is non-trivial. A BU run at Figure 7 scale adds one row and drops
-// it again.
+// two — so answers are dropped and classes are minted and retired. A BU run
+// at Figure 7 scale adds one row and drops it again, and a two-negative
+// script deletes the row of the negative that dominated the other.
 func TestDynamicMaintainedMatchesResumeJoin(t *testing.T) {
 	deltas := []Delta{
 		{InsertR: []Tuple{{"NYC", "Lille", "BA"}, {"Lille", "Paris", "AF"}}, InsertP: []Tuple{{"Lille", "BA"}}},
@@ -264,14 +315,10 @@ func TestDynamicMaintainedMatchesResumeJoin(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				mkOpts := func(cs *ClassSet) []Option {
-					opts := []Option{WithStrategy(strat), WithSeed(7), WithParallelism(workers)}
-					if cs != nil {
-						opts = append(opts, WithPrecomputedClasses(cs))
-					}
-					return opts
+				opts := func(cs *ClassSet) []Option {
+					return []Option{WithStrategy(strat), WithSeed(7), WithParallelism(workers), WithPrecomputedClasses(cs)}
 				}
-				runDynamicDifferential(t, t.Name(), false, mkOpts, inst, goal, deltas)
+				runDynamicDifferential(t, t.Name(), dynCase{opts: opts, inst: inst, goal: goal, deltas: deltas})
 			})
 		}
 	}
@@ -285,11 +332,97 @@ func TestDynamicMaintainedMatchesResumeJoin(t *testing.T) {
 			{InsertR: []Tuple{{"100", "100", "100"}}},
 			{DeleteR: []int{inst.R.Len()}},
 		}
-		mkOpts := func(cs *ClassSet) []Option {
+		opts := func(cs *ClassSet) []Option {
 			return []Option{WithStrategy(StrategyBU), WithPrecomputedClasses(cs)}
 		}
-		runDynamicDifferential(t, t.Name(), false, mkOpts, inst, goal, fig7Deltas)
+		runDynamicDifferential(t, t.Name(), dynCase{opts: opts, inst: inst, goal: goal, deltas: fig7Deltas})
 	})
+	// An answer keeps its own rows. (2,1) represents the class T = {To =
+	// City}; the inserted P row gives it (0,3), which precedes it, and then
+	// R row 0 dies. The answer survives both moves, since its rows do.
+	t.Run("representativeOvertaken", func(t *testing.T) {
+		inst := paperdata.FlightHotel()
+		goal, err := PredFromNames(NewSession(inst).Universe(), [2]string{"To", "City"}, [2]string{"Airline", "Discount"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := dynCase{
+			opts: func(cs *ClassSet) []Option {
+				return []Option{WithStrategy(StrategyBU), WithPrecomputedClasses(cs)}
+			},
+			inst: inst, goal: goal,
+			deltas: []Delta{{InsertP: []Tuple{{"Lille", "ZZ"}}}, {DeleteR: []int{0}}},
+			start: func(t *testing.T, s *Session) {
+				q, err := s.QuestionByRef(QuestionRef{RIndex: 2, PIndex: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Answer(q, Negative); err != nil {
+					t.Fatal(err)
+				}
+			},
+			moved: func(t *testing.T, s *Session) {
+				if tr := s.Transcript(); len(tr) == 0 || tr[0] != (TranscriptEntry{RIndex: 2, PIndex: 1}) {
+					t.Fatalf("after the move to v%d the first answer is %v, want (2,1) negative", s.InstanceVersion(), tr)
+				}
+			},
+		}
+		runDynamicDifferential(t, t.Name(), c)
+	})
+	// Negatives n1 ⊂ n2 leave only n2 in the certainty kernel's ⊆-maximal
+	// list. Deleting n2's row drops its answer: n1 must settle what it
+	// covers again, and what only n2 covered turns informative.
+	for _, n2First := range []bool{false, true} {
+		t.Run(fmt.Sprintf("prunedNegative/n2First=%v", n2First), func(t *testing.T) {
+			// Pairs: (A1,B1), (A1,B2), (A2,B1), (A2,B2).
+			r := relation.NewRelation(relation.MustSchema("R", "A1", "A2"))
+			r.MustAddTuple("1", "9") // r0
+			r.MustAddTuple("2", "8") // r1
+			p := relation.NewRelation(relation.MustSchema("P", "B1", "B2"))
+			p.MustAddTuple("1", "1") // p0: T(r0,p0) = {A1B1, A1B2} = n2
+			p.MustAddTuple("1", "2") // p1: T(r0,p1) = {A1B1} = n1, T(r1,p1) = {A1B2}
+			p.MustAddTuple("5", "5") // p2: T(·,p2) = ∅
+			inst := relation.MustInstance(r, p)
+			goal, err := PredFromNames(NewSession(inst).Universe(), [2]string{"A2", "B2"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := func(s *Session, ri, pi int) Question {
+				q, err := s.QuestionByRef(QuestionRef{RIndex: ri, PIndex: pi})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return q
+			}
+			order := [][2]int{{0, 1}, {0, 0}}
+			if n2First {
+				order[0], order[1] = order[1], order[0]
+			}
+			c := dynCase{
+				opts: func(cs *ClassSet) []Option {
+					return []Option{WithStrategy(StrategyBU), WithPrecomputedClasses(cs)}
+				},
+				inst: inst, goal: goal,
+				deltas: []Delta{{DeleteP: []int{0}}},
+				start: func(t *testing.T, s *Session) {
+					for _, rp := range order {
+						if err := s.Answer(ref(s, rp[0], rp[1]), Negative); err != nil {
+							t.Fatal(err)
+						}
+					}
+				},
+				moved: func(t *testing.T, s *Session) {
+					if s.IsInformative(ref(s, 0, 2)) {
+						t.Error("n1 no longer settles the ∅ class")
+					}
+					if !s.IsInformative(ref(s, 1, 1)) {
+						t.Error("the class only n2 covered is still settled")
+					}
+				},
+			}
+			runDynamicDifferential(t, t.Name(), c)
+		})
+	}
 }
 
 // TestDynamicMaintainedMatchesResumeSemijoin is the semijoin leg: R and P
@@ -309,18 +442,20 @@ func TestDynamicMaintainedMatchesResumeSemijoin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mkOpts := func(*ClassSet) []Option {
+			opts := func(*ClassSet) []Option {
 				return []Option{WithParallelism(workers)}
 			}
-			runDynamicDifferential(t, t.Name(), true, mkOpts, inst, goal, deltas)
+			runDynamicDifferential(t, t.Name(), dynCase{semijoin: true, opts: opts, inst: inst, goal: goal, deltas: deltas})
 		})
 	}
 }
 
 // TestSemijoinUpdateOrphanedPositive: deleting every witness of a
 // positively-answered R row makes the recorded sample unsatisfiable. The
-// update must surface ErrInconsistent and leave the session untouched on
-// its old version (for the owner to retire).
+// move must surface ErrInconsistent and leave the session untouched on its
+// old version (for the owner to retire). A session that skips to a later
+// version where the row has a witness again moves there: only the answers
+// and the target version count.
 func TestSemijoinUpdateOrphanedPositive(t *testing.T) {
 	inst := paperdata.Example21()
 	cs := PrecomputeClasses(inst)
@@ -337,15 +472,27 @@ func TestSemijoinUpdateOrphanedPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ApplyUpdate(upd); !errors.Is(err, ErrInconsistent) {
+	if err := s.MoveTo(upd.To, upd.Classes); !errors.Is(err, ErrInconsistent) {
 		t.Fatalf("orphaned positive: %v", err)
 	}
 	if s.InstanceVersion() != 0 || s.Questions() != 1 {
-		t.Fatalf("failed update mutated the session: version %d, asked %d", s.InstanceVersion(), s.Questions())
+		t.Fatalf("failed move mutated the session: version %d, asked %d", s.InstanceVersion(), s.Questions())
 	}
 	// The session is still serviceable on the old version.
 	if _, err := s.NextQuestions(context.Background(), 1); err != nil {
-		t.Fatalf("session unusable after refused update: %v", err)
+		t.Fatalf("session unusable after refused move: %v", err)
+	}
+
+	// Any P row witnesses row 0 under the empty predicate.
+	upd2, err := ApplyDelta(upd.To, upd.Classes, Delta{InsertP: []Tuple{{"9", "9", "9"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MoveTo(upd2.To, upd2.Classes); err != nil {
+		t.Fatalf("skipping to a version with a witness again: %v", err)
+	}
+	if s.InstanceVersion() != 2 || s.Questions() != 1 {
+		t.Fatalf("after the skip: version %d, asked %d; want 2, 1", s.InstanceVersion(), s.Questions())
 	}
 }
 
@@ -367,7 +514,7 @@ func TestSemijoinDeletedRowsNeverAsked(t *testing.T) {
 	sessions := map[string]func(opts ...Option) *Session{
 		"migrated": func(opts ...Option) *Session {
 			s := NewSemijoinSession(inst, opts...)
-			if err := s.ApplyUpdate(upd); err != nil {
+			if err := s.MoveTo(upd.To, upd.Classes); err != nil {
 				t.Fatal(err)
 			}
 			return s

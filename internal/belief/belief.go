@@ -188,43 +188,6 @@ func (st *State) Restore(key int, b Belief, votes []VoteRecord) {
 	}
 }
 
-// Remap rewrites every key through remap (new index, or a negative value to
-// drop the key). Used when a dynamic-instance update shifts class indexes:
-// beliefs follow their surviving class, evidence for retired classes is
-// discarded. Keys at or beyond len(remap) are dropped too — they cannot
-// name a surviving class.
-func (st *State) Remap(remap []int) {
-	nm := make(map[int]*Belief, len(st.m))
-	nv := make(map[int][]VoteRecord, len(st.votes))
-	for k, b := range st.m {
-		if k >= 0 && k < len(remap) && remap[k] >= 0 {
-			nm[remap[k]] = b
-		}
-	}
-	for k, v := range st.votes {
-		if k >= 0 && k < len(remap) && remap[k] >= 0 {
-			nv[remap[k]] = v
-		}
-	}
-	st.m = nm
-	st.votes = nv
-}
-
-// Drop removes keys for which keep reports false (semijoin sessions after a
-// row deletion: row indexes are stable, dead rows lose their evidence).
-func (st *State) Drop(keep func(key int) bool) {
-	for k := range st.m {
-		if !keep(k) {
-			delete(st.m, k)
-		}
-	}
-	for k := range st.votes {
-		if !keep(k) {
-			delete(st.votes, k)
-		}
-	}
-}
-
 // WeightFromAccuracy converts an estimated worker accuracy p into a signed
 // log-odds vote weight log(p/(1−p)), clamped to ±maxWeight. Accuracies
 // below ½ yield negative weights — such a worker's vote is evidence for

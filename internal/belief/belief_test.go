@@ -120,30 +120,6 @@ func TestRestore(t *testing.T) {
 	}
 }
 
-func TestRemap(t *testing.T) {
-	st := New(1, 0)
-	st.Vote(0, true, 1, "a")
-	st.Vote(1, false, 1, "b")
-	st.Vote(5, true, 1, "c") // beyond remap: dropped
-	st.Remap([]int{2, -1})
-	if got := st.Keys(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Keys after Remap = %v, want [2]", got)
-	}
-	if vs := st.VotesFor(2); len(vs) != 1 || vs[0].Worker != "a" {
-		t.Fatalf("votes did not follow the remapped key: %+v", vs)
-	}
-}
-
-func TestDrop(t *testing.T) {
-	st := New(1, 0)
-	st.Vote(1, true, 1, "a")
-	st.Vote(2, true, 1, "b")
-	st.Drop(func(k int) bool { return k == 2 })
-	if got := st.Keys(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Keys after Drop = %v, want [2]", got)
-	}
-}
-
 func TestWeightFromAccuracy(t *testing.T) {
 	if got := WeightFromAccuracy(0.5); got != 0 {
 		t.Errorf("WeightFromAccuracy(0.5) = %v, want 0", got)

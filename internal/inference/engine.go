@@ -174,11 +174,21 @@ func (e *Engine) Label(ci int, l sample.Label) error {
 	if ci < 0 || ci >= len(e.classes) {
 		return fmt.Errorf("inference: class index %d out of range", ci)
 	}
+	return e.LabelAt(ci, e.classes[ci].RI, e.classes[ci].PI, l)
+}
+
+// LabelAt is Label with the example recorded as product tuple (ri, pi),
+// which the caller guarantees lies in class ci: replaying a transcript keeps
+// each answer's own rows, whichever tuple represents its class now.
+func (e *Engine) LabelAt(ci, ri, pi int, l sample.Label) error {
+	if ci < 0 || ci >= len(e.classes) {
+		return fmt.Errorf("inference: class index %d out of range", ci)
+	}
 	if e.labeled[ci] != 0 {
 		return fmt.Errorf("inference: class %d already labeled", ci)
 	}
 	c := e.classes[ci]
-	e.s.Add(sample.Example{RI: c.RI, PI: c.PI, Theta: c.Theta, Label: l})
+	e.s.Add(sample.Example{RI: ri, PI: pi, Theta: c.Theta, Label: l})
 	e.settle(ci)
 	if l == sample.Positive {
 		e.labeled[ci] = 1

@@ -23,12 +23,10 @@ type DeltaResult struct {
 	// with the old slice; touched ones are fresh copies, so the old slice
 	// stays valid for readers of the old version.
 	Classes []*Class
-	// Remap maps old class indexes to new ones; -1 marks a retired class
-	// (its last product pair was deleted).
-	Remap []int
 	// Added lists new-order indexes of classes minted by the delta.
 	Added []int
-	// Retired counts retired classes.
+	// Retired counts retired classes: old classes whose last product pair
+	// the delta deleted.
 	Retired int
 }
 
@@ -236,7 +234,7 @@ func ApplyDelta(oldInst, newInst *relation.Instance, u *predicate.Universe, oldC
 		}
 	}
 
-	// Assemble the new canonical-order slice and the index remap.
+	// Assemble the new canonical-order slice.
 	res := &DeltaResult{}
 	out := make([]*Class, 0, len(work))
 	for _, c := range work {
@@ -250,13 +248,9 @@ func ApplyDelta(oldInst, newInst *relation.Instance, u *predicate.Universe, oldC
 		pos[c] = i
 	}
 	res.Classes = out
-	res.Remap = make([]int, len(oldClasses))
 	for i := range oldClasses {
 		if work[i].Count == 0 {
-			res.Remap[i] = -1
 			res.Retired++
-		} else {
-			res.Remap[i] = pos[work[i]]
 		}
 	}
 	for _, wi := range added {

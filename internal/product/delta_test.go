@@ -106,36 +106,35 @@ func TestApplyDeltaDifferential(t *testing.T) {
 			if err := classesEqual(dr.Classes, want); err != nil {
 				t.Fatalf("seed %d step %d (delta %+v): maintained ≠ rebuilt: %v", seed, step, d, err)
 			}
-			// Remap: surviving classes keep their theta; retired thetas are
-			// gone from the new list.
-			newKeys := make(map[string]int, len(dr.Classes))
+			// Classes are matched across versions by T mask: an old mask
+			// missing from the new list is retired, a new mask missing from
+			// the old list is minted.
+			oldKeys := make(map[string]bool, len(classes))
+			for _, c := range classes {
+				oldKeys[c.Theta.Key()] = true
+			}
+			newKeys := make(map[string]bool, len(dr.Classes))
+			minted := make(map[int]bool)
 			for i, c := range dr.Classes {
-				newKeys[c.Theta.Key()] = i
+				newKeys[c.Theta.Key()] = true
+				if !oldKeys[c.Theta.Key()] {
+					minted[i] = true
+				}
 			}
 			retired := 0
-			for oi, c := range classes {
-				ni := dr.Remap[oi]
-				if ni == -1 {
+			for k := range oldKeys {
+				if !newKeys[k] {
 					retired++
-					continue
-				}
-				if !dr.Classes[ni].Theta.Equal(c.Theta) {
-					t.Fatalf("seed %d step %d: remap %d→%d changes theta", seed, step, oi, ni)
 				}
 			}
 			if retired != dr.Retired {
-				t.Fatalf("seed %d step %d: Retired=%d, remap says %d", seed, step, dr.Retired, retired)
+				t.Fatalf("seed %d step %d: Retired=%d, T masks say %d", seed, step, dr.Retired, retired)
+			}
+			if len(dr.Added) != len(minted) {
+				t.Fatalf("seed %d step %d: Added lists %d classes, T masks say %d", seed, step, len(dr.Added), len(minted))
 			}
 			for _, ni := range dr.Added {
-				c := dr.Classes[ni]
-				found := false
-				for _, oc := range classes {
-					if oc.Theta.Equal(c.Theta) {
-						found = true
-						break
-					}
-				}
-				if found {
+				if !minted[ni] {
 					t.Fatalf("seed %d step %d: Added class %d existed before", seed, step, ni)
 				}
 			}

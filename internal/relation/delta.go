@@ -2,8 +2,8 @@
 // lifetime of an inference session, but a deployed oracle sees inserts and
 // deletes mid-session. This file makes Instance a versioned, immutable
 // value: ApplyDelta returns a *new* Instance one version ahead, sharing
-// tuple storage with its predecessor, and records the delta in an
-// append-only log shared by the whole version chain.
+// tuple storage with its predecessor, and advances the tip of the version
+// chain it shares with every other version of the same data.
 //
 // Row indexes are stable across versions: deletes tombstone a row instead
 // of compacting, and inserts append past the old length. An old version
@@ -60,29 +60,31 @@ func (d Delta) Clone() Delta {
 // share tuple backing arrays, so only the tip may extend them.
 var ErrStaleVersion = errors.New("relation: delta applied to a stale version (not the chain tip)")
 
-// deltaLog is the shared, append-only history of one version chain.
-// deltas[k] transforms version base+k into version base+k+1.
-type deltaLog struct {
-	mu     sync.Mutex
-	base   int64
-	deltas []Delta
+// chain is the state shared by every version of one instance: the tip
+// version, which only ApplyDelta on the tip advances.
+type chain struct {
+	mu  sync.Mutex
+	tip int64
 }
 
-func (lg *deltaLog) tipVersion() int64 { return lg.base + int64(len(lg.deltas)) }
+// chainInitMu guards lazy attachment of a chain to instances built as
+// literals (common in tests: &Instance{R: r, P: p} has no chain until the
+// first ApplyDelta or SameChain touches it).
+var chainInitMu sync.Mutex
 
-// logInitMu guards lazy attachment of a delta log to instances built as
-// literals (common in tests: &Instance{R: r, P: p} has no log until the
-// first ApplyDelta or DeltasSince touches it).
-var logInitMu sync.Mutex
-
-func (i *Instance) logOrInit() *deltaLog {
-	logInitMu.Lock()
-	defer logInitMu.Unlock()
-	if i.log == nil {
-		i.log = &deltaLog{base: i.version}
+func (i *Instance) chainOrInit() *chain {
+	chainInitMu.Lock()
+	defer chainInitMu.Unlock()
+	if i.chain == nil {
+		i.chain = &chain{tip: i.version}
 	}
-	return i.log
+	return i.chain
 }
+
+// SameChain reports whether o is a version of the same data as i: one was
+// derived from the other through ApplyDelta, directly or in steps.
+// RestoreInstance starts a chain of its own.
+func (i *Instance) SameChain(o *Instance) bool { return i.chainOrInit() == o.chainOrInit() }
 
 // Version returns the instance's position in its version chain. Instances
 // built by NewInstance (or as literals) are version 0.
@@ -118,28 +120,10 @@ func (i *Instance) DeadP() []bool {
 	return append([]bool(nil), i.deadP...)
 }
 
-// DeltasSince returns copies of the deltas that transform version v into
-// the chain tip, oldest first. v must lie between the log's base version
-// and the tip.
-func (i *Instance) DeltasSince(v int64) ([]Delta, error) {
-	lg := i.logOrInit()
-	lg.mu.Lock()
-	defer lg.mu.Unlock()
-	if v < lg.base || v > lg.tipVersion() {
-		return nil, fmt.Errorf("relation: version %d outside logged range [%d, %d]", v, lg.base, lg.tipVersion())
-	}
-	ds := lg.deltas[v-lg.base:]
-	out := make([]Delta, len(ds))
-	for k, d := range ds {
-		out[k] = d.Clone()
-	}
-	return out, nil
-}
-
 // RestoreInstance rebuilds an instance at a given version with tombstone
 // bitmaps, as persisted by a snapshot. The bitmaps may be nil (all rows
 // live) or must match the relations' lengths. The restored instance starts
-// a fresh delta log based at its version, ready to replay later deltas.
+// a fresh chain whose tip is its version, ready to replay later deltas.
 func RestoreInstance(r, p *Relation, version int64, deadR, deadP []bool) (*Instance, error) {
 	inst, err := NewInstance(r, p)
 	if err != nil {
@@ -155,7 +139,7 @@ func RestoreInstance(r, p *Relation, version int64, deadR, deadP []bool) (*Insta
 		return nil, fmt.Errorf("relation: P tombstone bitmap has %d entries for %d rows", len(deadP), p.Len())
 	}
 	inst.version = version
-	inst.log = &deltaLog{base: version}
+	inst.chain = &chain{tip: version}
 	inst.deadR = append([]bool(nil), deadR...)
 	inst.deadP = append([]bool(nil), deadP...)
 	for _, d := range inst.deadR {
@@ -221,11 +205,11 @@ func (i *Instance) ValidateDelta(d Delta) error {
 	if err := i.validateDelta(d); err != nil {
 		return err
 	}
-	lg := i.logOrInit()
-	lg.mu.Lock()
-	defer lg.mu.Unlock()
-	if i.version != lg.tipVersion() {
-		return fmt.Errorf("%w: version %d, tip is %d", ErrStaleVersion, i.version, lg.tipVersion())
+	c := i.chainOrInit()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i.version != c.tip {
+		return fmt.Errorf("%w: version %d, tip is %d", ErrStaleVersion, i.version, c.tip)
 	}
 	return nil
 }
@@ -239,12 +223,12 @@ func (i *Instance) ApplyDelta(d Delta) (*Instance, error) {
 	if err := i.validateDelta(d); err != nil {
 		return nil, err
 	}
-	d = d.Clone() // detach from caller storage before logging
-	lg := i.logOrInit()
-	lg.mu.Lock()
-	defer lg.mu.Unlock()
-	if i.version != lg.tipVersion() {
-		return nil, fmt.Errorf("%w: version %d, tip is %d", ErrStaleVersion, i.version, lg.tipVersion())
+	d = d.Clone() // the new version's rows must not alias caller storage
+	c := i.chainOrInit()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i.version != c.tip {
+		return nil, fmt.Errorf("%w: version %d, tip is %d", ErrStaleVersion, i.version, c.tip)
 	}
 
 	grow := func(rel *Relation, ins []Tuple, dead []bool, del []int) (*Relation, []bool, int) {
@@ -281,9 +265,9 @@ func (i *Instance) ApplyDelta(d Delta) (*Instance, error) {
 		version: i.version + 1,
 		deadR:   ndr, deadP: ndp,
 		nDeadR: nDeadR, nDeadP: nDeadP,
-		log: lg,
+		chain: c,
 	}
-	lg.deltas = append(lg.deltas, d)
+	c.tip = ni.version
 	return ni, nil
 }
 

@@ -98,22 +98,14 @@ func TestApplyDeltaValidation(t *testing.T) {
 	}
 }
 
-func TestDeltasSinceAndRestore(t *testing.T) {
+// TestRestoreInstanceStartsChain: a restored instance keeps the version and
+// tombstones it was given, extends from there, and is a chain of its own.
+func TestRestoreInstanceStartsChain(t *testing.T) {
 	v0 := smallInstance(t)
 	v1, _ := v0.InsertRows([]Tuple{{"7", "8"}}, nil)
 	v2, _ := v1.DeleteRows(nil, []int{0})
-	ds, err := v2.DeltasSince(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != 2 {
-		t.Fatalf("DeltasSince(0) returned %d deltas, want 2", len(ds))
-	}
-	if len(ds[0].InsertR) != 1 || len(ds[1].DeleteP) != 1 {
-		t.Fatalf("unexpected delta contents: %+v", ds)
-	}
-	if _, err := v2.DeltasSince(5); err == nil {
-		t.Error("DeltasSince beyond tip accepted")
+	if !v0.SameChain(v2) || !v2.SameChain(v1) {
+		t.Fatal("versions derived by ApplyDelta are not on one chain")
 	}
 
 	// Restore at version 2 with v2's tombstones, then replay forward.
@@ -124,7 +116,16 @@ func TestDeltasSinceAndRestore(t *testing.T) {
 	if rest.Version() != 2 || rest.LiveP() != v2.LiveP() {
 		t.Fatalf("restored version=%d liveP=%d", rest.Version(), rest.LiveP())
 	}
-	if _, err := rest.InsertRows(nil, []Tuple{{"5", "5"}}); err != nil {
+	v3, err := rest.InsertRows(nil, []Tuple{{"5", "5"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v3.Version() != 3 || !v3.SameChain(rest) || rest.SameChain(v2) {
+		t.Fatalf("restored chain: version %d, same chain as its successor %v, as the original %v",
+			v3.Version(), v3.SameChain(rest), rest.SameChain(v2))
+	}
+	// The original chain's tip is untouched by the restored one.
+	if _, err := v2.InsertRows([]Tuple{{"1", "1"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -156,10 +156,10 @@ type Instance struct {
 	R *Relation
 	P *Relation
 
-	// version is the instance's position in its chain; log is the shared
-	// append-only delta history (lazily created, see delta.go).
+	// version is the instance's position in its chain; chain is shared by
+	// every version of it (lazily created, see delta.go).
 	version int64
-	log     *deltaLog
+	chain   *chain
 	// deadR/deadP tombstone deleted rows (nil: all live); nDeadR/nDeadP
 	// cache their popcounts so LiveR/LiveP are O(1).
 	deadR, deadP   []bool

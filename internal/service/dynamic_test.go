@@ -134,6 +134,139 @@ func TestManagerIngestDeleteDropsAnswers(t *testing.T) {
 	}
 }
 
+// TestRestoreAfterDeleteMatchesLiveMove is the restart path across a
+// delete: sessions persisted before an ingest deleted the row of their
+// first answer restore on the new version with that answer dropped, the
+// same replay a live session runs when it moves, so no restore fails and
+// each restored session asks what an in-process twin moved live asks.
+func TestRestoreAfterDeleteMatchesLiveMove(t *testing.T) {
+	ctx := context.Background()
+	kv, err := store.OpenLog(t.TempDir(), store.LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	reg := testRegistry(t)
+	reg.AttachStore(kv, nil)
+	m1, err := NewManager(reg, Options{Store: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	semiGoal, err := joininference.PredFromNames(joininference.NewSession(paperdata.Example21()).Universe(), [2]string{"A1", "B2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type leg struct {
+		params Params
+		goal   joininference.Pred
+		id     string
+		twin   *joininference.Session
+		// kept counts the answers not about the deleted row.
+		kept int
+	}
+	legs := []*leg{
+		{params: Params{Instance: "flights", Strategy: joininference.StrategyBU}, goal: flightGoal(t)},
+		{params: Params{Instance: "ex21", Semijoin: true}, goal: semiGoal},
+	}
+	for _, l := range legs {
+		info, err := m1.Create(l.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.id = info.ID
+		entry, err := reg.Get(l.params.Instance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := []joininference.Option{joininference.WithStrategy(l.params.Strategy), joininference.WithPrecomputedClasses(entry.Classes)}
+		if l.params.Semijoin {
+			l.twin = joininference.NewSemijoinSession(entry.Inst, opts...)
+		} else {
+			l.twin = joininference.NewSession(entry.Inst, opts...)
+		}
+		answerSteps(t, m1, l.id, l.goal, 2)
+		snap, err := m1.Snapshot(l.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Snapshot.Transcript) != 2 {
+			t.Fatalf("%s: %d answers recorded, want 2", l.params.Instance, len(snap.Snapshot.Transcript))
+		}
+		for _, e := range snap.Snapshot.Transcript {
+			q, err := l.twin.QuestionByRef(joininference.QuestionRef{RIndex: e.RIndex, PIndex: e.PIndex})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.twin.Answer(q, joininference.Label(e.Positive)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dead := snap.Snapshot.Transcript[0].RIndex
+		for _, e := range snap.Snapshot.Transcript {
+			if e.RIndex != dead {
+				l.kept++
+			}
+		}
+		if _, err := m1.Ingest(l.params.Instance, joininference.Delta{DeleteR: []int{dead}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m1.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := NewManager(reg, Options{Store: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close(ctx)
+	if n := m2.restoreFails.Load(); n != 0 {
+		t.Fatalf("%d session records failed to restore", n)
+	}
+	for _, l := range legs {
+		if _, err := m2.Get(l.id); err != nil {
+			t.Fatalf("%s: session lost across the restart: %v", l.params.Instance, err)
+		}
+		entry, err := reg.Get(l.params.Instance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.twin.MoveTo(entry.Inst, entry.Classes); err != nil {
+			t.Fatal(err)
+		}
+		if got := l.twin.Questions(); got != l.kept {
+			t.Fatalf("%s: twin kept %d answers after the delete, want %d", l.params.Instance, got, l.kept)
+		}
+		oracle := joininference.HonestOracle(l.goal)
+		for step := 0; ; step++ {
+			qs, err := m2.Questions(ctx, l.id, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tqs, err := l.twin.NextQuestions(ctx, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(qs) != len(tqs) || len(qs) > 0 && qs[0].Ref() != tqs[0].Ref() {
+				t.Fatalf("%s: step %d: restored asks %v, live twin asks %v", l.params.Instance, step, qs, tqs)
+			}
+			if len(qs) == 0 {
+				break
+			}
+			lab, err := oracle.Label(ctx, qs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m2.Answer(ctx, l.id, []Answer{{QuestionRef: qs[0].Ref(), Positive: bool(lab)}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.twin.Answer(tqs[0], lab); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestManagerIngestRetiresInconsistentSession: a semijoin positive whose
 // last witness is deleted cannot follow the instance — the session is
 // retired at its next question boundary and the caller sees the underlying

@@ -709,36 +709,38 @@ func (m *Manager) Ingest(name string, d joininference.Delta) (IngestResult, erro
 	return res, nil
 }
 
-// migrateLocked carries the session onto its instance's current version
-// when ingests have advanced it, applying the pending updates in order
-// through the incremental maintenance path. Sessions migrate at question
-// boundaries (Questions, Answer) — status, predicate and snapshot reads
-// serve the version the session last interacted on. A session whose
-// surviving answers turn inconsistent under the new data (a semijoin
-// positive losing its last witness) is retired: removed from the manager
-// with its persisted copy, and the caller's request fails with the
-// underlying ErrInconsistent. Callers hold ms.mu.
+// migrateLocked moves the session onto its instance's current version when
+// ingests have advanced it, in one replay however many versions it missed
+// (Session.MoveTo). Sessions migrate at question boundaries (Questions,
+// Answer) — status, predicate and snapshot reads serve the version the
+// session last interacted on. A session that cannot move (its surviving
+// answers turn inconsistent under the new data, as when a semijoin positive
+// loses its last witness) is retired: removed from the manager with its
+// persisted copy, and the caller's request fails with the underlying
+// error (ErrInconsistent). Callers hold ms.mu.
 func (m *Manager) migrateLocked(ms *managed) error {
-	upds, err := m.reg.UpdatesSince(ms.params.Instance, ms.sess.InstanceVersion())
-	if err != nil || len(upds) == 0 {
+	entry, err := m.reg.Get(ms.params.Instance)
+	if err != nil {
 		return err
 	}
-	for _, upd := range upds {
-		if err := ms.sess.ApplyUpdate(upd); err != nil {
-			m.retireLocked(ms)
-			m.log.Warn("session retired: inconsistent under new data",
-				"session", ms.id, "instance", ms.params.Instance,
-				"version", upd.Version(), "err", err)
-			return fmt.Errorf("service: session %s cannot follow instance %q to version %d: %w",
-				ms.id, ms.params.Instance, upd.Version(), err)
-		}
+	from := ms.sess.InstanceVersion()
+	if entry.Inst.Version() == from {
+		return nil
+	}
+	if err := ms.sess.MoveTo(entry.Inst, entry.Classes); err != nil {
+		m.retireLocked(ms)
+		m.log.Warn("session retired: inconsistent under new data",
+			"session", ms.id, "instance", ms.params.Instance,
+			"version", entry.Inst.Version(), "err", err)
+		return fmt.Errorf("service: session %s cannot follow instance %q to version %d: %w",
+			ms.id, ms.params.Instance, entry.Inst.Version(), err)
 	}
 	ms.done = nil
 	ms.info()
 	m.migrated.Inc()
 	m.log.Info("session migrated",
 		"session", ms.id, "instance", ms.params.Instance,
-		"version", ms.sess.InstanceVersion(), "updates", len(upds))
+		"from", from, "version", entry.Inst.Version())
 	m.persistLocked(ms)
 	return nil
 }

@@ -52,11 +52,6 @@ type regSlot struct {
 	loaded bool
 	e      *Entry
 	err    error
-	// updates is the in-process version history since load, oldest first:
-	// updates[k] transforms version base+k into base+k+1, where base is the
-	// version the slot loaded at. Live sessions pinned to an older version
-	// migrate forward through it (UpdatesSince). Append-only.
-	updates []*joininference.InstanceUpdate
 }
 
 // Registry maps stable names to lazily-loaded instances. All methods are
@@ -68,8 +63,8 @@ type regSlot struct {
 // later boots decode it instead of re-parsing CSV, re-generating TPC-H, or
 // re-scanning the product. Ingested deltas (Ingest) are appended to the
 // store's delta log, so a boot whose cached record predates the tip replays
-// the missing deltas through the incremental maintenance path instead of
-// recomputing anything. Like the policy cache, a name must uniquely
+// the missing deltas through the incremental class maintenance instead of
+// recomputing the product. Like the policy cache, a name must uniquely
 // identify the instance's data; registering different data under a name
 // the store has seen requires clearing the store or picking a new name.
 type Registry struct {
@@ -278,7 +273,7 @@ func (r *Registry) loadLocked(slot *regSlot, name string, kv store.KV, log *slog
 		r.met.reparses.Add(1)
 	}
 	// Roll forward through delta-log records past the loaded version. Each
-	// replay runs the same incremental maintenance path a live ingest does,
+	// replay runs the same incremental class maintenance a live ingest does,
 	// so a restored instance is bit-identical to the one that served before
 	// the restart. A gap or corrupt record is an error, not a fallback: the
 	// log is the only record of ingested rows, and serving without them
@@ -313,9 +308,9 @@ func (r *Registry) loadLocked(slot *regSlot, name string, kv store.KV, log *slog
 // Ingest applies one delta to the named instance: the data moves to the
 // next version, the T-classes are maintained incrementally, the delta is
 // appended to the store's log (when one is attached) and the cached entry
-// record is advanced. The returned update carries everything downstream
-// layers need to follow — Session.ApplyUpdate for live sessions,
-// PolicyCache.ApplyUpdate for memoized decision trees. Validation failures
+// record is advanced. Live sessions follow by moving to the new entry
+// (Session.MoveTo), and the returned update tells a policy cache which
+// version's trees to drop (PolicyCache.ApplyUpdate). Validation failures
 // wrap ErrBadDelta, a failed delta-log append ErrStoreUnavailable; nothing
 // changes on error.
 func (r *Registry) Ingest(name string, d joininference.Delta) (*joininference.InstanceUpdate, error) {
@@ -369,32 +364,8 @@ func (r *Registry) Ingest(name string, d joininference.Delta) (*joininference.In
 		}
 	}
 	slot.e = &Entry{Name: name, Inst: upd.To, Classes: upd.Classes}
-	slot.updates = append(slot.updates, upd)
 	r.met.ingests.Add(1)
 	return upd, nil
-}
-
-// UpdatesSince returns the updates transforming version v of the named
-// instance into its current tip, oldest first (empty when v is the tip).
-// The history window starts at the version the slot loaded at; asking for
-// anything outside [base, tip] is an error.
-func (r *Registry) UpdatesSince(name string, v int64) ([]*joininference.InstanceUpdate, error) {
-	slot, _, _, err := r.slot(name)
-	if err != nil {
-		return nil, err
-	}
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	if !slot.loaded || slot.err != nil || slot.e == nil {
-		return nil, nil
-	}
-	tip := slot.e.Inst.Version()
-	base := tip - int64(len(slot.updates))
-	if v < base || v > tip {
-		return nil, fmt.Errorf("service: instance %q version %d outside the update window [%d, %d]", name, v, base, tip)
-	}
-	// slot.updates is append-only, so handing out a sub-slice is safe.
-	return slot.updates[v-base:], nil
 }
 
 // Names returns the registered names, sorted.

@@ -12,7 +12,7 @@ import (
 
 // kernel is what differs between join and semijoin inference; the Session
 // is the one driver of Algorithm 1 over it (budget, batching, disputed
-// questions, policy cache, soft layer, undo, updates, snapshots). A key
+// questions, policy cache, soft layer, undo, version moves, snapshots). A key
 // names one askable unit: a T-class index for join, whose informativeness
 // the engine decides in PTIME (Lemmas 3.3/3.4), and a row of R for
 // semijoin, where every such decision embeds the NP-complete CONS⋉
@@ -50,9 +50,9 @@ type kernel interface {
 	// exhausted the candidates. Rejection is monotone in the picked set,
 	// so the walk resumes after the last pivot.
 	extend(ctx context.Context, picked []int, k int) ([]int, bool, error)
-	// commit records label l for an unlabeled key; on ErrInconsistent the
-	// committed state is as it was.
-	commit(key int, l Label) error
+	// commit records entry e, an answer about the rows of unlabeled key;
+	// on ErrInconsistent the committed state is as it was.
+	commit(key int, e TranscriptEntry) error
 	// transcript returns the committed answers in order, in a fresh slice.
 	transcript() []TranscriptEntry
 	// consistent reports whether some predicate satisfies entries.
@@ -64,9 +64,6 @@ type kernel interface {
 	// search's tiebreak. Nil when the kernel has no such cheap test.
 	violated(committed []TranscriptEntry, newEntry TranscriptEntry) []bool
 	inferred() Pred
-	// applyUpdate moves the state onto upd.To, remapping the beliefs of
-	// soft (nil for hard sessions); on error nothing changed.
-	applyUpdate(upd *InstanceUpdate, soft *belief.State) error
 	// attribute scores each answer of tr's contribution to the inferred
 	// predicate (Explain).
 	attribute(tr []TranscriptEntry, seed int64) (scores []float64, critical []bool)
@@ -80,7 +77,7 @@ type joinKernel struct {
 	classes *ClassSet
 
 	// strat is resolved through newStrat on first use and dropped whenever
-	// the engine is replaced or migrated, so nothing retains a stale one.
+	// the engine is replaced, so nothing retains a stale one.
 	strat    inference.Strategy
 	stratErr error
 	newStrat func() (inference.Strategy, error)
@@ -260,8 +257,8 @@ func (k *joinKernel) mutuallyInformative(a, b Pred) bool {
 	return true
 }
 
-func (k *joinKernel) commit(ci int, l Label) error {
-	err := k.engine.Label(ci, l)
+func (k *joinKernel) commit(ci int, e TranscriptEntry) error {
+	err := k.engine.LabelAt(ci, e.RIndex, e.PIndex, Label(e.Positive))
 	if err == inference.ErrInconsistent {
 		// Label records the example before detecting inconsistency; roll
 		// the engine back so the rejected answer leaves no trace.
@@ -289,7 +286,8 @@ func (k *joinKernel) transcript() []TranscriptEntry {
 	return out
 }
 
-// replay labels tr on a fresh engine over the same classes.
+// replay labels tr on a fresh engine over the same classes, each entry
+// recorded under its own rows.
 func (k *joinKernel) replay(tr []TranscriptEntry) (*inference.Engine, error) {
 	fresh := inference.New(k.engine.Inst, inference.WithClasses(k.engine.Classes()))
 	for _, e := range tr {
@@ -297,7 +295,7 @@ func (k *joinKernel) replay(tr []TranscriptEntry) (*inference.Engine, error) {
 		if ci < 0 {
 			return nil, fmt.Errorf("transcript tuple (%d,%d) has no class", e.RIndex, e.PIndex)
 		}
-		if err := fresh.Label(ci, Label(e.Positive)); err != nil {
+		if err := fresh.LabelAt(ci, e.RIndex, e.PIndex, Label(e.Positive)); err != nil {
 			return nil, err
 		}
 	}
@@ -336,28 +334,6 @@ func (k *joinKernel) violated(committed []TranscriptEntry, newEntry TranscriptEn
 		out[i] = !e.Positive && tpos.MoreGeneralThan(k.entryTheta(e))
 	}
 	return out
-}
-
-func (k *joinKernel) applyUpdate(upd *InstanceUpdate, soft *belief.State) error {
-	if _, err := k.engine.ApplyDelta(upd.To, upd.res); err != nil {
-		if err == inference.ErrInconsistent {
-			return ErrInconsistent
-		}
-		return fmt.Errorf("joininference: %w", err)
-	}
-	// The strategy is instance-bound (TD memoizes the ⊆-maximal set per
-	// engine, and the engine was mutated in place); drop it so the next
-	// question re-derives against the new classes. RND re-seeds and
-	// fast-forwards to the marked position, exactly as a resume would.
-	k.dropStrategy()
-	k.classes = upd.Classes
-	// Beliefs are keyed by class index; surviving classes carry their
-	// evidence across the remap, retired classes lose it (their tuples are
-	// gone, so the votes describe nothing).
-	if soft != nil {
-		soft.Remap(upd.res.Remap)
-	}
-	return nil
 }
 
 // attribute: exact Banzhaf coalition enumeration for up to 13 answers and

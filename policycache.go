@@ -131,8 +131,8 @@ type PolicyCacheStats struct {
 	// LRU (hits plus readahead). Both stay 0 without AttachStore.
 	Tier2Hits uint64 `json:"tier2_hits,omitempty"`
 	PageIns   uint64 `json:"page_ins,omitempty"`
-	// Invalidated counts nodes that instance updates (ApplyUpdate) dropped
-	// with their old version's trees.
+	// Invalidated counts nodes that instance updates
+	// (PolicyCache.ApplyUpdate) dropped with their old version's trees.
 	Invalidated uint64 `json:"invalidated,omitempty"`
 	// Migrated is always 0: an instance update drops the old version's
 	// trees and carries none onto the new version. The field stays only
@@ -187,8 +187,8 @@ func (s *Session) policyActive() *policy.Cache {
 }
 
 // policyTreeKey identifies this session's decision tree. The instance
-// version is in the key — a session migrated onto a new version
-// (ApplyUpdate) automatically reads and writes the new version's tree.
+// version is in the key — a session moved onto a new version (MoveTo)
+// automatically reads and writes the new version's tree.
 // The seed is normalized to 0 for everything but RND, so
 // deterministic-strategy sessions share one tree regardless of the
 // configured seed.

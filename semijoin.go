@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/belief"
 	"repro/internal/semijoin"
 	"repro/internal/strategy"
 )
@@ -205,9 +204,9 @@ func (k *semijoinKernel) pairwise(ri int, picked []int) (bool, error) {
 
 // commit checks the extended sample with one CONS⋉ decision before
 // recording anything.
-func (k *semijoinKernel) commit(ri int, l Label) error {
+func (k *semijoinKernel) commit(ri int, e TranscriptEntry) error {
 	next := semijoin.Sample{Pos: k.sample.Pos, Neg: k.sample.Neg}
-	if l == Positive {
+	if e.Positive {
 		next.Pos = append(append([]int(nil), next.Pos...), ri)
 	} else {
 		next.Neg = append(append([]int(nil), next.Neg...), ri)
@@ -221,7 +220,7 @@ func (k *semijoinKernel) commit(ri int, l Label) error {
 	}
 	k.sample = next
 	k.labeled[ri] = true
-	k.entries = append(k.entries, TranscriptEntry{RIndex: ri, PIndex: -1, Positive: bool(l)})
+	k.entries = append(k.entries, TranscriptEntry{RIndex: ri, PIndex: -1, Positive: e.Positive})
 	k.current, k.valid = theta, true
 	return nil
 }
@@ -278,37 +277,6 @@ func (k *semijoinKernel) inferred() Pred {
 		k.current, k.valid = theta, true
 	}
 	return k.current
-}
-
-// applyUpdate drops the answers for deleted R rows, moves onto the new
-// version's shared witness table (witness sets are version-bound) and
-// re-checks the surviving sample: deletes in P can orphan a positive row.
-func (k *semijoinKernel) applyUpdate(upd *InstanceUpdate, soft *belief.State) error {
-	next := newSemijoinKernel(upd.Classes.witnesses())
-	var kept []TranscriptEntry
-	for _, e := range k.entries {
-		if upd.To.RAlive(e.RIndex) {
-			kept = append(kept, e)
-		}
-	}
-	if err := next.rebuild(kept); err != nil {
-		return err
-	}
-	theta, ok, err := next.solver.Consistent(next.sample)
-	if err != nil {
-		return fmt.Errorf("joininference: %w", err)
-	}
-	if !ok {
-		return ErrInconsistent
-	}
-	next.current, next.valid = theta, true
-	*k = *next
-	// Row indexes are stable across versions; only dead rows lose their
-	// accumulated evidence.
-	if soft != nil {
-		soft.Drop(func(ri int) bool { return ri < upd.To.R.Len() && upd.To.RAlive(ri) })
-	}
-	return nil
 }
 
 // attribute is the drop-one criticality test (each probe is a CONS⋉

@@ -247,17 +247,7 @@ type Session struct {
 // product once (or adopts WithPrecomputedClasses) and groups it into
 // T-classes. Options select the strategy, seed, and budget.
 func NewSession(inst *Instance, opts ...Option) *Session {
-	s := newSession(inst, opts)
-	cs := s.cfg.classes
-	if cs == nil || cs.classes == nil {
-		cs = PrecomputeClasses(inst)
-	}
-	s.kern = &joinKernel{
-		engine:   inference.New(inst, inference.WithClasses(cs.classes)),
-		classes:  cs,
-		newStrat: s.newStrategy,
-	}
-	return s
+	return newSession(inst, configure(opts), SnapshotKindJoin)
 }
 
 // NewSemijoinSession prepares an interactive semijoin-inference session
@@ -269,27 +259,50 @@ func NewSession(inst *Instance, opts ...Option) *Session {
 // version's witness table with every other session over it; otherwise it
 // keeps a private one.
 func NewSemijoinSession(inst *Instance, opts ...Option) *Session {
-	s := newSession(inst, opts)
-	var tbl *semijoin.Table
-	if cs := s.cfg.classes; cs != nil && cs.inst == inst {
-		tbl = cs.witnesses()
-	} else {
-		tbl = semijoin.NewTable(inst)
-	}
-	s.kern = newSemijoinKernel(tbl)
-	return s
+	return newSession(inst, configure(opts), SnapshotKindSemijoin)
 }
 
-func newSession(inst *Instance, opts []Option) *Session {
+// configure applies opts over the defaults (StrategyTD, seed 1).
+func configure(opts []Option) sessionConfig {
 	cfg := sessionConfig{stratID: StrategyTD, seed: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	s := &Session{inst: inst, cfg: cfg}
-	if cfg.soft {
-		s.soft = belief.New(cfg.softThreshold, cfg.errorBudget)
-	}
+	return cfg
+}
+
+// newSession builds a session of the given snapshot kind over inst.
+func newSession(inst *Instance, cfg sessionConfig, kind string) *Session {
+	s := &Session{cfg: cfg}
+	s.reset(inst, kind)
 	return s
+}
+
+// reset puts the session on inst with nothing committed: a fresh kernel of
+// the given kind over the configured per-version state, and a fresh soft
+// layer for soft sessions. The configuration and rngMark are kept.
+func (s *Session) reset(inst *Instance, kind string) {
+	s.inst, s.asked, s.soft = inst, 0, nil
+	if s.cfg.soft {
+		s.soft = belief.New(s.cfg.softThreshold, s.cfg.errorBudget)
+	}
+	cs := s.cfg.classes
+	if kind == SnapshotKindSemijoin {
+		if cs != nil && cs.inst == inst {
+			s.kern = newSemijoinKernel(cs.witnesses())
+		} else {
+			s.kern = newSemijoinKernel(semijoin.NewTable(inst))
+		}
+		return
+	}
+	if cs == nil || cs.classes == nil {
+		cs = PrecomputeClasses(inst)
+	}
+	s.kern = &joinKernel{
+		engine:   inference.New(inst, inference.WithClasses(cs.classes)),
+		classes:  cs,
+		newStrat: s.newStrategy,
+	}
 }
 
 // newStrategy builds the configured strategy; RND fast-forwards to the
@@ -557,7 +570,7 @@ func (s *Session) Answer(q Question, l Label) error {
 	// only accepted answers. rngMark stays: the stream position of the
 	// last accepted answer is unchanged, so a re-fetched question
 	// re-derives identically (same as after ResumeSession).
-	if err := s.kern.commit(key, l); err != nil {
+	if err := s.kern.commit(key, TranscriptEntry{RIndex: q.RIndex, PIndex: q.PIndex, Positive: bool(l)}); err != nil {
 		return err
 	}
 	s.asked++

@@ -24,7 +24,8 @@ import (
 // in [1, SnapshotVersion] remains resumable forever.
 //
 // Snapshots address rows by index, so they are only meaningful against the
-// exact instance they were taken from. Resuming against a different
+// instance they were taken from or a later version of it (row indexes are
+// stable across versions). Resuming against a different
 // instance fails with ErrBadTranscript (out-of-range or unmatchable rows)
 // or ErrInconsistent where detectable — but an instance with the same
 // shape and different values may silently replay to a different state;
@@ -299,7 +300,10 @@ func entryKind(semijoin bool) string {
 // snapshot was taken from, replaying the transcript deterministically: the
 // resumed session asks bit-identical remaining questions and infers the
 // same predicate as the uninterrupted original, for join and semijoin
-// sessions alike.
+// sessions alike. On a later version of that instance it runs the replay
+// Session.MoveTo runs: answers and beliefs about rows deleted since the
+// snapshot was taken are dropped, so the resumed session matches the
+// original moved there.
 //
 // Additional options are applied on top of the snapshot's recorded
 // configuration. Overriding performance knobs (WithParallelism,
@@ -309,7 +313,8 @@ func entryKind(semijoin bool) string {
 //
 // Errors wrap ErrBadSnapshot (version/kind/shape), ErrBadTranscript (rows
 // that do not fit the instance) or ErrInconsistent (labels no predicate
-// satisfies — the snapshot belongs to different data).
+// satisfies — the snapshot belongs to different data, or a semijoin
+// positive lost every witness).
 func ResumeSession(inst *Instance, snap *Snapshot, opts ...Option) (*Session, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("%w: nil snapshot", ErrBadSnapshot)
@@ -328,28 +333,75 @@ func ResumeSession(inst *Instance, snap *Snapshot, opts ...Option) (*Session, er
 	if snap.Soft != nil {
 		base = append(base, WithSoftInference(snap.Soft.Threshold), WithErrorBudget(snap.Soft.ErrorBudget))
 	}
-	all := append(base, opts...)
-	var s *Session
-	if snap.Kind == SnapshotKindSemijoin {
-		s = NewSemijoinSession(inst, all...)
-	} else {
-		s = NewSession(inst, all...)
+	s := newSession(inst, configure(append(base, opts...)), snap.Kind)
+	if snap.Kind == SnapshotKindJoin {
 		s.rngMark = snap.RNGPos
 	}
 	// Replay re-runs the kernel's consistency check per entry, so a
 	// snapshot from different data surfaces as ErrInconsistent here.
-	if err := s.replayEntries(snap.Transcript, false); err != nil {
-		return nil, err
-	}
-	if err := s.restoreSoft(snap.Soft); err != nil {
+	if err := s.replay(snap.Transcript, snap.Soft); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
+// replay commits a transcript and restores a soft section into a session
+// with nothing committed. It is the one way a session reaches an instance
+// version: from a snapshot (ResumeSession) or from an older version
+// (MoveTo). Rows stay addressable after a delete, so an entry about a row
+// this version deleted — its R row, or for join its P row too — is dropped,
+// and so is a belief whose class (join) or row (semijoin) no longer
+// exists; a join belief follows its class by T mask, whichever tuple
+// represents it now. Everything else must fit: out-of-range rows,
+// duplicate keys and contradictory labels fail with ErrBadTranscript
+// (wrapping ErrInconsistent for the last).
+func (s *Session) replay(entries []TranscriptEntry, soft *SoftSnapshot) error {
+	for i, e := range entries {
+		if err := validateEntry(s.inst, e.RIndex, e.PIndex); err != nil {
+			return fmt.Errorf("%w: entry %d: %v", ErrBadTranscript, i+1, err)
+		}
+		if !rowsAlive(s.inst, e.RIndex, e.PIndex) {
+			continue
+		}
+		key, err := s.kern.keyOf(QuestionRef{RIndex: e.RIndex, PIndex: e.PIndex})
+		if err != nil {
+			return fmt.Errorf("%w: entry %d: %v", ErrBadTranscript, i+1, err)
+		}
+		// A live session never labels one key twice, so a duplicate means
+		// corruption.
+		if _, labeled := s.kern.labelOf(key); labeled {
+			return fmt.Errorf("%w: entry %d: (%d,%d) already labeled", ErrBadTranscript, i+1, e.RIndex, e.PIndex)
+		}
+		if err := s.kern.commit(key, e); err != nil {
+			return fmt.Errorf("%w: entry %d: %w", ErrBadTranscript, i+1, err)
+		}
+		s.asked++
+	}
+	return s.restoreSoft(soft)
+}
+
+// validateEntry checks a transcript or belief entry's rows against the
+// instance's bounds (PIndex -1 marks a semijoin entry; below -1 is
+// corruption).
+func validateEntry(inst *Instance, r, p int) error {
+	if r < 0 || r >= inst.R.Len() {
+		return fmt.Errorf("row %d of R out of range [0,%d)", r, inst.R.Len())
+	}
+	if p < -1 || p >= inst.P.Len() {
+		return fmt.Errorf("row %d of P out of range [0,%d) (or -1)", p, inst.P.Len())
+	}
+	return nil
+}
+
+// rowsAlive reports whether an entry's rows are live at inst's version.
+func rowsAlive(inst *Instance, r, p int) bool {
+	return inst.RAlive(r) && (p < 0 || inst.PAlive(p))
+}
+
 // restoreSoft reinstates the belief layer's counters and per-class
-// evidence from the snapshot section; refs that do not fit the instance
-// fail with ErrBadTranscript, like transcript replay.
+// evidence from the snapshot section (see replay for the beliefs it
+// drops); refs that do not fit the instance fail with ErrBadTranscript,
+// like transcript entries.
 func (s *Session) restoreSoft(soft *SoftSnapshot) error {
 	if soft == nil || s.soft == nil {
 		return nil
@@ -357,7 +409,13 @@ func (s *Session) restoreSoft(soft *SoftSnapshot) error {
 	s.soft.Spent = soft.Retractions
 	s.soft.Votes = soft.Votes
 	for i, b := range soft.Beliefs {
+		if err := validateEntry(s.inst, b.RIndex, b.PIndex); err != nil {
+			return fmt.Errorf("%w: belief %d: %v", ErrBadTranscript, i+1, err)
+		}
 		key, err := s.kern.keyOf(QuestionRef{RIndex: b.RIndex, PIndex: b.PIndex})
+		if !rowsAlive(s.inst, b.RIndex, b.PIndex) && (err != nil || !s.kern.live(key)) {
+			continue
+		}
 		if err != nil {
 			return fmt.Errorf("%w: belief %d: %v", ErrBadTranscript, i+1, err)
 		}

@@ -35,7 +35,7 @@ import (
 // The container version covers the framing above; the embedded Version
 // field carries the same SnapshotVersion compatibility policy as the JSON
 // form (see Snapshot), so the two forms stay semantically interchangeable:
-// DecodeSnapshotBytes accepts either and both validate identically.
+// DecodeSnapshot and DecodeBinarySnapshot validate identically.
 var snapshotMagic = []byte("JSNB")
 
 // snapshotContainerVersion is the newest binary framing version the
@@ -157,16 +157,6 @@ func DecodeBinarySnapshot(data []byte) (*Snapshot, error) {
 		return nil, err
 	}
 	return &sn, nil
-}
-
-// DecodeSnapshotBytes parses either wire form: binary (by magic) or JSON.
-// The store holds binary records, while Snapshot.Encode and the HTTP API
-// emit JSON — one decoder serves both, with identical validation.
-func DecodeSnapshotBytes(data []byte) (*Snapshot, error) {
-	if bytes.HasPrefix(data, snapshotMagic) {
-		return DecodeBinarySnapshot(data)
-	}
-	return DecodeSnapshot(bytes.NewReader(data))
 }
 
 // decodeSoftBinary parses the container-v2 soft section; malformed input

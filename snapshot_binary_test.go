@@ -98,8 +98,9 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	sameSnapshot(t, "semijoin", want, got)
 }
 
-// TestDecodeSnapshotBytesAutoDetect: one decoder serves both wire forms.
-func TestDecodeSnapshotBytesAutoDetect(t *testing.T) {
+// TestSnapshotWireFormsDecodeAlike: the JSON and the binary form of one
+// snapshot decode to the same snapshot.
+func TestSnapshotWireFormsDecodeAlike(t *testing.T) {
 	inst := paperdata.FlightHotel()
 	u := NewSession(inst).Universe()
 	goal, err := PredFromNames(u, [2]string{"To", "City"})
@@ -112,17 +113,25 @@ func TestDecodeSnapshotBytesAutoDetect(t *testing.T) {
 	if err := want.Encode(&jsonBuf); err != nil {
 		t.Fatal(err)
 	}
-	fromJSON, err := DecodeSnapshotBytes(jsonBuf.Bytes())
+	fromJSON, err := decodeWire(jsonBuf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameSnapshot(t, "json", want, fromJSON)
 
-	fromBinary, err := DecodeSnapshotBytes(want.AppendBinary(nil))
+	fromBinary, err := decodeWire(want.AppendBinary(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameSnapshot(t, "binary", want, fromBinary)
+}
+
+// decodeWire decodes either snapshot form: binary by its magic, else JSON.
+func decodeWire(data []byte) (*Snapshot, error) {
+	if bytes.HasPrefix(data, snapshotMagic) {
+		return DecodeBinarySnapshot(data)
+	}
+	return DecodeSnapshot(bytes.NewReader(data))
 }
 
 // TestBinarySnapshotRejectsCorrupt: every truncation of a valid binary
@@ -207,7 +216,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	// never reaches the store.
 	f.Add([]byte(`{"version":1,"kind":"join","seed":1,"budget":-1,"asked":0}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sn, err := DecodeSnapshotBytes(data)
+		sn, err := decodeWire(data)
 		if err != nil {
 			if bytes.HasPrefix(data, []byte("JSNB")) && !errors.Is(err, ErrBadSnapshot) {
 				t.Fatalf("binary decode error does not wrap ErrBadSnapshot: %v", err)

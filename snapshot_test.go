@@ -326,34 +326,6 @@ func TestDecodeSnapshotRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestLoadTranscriptValidation(t *testing.T) {
-	inst := paperdata.FlightHotel()
-	good := `{"r":0,"p":1,"positive":true}
-{"r":1,"p":-1,"positive":false}
-`
-	entries, err := LoadTranscript(inst, strings.NewReader(good))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("entries = %d, want 2", len(entries))
-	}
-	for _, bad := range []string{
-		`{"r":-1,"p":0,"positive":true}`,
-		`{"r":99,"p":0,"positive":true}`,
-		`{"r":0,"p":99,"positive":true}`,
-		`{"r":0,"p":-7,"positive":true}`,
-		`garbage`,
-	} {
-		if _, err := LoadTranscript(inst, strings.NewReader(bad)); !errors.Is(err, ErrBadTranscript) {
-			t.Errorf("LoadTranscript(%q): want ErrBadTranscript, got %v", bad, err)
-		}
-	}
-	if _, err := ReplayTranscript(inst, strings.NewReader(`{"r":1,"p":-1,"positive":false}`)); !errors.Is(err, ErrBadTranscript) {
-		t.Errorf("semijoin entry in join replay: want ErrBadTranscript, got %v", err)
-	}
-}
-
 func TestQuestionRefRoundtrip(t *testing.T) {
 	inst := paperdata.FlightHotel()
 	s := NewSession(inst)

@@ -249,7 +249,7 @@ func (s *Session) softCommit(q Question, key int, l Label) error {
 		}
 		return s.softRecover(newEntry, key, true)
 	}
-	if err := s.kern.commit(key, l); err != nil {
+	if err := s.kern.commit(key, newEntry); err != nil {
 		if errors.Is(err, ErrInconsistent) {
 			return s.softRecover(newEntry, key, false)
 		}

@@ -747,3 +747,126 @@ func TestSoftSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("hard binary container version %d, want 1", raw[4])
 	}
 }
+
+// TestSoftBeliefsAcrossVersionMove: a pending belief follows its class (or
+// row) onto a new instance version while the class (or row) exists there,
+// and is dropped once it does not. Moving live and resuming the pre-move
+// snapshot on the new version give the same soft state and questions.
+func TestSoftBeliefsAcrossVersionMove(t *testing.T) {
+	ctx := context.Background()
+	// vote casts one pending vote (threshold 2) for the question at ref.
+	vote := func(t *testing.T, s *Session, ref QuestionRef) {
+		q, err := s.QuestionByRef(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AnswerVote(q, Positive, Vote{Worker: "w"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// move moves s onto the version d produces and resumes s's pre-move
+	// snapshot there; both must agree.
+	move := func(t *testing.T, s *Session, cs *ClassSet, d Delta) *Session {
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		upd, err := ApplyDelta(s.inst, cs, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.MoveTo(upd.To, upd.Classes); err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := ResumeSession(upd.To, snap, WithPrecomputedClasses(upd.Classes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.SoftStats() != resumed.SoftStats() {
+			t.Fatalf("moved soft stats %+v, resumed %+v", s.SoftStats(), resumed.SoftStats())
+		}
+		qa, err := s.NextQuestions(ctx, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qb, err := resumed.NextQuestions(ctx, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(qa) != len(qb) {
+			t.Fatalf("moved asks %d questions, resumed %d", len(qa), len(qb))
+		}
+		for i := range qa {
+			if qa[i].Ref() != qb[i].Ref() {
+				t.Fatalf("question %d: moved asks %v, resumed %v", i, qa[i].Ref(), qb[i].Ref())
+			}
+		}
+		return resumed
+	}
+	// joinClass finds a T-class of FlightHotel whose product pairs all sit
+	// on its representative's R row (shared) or not (!shared), and one of
+	// its pairs off that row.
+	joinClass := func(t *testing.T, cs *ClassSet, shared bool) (rep, other QuestionRef) {
+		inst := cs.inst
+		for ci, c := range cs.classes {
+			other = QuestionRef{RIndex: -1}
+			for ri := 0; ri < inst.R.Len() && other.RIndex < 0; ri++ {
+				for pi := 0; pi < inst.P.Len(); pi++ {
+					if ri != c.RI && cs.index().Of(inst.R.Tuples[ri], inst.P.Tuples[pi]) == ci {
+						other = QuestionRef{RIndex: ri, PIndex: pi}
+						break
+					}
+				}
+			}
+			if (other.RIndex < 0) == shared {
+				return QuestionRef{RIndex: c.RI, PIndex: c.PI}, other
+			}
+		}
+		t.Fatalf("no class with shared=%v", shared)
+		return
+	}
+
+	t.Run("join/representative-dies", func(t *testing.T) {
+		inst := paperdata.FlightHotel()
+		cs := PrecomputeClasses(inst)
+		s := NewSession(inst, WithSoftInference(2), WithPrecomputedClasses(cs))
+		rep, other := joinClass(t, cs, false)
+		vote(t, s, rep)
+		move(t, s, cs, Delta{DeleteR: []int{rep.RIndex}})
+		if st := s.SoftStats(); st.Pending != 1 || st.Votes != 1 {
+			t.Fatalf("belief lost with its representative: %+v", st)
+		}
+		key, err := s.kern.keyOf(other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := s.soft.Get(key); b.Pos != 1 {
+			t.Fatalf("class of %v holds belief %+v, want the vote", other, b)
+		}
+	})
+	t.Run("join/class-retires", func(t *testing.T) {
+		inst := paperdata.FlightHotel()
+		cs := PrecomputeClasses(inst)
+		s := NewSession(inst, WithSoftInference(2), WithPrecomputedClasses(cs))
+		rep, _ := joinClass(t, cs, true)
+		vote(t, s, rep)
+		move(t, s, cs, Delta{DeleteR: []int{rep.RIndex}})
+		if st := s.SoftStats(); st.Pending != 0 || st.Votes != 1 || len(s.soft.Keys()) != 0 {
+			t.Fatalf("belief on a retired class kept: %+v, keys %v", st, s.soft.Keys())
+		}
+	})
+	t.Run("semijoin/row-dies", func(t *testing.T) {
+		inst := paperdata.Example21()
+		cs := PrecomputeClasses(inst)
+		s := NewSemijoinSession(inst, WithSoftInference(2), WithPrecomputedClasses(cs))
+		vote(t, s, QuestionRef{RIndex: 0, PIndex: -1})
+		vote(t, s, QuestionRef{RIndex: 1, PIndex: -1})
+		move(t, s, cs, Delta{DeleteR: []int{0}})
+		if st := s.SoftStats(); st.Pending != 1 || st.Votes != 2 {
+			t.Fatalf("soft stats after deleting a voted row: %+v", st)
+		}
+		if keys := s.soft.Keys(); len(keys) != 1 || keys[0] != 1 {
+			t.Fatalf("beliefs on rows %v, want row 1 alone", keys)
+		}
+	})
+}

@@ -3,6 +3,8 @@ package joininference
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -23,6 +25,12 @@ func runSession(t *testing.T, goalText string) (*Session, Pred) {
 	return s, goal
 }
 
+// transcriptSnapshot wraps join transcript entries in a snapshot of a
+// default (TD) session, the form ResumeSession replays.
+func transcriptSnapshot(entries []TranscriptEntry) *Snapshot {
+	return &Snapshot{Version: 1, Kind: SnapshotKindJoin, Seed: 1, Asked: len(entries), Transcript: entries}
+}
+
 func TestTranscriptRoundTrip(t *testing.T) {
 	s, _ := runSession(t, "Flight.To = Hotel.City")
 	if len(s.Transcript()) != s.Questions() {
@@ -34,7 +42,15 @@ func TestTranscriptRoundTrip(t *testing.T) {
 	if err := s.SaveTranscript(&buf); err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := ReplayTranscript(paperdata.FlightHotel(), &buf)
+	var entries []TranscriptEntry
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var e TranscriptEntry
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
+	}
+	replayed, err := ResumeSession(paperdata.FlightHotel(), transcriptSnapshot(entries))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,42 +63,28 @@ func TestTranscriptRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplayErrors: transcript entries that cannot be replayed on the
+// instance — rows out of its range, a key answered twice (a live session
+// never does that), labels no predicate satisfies — fail ResumeSession with
+// ErrBadTranscript, never a panic.
 func TestReplayErrors(t *testing.T) {
 	inst := paperdata.FlightHotel()
-	if _, err := ReplayTranscript(inst, strings.NewReader("not json")); err == nil {
-		t.Error("garbage transcript accepted")
+	for name, entries := range map[string][]TranscriptEntry{
+		"R row out of range": {{RIndex: 99, PIndex: 0, Positive: true}},
+		"P row out of range": {{RIndex: 0, PIndex: 99, Positive: true}},
+		"duplicate entry":    {{RIndex: 0, PIndex: 2, Positive: true}, {RIndex: 0, PIndex: 2, Positive: true}},
+		// (0,2) and (3,1) share no equality: T(S+) = ∅ selects every
+		// tuple, so any negative contradicts them.
+		"inconsistent": {{RIndex: 0, PIndex: 2, Positive: true}, {RIndex: 3, PIndex: 1, Positive: true}, {RIndex: 1, PIndex: 0, Positive: false}},
+	} {
+		if _, err := ResumeSession(inst, transcriptSnapshot(entries)); !errors.Is(err, ErrBadTranscript) {
+			t.Errorf("%s: ResumeSession = %v, want ErrBadTranscript", name, err)
+		}
 	}
-	if _, err := ReplayTranscript(inst, strings.NewReader(`{"r":99,"p":0,"positive":true}`)); err == nil {
-		t.Error("out-of-range entry accepted")
-	}
-	// Inconsistent transcript: label the same class-equivalent information
-	// contradictorily. (3)=(Paris→Lille AF, Lille AF) positive then a
-	// contradiction via an impossible mix: everything positive then one
-	// negative of a tuple made certain positive.
-	bad := `{"r":0,"p":1,"positive":true}
-{"r":0,"p":0,"positive":true}
-{"r":2,"p":2,"positive":false}
-`
-	// T(S+) after the two positives may make the third certain — if its
-	// class is undecided and the label contradicts, we must get an error;
-	// if the entry is skipped as decided, replay succeeds. Either way no
-	// panic and a valid session or error.
-	if s, err := ReplayTranscript(inst, strings.NewReader(bad)); err == nil && s == nil {
-		t.Error("nil session without error")
-	}
-}
-
-func TestReplaySkipsDecidedDuplicates(t *testing.T) {
-	// The same entry twice: second occurrence must be skipped silently.
-	two := `{"r":0,"p":2,"positive":true}
-{"r":0,"p":2,"positive":true}
-`
-	s, err := ReplayTranscript(paperdata.FlightHotel(), strings.NewReader(two))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Questions() != 1 {
-		t.Errorf("questions = %d, want 1 (duplicate skipped)", s.Questions())
+	semi := &Snapshot{Version: 1, Kind: SnapshotKindSemijoin, Seed: 1, Asked: 1,
+		Transcript: []TranscriptEntry{{RIndex: 99, PIndex: -1, Positive: true}}}
+	if _, err := ResumeSession(inst, semi); !errors.Is(err, ErrBadTranscript) {
+		t.Errorf("semijoin row out of range: ResumeSession = %v, want ErrBadTranscript", err)
 	}
 }
 

@@ -152,7 +152,7 @@ func TestWireBytes(t *testing.T) {
 				form  string
 				bytes []byte
 			}{{"binary", bin}, {"JSON", js.Bytes()}} {
-				back, err := DecodeSnapshotBytes(w.bytes)
+				back, err := decodeWire(w.bytes)
 				if err != nil {
 					t.Fatalf("decoding the %s snapshot: %v", w.form, err)
 				}
