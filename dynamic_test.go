@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -564,6 +565,107 @@ func TestSemijoinDeletedRowsNeverAsked(t *testing.T) {
 					t.Errorf("vote on the deleted row recorded: %+v", st)
 				}
 			})
+		}
+	}
+}
+
+// TestJoinAnswerAboutDeletedRowRefused: a join question keeps the rows it
+// named, so once an update deletes its R row it is refused — not recorded
+// under a dead row the next move would drop — even though its T-class
+// lives on through another pair and still resolves.
+func TestJoinAnswerAboutDeletedRowRefused(t *testing.T) {
+	inst := paperdata.FlightHotel()
+	upd, err := ApplyDelta(inst, PrecomputeClasses(inst), Delta{DeleteR: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flight(Paris,Lille,AF) × Hotel(Paris,None) shares its T-class with
+	// Flight(Paris,NYC,AF) × Hotel(Paris,None).
+	ref := QuestionRef{RIndex: 0, PIndex: 1}
+	for _, opts := range [][]Option{nil, {WithErrorBudget(1)}} {
+		s := NewSession(inst, opts...)
+		fetched, err := s.QuestionByRef(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.IsInformative(fetched) {
+			t.Fatal("question not informative before the delete")
+		}
+		if err := s.MoveTo(upd.To, upd.Classes); err != nil {
+			t.Fatal(err)
+		}
+		q, err := s.QuestionByRef(ref)
+		if err != nil {
+			t.Fatalf("the surviving class no longer resolves: %v", err)
+		}
+		if s.IsInformative(q) {
+			t.Error("question about a deleted row reported informative")
+		}
+		if err := s.Answer(q, Negative); !errors.Is(err, ErrBadQuestionRef) {
+			t.Errorf("soft=%v: answering about the deleted row: %v, want ErrBadQuestionRef", s.Soft(), err)
+		}
+		if s.Questions() != 0 || len(s.Transcript()) != 0 || s.Soft() && s.SoftStats().Votes != 0 {
+			t.Errorf("soft=%v: refused answer left a trace", s.Soft())
+		}
+	}
+}
+
+// TestQuestionFetchedBeforeMoveKeepsItsRows: an insert that mints a class
+// early in canonical order shifts the keys of later classes, so a question
+// fetched before a move must be resolved again by its rows: answered after
+// the move, it acts exactly as the same ref fetched on the new version.
+func TestQuestionFetchedBeforeMoveKeepsItsRows(t *testing.T) {
+	ctx := context.Background()
+	inst := paperdata.FlightHotel()
+	// Hotel(AF,Paris) brings equalities Airline=City and From=Discount,
+	// whose new classes sort among the old ones and shift four pairs'
+	// keys ((0,2), (1,0), (2,0), (3,2)).
+	upd, err := ApplyDelta(inst, PrecomputeClasses(inst), Delta{InsertP: []Tuple{{"AF", "Paris"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goal, err := PredFromNames(NewSession(inst).Universe(), [2]string{"To", "City"}, [2]string{"Airline", "Discount"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := HonestOracle(goal)
+	for r := 0; r < inst.R.Len(); r++ {
+		for p := 0; p < inst.P.Len(); p++ {
+			ref := QuestionRef{RIndex: r, PIndex: p}
+			moved := NewSession(inst)
+			stale, err := moved.QuestionByRef(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := moved.MoveTo(upd.To, upd.Classes); err != nil {
+				t.Fatal(err)
+			}
+			fresh := NewSession(upd.To, WithPrecomputedClasses(upd.Classes))
+			q, err := fresh.QuestionByRef(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if moved.IsInformative(stale) != fresh.IsInformative(q) {
+				t.Fatalf("%v: informative %v after the move, %v fetched on the new version", ref, moved.IsInformative(stale), fresh.IsInformative(q))
+			}
+			l, err := oracle.Label(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err1, err2 := moved.Answer(stale, l), fresh.Answer(q, l); (err1 == nil) != (err2 == nil) {
+				t.Fatalf("%v: answer after the move %v, on the new version %v", ref, err1, err2)
+			}
+			a, err := moved.NextQuestions(ctx, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := fresh.NextQuestions(ctx, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(a, b, func(x, y Question) bool { return x.Ref() == y.Ref() }) || moved.Inferred().String() != fresh.Inferred().String() {
+				t.Fatalf("%v: moved session infers %v, fresh one infers %v", ref, moved.Inferred(), fresh.Inferred())
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -264,6 +265,74 @@ func TestRestoreAfterDeleteMatchesLiveMove(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestAnswerAboutDeletedRowNotRecorded: an answer about a pair whose R row
+// an ingest deleted after the client fetched it is not recorded, even
+// though the pair's T-class lives on through another pair: the manager
+// reports it skipped. What the session does record then survives a later
+// move and a restart unchanged, so no acknowledged answer vanishes.
+func TestAnswerAboutDeletedRowNotRecorded(t *testing.T) {
+	ctx := context.Background()
+	kv, err := store.OpenLog(t.TempDir(), store.LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	reg := testRegistry(t)
+	reg.AttachStore(kv, nil)
+	m1, err := NewManager(reg, Options{Store: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goal := flightGoal(t)
+	info, err := m1.Create(Params{Instance: "flights", Strategy: joininference.StrategyBU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flight(Paris,Lille,AF) × Hotel(Paris,None) shares its T-class
+	// {From=City} with Flight(Paris,NYC,AF) × Hotel(Paris,None), so the
+	// class outlives the delete of Flight row 0.
+	ref := joininference.QuestionRef{RIndex: 0, PIndex: 1}
+	if _, err := m1.Ingest("flights", joininference.Delta{DeleteR: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := m1.Answer(ctx, info.ID, []Answer{{QuestionRef: ref, Positive: false}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Applied != 0 || res.Skipped != 1 || res.Asked != 0 {
+		t.Fatalf("answer about a deleted row: %+v; want it skipped, nothing recorded", res)
+	}
+	answerSteps(t, m1, info.ID, goal, 2)
+	if _, err := m1.Ingest("flights", joininference.Delta{InsertR: []joininference.Tuple{{"NYC", "Lille", "BA"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m1.Questions(ctx, info.ID, 1); err != nil {
+		t.Fatal(err)
+	}
+	live, err := m1.Snapshot(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(live.Snapshot.Transcript); n != 2 {
+		t.Fatalf("%d answers held after the move, want 2: %+v", n, live.Snapshot.Transcript)
+	}
+	if err := m1.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := NewManager(reg, Options{Store: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close(ctx)
+	restored, err := m2.Snapshot(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(restored.Snapshot.Transcript, live.Snapshot.Transcript) {
+		t.Fatalf("restart holds %+v, the live session held %+v", restored.Snapshot.Transcript, live.Snapshot.Transcript)
 	}
 }
 

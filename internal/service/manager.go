@@ -81,7 +81,8 @@ type Answer struct {
 type AnswerResult struct {
 	// Applied counts answers recorded; Skipped counts answers whose
 	// question an earlier answer (possibly in the same batch) had already
-	// decided — normal in parallel crowd rounds, not an error.
+	// decided — normal in parallel crowd rounds, not an error — or whose
+	// row an ingest deleted since the question was fetched.
 	Applied int  `json:"applied"`
 	Skipped int  `json:"skipped"`
 	Asked   int  `json:"asked"`

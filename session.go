@@ -526,21 +526,31 @@ func (s *Session) questions(picked []int) []Question {
 }
 
 // questionKey returns the key of a question produced by a session of this
-// kind over this instance (a hand-built Question carries no session state,
-// and its zero key would silently name the wrong class or row).
+// kind (a hand-built Question carries no session state, and its zero key
+// would silently name the wrong class or row). A question fetched before
+// the session moved to another instance version carries the old version's
+// key, so it is resolved again by its rows.
 func (s *Session) questionKey(q Question) (int, error) {
-	if q.u == nil || q.Semijoin() != (s.kern.kind() == SnapshotKindSemijoin) || q.key < 0 || q.key >= s.kern.keys() {
-		return 0, fmt.Errorf("joininference: question was not produced by this %s session", s.kern.kind())
+	if q.u != nil && q.Semijoin() == (s.kern.kind() == SnapshotKindSemijoin) {
+		if q.inst != s.inst {
+			return s.kern.keyOf(q.Ref())
+		}
+		if q.key >= 0 && q.key < s.kern.keys() {
+			return q.key, nil
+		}
 	}
-	return q.key, nil
+	return 0, fmt.Errorf("joininference: question was not produced by this %s session", s.kern.kind())
 }
 
 // answerKey is questionKey for a question about to be answered: rows an
-// instance update deleted can no longer be answered.
+// instance update deleted can no longer be answered. A join question keeps
+// the rows it named (see QuestionByRef), and its answer is recorded under
+// them, so both rows must be live even while the T-class lives on through
+// another pair; otherwise the next move would silently drop the answer.
 func (s *Session) answerKey(q Question) (int, error) {
 	key, err := s.questionKey(q)
-	if err == nil && !s.kern.live(key) {
-		err = fmt.Errorf("%w: row %d was deleted", ErrBadQuestionRef, q.RIndex)
+	if err == nil && !rowsAlive(s.inst, q.RIndex, q.PIndex) {
+		err = fmt.Errorf("%w: (%d,%d) names a deleted row", ErrBadQuestionRef, q.RIndex, q.PIndex)
 	}
 	return key, err
 }
@@ -621,11 +631,11 @@ func (s *Session) AnswerBatch(qs []Question, labels []Label) (int, error) {
 
 // IsInformative reports whether answering q would still shrink the set of
 // consistent predicates — false once earlier answers decided it, and
-// always false for a row an instance update deleted. For semijoin sessions
-// the test pays two CONS⋉ decisions.
+// always false for a question naming a row an instance update deleted.
+// For semijoin sessions the test pays two CONS⋉ decisions.
 func (s *Session) IsInformative(q Question) bool {
 	key, err := s.questionKey(q)
-	if err != nil {
+	if err != nil || !rowsAlive(s.inst, q.RIndex, q.PIndex) {
 		return false
 	}
 	ok, err := s.kern.informative(key)

@@ -81,6 +81,16 @@ func TestReplayErrors(t *testing.T) {
 			t.Errorf("%s: ResumeSession = %v, want ErrBadTranscript", name, err)
 		}
 	}
+	// Negative rows are malformed records: snapshot validation rejects
+	// them before replay.
+	for name, e := range map[string]TranscriptEntry{
+		"R row negative": {RIndex: -1, PIndex: 0, Positive: true},
+		"P row below -1": {RIndex: 0, PIndex: -7, Positive: true},
+	} {
+		if _, err := ResumeSession(inst, transcriptSnapshot([]TranscriptEntry{e})); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: ResumeSession = %v, want ErrBadSnapshot", name, err)
+		}
+	}
 	semi := &Snapshot{Version: 1, Kind: SnapshotKindSemijoin, Seed: 1, Asked: 1,
 		Transcript: []TranscriptEntry{{RIndex: 99, PIndex: -1, Positive: true}}}
 	if _, err := ResumeSession(inst, semi); !errors.Is(err, ErrBadTranscript) {
