@@ -11,10 +11,12 @@
 // words. Predicates passed in may be shorter than W; missing words read as
 // zero, as in package bitset.
 //
-// The test is the innermost loop of the lookahead strategies, so it and
-// the two sweeps over a flat arena of thetas (Delta, InformativeInto) come
-// in three widths: one word (every schema in the paper), two words
-// (65–128 pairs) and any width. A sweep switches once, not per test.
+// The two sweeps over a flat arena of thetas (Delta, InformativeInto) are
+// the innermost loops of the lookahead strategies: each distinct lattice
+// node of a decision is swept once to fill the strategies' lattice table,
+// and each mixed-sign L2S leaf once more, so they and the test come in
+// three widths: one word (every schema in the paper), two words (65–128
+// pairs) and any width. A sweep switches once, not per test.
 package certainty
 
 // Kernel is the knowledge of a sample that certainty depends on. TPos is

@@ -5,11 +5,11 @@
 // is fully deterministic — given the same answer prefix, BU/TD/L1S/L2S
 // (and seeded RND) always pick the same next T-class — so every session
 // over an instance is a walk down one binary decision tree. The expensive
-// per-question work (the entropy^K lookahead of L1S/L2S, the NP-complete
-// CONS⋉ informativeness scans of semijoin sessions) is a pure function of
-// the answer prefix, and this package memoizes it: the first session to
-// reach a prefix pays for the strategy, publishes its choice, and every
-// later session resolves the same prefix with a map lookup.
+// per-question work (the entropy¹/entropy² lookahead of L1S/L2S, the
+// NP-complete CONS⋉ informativeness scans of semijoin sessions) is a pure
+// function of the answer prefix, and this package memoizes it: the first
+// session to reach a prefix pays for the strategy, publishes its choice,
+// and every later session resolves the same prefix with a map lookup.
 //
 // # Keying
 //

@@ -34,7 +34,7 @@ func BenchmarkNextTD(b *testing.B) {
 
 func BenchmarkNextL1S(b *testing.B) {
 	e := benchEngine(b)
-	s := Lookahead{K: 1}
+	s := L1S(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Next(e)
@@ -43,7 +43,7 @@ func BenchmarkNextL1S(b *testing.B) {
 
 func BenchmarkNextL2S(b *testing.B) {
 	e := benchEngine(b)
-	s := Lookahead{K: 2}
+	s := L2S(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Next(e)
@@ -69,9 +69,9 @@ func BenchmarkColdPath(b *testing.B) {
 		name  string
 		strat inference.Strategy
 	}{
-		{"L1S/arena", Lookahead{K: 1}},
+		{"L1S/arena", L1S(0)},
 		{"L1S/legacy", legacyLookahead{K: 1}},
-		{"L2S/arena", Lookahead{K: 2}},
+		{"L2S/arena", L2S(0)},
 		{"L2S/legacy", legacyLookahead{K: 2}},
 	}
 	for _, v := range variants {

@@ -1,44 +1,58 @@
 package strategy
 
-// The lookahead engine: entropy^K (Section 4.4, Algorithm 5) for every pair
-// universe and every depth. Predicates are W = ⌈|Ω|/64⌉-word spans laid out
-// in flat []uint64 arenas snapshotted once per decision (per-class thetas,
-// base T(S+), the engine's ⊆-maximal base negatives), and a hypothetical
-// extension chain lives entirely in the candidate's lookScratch:
+// The lookahead engine: entropy¹ (Algorithm 4) and entropy² (Algorithms
+// 5–6) for every pair universe. Predicates are W = ⌈|Ω|/64⌉-word spans
+// laid out in flat []uint64 arenas snapshotted once per decision: the
+// per-class thetas θₘ, their meets Tₘ = T∩θₘ with the base T = T(S+), and
+// the engine's ⊆-maximal base negatives N.
 //
-//   - a positive extension from depth d writes T(S+) ∩ θ into the scratch's
-//     d-th W-word T(S+) slot;
-//   - a negative extension appends θ's words to the scratch's negative
-//     list — the base negatives followed by k reserved spans — so the
-//     certainty test scans one contiguous list;
-//   - the classes still informative at depth d are listed in the d-th slot
-//     of the scratch's rest arena.
+// Under the base sample every hypothetical state's certain set depends
+// only on lattice nodes below T (Section 4.2). For a node t write
 //
-// An extension from depth d writes only depth-d slots and sibling branches
-// run strictly one after the other, so ancestors' slots stay intact and
-// steady-state candidate evaluation allocates nothing.
+//	pos(t) = the weight of the positions certain under (t, N),
+//	neg(t) = the weight of {m : Tₘ ⊆ t}.
 //
-// A class labelled along the chain is certain under every later state
-// (positive: T(S+) ∩ θ ⊆ θ, Lemma 3.3; negative: T(S+) ∩ θ ⊆ θ, a negative,
-// Lemma 3.4), so the chain needs no record of what it labelled: those
-// classes drop out of the informative lists by themselves, and delta
-// corrects their weight by the chain depth.
+// A base-informative position m is neither below T nor covered by a base
+// negative, so under the extra negative θᵢ it is certain iff Tₘ ⊆ θᵢ, that
+// is iff Tₘ ⊆ Tᵢ. Hence, with one labelled class per step,
 //
-// Every hypothetical state is a certainty.Kernel over the scratch spans,
-// and its two sweeps (Delta, InformativeInto) are the innermost Θ(K) loops
-// of the Θ(K³) lookahead (K = informative classes). engine_test.go checks
-// the engine against the slice-based reference engine, and
-// paperdefs_test.go checks entropy¹ and entropy² against brute force over
-// the version space.
+//	(i+)       = pos(Tᵢ) − 1          (i−)       = neg(Tᵢ) − 1
+//	(i+, j+)   = pos(Tᵢ∩Tⱼ) − 2
+//	(i−, j−)   = neg(Tᵢ) + neg(Tⱼ) − neg(Tᵢ∩Tⱼ) − 2
+//
+// where the last holds because Tₘ ⊆ Tᵢ and Tₘ ⊆ Tⱼ iff Tₘ ⊆ Tᵢ∩Tⱼ. The
+// labelled classes themselves are certain under their own extension and
+// are counted in these weights, hence the chain depth subtracted: the
+// paper's Figure 5 counts 11, not 12, for the ∅ tuple. The mixed leaves,
+// (i+, j−) under (Tᵢ, N ∪ {θⱼ}) and (i−, j+) under (Tⱼ, N ∪ {θᵢ}), stay
+// one certainty.Kernel.Delta sweep each.
+//
+// So a decision collects the distinct nodes Tᵢ (and, for L2S, Tᵢ∩Tⱼ) into
+// one latticeTable, fills each key once with one Delta sweep and one neg
+// sweep — in parallel with Workers > 1, since each is a pure function of
+// its key — and then reduces the candidates in class order. An L1S
+// candidate is two lookups; an L2S candidate is one informative-list
+// sweep, lookups for the same-sign leaves and one Delta sweep per mixed
+// leaf: about 2K sweeps of K positions (K = informative classes).
+//
+// engine_test.go checks the engine against the slice-based reference
+// engine, and paperdefs_test.go checks entropy¹ and entropy² against
+// brute force over the version space.
 
 import (
+	"context"
+	"sync"
+
 	"repro/internal/certainty"
 	"repro/internal/inference"
+	"repro/internal/pool"
 )
 
 // look is the per-decision snapshot shared by the lookahead computations.
 // All Uninf differences of Algorithm 5 are taken against the base sample,
 // so the snapshot fixes the classes informative under it and their arenas.
+// Looks are pooled with their arenas and table (lookPool), so an idle
+// session holds none and a steady-state decision allocates no arena.
 type look struct {
 	// baseInf: informative class indexes w.r.t. the engine's sample; the
 	// engine addresses them by position in this list.
@@ -46,28 +60,80 @@ type look struct {
 	// W is the number of words per predicate span.
 	W int
 	// base is the engine's kernel: the base T(S+) and ⊆-maximal negatives.
-	// It is shared, since the engine does not change during a decision;
-	// extensions write scratch spans only.
+	// It is shared, since the engine does not change during a decision.
 	base certainty.Kernel
-	// thetas holds one W-word span per baseInf position.
-	thetas []uint64
+	// thetas holds one W-word span per baseInf position, meets the span
+	// T∩θ of each.
+	thetas, meets []uint64
 	// weights is what making a position certain is worth: its class's
 	// tuple count, the paper's unit.
 	weights []int64
+	// meetSlot is each position's Tᵢ slot in tab.
+	meetSlot []int32
+	// tab holds pos and neg of every collected lattice node.
+	tab latticeTable
+	// key is build's scratch for a pair's lattice node.
+	key []uint64
+	// ents holds the per-candidate entropies of one decision.
+	ents []Entropy
+	// scratch lends per-candidate scratches to concurrent evaluations.
+	scratch sync.Pool
+	// fillFn and entropy2Fn are the bound methods fill and entropy2At,
+	// made once per look so that handing them to pool.ForEach allocates
+	// nothing.
+	fillFn, entropy2Fn func(int)
 }
 
-// newLook snapshots the engine's current sample for one decision.
+// lookPool recycles looks across decisions and sessions.
+var lookPool = sync.Pool{New: func() any {
+	l := new(look)
+	l.fillFn, l.entropy2Fn = l.fill, l.entropy2At
+	return l
+}}
+
+// newLook snapshots the engine's current sample for one decision, on a
+// pooled look; release returns it.
 func newLook(e *inference.Engine) *look {
-	l := &look{baseInf: e.InformativeClasses(), base: *e.Certainty()}
+	return lookPool.Get().(*look).load(e)
+}
+
+// load snapshots the engine's current sample into l, reusing its arenas.
+func (l *look) load(e *inference.Engine) *look {
+	l.baseInf = e.InformativeClasses()
+	l.base = *e.Certainty()
 	l.W = len(l.base.TPos)
+	K, W := len(l.baseInf), l.W
 	cs := e.Classes()
-	l.thetas = make([]uint64, len(l.baseInf)*l.W)
-	l.weights = make([]int64, len(l.baseInf))
+	l.thetas = resize(l.thetas, K*W)
+	l.meets = resize(l.meets, K*W)
+	l.weights = resize(l.weights, K)
+	l.meetSlot = resize(l.meetSlot, K)
+	l.ents = resize(l.ents, K)
+	l.key = resize(l.key, W)
 	for pos, ci := range l.baseInf {
-		cs[ci].Theta.Set.CopyWords(l.theta(pos))
+		th := l.theta(pos)
+		cs[ci].Theta.Set.CopyWords(th)
+		m := l.meet(pos)
+		for w := range m {
+			m[w] = l.base.TPos[w] & th[w]
+		}
 		l.weights[pos] = cs[ci].Count
 	}
 	return l
+}
+
+// release returns l to the pool; l must not be used afterwards.
+func (l *look) release() {
+	l.baseInf, l.base = nil, certainty.Kernel{}
+	lookPool.Put(l)
+}
+
+// resize returns s with length n, reusing its capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // theta returns the arena span of baseInf position pos's theta.
@@ -75,121 +141,196 @@ func (l *look) theta(pos int) []uint64 {
 	return l.thetas[pos*l.W : (pos+1)*l.W]
 }
 
-// lookScratch is the per-candidate scratch of one depth-k evaluation, sized
-// once and reused so steady-state evaluation allocates nothing. Concurrent
-// candidate evaluations use distinct scratches (NextCtx pools them).
-type lookScratch struct {
-	// rest is the per-level informative-position arena: chain depth d
-	// (1-based) lists into rest[(d-1)·K : d·K], so a frame's list survives
-	// the deeper recursion it drives.
-	rest []int32
-	// tpos holds k W-word slots for the hypothetical T(S+) after a
-	// positive extension from each depth.
-	tpos []uint64
-	// negs holds the base negatives followed by capacity for the ≤ k
-	// negative extensions along a chain.
-	negs []uint64
+// meet returns the arena span of T∩θ for baseInf position pos.
+func (l *look) meet(pos int) []uint64 {
+	return l.meets[pos*l.W : (pos+1)*l.W]
 }
 
-// newScratch sizes a scratch for depth-k evaluation.
-func (l *look) newScratch(k int) *lookScratch {
-	sc := &lookScratch{
-		rest: make([]int32, k*len(l.baseInf)),
-		tpos: make([]uint64, k*l.W),
-		negs: make([]uint64, len(l.base.Negs), len(l.base.Negs)+k*l.W),
+// build collects the lattice nodes the lookahead reads into l.tab — every
+// Tᵢ, and every Tᵢ∩Tⱼ when two (L2S) — and fills them on workers
+// goroutines.
+func (l *look) build(ctx context.Context, two bool, workers int) error {
+	K := len(l.baseInf)
+	l.tab.reset(l.W, 2*K)
+	for i := range K {
+		l.tab.insert(l.meet(i))
 	}
+	if two {
+		for i := range K {
+			mi := l.meet(i)
+			for j := i + 1; j < K; j++ {
+				and(l.key, mi, l.meet(j))
+				l.tab.insert(l.key)
+			}
+		}
+	}
+	// Slots are final once every key is in: growth moves them.
+	for i := range K {
+		l.meetSlot[i] = l.tab.find(l.meet(i))
+	}
+	return pool.ForEach(ctx, workers, len(l.tab.slots), l.fillFn)
+}
+
+// fill computes pos and neg of the k-th collected key.
+func (l *look) fill(k int) {
+	s := l.tab.slots[k]
+	key := l.tab.keys[int(s)*l.W : int(s+1)*l.W]
+	kern := certainty.Kernel{TPos: key, Negs: l.base.Negs}
+	l.tab.pos[s] = kern.Delta(l.thetas, l.weights)
+	l.tab.neg[s] = l.below(key)
+}
+
+// below returns neg(t): the weight of the positions whose meet with T is
+// ⊆ t.
+func (l *look) below(t []uint64) int64 {
+	var sum int64
+	if l.W == 1 {
+		t0 := t[0]
+		for pos, m := range l.meets {
+			if m&^t0 == 0 {
+				sum += l.weights[pos]
+			}
+		}
+		return sum
+	}
+	for pos, w := range l.weights {
+		if subsetWords(l.meet(pos), t) {
+			sum += w
+		}
+	}
+	return sum
+}
+
+// and writes a ∩ b into dst.
+func and(dst, a, b []uint64) {
+	for i, x := range a {
+		dst[i] = x & b[i]
+	}
+}
+
+// subsetWords reports a ⊆ b for spans of equal length.
+func subsetWords(a, b []uint64) bool {
+	for i, x := range a {
+		if x&^b[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// leafScratch is the scratch of one entropy² evaluation, sized per
+// decision and reused, so candidate evaluation allocates nothing.
+// Concurrent evaluations use distinct scratches (look.scratch lends them).
+type leafScratch struct {
+	// rest lists the positions still informative in a branch.
+	rest []int32
+	// negs holds the base negatives followed by one extra negative span.
+	negs []uint64
+	// key holds a lattice node being looked up.
+	key []uint64
+}
+
+// newScratch returns a scratch fitted to l's decision, reusing a lent one.
+func (l *look) newScratch() *leafScratch {
+	sc, _ := l.scratch.Get().(*leafScratch)
+	if sc == nil {
+		sc = new(leafScratch)
+	}
+	sc.rest = resize(sc.rest, len(l.baseInf))[:0]
+	sc.negs = resize(sc.negs, len(l.base.Negs)+l.W)
 	copy(sc.negs, l.base.Negs)
+	sc.key = resize(sc.key, l.W)
 	return sc
 }
 
-// hyp is a hypothetical extension of the base sample: its kernel (T(S+) in
-// the base arena or a scratch slot, negatives a prefix of the scratch list)
-// and the number of classes the chain labelled. It is a small value:
-// extensions copy it on the stack and never allocate.
-type hyp struct {
-	k     certainty.Kernel
-	depth int
+// entropy2At stores position i's entropy² in l.ents, on a lent scratch.
+func (l *look) entropy2At(i int) {
+	sc := l.newScratch()
+	l.ents[i] = l.entropy2(i, sc)
+	l.scratch.Put(sc)
 }
 
-// withPositive labels position pos positive: T(S+) ∩ θ goes into the
-// scratch slot of the current depth.
-func (l *look) withPositive(s hyp, pos int, sc *lookScratch) hyp {
-	dst := sc.tpos[s.depth*l.W : (s.depth+1)*l.W]
-	return hyp{k: s.k.WithPositive(dst, l.theta(pos)), depth: s.depth + 1}
+// entropy1 is the entropy of Section 4.4 for position i: its positive
+// extension makes pos(Tᵢ) − 1 tuples uninformative, its negative one
+// neg(Tᵢ) − 1.
+func (l *look) entropy1(i int) Entropy {
+	s := l.meetSlot[i]
+	return order(l.tab.pos[s]-1, l.tab.neg[s]-1)
 }
 
-// withNegative labels position pos negative: θ's words are appended into
-// the scratch's reserved negative capacity.
-func (l *look) withNegative(s hyp, pos int) hyp {
-	return hyp{k: certainty.Kernel{TPos: s.k.TPos, Negs: append(s.k.Negs, l.theta(pos)...)}, depth: s.depth + 1}
-}
-
-// delta computes u = |Uninf(S_ext) \ Uninf(S_base)| for the hypothetical
-// sample s: the tuples, informative under the base sample, that s makes
-// uninformative. Newly labelled tuples themselves are not counted (the
-// paper's Figure 5 counts 11, not 12, for the ∅ tuple), but their class
-// twins are — hence one less per labelled class, of which there are depth.
-func (l *look) delta(s *hyp) int64 {
-	return s.k.Delta(l.thetas, l.weights) - int64(s.depth)
-}
-
-// entropyAt evaluates baseInf position pos at depth k from the base sample,
-// whose negatives are the scratch copy with room for the chain's negative
-// extensions.
-func (l *look) entropyAt(pos, k int, sc *lookScratch) Entropy {
-	return l.entropyK(pos, hyp{k: certainty.Kernel{TPos: l.base.TPos, Negs: sc.negs}}, k, sc)
-}
-
-// entropy1 is the entropy of Section 4.4 for position pos, computed in the
-// hypothetical sample s (the base sample for plain L1S; for deeper
-// lookahead the u counts remain differences against the base sample).
-func (l *look) entropy1(pos int, s hyp, sc *lookScratch) Entropy {
-	p := l.withPositive(s, pos, sc)
-	up := l.delta(&p)
-	n := l.withNegative(s, pos)
-	un := l.delta(&n)
+// order returns the entropy of a leaf pair (u+, u−).
+func order(up, un int64) Entropy {
 	if up > un {
 		up, un = un, up
 	}
 	return Entropy{Min: up, Max: un}
 }
 
-// entropyK generalizes Algorithm 5 to depth k: the guaranteed information
-// from labelling position pos and then k−1 further tuples, pessimistic
-// over the user's answers and optimistic over our own future choices.
-// k = 2 is exactly the paper's entropy² (Algorithm 5); k = 1 is entropy.
-func (l *look) entropyK(pos int, s hyp, k int, sc *lookScratch) Entropy {
-	if k <= 1 {
-		return l.entropy1(pos, s, sc)
+// entropy2 is Algorithm 5 for position i: the guaranteed information from
+// labelling i and then one further tuple, pessimistic over the user's
+// answers and optimistic over our own follow-up. Each branch is the best
+// entropy¹ among the positions still informative under it, or (∞,∞) when
+// none remain (lines 3–5); the branch with the smaller Min is kept, on a
+// tie the smaller Max (lines 13–14).
+func (l *look) entropy2(i int, sc *leafScratch) Entropy {
+	n := len(l.base.Negs)
+	mi := l.meet(i)
+	tab := &l.tab
+
+	// i+: the state (Tᵢ, N).
+	ep := Entropy{Min: Inf, Max: Inf}
+	rest := (&certainty.Kernel{TPos: mi, Negs: l.base.Negs}).InformativeInto(l.thetas, sc.rest[:0])
+	if len(rest) > 0 {
+		mixed := certainty.Kernel{TPos: mi, Negs: sc.negs}
+		ep = Entropy{Min: -1, Max: -1}
+		for _, j := range rest {
+			and(sc.key, mi, l.meet(int(j)))
+			up := tab.pos[tab.find(sc.key)] - 2
+			copy(sc.negs[n:], l.theta(int(j)))
+			un := mixed.Delta(l.thetas, l.weights) - 2
+			ep = better(ep, order(up, un))
+		}
 	}
-	ep := l.branch(l.withPositive(s, pos, sc), k, sc)
-	en := l.branch(l.withNegative(s, pos), k, sc)
-	// Lines 13–14: keep the pessimistic branch (smaller Min); on a tie the
-	// smaller Max, staying conservative and deterministic.
+
+	// i−: the state (T, N ∪ {θᵢ}); position m stays informative iff
+	// Tₘ ⊄ Tᵢ.
+	en := Entropy{Min: Inf, Max: Inf}
+	rest = l.outside(mi, sc.rest[:0])
+	if len(rest) > 0 {
+		copy(sc.negs[n:], l.theta(i))
+		negI := tab.neg[l.meetSlot[i]]
+		en = Entropy{Min: -1, Max: -1}
+		for _, j := range rest {
+			mj := l.meet(int(j))
+			mixed := certainty.Kernel{TPos: mj, Negs: sc.negs}
+			up := mixed.Delta(l.thetas, l.weights) - 2
+			and(sc.key, mi, mj)
+			un := negI + tab.neg[l.meetSlot[j]] - tab.neg[tab.find(sc.key)] - 2
+			en = better(en, order(up, un))
+		}
+	}
+
 	if en.Min < ep.Min || (en.Min == ep.Min && en.Max < ep.Max) {
 		return en
 	}
 	return ep
 }
 
-// branch is one answer branch of Algorithm 5 lines 3–12: the best
-// entropy^(k−1) among the classes still informative under ext, or (∞,∞)
-// when none remain. The selection folds selectEntropy's rule (max Min,
-// tie-break max Max, first wins) so no entropy slice is materialized.
-func (l *look) branch(ext hyp, k int, sc *lookScratch) Entropy {
-	K := len(l.baseInf)
-	off := (ext.depth - 1) * K
-	rest := ext.k.InformativeInto(l.thetas, sc.rest[off:off:off+K])
-	if len(rest) == 0 {
-		// No informative tuple left: interaction ends (lines 3–5).
-		return Entropy{Min: Inf, Max: Inf}
+// outside appends to buf the positions whose meet with T is not ⊆ t.
+func (l *look) outside(t []uint64, buf []int32) []int32 {
+	if l.W == 1 {
+		t0 := t[0]
+		for pos, m := range l.meets {
+			if m&^t0 != 0 {
+				buf = append(buf, int32(pos))
+			}
+		}
+		return buf
 	}
-	best := Entropy{Min: -1, Max: -1}
-	for _, j := range rest {
-		e := l.entropyK(int(j), ext, k-1, sc)
-		if e.Min > best.Min || (e.Min == best.Min && e.Max > best.Max) {
-			best = e
+	for pos := range l.weights {
+		if !subsetWords(l.meet(pos), t) {
+			buf = append(buf, int32(pos))
 		}
 	}
-	return best
+	return buf
 }

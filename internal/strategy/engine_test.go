@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -66,10 +67,21 @@ func wideInstance(tb testing.TB, seed int64) *inference.Engine {
 	return synthEngine(tb, synth.Config{AttrsR: 12, AttrsP: 11, Rows: 4, Values: 3}, seed, 3)
 }
 
-// entropiesDiff compares the engine's entropy^k with legacyLookahead's and
-// describes the first difference, or returns "".
-func entropiesDiff(e *inference.Engine, k int) string {
-	got := Lookahead{K: k}.Entropies(e)
+// lookaheadAt returns the lookahead strategy of depth k (1 or 2).
+func lookaheadAt(k, workers int) Lookahead {
+	if k == 2 {
+		return L2S(workers)
+	}
+	return L1S(workers)
+}
+
+// entropiesDiff compares the engine's serial entropy^k with
+// legacyLookahead's and describes the first difference, or returns "".
+func entropiesDiff(e *inference.Engine, k int) string { return entropiesDiffAt(e, k, 1) }
+
+// entropiesDiffAt is entropiesDiff on workers goroutines.
+func entropiesDiffAt(e *inference.Engine, k, workers int) string {
+	got := lookaheadAt(k, workers).Entropies(e)
 	want := legacyLookahead{K: k}.Entropies(e)
 	if len(got) != len(want) {
 		return fmt.Sprintf("k=%d: %d entries, legacy %d", k, len(got), len(want))
@@ -83,10 +95,10 @@ func entropiesDiff(e *inference.Engine, k int) string {
 }
 
 // TestArenaMatchesLegacyFigure5: the engine reproduces the legacy
-// entropies of the paper's running example at depths 1–3.
+// entropies of the paper's running example at depths 1 and 2.
 func TestArenaMatchesLegacyFigure5(t *testing.T) {
 	e := inference.New(paperdata.Example21())
-	for k := 1; k <= 3; k++ {
+	for k := 1; k <= 2; k++ {
 		if d := entropiesDiff(e, k); d != "" {
 			t.Error(d)
 		}
@@ -95,12 +107,12 @@ func TestArenaMatchesLegacyFigure5(t *testing.T) {
 
 // TestQuickArenaMatchesLegacySmallUniverse: on random one-word instances
 // with random honest partial samples, the engine agrees with the legacy
-// implementation for k = 1–3.
+// implementation for k = 1 and 2.
 func TestQuickArenaMatchesLegacySmallUniverse(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		inst := randInstance(r)
-		for k := 1; k <= 3; k++ {
+		for k := 1; k <= 2; k++ {
 			e := inference.New(inst)
 			if labelHonestly(r, e, randPred(r, e.U), r.Intn(4)) < 0 {
 				return false
@@ -118,14 +130,14 @@ func TestQuickArenaMatchesLegacySmallUniverse(t *testing.T) {
 }
 
 // TestQuickEntropiesMatchWithLabels: the same agreement once several
-// classes are labelled — the engine tracks no labelled set along a chain
-// (labelled classes are certain under it), where the legacy engine lists
-// them explicitly.
+// classes are labelled — the engine tracks no labelled set (labelled
+// classes are certain under their extension, and each leaf subtracts its
+// depth), where the legacy engine lists them explicitly.
 func TestQuickEntropiesMatchWithLabels(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		inst := randInstance(r)
-		for k := 1; k <= 3; k++ {
+		for k := 1; k <= 2; k++ {
 			e := inference.New(inst)
 			if labelHonestly(r, e, randPred(r, e.U), 2+r.Intn(4)) < 0 {
 				return false
@@ -142,40 +154,67 @@ func TestQuickEntropiesMatchWithLabels(t *testing.T) {
 	}
 }
 
-// chainAgrees mirrors a random hypothetical extension chain of up to three
-// labels on the engine and the legacy state, and reports whether delta and
-// the still-informative classes agree after every step — the units
-// underneath every entropy computation.
-func chainAgrees(r *rand.Rand, e *inference.Engine) bool {
+// withExtra returns the base kernel with T(S+) replaced by tpos and one
+// extra negative theta appended.
+func withExtra(lk *look, tpos, theta []uint64) *certainty.Kernel {
+	return &certainty.Kernel{TPos: tpos, Negs: append(slices.Clone(lk.base.Negs), theta...)}
+}
+
+// leavesAgree labels a random pair of base-informative classes i ≠ j
+// hypothetically, with every sign, on the engine's lattice table and on
+// the legacy state, and reports whether every depth-1 and depth-2 delta
+// and both branches' informative lists agree — the units underneath every
+// entropy computation.
+func leavesAgree(r *rand.Rand, e *inference.Engine) bool {
 	lk := newLook(e)
-	lg := newLegacy(e)
-	sc := lk.newScratch(3)
-	hs := hyp{k: certainty.Kernel{TPos: lk.base.TPos, Negs: sc.negs}}
-	gs := lg.baseState()
-	chain := r.Perm(len(lk.baseInf))
-	if len(chain) > 3 {
-		chain = chain[:3]
+	defer lk.release()
+	if len(lk.baseInf) < 2 {
+		return true
 	}
-	for _, pos := range chain {
-		ci := lk.baseInf[pos]
-		theta := e.Classes()[ci].Theta
-		if r.Intn(2) == 0 {
-			gs = gs.withPositive(theta, ci)
-			hs = lk.withPositive(hs, pos, sc)
-		} else {
-			gs = gs.withNegative(theta, ci)
-			hs = lk.withNegative(hs, pos)
-		}
-		if lg.delta(gs) != lk.delta(&hs) {
+	if lk.build(context.Background(), true, 1) != nil {
+		return false
+	}
+	lg := newLegacy(e)
+	gs := lg.baseState()
+	perm := r.Perm(len(lk.baseInf))
+	i, j := perm[0], perm[1]
+	ci, cj := lk.baseInf[i], lk.baseInf[j]
+	thi, thj := e.Classes()[ci].Theta, e.Classes()[cj].Theta
+	ti, tj := lk.meet(i), lk.meet(j)
+	tij := make([]uint64, lk.W)
+	and(tij, ti, tj)
+	tab := &lk.tab
+	slot, sij := lk.meetSlot[i], tab.find(tij)
+	if sij < 0 || tab.find(ti) != slot {
+		return false
+	}
+	ip, in := gs.withPositive(thi, ci), gs.withNegative(thi, ci)
+	leaves := []struct{ legacy, engine int64 }{
+		{lg.delta(ip), tab.pos[slot] - 1},
+		{lg.delta(in), tab.neg[slot] - 1},
+		{lg.delta(ip.withPositive(thj, cj)), tab.pos[sij] - 2},
+		{lg.delta(in.withNegative(thj, cj)), tab.neg[slot] + tab.neg[lk.meetSlot[j]] - tab.neg[sij] - 2},
+		{lg.delta(ip.withNegative(thj, cj)), withExtra(lk, ti, lk.theta(j)).Delta(lk.thetas, lk.weights) - 2},
+		{lg.delta(in.withPositive(thj, cj)), withExtra(lk, tj, lk.theta(i)).Delta(lk.thetas, lk.weights) - 2},
+	}
+	for _, leaf := range leaves {
+		if leaf.legacy != leaf.engine {
 			return false
 		}
-		rest := hs.k.InformativeInto(lk.thetas, nil)
-		want := lg.informativeUnder(gs)
-		if len(rest) != len(want) {
+	}
+	kp := certainty.Kernel{TPos: ti, Negs: lk.base.Negs}
+	for _, branch := range []struct {
+		rest []int32
+		want []int
+	}{
+		{kp.InformativeInto(lk.thetas, nil), lg.informativeUnder(ip)},
+		{lk.outside(ti, nil), lg.informativeUnder(in)},
+	} {
+		if len(branch.rest) != len(branch.want) {
 			return false
 		}
-		for i, pos := range rest {
-			if lk.baseInf[pos] != want[i] {
+		for k, pos := range branch.rest {
+			if lk.baseInf[pos] != branch.want[k] {
 				return false
 			}
 		}
@@ -183,10 +222,11 @@ func chainAgrees(r *rand.Rand, e *inference.Engine) bool {
 	return true
 }
 
-// TestQuickArenaDeltaMatchesLegacy: along random mirrored extension
-// chains, the engine's delta and informative lists equal the legacy
-// engine's on random one-word instances with labelled classes, and on the
-// two- and three-word universes.
+// TestQuickArenaDeltaMatchesLegacy: for random pairs of classes, every
+// leaf the engine reads from its lattice table or sweeps, and both
+// branches' informative lists, equal the legacy engine's on random
+// one-word instances with labelled classes, and on the two- and
+// three-word universes.
 func TestQuickArenaDeltaMatchesLegacy(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -195,7 +235,7 @@ func TestQuickArenaDeltaMatchesLegacy(t *testing.T) {
 		if labelHonestly(r, e, randPred(r, e.U), r.Intn(5)) < 0 {
 			return false
 		}
-		return chainAgrees(r, e)
+		return leavesAgree(r, e)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -207,8 +247,8 @@ func TestQuickArenaDeltaMatchesLegacy(t *testing.T) {
 				t.Fatal("labeling failed")
 			}
 			for trial := 0; trial < 10; trial++ {
-				if !chainAgrees(r, e) {
-					t.Fatalf("seed %d, %d pairs: chain diverged", seed, e.U.Size())
+				if !leavesAgree(r, e) {
+					t.Fatalf("seed %d, %d pairs: a leaf diverged", seed, e.U.Size())
 				}
 			}
 		}
@@ -221,24 +261,24 @@ func TestQuickArenaDeltaMatchesLegacy(t *testing.T) {
 // generic-width sweep does on the same spans zero-padded to three words.
 func sweepsAgree(r *rand.Rand, e *inference.Engine) bool {
 	lk := newLook(e)
-	sc := lk.newScratch(3)
-	hs := hyp{k: certainty.Kernel{TPos: lk.base.TPos, Negs: sc.negs}}
+	defer lk.release()
+	k := certainty.Kernel{TPos: slices.Clone(lk.base.TPos), Negs: slices.Clone(lk.base.Negs)}
 	chain := r.Perm(len(lk.baseInf))
 	if len(chain) > 3 {
 		chain = chain[:3]
 	}
 	for _, pos := range chain {
 		if r.Intn(2) == 0 {
-			hs = lk.withPositive(hs, pos, sc)
+			k = k.WithPositive(nil, lk.theta(pos))
 		} else {
-			hs = lk.withNegative(hs, pos)
+			k = k.WithNegative(nil, lk.theta(pos))
 		}
-		wide := certainty.Kernel{TPos: padSpans(hs.k.TPos, lk.W), Negs: padSpans(hs.k.Negs, lk.W)}
+		wide := certainty.Kernel{TPos: padSpans(k.TPos, lk.W), Negs: padSpans(k.Negs, lk.W)}
 		thetas := padSpans(lk.thetas, lk.W)
-		if hs.k.Delta(lk.thetas, lk.weights) != wide.Delta(thetas, lk.weights) {
+		if k.Delta(lk.thetas, lk.weights) != wide.Delta(thetas, lk.weights) {
 			return false
 		}
-		if !slices.Equal(hs.k.InformativeInto(lk.thetas, nil), wide.InformativeInto(thetas, nil)) {
+		if !slices.Equal(k.InformativeInto(lk.thetas, nil), wide.InformativeInto(thetas, nil)) {
 			return false
 		}
 	}
@@ -287,8 +327,8 @@ func TestQuickFastPathMatchesGeneral(t *testing.T) {
 }
 
 // TestArenaMatchesLegacyBigUniverse: on the 72-pair universe the engine
-// computes exactly the legacy entropies, for k = 1, 2 (and 3 on a smaller
-// instance), with and without labelled classes.
+// computes exactly the legacy entropies, for k = 1 and 2 and at every
+// worker count, with and without labelled classes.
 func TestArenaMatchesLegacyBigUniverse(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		e := bigInstance(t, 5, seed)
@@ -297,19 +337,17 @@ func TestArenaMatchesLegacyBigUniverse(t *testing.T) {
 			t.Fatal("labeling failed")
 		}
 		for _, k := range []int{1, 2} {
-			if d := entropiesDiff(e, k); d != "" {
-				t.Errorf("seed %d: %s", seed, d)
+			for _, workers := range []int{1, 4} {
+				if d := entropiesDiffAt(e, k, workers); d != "" {
+					t.Errorf("seed %d workers %d: %s", seed, workers, d)
+				}
 			}
 		}
-	}
-	e := bigInstance(t, 4, 1)
-	if d := entropiesDiff(e, 3); d != "" {
-		t.Error(d)
 	}
 }
 
 // TestArenaMatchesLegacyWideUniverse: the same agreement on a >128-pair
-// universe, where the generic-width loop runs.
+// universe, where the generic-width loops run.
 func TestArenaMatchesLegacyWideUniverse(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		e := wideInstance(t, seed)
@@ -317,9 +355,11 @@ func TestArenaMatchesLegacyWideUniverse(t *testing.T) {
 		if labelHonestly(r, e, randPred(r, e.U), r.Intn(3)) < 0 {
 			t.Fatal("labeling failed")
 		}
-		for k := 1; k <= 3; k++ {
-			if d := entropiesDiff(e, k); d != "" {
-				t.Errorf("seed %d: %s", seed, d)
+		for _, k := range []int{1, 2} {
+			for _, workers := range []int{1, 4} {
+				if d := entropiesDiffAt(e, k, workers); d != "" {
+					t.Errorf("seed %d workers %d: %s", seed, workers, d)
+				}
 			}
 		}
 	}
@@ -351,36 +391,44 @@ func sequencesMatch(t *testing.T, mk func() *inference.Engine, arena Lookahead, 
 	}
 }
 
-// TestArenaSequenceMatchesLegacy: whole interactions on a one-word and on
-// the 72-pair universe ask the legacy reference's question sequence at
-// every worker count.
+// TestArenaSequenceMatchesLegacy: whole interactions on a one-word, the
+// 72-pair and a 132-pair universe ask the legacy reference's question
+// sequence at every worker count.
 func TestArenaSequenceMatchesLegacy(t *testing.T) {
 	instances := []func() *inference.Engine{
 		func() *inference.Engine {
 			return synthEngine(t, synth.Config{AttrsR: 3, AttrsP: 3, Rows: 8, Values: 3}, 2, 1)
 		},
 		func() *inference.Engine { return bigInstance(t, 5, 1) },
+		func() *inference.Engine { return wideInstance(t, 1) },
 	}
 	for _, mk := range instances {
 		for _, k := range []int{1, 2} {
 			for _, workers := range []int{1, 4} {
-				sequencesMatch(t, mk, Lookahead{K: k, Workers: workers}, legacyLookahead{K: k})
+				sequencesMatch(t, mk, lookaheadAt(k, workers), legacyLookahead{K: k})
 			}
 		}
 	}
 }
 
-// allocsPerEval reports the allocations of one depth-2 evaluation of
-// every candidate on a reused scratch.
-func allocsPerEval(e *inference.Engine) float64 {
+// allocsPerEval reports the allocations of one entropy² evaluation of
+// every candidate on a reused scratch, and of a repeated decision's table
+// build on a reused look.
+func allocsPerEval(e *inference.Engine) (eval, build float64) {
 	lk := newLook(e)
-	const k = 2
-	sc := lk.newScratch(k)
-	return testing.AllocsPerRun(20, func() {
+	defer lk.release()
+	ctx := context.Background()
+	if lk.build(ctx, true, 1) != nil {
+		return -1, -1
+	}
+	sc := lk.newScratch()
+	eval = testing.AllocsPerRun(20, func() {
 		for pos := range lk.baseInf {
-			lk.entropyAt(pos, k, sc)
+			lk.entropy2(pos, sc)
 		}
 	})
+	build = testing.AllocsPerRun(20, func() { _ = lk.build(ctx, true, 1) })
+	return eval, build
 }
 
 // TestAllocFreeCandidateEvalOneWord: steady-state candidate evaluation on
@@ -392,8 +440,8 @@ func TestAllocFreeCandidateEvalOneWord(t *testing.T) {
 	if labelHonestly(r, e, randPred(r, e.U), 2) < 0 || e.Done() {
 		t.Fatal("want a partially labelled instance with informative classes")
 	}
-	if allocs := allocsPerEval(e); allocs != 0 {
-		t.Errorf("candidate evaluation allocates %.1f per run; want 0", allocs)
+	if eval, build := allocsPerEval(e); eval != 0 || build != 0 {
+		t.Errorf("candidate evaluation allocates %.1f per run, a repeated table build %.1f; want 0", eval, build)
 	}
 }
 
@@ -405,7 +453,7 @@ func TestAllocFreeCandidateEvalGeneral(t *testing.T) {
 	if labelHonestly(r, e, randPred(r, e.U), 2) < 0 || e.Done() {
 		t.Fatal("want a partially labelled instance with informative classes")
 	}
-	if allocs := allocsPerEval(e); allocs != 0 {
-		t.Errorf("candidate evaluation allocates %.1f per run; want 0", allocs)
+	if eval, build := allocsPerEval(e); eval != 0 || build != 0 {
+		t.Errorf("candidate evaluation allocates %.1f per run, a repeated table build %.1f; want 0", eval, build)
 	}
 }

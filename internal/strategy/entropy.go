@@ -53,20 +53,17 @@ func Skyline(E []Entropy) []Entropy {
 	return out
 }
 
-// selectEntropy implements the choice of Algorithms 4 and 6: compute
-// m = max{min(e) | e ∈ E}, then return the entropy of the skyline whose Min
-// is m — which among entries with Min = m is the one with the largest Max.
-func selectEntropy(E []Entropy) Entropy {
-	best := Entropy{Min: -1, Max: -1}
-	for _, e := range E {
-		if e.Min > best.Min || (e.Min == best.Min && e.Max > best.Max) {
-			best = e
-		}
+// better implements the choice of Algorithms 4 and 6 over a running best:
+// the entry with the maximal Min, among those the one with the largest Max
+// (the skyline entry at that Min), the first on a tie.
+func better(best, e Entropy) Entropy {
+	if e.Min > best.Min || (e.Min == best.Min && e.Max > best.Max) {
+		return e
 	}
 	return best
 }
 
-// selectBest applies the same selection over per-candidate entropies and
+// selectBest applies better's selection over per-candidate entropies and
 // returns the winning class index: ents[pos] is the entropy of baseInf
 // position pos. Positions are in class order, so the first class wins
 // ties — the serial tie-breaking rule, which is what keeps parallel
@@ -76,9 +73,8 @@ func selectBest(baseInf []int, ents []Entropy) int {
 	bestIdx := -1
 	best := Entropy{Min: -1, Max: -1}
 	for pos, e := range ents {
-		if e.Min > best.Min || (e.Min == best.Min && e.Max > best.Max) {
-			best = e
-			bestIdx = baseInf[pos]
+		if b := better(best, e); b != best {
+			best, bestIdx = b, baseInf[pos]
 		}
 	}
 	return bestIdx

@@ -175,7 +175,13 @@ func (l *legacy) entropyK(ci int, s state, k int) Entropy {
 		for _, cj := range rest {
 			E = append(E, l.entropyK(cj, ext, k-1))
 		}
-		return selectEntropy(E)
+		best := Entropy{Min: -1, Max: -1}
+		for _, e := range E {
+			if e.Min > best.Min || (e.Min == best.Min && e.Max > best.Max) {
+				best = e
+			}
+		}
+		return best
 	}
 	ep := branch(s.withPositive(theta, ci))
 	en := branch(s.withNegative(theta, ci))

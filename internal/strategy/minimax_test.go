@@ -13,7 +13,8 @@ import (
 // the full game tree (the standard minimax construction). The paper notes a
 // straightforward implementation needs exponential time, "which renders it
 // unusable in practice" — it is provided here as a ground-truth oracle for
-// testing the efficient strategies on tiny instances.
+// testing the efficient strategies on tiny instances, and only tests and
+// BenchmarkNextOptimalExample21 use it.
 type Optimal struct {
 	// MaxClasses bounds the instance size; Next panics beyond it to avoid
 	// accidental exponential blow-ups. Zero means DefaultMaxClasses.

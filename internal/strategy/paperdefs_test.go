@@ -237,7 +237,11 @@ func checkPaperDefinitions(t *testing.T, r *rand.Rand, inst *relation.Instance, 
 	baseCertain := vs.certain(s)
 	b := &bruteLook{vs: vs, base: s, baseCertain: baseCertain}
 	for k := 1; k <= 2; k++ {
-		got := strategy.Lookahead{K: k}.Entropies(e)
+		la := strategy.L1S(0)
+		if k == 2 {
+			la = strategy.L2S(0)
+		}
+		got := la.Entropies(e)
 		want := map[int]strategy.Entropy{}
 		for tu, c := range baseCertain {
 			if c {

@@ -1,10 +1,9 @@
 // Package strategy implements the paper's strategies for choosing which
 // tuple the user labels next (Section 4): the random baseline RND, the
-// local strategies BU (Algorithm 2) and TD (Algorithm 3), the lookahead
-// skyline strategies L1S (Algorithm 4) and L2S (Algorithms 5–6) with a
-// generalization to arbitrary depth k, and the exponential minimax-optimal
-// strategy of Section 4.1, usable as a ground-truth oracle on tiny
-// instances.
+// local strategies BU (Algorithm 2) and TD (Algorithm 3), and the
+// lookahead skyline strategies L1S (Algorithm 4) and L2S (Algorithms
+// 5–6). The exponential minimax-optimal strategy of Section 4.1 lives in
+// the package's tests, as a ground-truth oracle on tiny instances.
 //
 // All strategies operate on T-classes: the engine guarantees that tuples
 // with equal T(t) are interchangeable, so "return a tuple" means "return a

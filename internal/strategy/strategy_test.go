@@ -85,10 +85,10 @@ func TestNames(t *testing.T) {
 	if NewRandom(1).Name() != "RND" {
 		t.Error("RND name")
 	}
-	if (Lookahead{K: 1}).Name() != "L1S" {
+	if L1S(0).Name() != "L1S" {
 		t.Error("L1S name")
 	}
-	if (Lookahead{K: 2}).Name() != "L2S" {
+	if L2S(0).Name() != "L2S" {
 		t.Error("L2S name")
 	}
 	if (Lookahead{}).Name() != "L1S" {
@@ -200,7 +200,7 @@ func TestTDBetterThanBUOnOmega(t *testing.T) {
 func TestEntropyFigure5(t *testing.T) {
 	inst := paperdata.Example21()
 	e := inference.New(inst)
-	ent := Lookahead{K: 1}.Entropies(e)
+	ent := L1S(0).Entropies(e)
 
 	want := map[[2]int]Entropy{
 		{0, 0}: {0, 2},  // (t1,t1')
@@ -234,7 +234,7 @@ func TestEntropyFigure5(t *testing.T) {
 func TestL1SFirstPick(t *testing.T) {
 	inst := paperdata.Example21()
 	e := inference.New(inst)
-	ci := Lookahead{K: 1}.Next(e)
+	ci := L1S(0).Next(e)
 	if want := classFor(e, 1, 0); ci != want {
 		t.Errorf("L1S first pick = class %d (%v), want (t2,t1')",
 			ci, e.Classes()[ci].Theta)
@@ -252,7 +252,7 @@ func TestEntropy2Walkthrough(t *testing.T) {
 	if err := e.Label(classFor(e, 2, 0), sample.Negative); err != nil {
 		t.Fatal(err)
 	}
-	ent := Lookahead{K: 2}.Entropies(e)
+	ent := L2S(0).Entropies(e)
 	ci := classFor(e, 1, 0) // (t2,t1')
 	got, ok := ent[ci]
 	if !ok {
@@ -320,8 +320,8 @@ func TestAllStrategiesInferAllGoals(t *testing.T) {
 		func() inference.Strategy { return BottomUp{} },
 		func() inference.Strategy { return NewTopDown() },
 		func() inference.Strategy { return NewRandom(42) },
-		func() inference.Strategy { return Lookahead{K: 1} },
-		func() inference.Strategy { return Lookahead{K: 2} },
+		func() inference.Strategy { return L1S(0) },
+		func() inference.Strategy { return L2S(0) },
 	}
 	for _, mk := range strats {
 		for gi, goal := range goals {
@@ -369,8 +369,8 @@ func TestOptimalIsLowerBound(t *testing.T) {
 			func() inference.Strategy { return BottomUp{} },
 			func() inference.Strategy { return NewTopDown() },
 			func() inference.Strategy { return NewRandom(7) },
-			func() inference.Strategy { return Lookahead{K: 1} },
-			func() inference.Strategy { return Lookahead{K: 2} },
+			func() inference.Strategy { return L1S(0) },
+			func() inference.Strategy { return L2S(0) },
 		} {
 			worst := 0
 			name := ""
@@ -476,8 +476,8 @@ func TestQuickStrategiesAlwaysTerminate(t *testing.T) {
 			func() inference.Strategy { return BottomUp{} },
 			func() inference.Strategy { return NewTopDown() },
 			func() inference.Strategy { return NewRandom(seed) },
-			func() inference.Strategy { return Lookahead{K: 1} },
-			func() inference.Strategy { return Lookahead{K: 2} },
+			func() inference.Strategy { return L1S(0) },
+			func() inference.Strategy { return L2S(0) },
 		} {
 			e := inference.New(inst)
 			goal := randPred(r, e.U)

@@ -317,9 +317,9 @@ func (s *Session) newStrategy() (inference.Strategy, error) {
 	case StrategyTD:
 		return strategy.NewTopDown(), nil
 	case StrategyL1S:
-		return strategy.Lookahead{K: 1, Workers: s.cfg.parallelism}, nil
+		return strategy.L1S(s.cfg.parallelism), nil
 	case StrategyL2S:
-		return strategy.Lookahead{K: 2, Workers: s.cfg.parallelism}, nil
+		return strategy.L2S(s.cfg.parallelism), nil
 	case StrategyRND:
 		return strategy.NewRandomAt(s.cfg.seed, s.rngMark), nil
 	default:
