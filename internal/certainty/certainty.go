@@ -11,12 +11,14 @@
 // words. Predicates passed in may be shorter than W; missing words read as
 // zero, as in package bitset.
 //
-// The two sweeps over a flat arena of thetas (Delta, InformativeInto) are
-// the innermost loops of the lookahead strategies: each distinct lattice
-// node of a decision is swept once to fill the strategies' lattice table,
-// and each mixed-sign L2S leaf once more, so they and the test come in
-// three widths: one word (every schema in the paper), two words (65–128
-// pairs) and any width. A sweep switches once, not per test.
+// The sweeps over a flat arena of thetas (Delta, Gain, InformativeInto)
+// are the innermost loops of the lookahead strategies: each distinct
+// lattice node of a decision is swept once by Delta to fill the
+// strategies' lattice table, and each mixed-sign L2S leaf adds one Gain
+// sweep, which tests the base negatives only on the positions its extra
+// negative covers. So they and the test come in three widths: one word
+// (every schema in the paper), two words (65–128 pairs) and any width. A
+// sweep switches once, not per test.
 package certainty
 
 // Kernel is the knowledge of a sample that certainty depends on. TPos is
@@ -150,6 +152,44 @@ func (k *Kernel) Delta(thetas []uint64, weights []int64) int64 {
 	return sum
 }
 
+// Gain returns the summed weights of the positions (as in Delta) that are
+// not certain under k but whose meet T(S+) ∩ θ is ⊆ extra: what adding
+// extra as a negative adds to Delta. A new negative leaves Lemma 3.3 as it
+// is and adds to Lemma 3.4 exactly those positions, so Delta under
+// N ∪ {extra} is Delta + Gain. Each position costs one AND and one subset
+// test against extra; the base negatives are tested only on the positions
+// extra covers.
+func (k *Kernel) Gain(thetas []uint64, weights []int64, extra []uint64) int64 {
+	var sum int64
+	switch len(k.TPos) {
+	case 1:
+		t, x, negs := k.TPos[0], word(extra, 0), k.Negs
+		for pos, th := range thetas {
+			if inter := t & th; inter&^x == 0 && inter != t && !rejected1(inter, negs) {
+				sum += weights[pos]
+			}
+		}
+	case 2:
+		t0, t1, negs := k.TPos[0], k.TPos[1], k.Negs
+		x0, x1 := word(extra, 0), word(extra, 1)
+		for pos, w := range weights {
+			i0, i1 := t0&thetas[2*pos], t1&thetas[2*pos+1]
+			if i0&^x0 == 0 && i1&^x1 == 0 && (i0 != t0 || i1 != t1) && !rejected2(i0, i1, negs) {
+				sum += w
+			}
+		}
+	default:
+		W := len(k.TPos)
+		for pos, w := range weights {
+			th := thetas[pos*W : (pos+1)*W]
+			if covered(k.TPos, th, extra) && !k.certainN(th) {
+				sum += w
+			}
+		}
+	}
+	return sum
+}
+
 // InformativeInto appends to buf the positions of thetas (one W-word span
 // each) not certain under k, and returns the extended buf.
 func (k *Kernel) InformativeInto(thetas []uint64, buf []int32) []int32 {
@@ -187,10 +227,12 @@ func (k *Kernel) certainN(theta []uint64) bool { return k.Positive(theta) || k.N
 // certain1 is Certain on one-word spans.
 func certain1(t, th uint64, negs []uint64) bool {
 	inter := t & th
-	if inter == t { // Lemma 3.3: tpos ⊆ theta
-		return true
-	}
-	for _, n := range negs { // Lemma 3.4: inter ⊆ some negative
+	return inter == t || rejected1(inter, negs) // Lemma 3.3 (tpos ⊆ theta) or 3.4
+}
+
+// rejected1 is Lemma 3.4 on one-word spans: inter ⊆ some negative.
+func rejected1(inter uint64, negs []uint64) bool {
+	for _, n := range negs {
 		if inter&^n == 0 {
 			return true
 		}
@@ -201,10 +243,12 @@ func certain1(t, th uint64, negs []uint64) bool {
 // certain2 is Certain on two-word spans.
 func certain2(t0, t1, th0, th1 uint64, negs []uint64) bool {
 	i0, i1 := t0&th0, t1&th1
-	if i0 == t0 && i1 == t1 { // Lemma 3.3
-		return true
-	}
-	for off := 0; off+1 < len(negs); off += 2 { // Lemma 3.4
+	return i0 == t0 && i1 == t1 || rejected2(i0, i1, negs) // Lemma 3.3 or 3.4
+}
+
+// rejected2 is Lemma 3.4 on two-word spans.
+func rejected2(i0, i1 uint64, negs []uint64) bool {
+	for off := 0; off+1 < len(negs); off += 2 {
 		if i0&^negs[off] == 0 && i1&^negs[off+1] == 0 {
 			return true
 		}
@@ -212,10 +256,11 @@ func certain2(t0, t1, th0, th1 uint64, negs []uint64) bool {
 	return false
 }
 
-// covered reports tpos ∩ theta ⊆ n for a W-word tpos and n.
+// covered reports tpos ∩ theta ⊆ n for a W-word tpos, reading n past its
+// end as zero.
 func covered(tpos, theta, n []uint64) bool {
 	for i, th := range theta {
-		if tpos[i]&th&^n[i] != 0 {
+		if tpos[i]&th&^word(n, i) != 0 {
 			return false
 		}
 	}

@@ -231,8 +231,79 @@ func TestIncrementalMaximalNegatives(t *testing.T) {
 	}
 }
 
-// TestAllocFreeKernel: the single test, both sweeps and the hypothetical
-// extensions on warm buffers allocate nothing, at every width.
+// TestGainIsDeltaDifference: on random T(S+), negatives and thetas at
+// one, two and three words, a hypothetical negative x adds exactly Gain to
+// Delta — Delta under N ∪ {x} equals Delta under N plus Gain(x) — with
+// and without x kept ⊆-maximal. The cases that shortcut the sweep are
+// drawn on purpose: no base negatives, x ⊇ T(S+) (every meet is covered),
+// x dominated by a base negative and x equal to a kept one (both add
+// nothing).
+func TestGainIsDeltaDifference(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for _, W := range []int{1, 2, 3} {
+		for trial := 0; trial < 400; trial++ {
+			k := Kernel{TPos: randSpan(r, W, 3)}
+			if trial%4 != 0 { // every fourth kernel has no negatives
+				for range 1 + r.Intn(4) {
+					k.AddNegative(randSpan(r, W, 2))
+				}
+			}
+			const K = 24
+			thetas := make([]uint64, K*W)
+			weights := make([]int64, K)
+			for pos := range weights {
+				copy(thetas[pos*W:], randSpan(r, W, 2))
+				weights[pos] = 1 + r.Int63n(9)
+			}
+			x := randSpan(r, W, 2)
+			n := len(k.Negs) / W
+			switch c := r.Intn(5); {
+			case c == 0:
+				for i := range x {
+					x[i] |= k.TPos[i]
+				}
+			case c == 1 && n > 0: // dominated by a base negative
+				for i := range x {
+					x[i] &= k.Negs[r.Intn(n)*W+i]
+				}
+			case c == 2 && n > 0: // a kept negative itself
+				off := r.Intn(n) * W
+				copy(x, k.Negs[off:off+W])
+			}
+			gain := k.Gain(thetas, weights, x)
+			with := k.WithNegative(nil, x)
+			if got, want := k.Delta(thetas, weights)+gain, with.Delta(thetas, weights); got != want {
+				t.Fatalf("W=%d: Delta %d + Gain %d = %d; Delta under N ∪ {x} is %d",
+					W, got-gain, gain, got, want)
+			}
+			kept := Kernel{TPos: k.TPos, Negs: slices.Clone(k.Negs)}
+			if !kept.AddNegative(x) && gain != 0 {
+				t.Fatalf("W=%d: x is dominated by a base negative, yet Gain = %d", W, gain)
+			}
+			if got, want := k.Delta(thetas, weights)+gain, kept.Delta(thetas, weights); got != want {
+				t.Fatalf("W=%d: Delta + Gain = %d; Delta under the ⊆-maximal N ∪ {x} is %d", W, got, want)
+			}
+		}
+	}
+}
+
+// randSpan returns a W-word span over a 6-bit slice of each word, with
+// each bit set with probability 1/density, so subsets among spans are
+// common.
+func randSpan(r *rand.Rand, W, density int) []uint64 {
+	s := make([]uint64, W)
+	for i := range s {
+		for b := 0; b < 6; b++ {
+			if r.Intn(density) != 0 {
+				s[i] |= 1 << (b * 11)
+			}
+		}
+	}
+	return s
+}
+
+// TestAllocFreeKernel: the single test, the three sweeps and the
+// hypothetical extensions on warm buffers allocate nothing, at every width.
 func TestAllocFreeKernel(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, n := range widths {
@@ -252,6 +323,7 @@ func TestAllocFreeKernel(t *testing.T) {
 			hn = k.WithNegative(hn.Negs, theta)
 			k.Certain(theta)
 			k.Delta(arena, weights)
+			k.Gain(arena, weights, theta)
 			buf = k.InformativeInto(arena, buf[:0])
 		})
 		if allocs != 0 {

@@ -23,17 +23,24 @@ package strategy
 // where the last holds because Tₘ ⊆ Tᵢ and Tₘ ⊆ Tⱼ iff Tₘ ⊆ Tᵢ∩Tⱼ. The
 // labelled classes themselves are certain under their own extension and
 // are counted in these weights, hence the chain depth subtracted: the
-// paper's Figure 5 counts 11, not 12, for the ∅ tuple. The mixed leaves,
-// (i+, j−) under (Tᵢ, N ∪ {θⱼ}) and (i−, j+) under (Tⱼ, N ∪ {θᵢ}), stay
-// one certainty.Kernel.Delta sweep each.
+// paper's Figure 5 counts 11, not 12, for the ∅ tuple. A mixed leaf adds
+// one negative x to a node's state (t, N). That leaves Lemma 3.3 as it is
+// and makes certain exactly the positions informative under (t, N) whose
+// meet with t is ⊆ x, whose weight is certainty.Kernel.Gain, so
+//
+//	(i+, j−)   = pos(Tᵢ) + Gain(Tᵢ, θⱼ) − 2      under (Tᵢ, N ∪ {θⱼ})
+//	(i−, j+)   = pos(Tⱼ) + Gain(Tⱼ, θᵢ) − 2      under (Tⱼ, N ∪ {θᵢ})
+//
+// and each costs one Gain sweep, which tests the base negatives only on
+// the positions x covers.
 //
 // So a decision collects the distinct nodes Tᵢ (and, for L2S, Tᵢ∩Tⱼ) into
 // one latticeTable, fills each key once with one Delta sweep and one neg
 // sweep — in parallel with Workers > 1, since each is a pure function of
 // its key — and then reduces the candidates in class order. An L1S
 // candidate is two lookups; an L2S candidate is one informative-list
-// sweep, lookups for the same-sign leaves and one Delta sweep per mixed
-// leaf: about 2K sweeps of K positions (K = informative classes).
+// sweep, lookups for the same-sign leaves and one Gain sweep per mixed
+// leaf: about 2K Gain sweeps of K positions (K = informative classes).
 //
 // engine_test.go checks the engine against the slice-based reference
 // engine, and paperdefs_test.go checks entropy¹ and entropy² against
@@ -224,8 +231,6 @@ func subsetWords(a, b []uint64) bool {
 type leafScratch struct {
 	// rest lists the positions still informative in a branch.
 	rest []int32
-	// negs holds the base negatives followed by one extra negative span.
-	negs []uint64
 	// key holds a lattice node being looked up.
 	key []uint64
 }
@@ -237,8 +242,6 @@ func (l *look) newScratch() *leafScratch {
 		sc = new(leafScratch)
 	}
 	sc.rest = resize(sc.rest, len(l.baseInf))[:0]
-	sc.negs = resize(sc.negs, len(l.base.Negs)+l.W)
-	copy(sc.negs, l.base.Negs)
 	sc.key = resize(sc.key, l.W)
 	return sc
 }
@@ -273,21 +276,20 @@ func order(up, un int64) Entropy {
 // none remain (lines 3–5); the branch with the smaller Min is kept, on a
 // tie the smaller Max (lines 13–14).
 func (l *look) entropy2(i int, sc *leafScratch) Entropy {
-	n := len(l.base.Negs)
 	mi := l.meet(i)
 	tab := &l.tab
 
 	// i+: the state (Tᵢ, N).
 	ep := Entropy{Min: Inf, Max: Inf}
-	rest := (&certainty.Kernel{TPos: mi, Negs: l.base.Negs}).InformativeInto(l.thetas, sc.rest[:0])
+	ki := certainty.Kernel{TPos: mi, Negs: l.base.Negs}
+	rest := ki.InformativeInto(l.thetas, sc.rest[:0])
 	if len(rest) > 0 {
-		mixed := certainty.Kernel{TPos: mi, Negs: sc.negs}
+		posI := tab.pos[l.meetSlot[i]]
 		ep = Entropy{Min: -1, Max: -1}
 		for _, j := range rest {
 			and(sc.key, mi, l.meet(int(j)))
 			up := tab.pos[tab.find(sc.key)] - 2
-			copy(sc.negs[n:], l.theta(int(j)))
-			un := mixed.Delta(l.thetas, l.weights) - 2
+			un := posI + ki.Gain(l.thetas, l.weights, l.theta(int(j))) - 2
 			ep = better(ep, order(up, un))
 		}
 	}
@@ -297,13 +299,13 @@ func (l *look) entropy2(i int, sc *leafScratch) Entropy {
 	en := Entropy{Min: Inf, Max: Inf}
 	rest = l.outside(mi, sc.rest[:0])
 	if len(rest) > 0 {
-		copy(sc.negs[n:], l.theta(i))
+		thI := l.theta(i)
 		negI := tab.neg[l.meetSlot[i]]
 		en = Entropy{Min: -1, Max: -1}
 		for _, j := range rest {
 			mj := l.meet(int(j))
-			mixed := certainty.Kernel{TPos: mj, Negs: sc.negs}
-			up := mixed.Delta(l.thetas, l.weights) - 2
+			kj := certainty.Kernel{TPos: mj, Negs: l.base.Negs}
+			up := tab.pos[l.meetSlot[j]] + kj.Gain(l.thetas, l.weights, thI) - 2
 			and(sc.key, mi, mj)
 			un := negI + tab.neg[l.meetSlot[j]] - tab.neg[tab.find(sc.key)] - 2
 			en = better(en, order(up, un))

@@ -154,12 +154,6 @@ func TestQuickEntropiesMatchWithLabels(t *testing.T) {
 	}
 }
 
-// withExtra returns the base kernel with T(S+) replaced by tpos and one
-// extra negative theta appended.
-func withExtra(lk *look, tpos, theta []uint64) *certainty.Kernel {
-	return &certainty.Kernel{TPos: tpos, Negs: append(slices.Clone(lk.base.Negs), theta...)}
-}
-
 // leavesAgree labels a random pair of base-informative classes i ≠ j
 // hypothetically, with every sign, on the engine's lattice table and on
 // the legacy state, and reports whether every depth-1 and depth-2 delta
@@ -189,25 +183,26 @@ func leavesAgree(r *rand.Rand, e *inference.Engine) bool {
 		return false
 	}
 	ip, in := gs.withPositive(thi, ci), gs.withNegative(thi, ci)
+	ki := certainty.Kernel{TPos: ti, Negs: lk.base.Negs}
+	kj := certainty.Kernel{TPos: tj, Negs: lk.base.Negs}
 	leaves := []struct{ legacy, engine int64 }{
 		{lg.delta(ip), tab.pos[slot] - 1},
 		{lg.delta(in), tab.neg[slot] - 1},
 		{lg.delta(ip.withPositive(thj, cj)), tab.pos[sij] - 2},
 		{lg.delta(in.withNegative(thj, cj)), tab.neg[slot] + tab.neg[lk.meetSlot[j]] - tab.neg[sij] - 2},
-		{lg.delta(ip.withNegative(thj, cj)), withExtra(lk, ti, lk.theta(j)).Delta(lk.thetas, lk.weights) - 2},
-		{lg.delta(in.withPositive(thj, cj)), withExtra(lk, tj, lk.theta(i)).Delta(lk.thetas, lk.weights) - 2},
+		{lg.delta(ip.withNegative(thj, cj)), tab.pos[slot] + ki.Gain(lk.thetas, lk.weights, lk.theta(j)) - 2},
+		{lg.delta(in.withPositive(thj, cj)), tab.pos[lk.meetSlot[j]] + kj.Gain(lk.thetas, lk.weights, lk.theta(i)) - 2},
 	}
 	for _, leaf := range leaves {
 		if leaf.legacy != leaf.engine {
 			return false
 		}
 	}
-	kp := certainty.Kernel{TPos: ti, Negs: lk.base.Negs}
 	for _, branch := range []struct {
 		rest []int32
 		want []int
 	}{
-		{kp.InformativeInto(lk.thetas, nil), lg.informativeUnder(ip)},
+		{ki.InformativeInto(lk.thetas, nil), lg.informativeUnder(ip)},
 		{lk.outside(ti, nil), lg.informativeUnder(in)},
 	} {
 		if len(branch.rest) != len(branch.want) {
@@ -223,9 +218,9 @@ func leavesAgree(r *rand.Rand, e *inference.Engine) bool {
 }
 
 // TestQuickArenaDeltaMatchesLegacy: for random pairs of classes, every
-// leaf the engine reads from its lattice table or sweeps, and both
-// branches' informative lists, equal the legacy engine's on random
-// one-word instances with labelled classes, and on the two- and
+// leaf the engine reads from its lattice table or adds a Gain sweep to,
+// and both branches' informative lists, equal the legacy engine's on
+// random one-word instances with labelled classes, and on the two- and
 // three-word universes.
 func TestQuickArenaDeltaMatchesLegacy(t *testing.T) {
 	f := func(seed int64) bool {
@@ -257,8 +252,9 @@ func TestQuickArenaDeltaMatchesLegacy(t *testing.T) {
 
 // sweepsAgree follows a random hypothetical chain of up to three labels
 // and reports whether, after every step, the kernel's width-specialised
-// sweeps (one word, two words) weigh and list every position as its
-// generic-width sweep does on the same spans zero-padded to three words.
+// sweeps (one word, two words) weigh and list every position, and weigh
+// the gain of a random extra negative, as its generic-width sweep does on
+// the same spans zero-padded to three words.
 func sweepsAgree(r *rand.Rand, e *inference.Engine) bool {
 	lk := newLook(e)
 	defer lk.release()
@@ -279,6 +275,10 @@ func sweepsAgree(r *rand.Rand, e *inference.Engine) bool {
 			return false
 		}
 		if !slices.Equal(k.InformativeInto(lk.thetas, nil), wide.InformativeInto(thetas, nil)) {
+			return false
+		}
+		x := r.Intn(len(lk.baseInf))
+		if k.Gain(lk.thetas, lk.weights, lk.theta(x)) != wide.Gain(thetas, lk.weights, padSpans(lk.theta(x), lk.W)) {
 			return false
 		}
 	}

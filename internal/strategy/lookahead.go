@@ -48,9 +48,10 @@ func (l Lookahead) Next(e *inference.Engine) int {
 
 // NextCtx implements inference.ContextStrategy: identical selection to
 // Next, but cancellation is observed between lattice keys and between
-// candidate evaluations — an L2S candidate costs about 2K certainty
-// sweeps (K = informative classes), so this is the granularity at which
-// aborting an expensive decision is worthwhile. With Workers > 1 keys and
+// candidate evaluations — an L2S candidate costs one informative-list
+// sweep and about 2K Gain sweeps of K positions (K = informative
+// classes), so this is the granularity at which aborting an expensive
+// decision is worthwhile. With Workers > 1 keys and
 // candidates are evaluated concurrently; cancellation is still observed
 // per item.
 func (l Lookahead) NextCtx(ctx context.Context, e *inference.Engine) (int, error) {
