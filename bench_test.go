@@ -23,6 +23,7 @@ package joininference_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -322,4 +323,59 @@ func BenchmarkSemijoinSession(b *testing.B) {
 		}
 		b.ReportMetric(float64(questions), "interactions")
 	})
+}
+
+// BenchmarkIngest measures one instance update as joinserve's ingest runs
+// it: ApplyDelta moves the data to the next version, computes that
+// version's T-classes and counts the classes minted and retired. Each op
+// inserts one row in the style of joinbench's churn writer: a copy of a
+// random row of R or P with one attribute taken from another row of the
+// same relation. The instances are churn's two (synth (3, 3, 100, 100) and
+// TPC-H join2) and TPC-H join4, the largest class list of the paper's
+// joins. Every op advances the chain, so the instance grows by one row per
+// op; -benchtime=75x matches the inserts one churn instance takes in a
+// 15 s window.
+func BenchmarkIngest(b *testing.B) {
+	tpchInst := func(j tpch.Join) func() *joininference.Instance {
+		return func() *joininference.Instance {
+			inst, _, err := tpch.MustGenerate(1, 42).Instance(j)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return inst
+		}
+	}
+	for _, c := range []struct {
+		name string
+		inst func() *joininference.Instance
+	}{
+		{"synth-3-3-100-100", func() *joininference.Instance { return synth.MustGenerate(synth.PaperConfigs()[0], 1) }},
+		{"join2", tpchInst(tpch.Join2)},
+		{"join4", tpchInst(tpch.Join4)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			inst := c.inst()
+			cs := joininference.PrecomputeClasses(inst)
+			base := []*joininference.Relation{inst.R, inst.P}
+			rng := rand.New(rand.NewSource(1))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				side := rng.Intn(2)
+				rel := base[side]
+				row := append(joininference.Tuple(nil), rel.Tuples[rng.Intn(rel.Len())]...)
+				attr := rng.Intn(len(row))
+				row[attr] = rel.Tuples[rng.Intn(rel.Len())][attr]
+				d := joininference.Delta{InsertR: []joininference.Tuple{row}}
+				if side == 1 {
+					d = joininference.Delta{InsertP: []joininference.Tuple{row}}
+				}
+				upd, err := joininference.ApplyDelta(inst, cs, d)
+				if err != nil {
+					b.Fatal(err)
+				}
+				inst, cs = upd.To, upd.Classes
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/ingest")
+		})
+	}
 }

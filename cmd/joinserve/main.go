@@ -18,8 +18,8 @@
 // tpch-join5, synth-1 … synth-6); -csv adds instances from CSV pairs.
 //
 // Instances are dynamic: POST /instances/{id}/rows ingests a delta (row
-// inserts and deletes), moving the instance to its next version. T-classes
-// are maintained incrementally, live sessions move there at their next
+// inserts and deletes), moving the instance to its next version. Its
+// T-classes are recomputed, live sessions move there at their next
 // question boundary by replaying their surviving answers (as a restart
 // would), the shared policy cache drops the old version's decision trees,
 // and with a store the delta is appended to a per-instance log replayed on

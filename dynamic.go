@@ -1,28 +1,25 @@
-// Dynamic instances: versioned data with incremental T-class maintenance.
-// An Instance is no longer frozen at load time — InsertRows / DeleteRows
-// return the next version, and ApplyDelta carries the expensive derived
-// state, the T-classes, onto that version incrementally, re-examining only
-// the product pairs the delta creates or destroys instead of recomputing
-// the product. The maintained classes are bit-identical to a rebuild from
-// scratch on the new version. A session reaches a version one way only, by
-// replaying its surviving answers there (Session.MoveTo, ResumeSession):
-// its state is a function of those answers' T values and the version's
-// T-classes (Section 3.1).
+// Dynamic instances: versioned data whose T-classes are recomputed on
+// every version. An Instance is no longer frozen at load time — InsertRows
+// / DeleteRows return the next version, and ApplyDelta also builds that
+// version's T-classes, with the same class kernel PrecomputeClasses runs:
+// in the paper T is a function of one fixed instance (Section 3), so the
+// classes of a version depend on nothing but its rows. A session reaches a
+// version one way only, by replaying its surviving answers there
+// (Session.MoveTo, ResumeSession): its state is a function of those
+// answers' T values and the version's T-classes (Section 3.1).
 package joininference
 
 import (
 	"fmt"
 
-	"repro/internal/predicate"
-	"repro/internal/product"
 	"repro/internal/relation"
 )
 
 // Delta is one batch of row changes against an instance version: rows to
 // append to R and P, and live row indexes to delete. Apply one with the
-// package-level ApplyDelta, which also maintains the T-classes, or with
-// Instance.ApplyDelta (and the InsertRows/DeleteRows shorthands) for the
-// data alone.
+// package-level ApplyDelta, which also computes the new version's
+// T-classes, or with Instance.ApplyDelta (and the InsertRows/DeleteRows
+// shorthands) for the data alone.
 type Delta = relation.Delta
 
 // ErrStaleVersion reports a delta applied to an instance version that is
@@ -30,57 +27,63 @@ type Delta = relation.Delta
 var ErrStaleVersion = relation.ErrStaleVersion
 
 // InstanceUpdate is one applied delta lifted to the T-class layer: the two
-// instance versions and the maintained class set for the new version. Live
-// sessions move onto it with Session.MoveTo(To, Classes); a shared
-// PolicyCache drops the old version's memoized trees with
-// PolicyCache.ApplyUpdate.
+// instance versions and the class set of the new version. Live sessions
+// move onto it with Session.MoveTo(To, Classes); a shared PolicyCache drops
+// the old version's memoized trees with PolicyCache.ApplyUpdate.
 type InstanceUpdate struct {
 	// From and To are the instance before and after the delta
 	// (To.Version() == From.Version()+1).
 	From, To *Instance
-	// Classes are the new version's T-classes, maintained incrementally —
-	// sessions built fresh on To with WithPrecomputedClasses(Classes) and
-	// sessions moved there with MoveTo see identical class state.
-	// Semijoin sessions on To share its witness table.
+	// Classes are the new version's T-classes, as PrecomputeClasses(To)
+	// computes them — sessions built fresh on To with
+	// WithPrecomputedClasses(Classes) and sessions moved there with MoveTo
+	// see identical class state. Semijoin sessions on To share its witness
+	// table.
 	Classes *ClassSet
 
-	res *product.DeltaResult
+	minted, retired int
 }
 
 // ApplyDelta applies d to inst (which must be the tip of its version
-// history) and incrementally maintains the T-classes, touching only the
-// classes the delta's product pairs land in or vanish from. cs must be the
-// classes of inst (from PrecomputeClasses or a previous update's Classes).
-// Errors wrap ErrStaleVersion when inst is no longer the tip.
+// history) and computes the new version's T-classes from scratch, as
+// PrecomputeClasses does. cs must be the classes of inst (from
+// PrecomputeClasses or a previous update's Classes): the update counts the
+// classes the delta minted and retired against it. Errors wrap
+// ErrStaleVersion when inst is no longer the tip.
 func ApplyDelta(inst *Instance, cs *ClassSet, d Delta) (*InstanceUpdate, error) {
-	if cs == nil {
+	switch {
+	case cs == nil:
 		return nil, fmt.Errorf("joininference: ApplyDelta needs the current version's classes")
+	case cs.inst != inst:
+		return nil, fmt.Errorf("joininference: ApplyDelta classes were not computed for version %d", inst.Version())
 	}
 	next, err := inst.ApplyDelta(d)
 	if err != nil {
 		return nil, fmt.Errorf("joininference: %w", err)
 	}
-	u := predicate.NewUniverse(inst)
-	dr, err := product.ApplyDelta(inst, next, u, cs.classes, d)
-	if err != nil {
-		return nil, fmt.Errorf("joininference: %w", err)
+	upd := &InstanceUpdate{From: inst, To: next, Classes: PrecomputeClasses(next)}
+	// A class is minted when no class of the old version has its T, and
+	// retired when no class of the new version does.
+	old := cs.index()
+	for _, c := range upd.Classes.classes {
+		if old.Find(c.Theta) < 0 {
+			upd.minted++
+		}
 	}
-	return &InstanceUpdate{
-		From:    inst,
-		To:      next,
-		Classes: &ClassSet{classes: dr.Classes, inst: next},
-		res:     dr,
-	}, nil
+	upd.retired = cs.Len() - (upd.Classes.Len() - upd.minted)
+	return upd, nil
 }
 
 // Version returns the instance version this update produced.
 func (upd *InstanceUpdate) Version() int64 { return upd.To.Version() }
 
-// ClassesMinted returns how many T-classes the delta created.
-func (upd *InstanceUpdate) ClassesMinted() int { return len(upd.res.Added) }
+// ClassesMinted returns how many T-classes the new version has that the
+// old one did not.
+func (upd *InstanceUpdate) ClassesMinted() int { return upd.minted }
 
-// ClassesRetired returns how many T-classes the delta emptied.
-func (upd *InstanceUpdate) ClassesRetired() int { return upd.res.Retired }
+// ClassesRetired returns how many T-classes the old version had that the
+// new one does not.
+func (upd *InstanceUpdate) ClassesRetired() int { return upd.retired }
 
 // MoveTo moves the session onto inst, a later version of the instance it
 // runs over, whose per-version state is cs (nil computes it; otherwise cs

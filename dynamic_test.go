@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/inference"
 	"repro/internal/paperdata"
+	"repro/internal/predicate"
 	"repro/internal/relation"
 	"repro/internal/synth"
 )
@@ -30,12 +32,25 @@ func TestErrInconsistentWrapsInference(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaBasics: an update carries the new version's classes, counts
+// the classes it minted and retired by the definition, and refuses a class
+// set computed for another version.
 func TestApplyDeltaBasics(t *testing.T) {
 	inst := paperdata.FlightHotel()
 	cs := PrecomputeClasses(inst)
 
 	if _, err := ApplyDelta(inst, nil, Delta{InsertR: []Tuple{{"X", "Y", "Z"}}}); err == nil {
 		t.Fatal("ApplyDelta accepted nil classes")
+	}
+	// The version-1 classes of another chain over the same data are not
+	// inst's: minted and retired would be counted against the wrong base.
+	other := paperdata.FlightHotel()
+	oupd, err := ApplyDelta(other, PrecomputeClasses(other), Delta{InsertR: []Tuple{{"NYC", "Lille", "BA"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ApplyDelta(inst, oupd.Classes, Delta{InsertP: []Tuple{{"Lille", "AA"}}}); err == nil {
+		t.Fatal("ApplyDelta accepted the classes of another chain's version")
 	}
 
 	ins := Delta{InsertR: []Tuple{{"NYC", "Lille", "BA"}}, InsertP: []Tuple{{"Lille", "BA"}}}
@@ -46,21 +61,20 @@ func TestApplyDeltaBasics(t *testing.T) {
 	if upd.Version() != 1 || upd.From != inst || upd.To.Version() != 1 {
 		t.Fatalf("versions: upd.Version=%d From=%d To=%d", upd.Version(), upd.From.Version(), upd.To.Version())
 	}
-	if want := PrecomputeClasses(upd.To).Len(); upd.Classes.Len() != want {
-		t.Fatalf("maintained %d classes, fresh compute has %d", upd.Classes.Len(), want)
+	if !sameClasses(upd.Classes, PrecomputeClasses(upd.To)) {
+		t.Fatal("update classes differ from a fresh compute on the new version")
 	}
-	if got := upd.Classes.Len() - cs.Len() + upd.ClassesRetired(); upd.ClassesMinted() != got {
-		t.Fatalf("minted %d does not balance: %d classes -> %d, retired %d",
-			upd.ClassesMinted(), cs.Len(), upd.Classes.Len(), upd.ClassesRetired())
-	}
+	checkMintedRetired(t, "insert", upd)
 
 	// The old version is no longer the tip.
 	if _, err := ApplyDelta(inst, cs, ins); !errors.Is(err, ErrStaleVersion) {
 		t.Fatalf("delta on a stale tip: %v", err)
 	}
+	// The tip with the classes of the version before it.
+	if _, err := ApplyDelta(upd.To, cs, Delta{DeleteR: []int{4}}); err == nil {
+		t.Fatal("ApplyDelta accepted the previous version's classes")
+	}
 
-	// Deletes retire what they empty, and the maintained set still matches a
-	// fresh compute on the new version.
 	upd2, err := ApplyDelta(upd.To, upd.Classes, Delta{DeleteR: []int{4}, DeleteP: []int{0}})
 	if err != nil {
 		t.Fatal(err)
@@ -68,9 +82,113 @@ func TestApplyDeltaBasics(t *testing.T) {
 	if upd2.Version() != 2 {
 		t.Fatalf("version after second delta = %d", upd2.Version())
 	}
-	if want := PrecomputeClasses(upd2.To).Len(); upd2.Classes.Len() != want {
-		t.Fatalf("after delete: maintained %d classes, fresh compute has %d", upd2.Classes.Len(), want)
+	checkMintedRetired(t, "delete", upd2)
+
+	// A seeded chain of mixed deltas over a small value domain, so that
+	// steps mint and retire classes, alone and together.
+	r := rand.New(rand.NewSource(7))
+	inst = synth.MustGenerate(synth.Config{AttrsR: 2, AttrsP: 3, Rows: 5, Values: 4}, 7)
+	cs = PrecomputeClasses(inst)
+	var minted, retired, both int
+	for step := 0; step < 60; step++ {
+		upd, err := ApplyDelta(inst, cs, randDynDelta(r, inst))
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		checkMintedRetired(t, fmt.Sprintf("step %d", step), upd)
+		if upd.ClassesMinted() > 0 {
+			minted++
+		}
+		if upd.ClassesRetired() > 0 {
+			retired++
+		}
+		if upd.ClassesMinted() > 0 && upd.ClassesRetired() > 0 {
+			both++
+		}
+		inst, cs = upd.To, upd.Classes
 	}
+	if minted == 0 || retired == 0 || both == 0 {
+		t.Fatalf("chain exercised too little: %d steps minted, %d retired, %d both", minted, retired, both)
+	}
+}
+
+// bruteTValues returns the keys of T(t, t') over every live pair of R×P,
+// computed pair by pair from the definition.
+func bruteTValues(inst *Instance) map[string]bool {
+	u := predicate.NewUniverse(inst)
+	out := make(map[string]bool)
+	for ri, tR := range inst.R.Tuples {
+		if !inst.RAlive(ri) {
+			continue
+		}
+		for pi, tP := range inst.P.Tuples {
+			if inst.PAlive(pi) {
+				out[predicate.T(u, tR, tP).Key()] = true
+			}
+		}
+	}
+	return out
+}
+
+// checkMintedRetired checks an update's minted and retired counts against
+// the set differences of the two versions' T values, and its classes
+// against the new version's.
+func checkMintedRetired(t *testing.T, tag string, upd *InstanceUpdate) {
+	t.Helper()
+	before, after := bruteTValues(upd.From), bruteTValues(upd.To)
+	got := make(map[string]bool)
+	for _, c := range upd.Classes.classes {
+		got[c.Theta.Key()] = true
+	}
+	if !maps.Equal(got, after) {
+		t.Fatalf("%s: %d class thetas, want the %d T values of the new version", tag, len(got), len(after))
+	}
+	minted, retired := 0, 0
+	for k := range after {
+		if !before[k] {
+			minted++
+		}
+	}
+	for k := range before {
+		if !after[k] {
+			retired++
+		}
+	}
+	if upd.ClassesMinted() != minted || upd.ClassesRetired() != retired {
+		t.Fatalf("%s: minted %d, retired %d; want %d and %d",
+			tag, upd.ClassesMinted(), upd.ClassesRetired(), minted, retired)
+	}
+}
+
+// randDynDelta draws up to two inserts over the values "0"–"3" and up to
+// two deletes per relation, keeping at least two live rows on each side.
+func randDynDelta(r *rand.Rand, inst *Instance) Delta {
+	var d Delta
+	rows := func(arity int) []Tuple {
+		out := make([]Tuple, r.Intn(3))
+		for i := range out {
+			out[i] = make(Tuple, arity)
+			for k := range out[i] {
+				out[i][k] = strconv.Itoa(r.Intn(4))
+			}
+		}
+		return out
+	}
+	d.InsertR = rows(inst.R.Schema.Arity())
+	d.InsertP = rows(inst.P.Schema.Arity())
+	pick := func(n int, alive func(int) bool) []int {
+		var live []int
+		for i := 0; i < n; i++ {
+			if alive(i) {
+				live = append(live, i)
+			}
+		}
+		r.Shuffle(len(live), func(a, b int) { live[a], live[b] = live[b], live[a] })
+		return live[:min(r.Intn(3), max(len(live)-2, 0))]
+	}
+	d.DeleteR = pick(inst.R.Len(), inst.RAlive)
+	d.DeleteP = pick(inst.P.Len(), inst.PAlive)
+	return d
 }
 
 // TestApplyUpdateRejectsWrongVersion: a session moves forward along its own

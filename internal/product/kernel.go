@@ -11,8 +11,8 @@ import (
 // A T mask is T(tR, tP) laid out as W = ⌈|Ω|/64⌉ words, the pair id
 // i·m + j of (A_i, B_j) at bit id%64 of word id/64 — the bitset layout, so
 // a class Theta is its mask. One mask table keys every T this package
-// computes: the class kernel, ApplyDelta and Index all look T up by its
-// words, never by a string built per pair.
+// computes: the class kernel and Index both look T up by its words, never
+// by a string built per pair.
 
 // maskWords returns W, the number of 64-bit words a T mask over u spans.
 func maskWords(u *predicate.Universe) int { return (u.Size() + 63) / 64 }

@@ -22,7 +22,9 @@
 // The postings are shared: the semijoin witness table fills its rows
 // through the same Postings and Scan. The same mask table keys T wherever
 // this package looks a pair's class up: Index (a class list's pair → class
-// lookup, shared by the sessions over one instance version) and ApplyDelta.
+// lookup, shared by the sessions over one instance version). A new instance
+// version's classes are collected afresh; none are carried over from the
+// version before.
 package product
 
 import (

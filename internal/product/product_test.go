@@ -1,6 +1,7 @@
 package product
 
 import (
+	"fmt"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -115,6 +116,26 @@ func TestMaxClassesExample21(t *testing.T) {
 			}
 		}
 	}
+}
+
+// classesEqual compares two class lists exactly: order, thetas,
+// representatives and counts.
+func classesEqual(a, b []*Class) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d classes vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if !a[i].Theta.Equal(b[i].Theta) {
+			return fmt.Errorf("class %d: theta %v vs %v", i, a[i].Theta, b[i].Theta)
+		}
+		if a[i].RI != b[i].RI || a[i].PI != b[i].PI {
+			return fmt.Errorf("class %d (%v): rep (%d,%d) vs (%d,%d)", i, a[i].Theta, a[i].RI, a[i].PI, b[i].RI, b[i].PI)
+		}
+		if a[i].Count != b[i].Count {
+			return fmt.Errorf("class %d (%v): count %d vs %d", i, a[i].Theta, a[i].Count, b[i].Count)
+		}
+	}
+	return nil
 }
 
 func TestClassesIndexedAgreesOnPaperInstances(t *testing.T) {

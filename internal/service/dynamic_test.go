@@ -436,34 +436,80 @@ func TestRegistryBootReplaysDeltaLog(t *testing.T) {
 	if st := reg2.Stats(); st.CacheHits != 1 || st.Reparses != 0 || st.DeltasReplayed != 0 {
 		t.Fatalf("second boot: %+v", st)
 	}
-	if want := joininference.PrecomputeClasses(e2.Inst).Len(); e2.Classes.Len() != want {
-		t.Fatalf("restored classes: %d, fresh compute %d", e2.Classes.Len(), want)
-	}
+	sameClassList(t, "cached", e2.Inst, e2.Classes, joininference.PrecomputeClasses(e2.Inst))
 
-	// Crash window: the delta reached the log but the cache write-back did
-	// not. Boot must decode the stale cache and roll it forward.
+	// Crash window: two deltas reached the log but no cache write-back
+	// did. Boot must decode the stale cache, roll the rows forward through
+	// both and compute the tip's classes.
 	d2 := joininference.Delta{InsertP: []joininference.Tuple{{"Lille", "AA"}}}
-	if err := store.AppendDelta(kv, "flights", 2, d2); err != nil {
-		t.Fatal(err)
+	d3 := joininference.Delta{InsertR: []joininference.Tuple{{"Lille", "Paris", "AA"}}, DeleteP: []int{1}}
+	for i, d := range []joininference.Delta{d2, d3} {
+		if err := store.AppendDelta(kv, "flights", int64(2+i), d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	reg3 := boot()
 	e3, err := reg3.Get("flights")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e3.Inst.Version() != 2 {
+	if e3.Inst.Version() != 3 {
 		t.Fatalf("third boot serves version %d", e3.Inst.Version())
 	}
-	if st := reg3.Stats(); st.CacheHits != 1 || st.Reparses != 0 || st.DeltasReplayed != 1 {
+	if st := reg3.Stats(); st.CacheHits != 1 || st.Reparses != 0 || st.DeltasReplayed != 2 {
 		t.Fatalf("third boot: %+v", st)
 	}
-	// The rolled-forward state matches what a live ingest chain produced.
-	fresh, err := joininference.ApplyDelta(upd.To, upd.Classes, d2)
-	if err != nil {
-		t.Fatal(err)
+	// The rolled-forward classes are the tip's, class by class, and the
+	// live ingest chain reaches the same rows.
+	sameClassList(t, "replayed", e3.Inst, e3.Classes, joininference.PrecomputeClasses(e3.Inst))
+	live := upd
+	for _, d := range []joininference.Delta{d2, d3} {
+		if live, err = joininference.ApplyDelta(live.To, live.Classes, d); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if e3.Classes.Len() != fresh.Classes.Len() {
-		t.Fatalf("replayed classes: %d, live chain %d", e3.Classes.Len(), fresh.Classes.Len())
+	if !bytes.Equal(joininference.EncodeInstanceCache(e3.Inst, e3.Classes), joininference.EncodeInstanceCache(live.To, live.Classes)) {
+		t.Fatal("replayed instance differs from the live ingest chain")
+	}
+}
+
+// classLister is a custom strategy that records every class of its
+// session, in order, as its Theta and Count, and then asks the first
+// informative class.
+type classLister struct{ classes []string }
+
+func (l *classLister) Name() string { return "classLister" }
+
+func (l *classLister) Next(v joininference.StrategyView) int {
+	if l.classes == nil {
+		for ci := 0; ci < v.NumClasses(); ci++ {
+			l.classes = append(l.classes, fmt.Sprintf("%v×%d", v.ClassPred(ci), v.ClassCount(ci)))
+		}
+	}
+	if ics := v.InformativeClasses(); len(ics) > 0 {
+		return ics[0]
+	}
+	return -1
+}
+
+// sameClassList fails unless got and want, two class sets of inst, list
+// the same classes in the same order: the cache record pins every class's
+// representative and Count, and a session's StrategyView every Theta.
+func sameClassList(t *testing.T, tag string, inst *joininference.Instance, got, want *joininference.ClassSet) {
+	t.Helper()
+	if !bytes.Equal(joininference.EncodeInstanceCache(inst, got), joininference.EncodeInstanceCache(inst, want)) {
+		t.Fatalf("%s: classes differ in number, order, representative or count", tag)
+	}
+	list := func(cs *joininference.ClassSet) []string {
+		l := &classLister{}
+		s := joininference.NewSession(inst, joininference.WithPrecomputedClasses(cs), joininference.WithCustomStrategy(l))
+		if _, err := s.NextQuestions(context.Background(), 1); err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		return l.classes
+	}
+	if g, w := list(got), list(want); len(g) == 0 || !slices.Equal(g, w) {
+		t.Fatalf("%s: classes %v, want %v", tag, g, w)
 	}
 }
 

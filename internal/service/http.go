@@ -34,8 +34,8 @@ import (
 //	POST   /instances/{id}/rows       ingest one delta ({"insert_r": [[..]],
 //	                                  "insert_p": [[..]], "delete_r": [..],
 //	                                  "delete_p": [..]}) — the instance moves
-//	                                  to its next version, T-classes follow
-//	                                  incrementally, live sessions by replay
+//	                                  to its next version, its T-classes are
+//	                                  recomputed, live sessions follow by replay
 //	GET    /healthz                   liveness
 //	GET    /readyz                    readiness: store breaker position,
 //	                                  write-behind queue depth, registry and

@@ -63,10 +63,10 @@ type regSlot struct {
 // later boots decode it instead of re-parsing CSV, re-generating TPC-H, or
 // re-scanning the product. Ingested deltas (Ingest) are appended to the
 // store's delta log, so a boot whose cached record predates the tip replays
-// the missing deltas through the incremental class maintenance instead of
-// recomputing the product. Like the policy cache, a name must uniquely
-// identify the instance's data; registering different data under a name
-// the store has seen requires clearing the store or picking a new name.
+// the missing deltas onto the cached rows and computes the tip's T-classes
+// once. Like the policy cache, a name must uniquely identify the
+// instance's data; registering different data under a name the store has
+// seen requires clearing the store or picking a new name.
 type Registry struct {
 	mu    sync.Mutex
 	slots map[string]*regSlot
@@ -269,23 +269,24 @@ func (r *Registry) loadLocked(slot *regSlot, name string, kv store.KV, log *slog
 			slot.err = err
 			return
 		}
-		inst, cs = i, joininference.PrecomputeClasses(i)
+		inst = i
 		r.met.reparses.Add(1)
 	}
-	// Roll forward through delta-log records past the loaded version. Each
-	// replay runs the same incremental class maintenance a live ingest does,
-	// so a restored instance is bit-identical to the one that served before
-	// the restart. A gap or corrupt record is an error, not a fallback: the
-	// log is the only record of ingested rows, and serving without them
-	// would silently fork the history.
+	// Roll the data forward through delta-log records past the loaded
+	// version, then compute the T-classes once, at the tip: they are a
+	// function of the tip's rows alone, so a restored instance is
+	// bit-identical to the one that served before the restart. A gap or
+	// corrupt record is an error, not a fallback: the log is the only
+	// record of ingested rows, and serving without them would silently
+	// fork the history.
 	replayed := 0
 	if kv != nil {
 		err := store.ReplayDeltaLog(kv, name, inst.Version(), func(version int64, d joininference.Delta) error {
-			upd, err := joininference.ApplyDelta(inst, cs, d)
+			next, err := inst.ApplyDelta(d)
 			if err != nil {
 				return err
 			}
-			inst, cs = upd.To, upd.Classes
+			inst = next
 			replayed++
 			return nil
 		})
@@ -294,6 +295,9 @@ func (r *Registry) loadLocked(slot *regSlot, name string, kv store.KV, log *slog
 			return
 		}
 		r.met.deltasReplayed.Add(int64(replayed))
+	}
+	if cs == nil || replayed > 0 {
+		cs = joininference.PrecomputeClasses(inst)
 	}
 	slot.e = &Entry{Name: name, Inst: inst, Classes: cs}
 	if kv != nil && (!fromCache || replayed > 0) {
@@ -306,9 +310,10 @@ func (r *Registry) loadLocked(slot *regSlot, name string, kv store.KV, log *slog
 }
 
 // Ingest applies one delta to the named instance: the data moves to the
-// next version, the T-classes are maintained incrementally, the delta is
-// appended to the store's log (when one is attached) and the cached entry
-// record is advanced. Live sessions follow by moving to the new entry
+// next version, whose T-classes are computed afresh under slot.mu (so a Get
+// of the same instance waits for them), the delta is appended to the
+// store's log (when one is attached) and the cached entry record is
+// advanced. Live sessions follow by moving to the new entry
 // (Session.MoveTo), and the returned update tells a policy cache which
 // version's trees to drop (PolicyCache.ApplyUpdate). Validation failures
 // wrap ErrBadDelta, a failed delta-log append ErrStoreUnavailable; nothing
